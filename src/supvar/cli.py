@@ -28,6 +28,7 @@ from .superalg.morphisms import PrPresentation, SuperalgebraMorphism, classify_q
 from .homalg import ext_dims, pd_class, resolution_of_trivial
 from .varieties import (
     GroupPoint,
+    check_point,
     enumerate_points,
     point_pullback,
     psi_map,
@@ -61,7 +62,9 @@ def parse_spec(arg: str):
 
 def _parse_point(spec, field, text):
     parts = [s for s in text.split(",") if s != ""]
-    return GroupPoint(tuple(parse_element(field, s) for s in parts))
+    pt = GroupPoint(tuple(parse_element(field, s) for s in parts))
+    check_point(spec, pt)
+    return pt
 
 
 def _module_as_p1(mod, grp):

@@ -36,7 +36,12 @@ PD_INFINITE = "Infinite"
 
 @dataclass
 class CochainComplex:
-    """Cochain spaces with parity vectors and differentials C^i -> C^{i+1}."""
+    """Cochain spaces with parity vectors and differentials C^i -> C^{i+1}.
+
+    The differentials may carry leading stack axes, (..., dim_{i+1}, dim_i):
+    a stack of complexes on the same cochain spaces.  The checks below then
+    cover every slice; `cohomology_dims` needs single matrices.
+    """
 
     field: object
     parities: list  # per degree: (dim_i,) array of 0/1
@@ -45,11 +50,11 @@ class CochainComplex:
     def __post_init__(self):
         F = linalg.tables(self.field)
         for i in range(len(self.diffs) - 1):
-            comp = linalg.matmul(F, self.diffs[i + 1], self.diffs[i])
+            comp = linalg.bmatmul(F, self.diffs[i + 1], self.diffs[i])
             if np.any(comp):
                 raise ValidationError(f"differentials do not compose to zero at degree {i}")
             # the differential preserves cochain parity
-            rows, cols = np.nonzero(self.diffs[i])
+            rows, cols = linalg.stack_nonzero(self.diffs[i])
             if np.any(self.parities[i + 1][rows] != self.parities[i][cols]):
                 raise ValidationError(f"differential mixes parities at degree {i}")
 
@@ -89,11 +94,6 @@ class ExtTable:
         return "\n".join(f"{i}: {e}|{o}" for i, (e, o) in enumerate(self.dims))
 
 
-def _vpi(F, W: P1ModuleView):
-    """V composed with the parity sign, the building block of the signs."""
-    return linalg.matmul(F, W.V, W.parity_sign_diag())
-
-
 def p1_hom_complex(W: P1ModuleView, maxdeg: int) -> CochainComplex:
     """The complex Hom_{P_1}(P_bullet, W) for the 2-periodic resolution.
 
@@ -103,16 +103,19 @@ def p1_hom_complex(W: P1ModuleView, maxdeg: int) -> CochainComplex:
     the entries acted on through v, realized by V pi.
 
     W is assumed valid (views are validated when first constructed); an
-    inconsistent pair still trips the d.d = 0 check in the complex.
+    inconsistent pair still trips the d.d = 0 check in the complex.  A
+    stacked W gives the stack of complexes.
     """
     if maxdeg < 2:
         raise ValidationError("maxdeg must be at least 2")
     F = W.F
     p = W.field.p
-    n = W.dim
     U = W.U
     Up = linalg.matpow(F, U, p - 1)
-    Vp = _vpi(F, W)
+    # V composed with the parity sign: the columns of odd basis vectors negated
+    Vp = W.V.copy()
+    oddcols = np.nonzero(W.parity == 1)[0]
+    Vp[..., oddcols] = F.neg[Vp[..., oddcols]]
     nVp = F.neg[Vp]
     nU = F.neg[U]
     nUp = F.neg[Up]
@@ -122,7 +125,7 @@ def p1_hom_complex(W: P1ModuleView, maxdeg: int) -> CochainComplex:
     for _ in range(maxdeg + 1):
         parities.append(np.concatenate([W.parity, pshift]))
 
-    diffs = [np.concatenate([U, Vp], axis=0)]
+    diffs = [np.concatenate([U, Vp], axis=-2)]
     d_phi = np.block([[Up, nVp], [Vp, nU]]).astype(linalg.DT)
     d_psi = np.block([[U, nVp], [Vp, nUp]]).astype(linalg.DT)
     for i in range(1, maxdeg + 1):
@@ -139,21 +142,34 @@ def ext_dims(M: P1ModuleView, N: P1ModuleView, maxdeg: int) -> ExtTable:
     return ExtTable(cx.cohomology_dims()[: maxdeg + 1])
 
 
-def pd_class(M: P1ModuleView) -> str:
-    """Trichotomy of projective dimension over P_1: finite means at most 1.
+def pd_infinite(M: P1ModuleView) -> np.ndarray:
+    """Whether pd over P_1 is infinite, for each slice of a (stacked) view.
 
     For torsion modules pd is the top nonvanishing Ext(M, k) degree, and by
     the 2-periodicity in degrees >= 2 that is infinite exactly when
     Ext^2(M, k) is nonzero, equivalently Ext^2(M, M) is nonzero.  Only the
-    total dimension of H^2 is needed, so no parity splitting happens here.
+    total dimension of H^2 of Hom(P, M^#) is needed, 2n - rank(d_phi) -
+    rank(d_psi), so no parity splitting happens here.
+
+    The whole stack goes through one dual, one complex with its d.d = 0
+    and parity checks, and one lockstep rank per differential; the stacked
+    2n x 2n blocks take 4 n^2 cells per slice.  Returns a bool array of the
+    view's stack shape (0-d for a single view).
     """
     if M.dim == 0:
         raise ValidationError("pd_class of the zero module")
     F = M.F
-    W = p1_dual(M)
-    cx = p1_hom_complex(W, 2)
-    total = len(cx.parities[2]) - linalg.rank(F, cx.diffs[1]) - linalg.rank(F, cx.diffs[2])
-    return PD_INFINITE if total else PD_FINITE
+    cx = p1_hom_complex(p1_dual(M), 2)
+    h2 = 2 * M.dim - linalg.ranks(F, cx.diffs[1]) - linalg.ranks(F, cx.diffs[2])
+    return h2 != 0
+
+
+def pd_class(M: P1ModuleView) -> str:
+    """Trichotomy of projective dimension over P_1: finite means at most 1.
+
+    The one-view case of `pd_infinite`.
+    """
+    return PD_INFINITE if pd_infinite(M) else PD_FINITE
 
 
 def cup_y_square(M: P1ModuleView):

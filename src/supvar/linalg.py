@@ -73,7 +73,6 @@ class GFTables:
 
         # frobenius x -> x^p is linear: x^{ip} mod modulus per basis power
         frob_rows = np.zeros((n, n), dtype=np.int64)
-        x = field.element([0] * n) if n == 1 else None
         for i in range(n):
             c = [0] * n
             c[i] = 1
@@ -136,13 +135,25 @@ def scale_index(F: GFTables, cidx: int, A: np.ndarray) -> np.ndarray:
 
 
 def matmul(F: GFTables, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Matrix product; integer arithmetic on coefficient digits, so the
-    inner products run through numpy's fast integer matmul."""
-    m, k = A.shape
-    k2, n = B.shape
+    """Product of two matrices (see `bmatmul`, which also takes stacks)."""
+    assert A.ndim == 2 and B.ndim == 2, (A.shape, B.shape)
+    return bmatmul(F, A, B)
+
+
+def bmatmul(F: GFTables, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Matrix product over any leading stack axes, broadcast as numpy's `@`.
+
+    Integer arithmetic on coefficient digits, so the inner products run
+    through numpy's fast integer matmul.  `matmul` stays the entry point for
+    single matrices: perfbench's tracer counts its calls and reads a 2-D
+    shape from its arguments.
+    """
+    m, k = A.shape[-2:]
+    k2, n = B.shape[-2:]
     assert k == k2, (A.shape, B.shape)
+    shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (m, n)
     if k == 0 or m == 0 or n == 0:
-        return zeros(m, n)
+        return np.zeros(shape, dtype=DT)
     p = F.p
     if F.n == 1:
         return ((A.astype(np.int64) @ B.astype(np.int64)) % p).astype(DT)
@@ -150,14 +161,14 @@ def matmul(F: GFTables, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     nd = F.n
     Ad = [((A.astype(np.int64) // p**i) % p) for i in range(nd)]
     Bd = [((B.astype(np.int64) // p**i) % p) for i in range(nd)]
-    conv = [np.zeros((m, n), dtype=np.int64) for _ in range(2 * nd - 1)]
+    conv = [np.zeros(shape, dtype=np.int64) for _ in range(2 * nd - 1)]
     for i in range(nd):
         for j in range(nd):
             conv[i + j] += Ad[i] @ Bd[j]
     red = F._red  # x^k mod modulus as coefficient rows
-    out = np.zeros((m, n), dtype=np.int64)
+    out = np.zeros(shape, dtype=np.int64)
     powers = p ** np.arange(nd, dtype=np.int64)
-    coeffs = [np.zeros((m, n), dtype=np.int64) for _ in range(nd)]
+    coeffs = [np.zeros(shape, dtype=np.int64) for _ in range(nd)]
     for kpow in range(2 * nd - 1):
         ck = conv[kpow] % p
         for t in range(nd):
@@ -168,19 +179,30 @@ def matmul(F: GFTables, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out.astype(DT)
 
 
+def stack_nonzero(A: np.ndarray):
+    """(rows, cols) of the entries that are nonzero in some matrix of a
+    stack (..., m, n); for a single matrix, its nonzero entries."""
+    return np.nonzero(A.any(axis=tuple(range(A.ndim - 2))))
+
+
 def matvec(F: GFTables, A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return matmul(F, A, v.reshape(-1, 1)).ravel()
 
 
 def matpow(F: GFTables, A: np.ndarray, e: int) -> np.ndarray:
-    n = A.shape[0]
-    out = identity(n)
+    """A^e for a square matrix or a stack of them (leading axes kept)."""
+    out = None
     base = A
     while e:
         if e & 1:
-            out = matmul(F, out, base)
-        base = matmul(F, base, base)
+            out = base.copy() if out is None else bmatmul(F, out, base)
         e >>= 1
+        if e:
+            base = bmatmul(F, base, base)
+            if not base.any():  # every remaining factor is zero
+                return np.zeros(A.shape, dtype=DT)
+    if out is None:
+        return np.broadcast_to(identity(A.shape[-1]), A.shape).copy()
     return out
 
 
@@ -231,6 +253,36 @@ def rank(F: GFTables, A: np.ndarray) -> int:
     if A.size == 0:
         return 0
     return len(rref(F, A)[1])
+
+
+def ranks(F: GFTables, A: np.ndarray) -> np.ndarray:
+    """Ranks of a stack of matrices (..., m, n), as an int array of shape (...).
+
+    The whole stack is eliminated in lockstep, column by column: each
+    matrix takes its first not yet used row with a nonzero entry in the
+    column as pivot, and only the rows with a nonzero in that column are
+    updated.  Agrees with `rank` slice by slice.
+    """
+    *lead, m, n = A.shape
+    R = A.reshape(int(np.prod(lead)), m, n).astype(DT)
+    out = np.zeros(R.shape[0], dtype=np.int64)
+    used = np.zeros((R.shape[0], m), dtype=bool)
+    for c in range(n):
+        nz = (R[:, :, c] != 0) & ~used
+        s = np.nonzero(nz.any(axis=1))[0]
+        if not s.size:
+            continue
+        piv = nz[s].argmax(axis=1)
+        prow = F.mul[F.inv[R[s, piv, c]][:, None], R[s, piv, c + 1 :]]
+        nz[s, piv] = False
+        used[s, piv] = True
+        out[s] += 1
+        ts, ti = np.nonzero(nz)
+        if ts.size:
+            f = F.neg[R[ts, ti, c]]
+            rows = prow[np.searchsorted(s, ts)]
+            R[ts, ti, c + 1 :] = F.add[R[ts, ti, c + 1 :], F.mul[f[:, None], rows]]
+    return out.reshape(lead)
 
 
 def right_kernel(F: GFTables, A: np.ndarray) -> np.ndarray:

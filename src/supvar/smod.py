@@ -61,13 +61,24 @@ class SuperModule:
         self._cache[("basis", i)] = out
         return out
 
+    def basis_actions(self) -> np.ndarray:
+        """Every basis action matrix, flattened: shape (algebra dim, dim * dim)."""
+        cached = self._cache.get("basis_flat")
+        if cached is None:
+            cached = np.stack([self.basis_action(i).ravel() for i in range(self.algebra.dim)])
+            self._cache["basis_flat"] = cached
+        return cached
+
     def element_action(self, vec: np.ndarray) -> np.ndarray:
-        """Action matrix of an arbitrary algebra element (index vector)."""
-        F = self.F
-        out = linalg.zeros(self.dim, self.dim)
-        for i in np.nonzero(vec)[0]:
-            out = linalg.madd(F, out, linalg.scale_index(F, int(vec[i]), self.basis_action(int(i))))
-        return out
+        """Action matrix of an algebra element (index vector), or the stack of
+        action matrices (..., dim, dim) of a stack of elements (..., algebra dim).
+
+        Linear in the element's coordinates, so one product against the
+        flattened basis actions serves the whole stack.
+        """
+        lead = vec.shape[:-1]
+        flat = linalg.matmul(self.F, vec.reshape(-1, vec.shape[-1]), self.basis_actions())
+        return flat.reshape(lead + (self.dim, self.dim))
 
 
 @dataclass
@@ -347,7 +358,14 @@ def restrict_module(M: SuperModule, sub: PresentedSuperalgebra, gen_map: dict) -
 @dataclass
 class P1ModuleView:
     """A finite-dimensional torsion module over P_1 = k[u,v]/(u^p + v^2):
-    a commuting pair (U even, V odd) with V^2 = -U^p and U nilpotent."""
+    a commuting pair (U even, V odd) with V^2 = -U^p and U nilpotent.
+
+    U and V may carry the same leading stack axes, (..., dim, dim): the view
+    is then a stack of P_1-structures on one graded space, such as the
+    pullbacks of a module at many points.  `validate`, `p1_dual` and the
+    pd decision cover all slices at once; `p1_tensor` and Ext take single
+    views.
+    """
 
     field: FieldDescriptor
     dim: int
@@ -366,18 +384,19 @@ class P1ModuleView:
         return np.diag(d).astype(linalg.DT)
 
     def validate(self) -> ValidationReport:
+        """Parity, UV = VU, V^2 = -U^p and U^dim = 0, on every slice."""
         issues = []
         F = self.F
         p = self.field.p
         for name, mat, gp in (("U", self.U, 0), ("V", self.V, 1)):
-            rows, cols = np.nonzero(mat)
+            rows, cols = linalg.stack_nonzero(mat)
             if np.any(self.parity[rows] != (self.parity[cols] + gp) % 2):
                 issues.append(f"parity mismatch in {name}")
         if np.any(
-            linalg.msub(F, linalg.matmul(F, self.U, self.V), linalg.matmul(F, self.V, self.U))
+            linalg.msub(F, linalg.bmatmul(F, self.U, self.V), linalg.bmatmul(F, self.V, self.U))
         ):
             issues.append("U and V do not commute")
-        rel = linalg.madd(F, linalg.matpow(F, self.U, p), linalg.matmul(F, self.V, self.V))
+        rel = linalg.madd(F, linalg.matpow(F, self.U, p), linalg.bmatmul(F, self.V, self.V))
         if np.any(rel):
             issues.append("V^2 != -U^p")
         if np.any(linalg.matpow(F, self.U, max(self.dim, 1))):
@@ -413,7 +432,11 @@ def p1_view_from_module(M: SuperModule) -> P1ModuleView:
 
 
 def p1_view_from_images(M: SuperModule, u_img: np.ndarray, v_img: np.ndarray) -> P1ModuleView:
-    """Pull a module back to P_1 along u -> u_img, v -> v_img."""
+    """Pull a module back to P_1 along u -> u_img, v -> v_img.
+
+    Stacks of images (..., algebra dim) give the validated stack of
+    pullbacks, one slice per pair of images.
+    """
     return p1_view(
         M.algebra.field, M.parity.copy(), M.element_action(u_img), M.element_action(v_img)
     )
@@ -425,15 +448,15 @@ def p1_trivial(field: FieldDescriptor, odd: bool = False) -> P1ModuleView:
 
 
 def p1_dual(W: P1ModuleView) -> P1ModuleView:
-    """Contragredient P_1-structure (S(u) = -u, S(v) = -v).
+    """Contragredient P_1-structure (S(u) = -u, S(v) = -v), slice by slice.
 
     Closed on valid views, so the result is not re-validated.
     """
     F = W.F
-    U = F.neg[W.U.T]
-    V = F.neg[W.V.T].copy()
+    U = F.neg[np.swapaxes(W.U, -1, -2)]
+    V = F.neg[np.swapaxes(W.V, -1, -2)]
     oddcols = np.nonzero(W.parity == 1)[0]
-    V[:, oddcols] = F.neg[V[:, oddcols]]
+    V[..., oddcols] = F.neg[V[..., oddcols]]
     return P1ModuleView(W.field, W.dim, W.parity.copy(), U, V)
 
 

@@ -69,8 +69,25 @@ class GroupAlgebraSpec:
             d["factors"] = [f.to_json() for f in self.factors]
         return d
 
+    def check(self):
+        """The parameter rules every builder relies on; returns the spec."""
+        if self.family == "Mrs" and self.s < 1:
+            raise AlgebraError("Mrs needs s >= 1")
+        if self.family == "Mrf" and not any(c % self.p for c in self.f):
+            raise AlgebraError("f must be a nonzero p-polynomial (use GaMinus for f = 0)")
+        if self.family in ("Mrs", "Mrf") and self.r < 1:
+            raise AlgebraError("quotient families need r >= 1")
+        if self.family == "Gar" and self.r < 0:
+            raise AlgebraError("Gar needs r >= 0")
+        if self.family == "TruncEven" and self.t < 1:
+            raise AlgebraError("TruncEven needs t >= 1")
+        if self.family == "Tensor" and not self.factors:
+            raise AlgebraError("empty tensor product")
+        return self
+
     @staticmethod
     def from_json(d):
+        """Parse a spec, applying the builders' parameter rules (`check`)."""
         if not isinstance(d, dict) or "family" not in d:
             raise ValidationError("group spec must be an object with a 'family' key")
         fam = d["family"]
@@ -88,27 +105,29 @@ class GroupAlgebraSpec:
 
         p = num("p")
         if fam == "Mrs":
-            return GroupAlgebraSpec("Mrs", p, r=num("r"), s=num("s"), eta=num("eta", "0") % p)
-        if fam == "Mrf":
+            spec = GroupAlgebraSpec("Mrs", p, r=num("r"), s=num("s"), eta=num("eta", "0") % p)
+        elif fam == "Mrf":
             try:
                 f = tuple(int(c) % p for c in d["f"])
             except (KeyError, TypeError, ValueError):
                 raise ValidationError("group spec field 'f' must list integers") from None
-            return GroupAlgebraSpec("Mrf", p, r=num("r"), eta=num("eta", "0") % p, f=f)
-        if fam == "Gar":
-            return GroupAlgebraSpec("Gar", p, r=num("r"))
-        if fam == "GaMinus":
-            return GroupAlgebraSpec("GaMinus", p)
-        if fam == "TruncEven":
-            return GroupAlgebraSpec("TruncEven", p, t=num("t"))
-        if fam == "Tensor":
+            spec = GroupAlgebraSpec("Mrf", p, r=num("r"), eta=num("eta", "0") % p, f=f)
+        elif fam == "Gar":
+            spec = GroupAlgebraSpec("Gar", p, r=num("r"))
+        elif fam == "GaMinus":
+            spec = GroupAlgebraSpec("GaMinus", p)
+        elif fam == "TruncEven":
+            spec = GroupAlgebraSpec("TruncEven", p, t=num("t"))
+        elif fam == "Tensor":
             if not isinstance(d.get("factors"), list):
                 raise ValidationError("tensor spec needs a 'factors' list")
             factors = tuple(GroupAlgebraSpec.from_json(x) for x in d["factors"])
             if any(f.p != p for f in factors):
                 raise ValidationError("tensor factors disagree on p")
-            return GroupAlgebraSpec("Tensor", p, factors=factors)
-        raise ValidationError(f"unknown family {fam!r}")
+            spec = GroupAlgebraSpec("Tensor", p, factors=factors)
+        else:
+            raise ValidationError(f"unknown family {fam!r}")
+        return spec.check()
 
     def label(self) -> str:
         if self.family == "Mrs":
@@ -284,17 +303,11 @@ def _build_pr_quotient(spec: GroupAlgebraSpec, field: FieldDescriptor):
     """Group algebra of M_{r;f,eta}: P_r modulo f(u_{r-1}) + eta*u_0."""
     p, r = spec.p, spec.r
     if spec.family == "Mrs":
-        if spec.s < 1:
-            raise AlgebraError("Mrs needs s >= 1")
         fcoeffs = tuple([0] * (spec.s - 1) + [1])
     else:
         fcoeffs = tuple(c % p for c in spec.f)
-        while fcoeffs and fcoeffs[-1] == 0:
+        while fcoeffs[-1] == 0:
             fcoeffs = fcoeffs[:-1]
-        if not fcoeffs:
-            raise AlgebraError("f must be a nonzero p-polynomial (use GaMinus for f = 0)")
-    if r < 1:
-        raise AlgebraError("quotient families need r >= 1")
 
     n_gamma, reduce = _quotient_reducer(p, r, fcoeffs, spec.eta)
     dim = 2 * n_gamma
@@ -394,8 +407,6 @@ def _build_pr_quotient(spec: GroupAlgebraSpec, field: FieldDescriptor):
 def _build_gar(spec: GroupAlgebraSpec, field: FieldDescriptor):
     """kG_{a(r)} = P_r/(v): truncated divided powers gamma_0..gamma_{p^r-1}."""
     p, r = spec.p, spec.r
-    if r < 0:
-        raise AlgebraError("Gar needs r >= 0")
     dim = p**r
     if dim > DIM_CAP:
         raise BoundExceeded(f"algebra dimension {dim} exceeds cap {DIM_CAP}")
@@ -488,8 +499,6 @@ def _build_gaminus(spec: GroupAlgebraSpec, field: FieldDescriptor):
 def _build_trunc_even(spec: GroupAlgebraSpec, field: FieldDescriptor):
     """k[g]/(g^{p^t}) with g even and primitive (binomial coproduct)."""
     p, t = spec.p, spec.t
-    if t < 1:
-        raise AlgebraError("TruncEven needs t >= 1")
     m = p**t
     if m > DIM_CAP:
         raise BoundExceeded(f"algebra dimension {m} exceeds cap {DIM_CAP}")
@@ -663,6 +672,7 @@ def tensor_algebra(A: PresentedSuperalgebra, B: PresentedSuperalgebra):
 
 @lru_cache(maxsize=None)
 def _build_cached(spec: GroupAlgebraSpec, field: FieldDescriptor):
+    spec.check()
     if spec.family in ("Mrs", "Mrf"):
         alg = _build_pr_quotient(spec, field)
     elif spec.family == "Gar":
@@ -672,8 +682,6 @@ def _build_cached(spec: GroupAlgebraSpec, field: FieldDescriptor):
     elif spec.family == "TruncEven":
         alg = _build_trunc_even(spec, field)
     elif spec.family == "Tensor":
-        if not spec.factors:
-            raise AlgebraError("empty tensor product")
         parts = []
         for pos, fs in enumerate(spec.factors):
             a = _build_cached(fs, field)

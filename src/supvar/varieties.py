@@ -35,7 +35,11 @@ from .smod import P1ModuleView, SuperModule, extend_scalars, p1_view_from_images
 from .superalg.algebra import GroupAlgebraSpec, PresentedSuperalgebra, build_group_algebra
 from .superalg.homscheme import hom_scheme_ideal, solve_even_points
 from .superalg.morphisms import PrPresentation
-from .homalg import PD_INFINITE, pd_class
+from .homalg import pd_infinite
+
+# Points are decided in chunks whose stacked 2n x 2n blocks hold at most
+# this many cells (n = dim M), which bounds the memory of the stacks.
+_CHUNK_CELLS = 2**14
 
 
 @dataclass(frozen=True)
@@ -128,6 +132,29 @@ def family_points(spec: GroupAlgebraSpec, field: FieldDescriptor):
     if spec.family == "GaMinus":
         return _sorted_points(GroupPoint((d,)) for d in els)
     raise ValidationError(f"no parametrization for family {spec.family}")
+
+
+def check_point(spec: GroupAlgebraSpec, pt: GroupPoint):
+    """Coordinate count, and mu^2 = a_0^{p^r} where the family imposes it,
+    for a point given from outside the program."""
+    if not isinstance(spec, GroupAlgebraSpec):
+        raise ValidationError("points need a finite group algebra spec")
+    if spec.family == "GaMinus":
+        arity = 1
+    elif spec.family == "Gar":
+        arity = spec.r
+    elif spec.family in ("Mrs", "Mrf"):
+        arity = 1 + spec.r + (spec.family == "Mrs" and spec.eta == 0 and spec.s >= 2)
+    else:
+        raise ValidationError(f"no points for family {spec.family}")
+    if len(pt.coords) != arity:
+        raise ValidationError(
+            f"a point of {spec.label()} has {arity} coordinates, got {len(pt.coords)}"
+        )
+    if spec.family == "Mrs" and (spec.s >= 2 or spec.eta != 0):
+        mu, a0 = pt.coords[0], pt.coords[1]
+        if mu * mu != a0 ** (spec.p**spec.r):
+            raise ValidationError("point violates mu^2 = a_0^(p^r)")
 
 
 def _weighted_compositions(total: int, weights):
@@ -291,14 +318,27 @@ def support_set(
     The module may be given over the prime field; it is scalar extended to
     the requested field.  The zero point always belongs to the support of a
     nonzero module.
+
+    Each point's images are built and checked on their own (point_to_p1);
+    the points are then decided a chunk at a time.  A chunk's pullbacks form
+    one stacked P_1-view, built, validated and decided together (see
+    homalg.pd_infinite), and its 2n x 2n blocks hold at most _CHUNK_CELLS
+    cells, so the stacks take a few MB whatever the number of points.  The
+    verdict of a point does not depend on its chunk.
     """
     MF = extend_scalars(M, field)
-    pts = enumerate_points(spec, field, method=method)
+    if _algebra_for(spec, field) is not MF.algebra:
+        raise ValidationError("module algebra does not match the point's group")
+    pts = enumerate_points(spec, field, method=method).points
+    per = max(1, _CHUNK_CELLS // (4 * MF.dim**2 or 1))
     out = []
-    for pt in pts.points:
-        view = point_pullback(spec, pt, MF)
-        if pd_class(view) == PD_INFINITE:
-            out.append(pt)
+    for lo in range(0, len(pts), per):
+        chunk = pts[lo : lo + per]
+        images = [point_to_p1(spec, pt, field)[1:] for pt in chunk]
+        u_imgs = np.stack([u for u, _ in images])
+        v_imgs = np.stack([v for _, v in images])
+        infinite = pd_infinite(p1_view_from_images(MF, u_imgs, v_imgs))
+        out.extend(pt for pt, inf in zip(chunk, infinite) if inf)
     return SupportSet(spec, field, _sorted_points(out), module=M)
 
 

@@ -192,13 +192,54 @@ def test_bad_inputs_exit_2(capsys, m11_file):
     assert code == 2
 
 
+def test_points_checked_at_the_boundary(capsys, m11_file, l01_file, tmp_path):
+    # wrong coordinate counts: exit 2 with a one-line message, no traceback
+    for argv in (
+        ["pd", "-g", m11_file, "-m", l01_file, "-P", "1,2,3"],
+        ["pd", "-g", m11_file, "-m", l01_file, "-P", "1"],
+        ["psi", "-g", m11_file, "-P", "1", "-F", "3"],
+        ["psi", "-g", "p1", "-P", "1", "-F", "3"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+    # M_{1;2} points (mu, a_0, b) must satisfy mu^2 = a_0^3
+    m12 = write(tmp_path, "m12.json", '{"family":"Mrs","p":3,"r":1,"s":2}')
+    code, _, err = run(capsys, ["psi", "-g", m12, "-P", "1,0,0", "-F", "3"])
+    assert code == 2 and "mu^2" in err
+    code, out, _ = run(capsys, ["psi", "-g", m12, "-P", "1,1,2", "-F", "3"])
+    assert code == 0 and out.strip()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        '{"family":"Mrs","p":3,"r":-1,"s":1}',
+        '{"family":"Mrs","p":3,"r":0,"s":1}',
+        '{"family":"Mrs","p":3,"r":1,"s":0}',
+        '{"family":"Mrf","p":3,"r":0,"f":["1"]}',
+        '{"family":"Gar","p":3,"r":-1}',
+        '{"family":"TruncEven","p":3,"t":0}',
+    ],
+)
+def test_spec_rules_at_parse_time(capsys, spec):
+    code, out, err = run(capsys, ["points", "-g", spec, "-F", "3^1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "need" in err
+
+
 def test_outputs_identical_across_processes(tmp_path, m11_file, l01_file):
     # byte-identical output under different hash seeds (no hidden set order)
     import os
     import subprocess
     import sys
 
+    import supvar
+
+    # the subprocess runs in tmp_path, so it needs the absolute src path
+    src = os.path.dirname(os.path.dirname(os.path.abspath(supvar.__file__)))
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     outs = []
     for seed in ("0", "1"):
         env["PYTHONHASHSEED"] = seed

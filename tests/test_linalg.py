@@ -76,3 +76,67 @@ def test_complement_and_restrict():
     K2 = la.from_int_matrix(F, [[0, 0], [1, 0], [0, 1]])
     X = la.restrict_operator(F, K2, T)
     assert np.array_equal(la.matmul(F, T, K2), la.matmul(F, K2, X))
+
+
+STACK_FIELDS = [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)]
+
+
+def _stacks(rng, F):
+    """Random, zero, full-rank, low-rank, nilpotent and rectangular stacks,
+    and empty ones."""
+    q = F.q
+    yield rng.integers(0, q, (20, 6, 6)).astype(la.DT)
+    yield np.zeros((5, 4, 4), dtype=la.DT)
+    yield np.broadcast_to(la.identity(5), (3, 5, 5)).copy()
+    A = rng.integers(0, q, (10, 7, 2)).astype(la.DT)
+    B = rng.integers(0, q, (10, 2, 7)).astype(la.DT)
+    yield la.bmatmul(F, A, B)  # rank at most 2
+    yield np.tril(rng.integers(0, q, (6, 5, 5)), -1).astype(la.DT)  # N^5 = 0
+    yield rng.integers(0, q, (8, 3, 9)).astype(la.DT)
+    yield rng.integers(0, q, (8, 9, 3)).astype(la.DT)
+    yield np.zeros((0, 4, 4), dtype=la.DT)
+    yield np.zeros((3, 0, 4), dtype=la.DT)
+
+
+def test_ranks_agree_with_rank():
+    rng = np.random.default_rng(7)
+    for p, n in STACK_FIELDS:
+        F = la.tables(make_field(p, n))
+        for S in _stacks(rng, F):
+            got = la.ranks(F, S)
+            assert got.shape == S.shape[:-2]
+            assert list(got) == [la.rank(F, A) for A in S], (p, n, S.shape)
+        # a single matrix is a stack with no leading axes
+        A = rng.integers(0, F.q, (5, 6)).astype(la.DT)
+        assert la.ranks(F, A).shape == ()
+        assert int(la.ranks(F, A)) == la.rank(F, A)
+        # invertible matrices have full rank in every field
+        assert list(la.ranks(F, np.stack([la.identity(4)] * 2))) == [4, 4]
+
+
+def test_stacked_matmul_and_matpow_agree_slice_by_slice():
+    rng = np.random.default_rng(8)
+    for p, n in STACK_FIELDS:
+        F = la.tables(make_field(p, n))
+        for S in _stacks(rng, F):
+            m, k = S.shape[-2:]
+            T = rng.integers(0, F.q, S.shape[:-2] + (k, 3)).astype(la.DT)
+            C = la.bmatmul(F, S, T)
+            assert C.shape == S.shape[:-2] + (m, 3)
+            for A, B, AB in zip(S, T, C):
+                assert np.array_equal(AB, la.matmul(F, A, B))
+            if m != k:
+                continue
+            for e in (0, 1, 2, 5, 8):
+                P = la.matpow(F, S, e)
+                assert P.shape == S.shape
+                for A, Ae in zip(S, P):
+                    want = la.identity(m)
+                    for _ in range(e):
+                        want = la.matmul(F, want, A)
+                    assert np.array_equal(Ae, want), (p, n, e)
+        # one matrix against a stack broadcasts like numpy's matmul
+        A = rng.integers(0, F.q, (4, 5)).astype(la.DT)
+        B = rng.integers(0, F.q, (6, 5, 2)).astype(la.DT)
+        C = la.bmatmul(F, A, B)
+        assert all(np.array_equal(C[i], la.matmul(F, A, B[i])) for i in range(6))
