@@ -25,7 +25,14 @@ from .smod import (
 from .superalg.algebra import GroupAlgebraSpec, build_group_algebra
 from .superalg.homscheme import hom_scheme_ideal
 from .superalg.morphisms import PrPresentation, SuperalgebraMorphism, classify_quotient
-from .homalg import ext_dims, pd_class, resolution_of_trivial
+from .homalg import (
+    EXT_DEGREE_CAP,
+    RESOLVE_STEPS_CAP,
+    check_depth,
+    ext_dims,
+    pd_class,
+    resolution_of_trivial,
+)
 from .varieties import (
     GroupPoint,
     check_point,
@@ -99,6 +106,7 @@ def cmd_support(args):
 
 
 def cmd_ext(args):
+    check_depth("-d", args.degree, 2, EXT_DEGREE_CAP)
     grp = parse_spec(args.group)
     mod = module_from_json(_load_json(args.module))
     M = _module_as_p1(mod, grp)
@@ -131,6 +139,7 @@ def cmd_pd(args):
 
 
 def cmd_resolve(args):
+    check_depth("-n", args.steps, 0, RESOLVE_STEPS_CAP)
     spec = parse_spec(args.group)
     field = make_field(spec.p, 1)
     alg, _ = build_group_algebra(spec, field)

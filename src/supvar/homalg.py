@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import BoundExceeded, ValidationError
 from . import linalg
 from .smod import (
     P1ModuleView,
@@ -33,6 +33,19 @@ from .smod import (
 PD_FINITE = "FiniteAtMostOne"
 PD_INFINITE = "Infinite"
 
+# Caps on the depth of an Ext table and of a minimal resolution.
+EXT_DEGREE_CAP = 10_000
+RESOLVE_STEPS_CAP = 100
+
+
+def check_depth(what: str, n: int, low: int, cap: int) -> None:
+    """Reject a degree or step count below `low` (ValidationError) or above
+    `cap` (BoundExceeded); callers run it before any work starts."""
+    if n < low:
+        raise ValidationError(f"{what} must be at least {low}")
+    if n > cap:
+        raise BoundExceeded(f"{what} {n} exceeds cap {cap}")
+
 
 @dataclass
 class CochainComplex:
@@ -41,6 +54,14 @@ class CochainComplex:
     The differentials may carry leading stack axes, (..., dim_{i+1}, dim_i):
     a stack of complexes on the same cochain spaces.  The checks below then
     cover every slice; `cohomology_dims` needs single matrices.
+
+    A periodic complex repeats the same matrix and parity objects from
+    degree to degree.  The `d.d = 0` and parity checks run once per
+    distinct (d_{i+1}, d_i, parity_{i+1}, parity_i), and each parity block
+    of a differential is ranked once per distinct (d_i, parity_{i+1},
+    parity_i), both keyed on object identity: a repeated degree holds the
+    same matrices, so its check and its ranks are the same.  Differentials
+    that are equal but distinct objects are checked and ranked again.
     """
 
     field: object
@@ -49,34 +70,42 @@ class CochainComplex:
 
     def __post_init__(self):
         F = linalg.tables(self.field)
+        checked = set()
         for i in range(len(self.diffs) - 1):
-            comp = linalg.bmatmul(F, self.diffs[i + 1], self.diffs[i])
-            if np.any(comp):
+            d, d_next = self.diffs[i], self.diffs[i + 1]
+            src, tgt = self.parities[i], self.parities[i + 1]
+            key = (id(d_next), id(d), id(tgt), id(src))
+            if key in checked:
+                continue
+            checked.add(key)
+            if np.any(linalg.bmatmul(F, d_next, d)):
                 raise ValidationError(f"differentials do not compose to zero at degree {i}")
             # the differential preserves cochain parity
-            rows, cols = linalg.stack_nonzero(self.diffs[i])
-            if np.any(self.parities[i + 1][rows] != self.parities[i][cols]):
+            rows, cols = linalg.stack_nonzero(d)
+            if np.any(tgt[rows] != src[cols]):
                 raise ValidationError(f"differential mixes parities at degree {i}")
-
-    def _block_rank(self, d, par, F):
-        rows = np.nonzero(self.parities[d + 1] == par)[0]
-        cols = np.nonzero(self.parities[d] == par)[0]
-        if not rows.size or not cols.size:
-            return 0
-        return linalg.rank(F, self.diffs[d][np.ix_(rows, cols)])
 
     def cohomology_dims(self):
         """List of (even_dim, odd_dim) for degrees 0 .. len(diffs) - 1."""
         F = linalg.tables(self.field)
-        nd = len(self.diffs)
-        ranks = {(d, par): self._block_rank(d, par, F) for d in range(nd) for par in (0, 1)}
+        block_ranks = {}
+
+        def block_rank(d, par):
+            key = (id(self.diffs[d]), id(self.parities[d + 1]), id(self.parities[d]), par)
+            if key not in block_ranks:
+                rows = np.nonzero(self.parities[d + 1] == par)[0]
+                cols = np.nonzero(self.parities[d] == par)[0]
+                block = self.diffs[d][np.ix_(rows, cols)]
+                block_ranks[key] = linalg.rank(F, block) if block.size else 0
+            return block_ranks[key]
+
         out = []
-        for d in range(nd):
-            dims = {}
+        for d in range(len(self.diffs)):
+            dims = []
             for par in (0, 1):
                 cols = int((self.parities[d] == par).sum())
-                dims[par] = cols - ranks[(d, par)] - (ranks[(d - 1, par)] if d else 0)
-            out.append((dims[0], dims[1]))
+                dims.append(cols - block_rank(d, par) - (block_rank(d - 1, par) if d else 0))
+            out.append(tuple(dims))
         return out
 
 
@@ -106,8 +135,7 @@ def p1_hom_complex(W: P1ModuleView, maxdeg: int) -> CochainComplex:
     inconsistent pair still trips the d.d = 0 check in the complex.  A
     stacked W gives the stack of complexes.
     """
-    if maxdeg < 2:
-        raise ValidationError("maxdeg must be at least 2")
+    check_depth("maxdeg", maxdeg, 2, EXT_DEGREE_CAP)
     F = W.F
     p = W.field.p
     U = W.U
@@ -120,10 +148,10 @@ def p1_hom_complex(W: P1ModuleView, maxdeg: int) -> CochainComplex:
     nU = F.neg[U]
     nUp = F.neg[Up]
 
-    parities = [W.parity.copy()]
-    pshift = (1 - W.parity).astype(np.int8)
-    for _ in range(maxdeg + 1):
-        parities.append(np.concatenate([W.parity, pshift]))
+    # degrees >= 1 share one parity array, so the complex's checks and
+    # ranks see the repeated degrees as repeats
+    shifted = np.concatenate([W.parity, (1 - W.parity).astype(np.int8)])
+    parities = [W.parity.copy()] + [shifted] * (maxdeg + 1)
 
     diffs = [np.concatenate([U, Vp], axis=-2)]
     d_phi = np.block([[Up, nVp], [Vp, nU]]).astype(linalg.DT)
@@ -459,16 +487,12 @@ def _cover(Q: SuperModule):
     F = linalg.tables(A.field)
     if Q.dim == 0:
         return (), linalg.zeros(0, 0)
-    rad_cols = []
-    for b in A.radical_coords():
-        rad_cols.append(Q.basis_action(b))
-    rad = np.concatenate(rad_cols, axis=1) if rad_cols else linalg.zeros(Q.dim, 0)
+    # acts[b, :, j] = (basis element b) . (basis vector j)
+    acts = Q.basis_actions().reshape(A.dim, Q.dim, Q.dim)
+    rad = acts[A.radical_coords()].transpose(1, 0, 2).reshape(Q.dim, -1)
     comp = linalg.complement_coords(F, rad)
     gen_par = tuple(int(Q.parity[c]) for c in comp)
-    dmat = linalg.zeros(Q.dim, len(comp) * A.dim)
-    for g, c in enumerate(comp):
-        for b in range(A.dim):
-            dmat[:, g * A.dim + b] = Q.basis_action(b)[:, c]
+    dmat = acts[:, :, comp].transpose(1, 2, 0).reshape(Q.dim, len(comp) * A.dim)
     return gen_par, dmat
 
 
@@ -478,6 +502,7 @@ def minimal_resolution(A, M: SuperModule, steps: int) -> ResolutionData:
     Iteratively covers by the free module on M_n/(rad M_n); boundary
     entries stay in the radical, which is re-checked at every step.
     """
+    check_depth("steps", steps, 0, RESOLVE_STEPS_CAP)
     _check_local(A)
     rep = validate_module(M)
     rep.raise_if_invalid()

@@ -330,24 +330,19 @@ def complement_coords(F: GFTables, S: np.ndarray):
     """Coordinate indices extending col(S) to the full space.
 
     Returns the list of standard basis indices e_i (in increasing order)
-    such that col(S) + span(e_i) is a direct sum filling F^m.
+    such that col(S) + span(e_i) is a direct sum filling F^m: the e_i that
+    a greedy left-to-right pass keeps when each one is independent of
+    col(S) and of the e_j kept before it.
+
+    One rref of [base | I_m], with base the independent columns of S.  The
+    rref pivots are exactly the greedy left-to-right independent columns;
+    base's columns are all pivots, so the pivots past base are the e_i.
     """
     m = S.shape[0]
     base = column_space(F, S) if S.size else zeros(m, 0)
-    coords = []
-    cur = base
-    r = rank(F, cur) if cur.size else 0
-    for i in range(m):
-        e = zeros(m, 1)
-        e[i, 0] = 1
-        cand = np.concatenate([cur, e], axis=1)
-        if rank(F, cand) > r:
-            coords.append(i)
-            cur = cand
-            r += 1
-        if r == m:
-            break
-    return coords
+    r = base.shape[1]
+    _, pivots = rref(F, np.concatenate([base, identity(m)], axis=1))
+    return [c - r for c in pivots[r:]]
 
 
 def restrict_operator(F: GFTables, K: np.ndarray, T: np.ndarray) -> np.ndarray:

@@ -49,23 +49,19 @@ class SuperModule:
 
     def basis_action(self, i: int) -> np.ndarray:
         """Action matrix of the i-th algebra basis element."""
-        cached = self._cache.get(("basis", i))
-        if cached is not None:
-            return cached
-        F = self.F
-        coeff, mon = self.algebra.monomials[i]
-        out = linalg.identity(self.dim)
-        for g, e in mon:
-            out = linalg.matmul(F, out, linalg.matpow(F, self.action[g], e))
-        out = linalg.scale(F, coeff, out)
-        self._cache[("basis", i)] = out
-        return out
+        return self.basis_actions()[i].reshape(self.dim, self.dim)
 
     def basis_actions(self) -> np.ndarray:
         """Every basis action matrix, flattened: shape (algebra dim, dim * dim)."""
         cached = self._cache.get("basis_flat")
         if cached is None:
-            cached = np.stack([self.basis_action(i).ravel() for i in range(self.algebra.dim)])
+            F = self.F
+            cached = linalg.zeros(self.algebra.dim, self.dim * self.dim)
+            for i, (coeff, mon) in enumerate(self.algebra.monomials):
+                out = linalg.identity(self.dim)
+                for g, e in mon:
+                    out = linalg.matmul(F, out, linalg.matpow(F, self.action[g], e))
+                cached[i] = linalg.scale(F, coeff, out).ravel()
             self._cache["basis_flat"] = cached
         return cached
 

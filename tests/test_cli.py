@@ -167,6 +167,28 @@ def test_bound_exceeded_exit_3(capsys, tmp_path):
     assert code == 3
 
 
+def test_degree_arguments_bounded(capsys, m11_file, l01_file, tmp_path):
+    from supvar.homalg import EXT_DEGREE_CAP, RESOLVE_STEPS_CAP
+
+    # the caps sit above the benchmark's and the documented depths
+    assert RESOLVE_STEPS_CAP >= 60 and EXT_DEGREE_CAP >= 1000
+    code, out, err = run(capsys, ["resolve", "-g", m11_file, "-n", "-1"])
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1
+    code, out, _ = run(capsys, ["ext", "-g", "p1", "-m", l01_file, "-d", "1"])
+    assert (code, out) == (2, "")
+    # over the cap: exit 3 before the group or module file is even read
+    missing = str(tmp_path / "missing.json")
+    cases = [
+        ["resolve", "-g", missing, "-n", str(RESOLVE_STEPS_CAP + 1)],
+        ["ext", "-g", "p1", "-m", missing, "-d", str(EXT_DEGREE_CAP + 1)],
+    ]
+    for argv in cases:
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "") and len(err.splitlines()) == 1, argv
+    code, out, _ = run(capsys, ["resolve", "-g", m11_file, "-n", "0"])
+    assert (code, out) == (0, "0: 1|0\n")
+
+
 def test_ext_two_modules(capsys, tmp_path):
     k = {
         "group": {"family": "P1", "p": 3},

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from supvar.errors import ValidationError
+from supvar.errors import BoundExceeded, ValidationError
 from supvar.gfield import make_field
 import supvar.linalg as la
 from supvar.homalg import (
+    EXT_DEGREE_CAP,
     PD_FINITE,
     PD_INFINITE,
+    RESOLVE_STEPS_CAP,
+    CochainComplex,
     CocycleClass,
     carlson_module,
     cocycle_from_values,
@@ -24,6 +27,8 @@ from supvar.smod import (
     build_L,
     dual_module,
     extend_scalars,
+    p1_dual,
+    p1_tensor,
     p1_trivial,
     p1_view,
     p1_view_from_module,
@@ -122,16 +127,90 @@ def test_trichotomy_and_periodicity_random():
 
 
 def test_untwisted_pipeline_cross_check():
-    A = m11()
-    tk = p1_trivial(F3)
-    for seed in range(6):
-        M = random_module(seed, A, 5)
-        V = p1_view_from_module(M)
-        assert ext_dims(V, V, 4).dims == ext_dims_untwisted(V, V, 4).dims
-        assert ext_dims(V, tk, 4).dims == ext_dims_untwisted(V, tk, 4).dims
+    # ext_dims_untwisted builds every degree's differential on its own, so
+    # through degree 6 it checks the twisted complex's repeated degrees too
+    F5 = make_field(5, 1)
+    for spec, field in (
+        (M11_SPEC, F3),
+        (GroupAlgebraSpec("Mrs", 3, r=1, s=2), F3),
+        (GroupAlgebraSpec("Mrs", 3, r=2, s=1), F3),
+        (GroupAlgebraSpec("Mrs", 5, r=1, s=1), F5),
+    ):
+        A, _ = build_group_algebra(spec, field)
+        tk = p1_trivial(field)
+        for seed in range(6):
+            V = p1_view_from_module(random_module(seed, A, 8))
+            assert ext_dims(V, V, 6).dims == ext_dims_untwisted(V, V, 6).dims, (spec, seed)
+            assert ext_dims(V, tk, 6).dims == ext_dims_untwisted(V, tk, 6).dims, (spec, seed)
     L = build_L(F3.element(0), F3.element(1))
     V = p1_view_from_module(L)
-    assert ext_dims(V, V, 4).dims == ext_dims_untwisted(V, V, 4).dims
+    assert ext_dims(V, V, 6).dims == ext_dims_untwisted(V, V, 6).dims
+
+
+def _fresh_copy(cx):
+    """The same complex with every differential and parity array its own object."""
+    return CochainComplex(
+        cx.field, [par.copy() for par in cx.parities], [d.copy() for d in cx.diffs]
+    )
+
+
+def _dedupe_views():
+    """L over F_3, a random M_{2;1} module and a random p = 5 M_{1;1} module."""
+    F5 = make_field(5, 1)
+    m21, _ = build_group_algebra(GroupAlgebraSpec("Mrs", 3, r=2, s=1))
+    m11p5, _ = build_group_algebra(GroupAlgebraSpec("Mrs", 5, r=1, s=1), F5)
+    return [
+        p1_view_from_module(build_L(F3.element(1), F3.element(2))),
+        p1_view_from_module(random_module(3, m21, 8)),
+        p1_view_from_module(random_module(4, m11p5, 8)),
+    ]
+
+
+def test_periodic_complex_dedupe_matches_fresh_copies():
+    for V in _dedupe_views():
+        W = p1_tensor(p1_dual(V), V)
+        cx = p1_hom_complex(W, 9)
+        assert cx.parities[1] is cx.parities[9] and cx.diffs[1] is cx.diffs[3]
+        assert cx.cohomology_dims() == _fresh_copy(cx).cohomology_dims()
+
+
+def test_distinct_bad_differential_still_checked():
+    V = p1_view_from_module(build_L(F3.element(1), F3.element(2)))
+    cx = p1_hom_complex(V, 6)
+    F = la.tables(F3)
+    bad = cx.diffs[4].copy()
+    # adding 1 at (j, j) keeps parity and adds row j of d_3 to bad . d_3
+    j = int(np.nonzero(cx.diffs[3].any(axis=1))[0][0])
+    bad[j, j] = F.add[bad[j, j], 1]
+    # last in line, so only the pair (bad, d_3) can catch it; d_3 is the same
+    # object as d_1, whose pair with d_2 passed
+    with pytest.raises(ValidationError, match="compose to zero at degree 3"):
+        CochainComplex(F3, cx.parities[:6], cx.diffs[:4] + [bad])
+    CochainComplex(F3, cx.parities[:6], cx.diffs[:5])
+
+
+def test_ext_call_count_independent_of_degree(monkeypatch):
+    V = p1_view_from_module(build_L(F3.element(0), F3.element(1)))
+    calls = {"rank": 0, "bmatmul": 0}
+
+    def counting(name):
+        inner = getattr(la, name)
+
+        def wrapped(*args, **kw):
+            calls[name] += 1
+            return inner(*args, **kw)
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(la, name, counting(name))
+    counts = []
+    for maxdeg in (10, 500):
+        calls.update(rank=0, bmatmul=0)
+        ext_dims(V, V, maxdeg)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert counts[0]["rank"] > 0 and counts[0]["bmatmul"] > 0
 
 
 def test_base_change_invariance():
@@ -196,6 +275,18 @@ def test_resolution_requires_local():
     B = dataclasses.replace(A, augmentation=np.roll(bad, 1))
     with pytest.raises(ValidationError):
         minimal_resolution(B, trivial_module(B), 1)
+
+
+def test_depth_caps_in_the_library():
+    with pytest.raises(BoundExceeded):
+        p1_hom_complex(p1_trivial(F3), EXT_DEGREE_CAP + 1)
+    with pytest.raises(ValidationError):
+        p1_hom_complex(p1_trivial(F3), 1)
+    A = m11()
+    with pytest.raises(BoundExceeded):
+        minimal_resolution(A, trivial_module(A), RESOLVE_STEPS_CAP + 1)
+    with pytest.raises(ValidationError):
+        minimal_resolution(A, trivial_module(A), -1)
 
 
 def test_resolution_boundaries_compose_to_zero():

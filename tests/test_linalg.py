@@ -78,6 +78,61 @@ def test_complement_and_restrict():
     assert np.array_equal(la.matmul(F, T, K2), la.matmul(F, K2, X))
 
 
+def greedy_complement_coords(F, S):
+    """The one-rank-per-coordinate loop that `complement_coords` replaced:
+    keep e_i whenever it raises the rank of col(S) plus the e_j kept so far."""
+    m = S.shape[0]
+    cur = la.column_space(F, S) if S.size else la.zeros(m, 0)
+    r = la.rank(F, cur) if cur.size else 0
+    coords = []
+    for i in range(m):
+        e = la.zeros(m, 1)
+        e[i, 0] = 1
+        cand = np.concatenate([cur, e], axis=1)
+        if la.rank(F, cand) > r:
+            coords.append(i)
+            cur = cand
+            r += 1
+        if r == m:
+            break
+    return coords
+
+
+def _complement_inputs(rng, q):
+    """Zero, m x 0, full-rank, wide rank-deficient, spans holding some e_i,
+    and plain random matrices."""
+    yield np.zeros((5, 3), dtype=la.DT)
+    yield np.zeros((6, 0), dtype=la.DT)
+    yield np.zeros((0, 0), dtype=la.DT)
+    yield la.identity(4)
+    yield rng.integers(0, q, (5, 5)).astype(la.DT)  # full rank for most draws
+    yield rng.integers(0, q, (4, 9)).astype(la.DT)  # wide, full row rank
+    low = rng.integers(0, q, (7, 2)).astype(la.DT)
+    yield np.repeat(low, 6, axis=1)  # wide, rank at most 2
+    # col(S) holds e_1 and e_4 plus a random direction, in scrambled columns
+    S = la.zeros(6, 4)
+    S[1, 0] = 1
+    S[4, 2] = 1
+    S[:, 3] = rng.integers(0, q, 6)
+    yield S
+    for m, n in ((3, 1), (6, 2), (8, 5), (6, 12)):
+        yield rng.integers(0, q, (m, n)).astype(la.DT)
+
+
+def test_complement_coords_matches_greedy_loop():
+    rng = np.random.default_rng(11)
+    for p, n in ((3, 1), (5, 1), (3, 2), (5, 2)):
+        F = la.tables(make_field(p, n))
+        for S in _complement_inputs(rng, F.q):
+            got = la.complement_coords(F, S)
+            assert got == greedy_complement_coords(F, S), (p, n, S.shape)
+            # col(S) plus the chosen e_i is all of F^m, with no overlap
+            m = S.shape[0]
+            assert len(got) == m - (la.rank(F, S) if S.size else 0)
+            E = la.identity(m)[:, got]
+            assert la.rank(F, np.concatenate([S, E], axis=1)) == m
+
+
 STACK_FIELDS = [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3)]
 
 
