@@ -24,7 +24,8 @@ from .smod import (
 )
 from .superalg.algebra import GroupAlgebraSpec, build_group_algebra
 from .superalg.homscheme import hom_scheme_ideal
-from .superalg.morphisms import PrPresentation, SuperalgebraMorphism, classify_quotient
+from .superalg.morphisms import SuperalgebraMorphism, classify_quotient
+from .superalg.pr import PrPresentation
 from .homalg import (
     EXT_DEGREE_CAP,
     RESOLVE_STEPS_CAP,

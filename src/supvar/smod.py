@@ -37,13 +37,6 @@ class SuperModule:
     def F(self):
         return linalg.tables(self.algebra.field)
 
-    def parity_sign_diag(self):
-        """Diagonal +-1 matrix implementing the parity involution pi."""
-        F = self.F
-        d = np.ones(self.dim, dtype=linalg.DT)
-        d[self.parity == 1] = F.neg[1]
-        return np.diag(d).astype(linalg.DT)
-
     def gen_action(self, name: str) -> np.ndarray:
         return self.action[name]
 
@@ -172,7 +165,7 @@ def tensor_module(M: SuperModule, N: SuperModule) -> SuperModule:
     F = M.F
     dim = M.dim * N.dim
     parity = (np.repeat(M.parity, N.dim) + np.tile(N.parity, M.dim)) % 2
-    piM = M.parity_sign_diag()
+    oddcols = np.nonzero(M.parity == 1)[0]
     action = {}
     for g, gi in A.generators.items():
         acc = linalg.zeros(dim, dim)
@@ -180,7 +173,8 @@ def tensor_module(M: SuperModule, N: SuperModule) -> SuperModule:
             X = M.basis_action(j)
             Y = N.basis_action(k)
             if A.parity[k]:
-                X = linalg.matmul(F, X, piM)
+                X = X.copy()
+                X[:, oddcols] = F.neg[X[:, oddcols]]
             acc = linalg.madd(F, acc, linalg.scale(F, c, linalg.kron(F, X, Y)))
         action[g] = acc
     out = SuperModule(A, dim, parity.astype(np.int8), action)
@@ -328,7 +322,9 @@ def extend_scalars(M: SuperModule, field: FieldDescriptor) -> SuperModule:
     """Reinterpret a prime-field module over an extension field.
 
     Structure constants and matrix entries of prime-subfield elements have
-    the same index in any extension, so only the algebra is rebuilt.
+    the same index in any extension, so nothing is rebuilt: the module keeps
+    its matrices, and its algebra is the spec's one F_p build carried over
+    to the field (see build_group_algebra).
     """
     if M.algebra.field == field:
         return M
@@ -372,12 +368,6 @@ class P1ModuleView:
     @property
     def F(self):
         return linalg.tables(self.field)
-
-    def parity_sign_diag(self):
-        F = self.F
-        d = np.ones(self.dim, dtype=linalg.DT)
-        d[self.parity == 1] = F.neg[1]
-        return np.diag(d).astype(linalg.DT)
 
     def validate(self) -> ValidationReport:
         """Parity, UV = VU, V^2 = -U^p and U^dim = 0, on every slice."""
@@ -463,7 +453,8 @@ def p1_tensor(M: P1ModuleView, N: P1ModuleView) -> P1ModuleView:
     I_M = linalg.identity(M.dim)
     I_N = linalg.identity(N.dim)
     U = linalg.madd(F, linalg.kron(F, M.U, I_N), linalg.kron(F, I_M, N.U))
-    V = linalg.madd(F, linalg.kron(F, M.V, I_N), linalg.kron(F, M.parity_sign_diag(), N.V))
+    pi_M = np.diag(np.where(M.parity == 1, F.neg[1], 1)).astype(linalg.DT)
+    V = linalg.madd(F, linalg.kron(F, M.V, I_N), linalg.kron(F, pi_M, N.V))
     parity = (np.repeat(M.parity, N.dim) + np.tile(N.parity, M.dim)) % 2
     return P1ModuleView(M.field, M.dim * N.dim, parity.astype(np.int8), U, V)
 

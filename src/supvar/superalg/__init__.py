@@ -9,6 +9,7 @@ from .pr import (
     gamma_coeff,
     pr_coproduct,
     pr_antipode_counit,
+    PrPresentation,
 )
 from .algebra import (
     AlgebraError,
@@ -20,7 +21,7 @@ from .algebra import (
     verify_algebra,
     verify_hopf,
 )
-from .morphisms import PrPresentation, SuperalgebraMorphism, QuotientLabel, classify_quotient
+from .morphisms import SuperalgebraMorphism, QuotientLabel, classify_quotient
 from .homscheme import PolynomialIdeal, hom_scheme_ideal, solve_even_points
 from .dual_oracle import CoordinateCoalgebraOracle, km_r_dual_oracle
 

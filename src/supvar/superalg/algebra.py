@@ -8,7 +8,11 @@ the sense of supvar.linalg.
 
 Constructors cover the group algebras of the multiparameter supergroups
 (quotients of P_r), the purely even truncated polynomial Hopf algebra, and
-tensor products with the Koszul sign rule.
+tensor products with the Koszul sign rule.  Every constructor takes the spec
+alone and builds over F_p: the structure constants lie in the prime field,
+whose elements keep their index in every extension.  build_group_algebra
+builds and verifies each spec once and serves every field from that build.
+The P_r relations and gamma monomials come from pr.PrPresentation.
 """
 
 from __future__ import annotations
@@ -16,13 +20,23 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import combinations
+from math import comb, prod
 
 import numpy as np
 
 from ..errors import BoundExceeded, ValidationError
 from ..gfield import FieldDescriptor, make_field
 from .. import linalg
-from .pr import PrIndex, digit_factorial_product, gamma_coeff, gamma_product, pr_coproduct
+from .pr import (
+    PrIndex,
+    PrPresentation,
+    gamma_coeff,
+    gamma_product,
+    graded_commutator,
+    p_power,
+    pr_coproduct,
+)
 
 DIM_CAP = 200
 
@@ -81,9 +95,37 @@ class GroupAlgebraSpec:
             raise AlgebraError("Gar needs r >= 0")
         if self.family == "TruncEven" and self.t < 1:
             raise AlgebraError("TruncEven needs t >= 1")
-        if self.family == "Tensor" and not self.factors:
-            raise AlgebraError("empty tensor product")
+        if self.family == "Tensor":
+            if not self.factors:
+                raise AlgebraError("empty tensor product")
+            for f in self.factors:
+                f.check()
         return self
+
+    def fcoeffs(self) -> tuple:
+        """(c_1, ..., c_t) of f = sum c_i T^{p^i} for the quotient families,
+        with c_t nonzero."""
+        if self.family == "Mrs":
+            return (0,) * (self.s - 1) + (1,)
+        f = tuple(c % self.p for c in self.f)
+        while f[-1] == 0:
+            f = f[:-1]
+        return f
+
+    def dim(self) -> int:
+        """Dimension of the group algebra, read from the spec alone."""
+        p = self.p
+        if self.family in ("Mrs", "Mrf"):
+            return 2 * p ** (self.r + len(self.fcoeffs()) - 1)
+        if self.family == "Gar":
+            return p**self.r
+        if self.family == "GaMinus":
+            return 2
+        if self.family == "TruncEven":
+            return p**self.t
+        if self.family == "Tensor":
+            return prod(f.dim() for f in self.factors)
+        raise ValidationError(f"unknown family {self.family!r}")
 
     @staticmethod
     def from_json(d):
@@ -208,13 +250,6 @@ class PresentedSuperalgebra:
             out = self.el_mul(out, x)
         return out
 
-    def eval_monomial(self, terms):
-        """Evaluate ((gen, exp), ...) as an algebra element."""
-        out = self.el_unit()
-        for g, e in terms:
-            out = self.el_mul(out, self.el_pow(self.el_gen(g), e))
-        return out
-
     def element_parity(self, x):
         pars = set(int(self.parity[i]) for i in np.nonzero(x)[0])
         if len(pars) > 1:
@@ -282,38 +317,39 @@ def _quotient_reducer(p, r, fcoeffs, eta):
     return top, reduce
 
 
-def _gamma_monomial(p, r, ell, has_v):
-    """(coeff mod p, generator monomial) expressing a basis element of P_r."""
-    coeff = pow(digit_factorial_product(ell, p), p - 2, p)
-    mon = []
-    if has_v:
-        mon.append(("v", 1))
-    rest = ell
-    for i in range(r - 1):
-        d = rest % p
-        if d:
-            mon.append((f"u{i}", d))
-        rest //= p
-    if rest:
-        mon.append((f"u{r-1}", rest))
-    return coeff, tuple(mon)
+def _base_algebra(
+    spec, names, parity, mult, generators, gen_parity, monomials, relations, cop, signs
+):
+    """A base family's algebra over F_p: basis 0 is the unit and carries
+    the counit, and the antipode is the diagonal of the given signs."""
+    dim = len(names)
+    augmentation = np.zeros(dim, dtype=linalg.DT)
+    augmentation[0] = 1
+    antipode = np.diag([sgn % spec.p for sgn in signs]).astype(linalg.DT)
+    return PresentedSuperalgebra(
+        field=make_field(spec.p, 1),
+        dim=dim,
+        parity=np.asarray(parity, dtype=np.int8),
+        basis_names=tuple(names),
+        unit_index=0,
+        mult=mult,
+        generators=generators,
+        gen_parity=gen_parity,
+        monomials=tuple(monomials),
+        relations=tuple(relations),
+        augmentation=augmentation,
+        hopf=HopfStructure(tuple(cop), augmentation.copy(), antipode),
+        spec=spec,
+    )
 
 
-def _build_pr_quotient(spec: GroupAlgebraSpec, field: FieldDescriptor):
+def _build_pr_quotient(spec: GroupAlgebraSpec):
     """Group algebra of M_{r;f,eta}: P_r modulo f(u_{r-1}) + eta*u_0."""
     p, r = spec.p, spec.r
-    if spec.family == "Mrs":
-        fcoeffs = tuple([0] * (spec.s - 1) + [1])
-    else:
-        fcoeffs = tuple(c % p for c in spec.f)
-        while fcoeffs[-1] == 0:
-            fcoeffs = fcoeffs[:-1]
-
+    fcoeffs = spec.fcoeffs()
     n_gamma, reduce = _quotient_reducer(p, r, fcoeffs, spec.eta)
     dim = 2 * n_gamma
-    if dim > DIM_CAP:
-        raise BoundExceeded(f"algebra dimension {dim} exceeds cap {DIM_CAP}")
-    F = linalg.tables(field)
+    pres = PrPresentation(p, r)
 
     parity = np.array([0] * n_gamma + [1] * n_gamma, dtype=np.int8)
     names = tuple(
@@ -343,32 +379,11 @@ def _build_pr_quotient(spec: GroupAlgebraSpec, field: FieldDescriptor):
     gen_parity = {f"u{i}": 0 for i in range(r)}
     gen_parity["v"] = 1
 
-    monomials = []
-    for i in range(dim):
-        monomials.append(_gamma_monomial(p, r, i % n_gamma, i >= n_gamma))
-
-    relations = []
-    gnames = [f"u{i}" for i in range(r)] + ["v"]
-    for a in range(len(gnames)):
-        for b in range(a + 1, len(gnames)):
-            relations.append(
-                (
-                    f"[{gnames[a]},{gnames[b]}]",
-                    ((1, ((gnames[a], 1), (gnames[b], 1))), (p - 1, ((gnames[b], 1), (gnames[a], 1)))),
-                )
-            )
-    for i in range(r - 1):
-        relations.append((f"u{i}^p", ((1, ((f"u{i}", p),)),)))
-    relations.append(
-        (f"u{r-1}^p+v^2", ((1, ((f"u{r-1}", p),)), (1, (("v", 2),))))
-    )
+    monomials = tuple(pres.gamma_monomial(i % n_gamma, i >= n_gamma) for i in range(dim))
     f_terms = [(int(c), ((f"u{r-1}", p**i),)) for i, c in enumerate(fcoeffs, start=1) if c % p]
     if spec.eta % p:
         f_terms.append((spec.eta % p, (("u0", 1),)))
-    relations.append(("f(u)+eta*u0", tuple(f_terms)))
-
-    augmentation = np.zeros(dim, dtype=linalg.DT)
-    augmentation[0] = 1
+    relations = pres.relations() + (("f(u)+eta*u0", tuple(f_terms)),)
 
     cop = []
     for i in range(dim):
@@ -379,38 +394,16 @@ def _build_pr_quotient(spec: GroupAlgebraSpec, field: FieldDescriptor):
             key = (bidx(le.ell, le.has_v), bidx(ri.ell, ri.has_v))
             terms[key] = (terms.get(key, 0) + c) % p
         cop.append(tuple((j, k, int(v)) for (j, k), v in sorted(terms.items()) if v))
-    antipode = np.zeros((dim, dim), dtype=linalg.DT)
-    for i in range(dim):
-        ell = i % n_gamma
-        sgn = (-1) ** (ell + (1 if i >= n_gamma else 0))
-        antipode[i, i] = F.scalar(sgn)
-    counit = augmentation.copy()
-
-    alg = PresentedSuperalgebra(
-        field=field,
-        dim=dim,
-        parity=parity,
-        basis_names=names,
-        unit_index=0,
-        mult=mult,
-        generators=generators,
-        gen_parity=gen_parity,
-        monomials=tuple(monomials),
-        relations=tuple(relations),
-        augmentation=augmentation,
-        hopf=HopfStructure(tuple(cop), counit, antipode),
-        spec=spec,
+    signs = [(-1) ** (i % n_gamma + (i >= n_gamma)) for i in range(dim)]
+    return _base_algebra(
+        spec, names, parity, mult, generators, gen_parity, monomials, relations, cop, signs
     )
-    return alg
 
 
-def _build_gar(spec: GroupAlgebraSpec, field: FieldDescriptor):
+def _build_gar(spec: GroupAlgebraSpec):
     """kG_{a(r)} = P_r/(v): truncated divided powers gamma_0..gamma_{p^r-1}."""
     p, r = spec.p, spec.r
     dim = p**r
-    if dim > DIM_CAP:
-        raise BoundExceeded(f"algebra dimension {dim} exceeds cap {DIM_CAP}")
-    F = linalg.tables(field)
     parity = np.zeros(dim, dtype=np.int8)
     names = tuple(f"g{l}" for l in range(dim))
     mult = {}
@@ -423,21 +416,11 @@ def _build_gar(spec: GroupAlgebraSpec, field: FieldDescriptor):
                 mult[(i, j)] = ((i + j, c),)
     generators = {f"u{i}": p**i for i in range(r)}
     gen_parity = {f"u{i}": 0 for i in range(r)}
-    monomials = tuple(_gamma_monomial(p, max(r, 1), l, False) for l in range(dim))
-    relations = []
+    pres = PrPresentation(p, max(r, 1))
+    monomials = tuple(pres.gamma_monomial(l, False) for l in range(dim))
     gnames = [f"u{i}" for i in range(r)]
-    for a in range(len(gnames)):
-        for b in range(a + 1, len(gnames)):
-            relations.append(
-                (
-                    f"[{gnames[a]},{gnames[b]}]",
-                    ((1, ((gnames[a], 1), (gnames[b], 1))), (p - 1, ((gnames[b], 1), (gnames[a], 1)))),
-                )
-            )
-    for i in range(r):
-        relations.append((f"u{i}^p", ((1, ((f"u{i}", p),)),)))
-    augmentation = np.zeros(dim, dtype=linalg.DT)
-    augmentation[0] = 1
+    relations = [graded_commutator(a, 0, b, 0, p) for a, b in combinations(gnames, 2)]
+    relations += [p_power(g, p) for g in gnames]
     cop = []
     for i in range(dim):
         terms = []
@@ -445,73 +428,36 @@ def _build_gar(spec: GroupAlgebraSpec, field: FieldDescriptor):
             if le.ell < dim and ri.ell < dim:
                 terms.append((le.ell, ri.ell, c))
         cop.append(tuple(terms))
-    antipode = np.zeros((dim, dim), dtype=linalg.DT)
-    for i in range(dim):
-        antipode[i, i] = F.scalar((-1) ** i)
-    alg = PresentedSuperalgebra(
-        field=field,
-        dim=dim,
-        parity=parity,
-        basis_names=names,
-        unit_index=0,
-        mult=mult,
-        generators=generators,
-        gen_parity=gen_parity,
-        monomials=monomials,
-        relations=tuple(relations),
-        augmentation=augmentation,
-        hopf=HopfStructure(tuple(cop), augmentation.copy(), antipode),
-        spec=spec,
+    signs = [(-1) ** i for i in range(dim)]
+    return _base_algebra(
+        spec, names, parity, mult, generators, gen_parity, monomials, relations, cop, signs
     )
-    return alg
 
 
-def _build_gaminus(spec: GroupAlgebraSpec, field: FieldDescriptor):
+def _build_gaminus(spec: GroupAlgebraSpec):
     """kG_a^- = k[v]/(v^2) with v odd and primitive."""
-    F = linalg.tables(field)
-    parity = np.array([0, 1], dtype=np.int8)
-    mult = {(0, 0): ((0, 1),), (0, 1): ((1, 1),), (1, 0): ((1, 1),)}
-    augmentation = np.array([1, 0], dtype=linalg.DT)
-    cop = (
-        ((0, 0, 1),),
-        ((1, 0, 1), (0, 1, 1)),
-    )
-    antipode = np.zeros((2, 2), dtype=linalg.DT)
-    antipode[0, 0] = 1
-    antipode[1, 1] = F.scalar(-1)
-    return PresentedSuperalgebra(
-        field=field,
-        dim=2,
-        parity=parity,
-        basis_names=("1", "v"),
-        unit_index=0,
-        mult=mult,
+    return _base_algebra(
+        spec,
+        names=("1", "v"),
+        parity=(0, 1),
+        mult={(0, 0): ((0, 1),), (0, 1): ((1, 1),), (1, 0): ((1, 1),)},
         generators={"v": 1},
         gen_parity={"v": 1},
         monomials=((1, ()), (1, (("v", 1),))),
         relations=(("v^2", ((1, (("v", 2),)),)),),
-        augmentation=augmentation,
-        hopf=HopfStructure(cop, augmentation.copy(), antipode),
-        spec=spec,
+        cop=(((0, 0, 1),), ((1, 0, 1), (0, 1, 1))),
+        signs=(1, -1),
     )
 
 
-def _build_trunc_even(spec: GroupAlgebraSpec, field: FieldDescriptor):
+def _build_trunc_even(spec: GroupAlgebraSpec):
     """k[g]/(g^{p^t}) with g even and primitive (binomial coproduct)."""
     p, t = spec.p, spec.t
     m = p**t
-    if m > DIM_CAP:
-        raise BoundExceeded(f"algebra dimension {m} exceeds cap {DIM_CAP}")
-    F = linalg.tables(field)
-    from math import comb
-
-    parity = np.zeros(m, dtype=np.int8)
     mult = {}
     for i in range(m):
         for j in range(m - i):
             mult[(i, j)] = ((i + j, 1),)
-    augmentation = np.zeros(m, dtype=linalg.DT)
-    augmentation[0] = 1
     cop = []
     for j in range(m):
         terms = []
@@ -520,23 +466,17 @@ def _build_trunc_even(spec: GroupAlgebraSpec, field: FieldDescriptor):
             if c:
                 terms.append((i, j - i, c))
         cop.append(tuple(terms))
-    antipode = np.zeros((m, m), dtype=linalg.DT)
-    for j in range(m):
-        antipode[j, j] = F.scalar((-1) ** j)
-    return PresentedSuperalgebra(
-        field=field,
-        dim=m,
-        parity=parity,
-        basis_names=tuple(f"g^{j}" for j in range(m)),
-        unit_index=0,
+    return _base_algebra(
+        spec,
+        names=[f"g^{j}" for j in range(m)],
+        parity=[0] * m,
         mult=mult,
         generators={"g": 1},
         gen_parity={"g": 0},
-        monomials=tuple((1, ()) if j == 0 else (1, (("g", j),)) for j in range(m)),
-        relations=((f"g^{m}", ((1, (("g", m),)),)),),
-        augmentation=augmentation,
-        hopf=HopfStructure(tuple(cop), augmentation.copy(), antipode),
-        spec=spec,
+        monomials=[(1, ()) if j == 0 else (1, (("g", j),)) for j in range(m)],
+        relations=[(f"g^{m}", ((1, (("g", m),)),))],
+        cop=cop,
+        signs=[(-1) ** j for j in range(m)],
     )
 
 
@@ -564,8 +504,6 @@ def tensor_algebra(A: PresentedSuperalgebra, B: PresentedSuperalgebra):
         raise AlgebraError("generator names collide; rename before tensoring")
     F = A.F
     dim = A.dim * B.dim
-    if dim > DIM_CAP:
-        raise BoundExceeded(f"algebra dimension {dim} exceeds cap {DIM_CAP}")
 
     def idx(i, j):
         return i * B.dim + j
@@ -607,16 +545,11 @@ def tensor_algebra(A: PresentedSuperalgebra, B: PresentedSuperalgebra):
         gen_parity[g] = B.gen_parity[g]
 
     relations = list(A.relations) + list(B.relations)
-    p = A.field.p
-    for ga, pa in A.gen_parity.items():
-        for gb, pb in B.gen_parity.items():
-            sign = -1 if (pa and pb) else 1
-            relations.append(
-                (
-                    f"[{ga},{gb}]",
-                    ((1, ((ga, 1), (gb, 1))), ((-sign) % p, ((gb, 1), (ga, 1)))),
-                )
-            )
+    relations += [
+        graded_commutator(ga, pa, gb, pb, A.field.p)
+        for ga, pa in A.gen_parity.items()
+        for gb, pb in B.gen_parity.items()
+    ]
 
     augmentation = np.zeros(dim, dtype=linalg.DT)
     for i in range(A.dim):
@@ -672,16 +605,22 @@ def tensor_algebra(A: PresentedSuperalgebra, B: PresentedSuperalgebra):
 
 @lru_cache(maxsize=None)
 def _build_cached(spec: GroupAlgebraSpec, field: FieldDescriptor):
+    prime = make_field(spec.p, 1)
+    if field != prime:
+        return replace(_build_cached(spec, prime), field=field)
     spec.check()
+    if spec.dim() > DIM_CAP:
+        # named by its label: a huge dimension has too many digits to print
+        raise BoundExceeded(f"the algebra of {spec.label()} exceeds dimension cap {DIM_CAP}")
     if spec.family in ("Mrs", "Mrf"):
-        alg = _build_pr_quotient(spec, field)
+        alg = _build_pr_quotient(spec)
     elif spec.family == "Gar":
-        alg = _build_gar(spec, field)
+        alg = _build_gar(spec)
     elif spec.family == "GaMinus":
-        alg = _build_gaminus(spec, field)
+        alg = _build_gaminus(spec)
     elif spec.family == "TruncEven":
-        alg = _build_trunc_even(spec, field)
-    elif spec.family == "Tensor":
+        alg = _build_trunc_even(spec)
+    else:
         parts = []
         for pos, fs in enumerate(spec.factors):
             a = _build_cached(fs, field)
@@ -690,9 +629,6 @@ def _build_cached(spec: GroupAlgebraSpec, field: FieldDescriptor):
         for b in parts[1:]:
             alg = tensor_algebra(alg, b)
         alg.spec = spec
-    else:
-        raise ValidationError(f"unknown family {spec.family!r}")
-    _light_checks(alg)
     verify_algebra(alg)
     return alg
 
@@ -701,7 +637,11 @@ def build_group_algebra(spec: GroupAlgebraSpec, field: FieldDescriptor | None = 
     """Build the group algebra of a spec over the field (default F_p).
 
     Returns (algebra, hopf); the hopf component is also stored on the
-    algebra.  Results are cached, so repeated builds are cheap and shared.
+    algebra.  The spec's dimension is checked against DIM_CAP before any
+    work.  Each spec is built and verified once, over F_p; over an extension
+    field the algebra is that build with its field replaced, sharing every
+    table.  Results are cached per (spec, field), so a repeated build
+    returns the identical object.
     """
     if field is None:
         field = make_field(spec.p, 1)

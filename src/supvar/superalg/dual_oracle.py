@@ -26,9 +26,8 @@ import numpy as np
 
 from ..errors import BoundExceeded, ValidationError
 from .. import linalg
+from .algebra import DIM_CAP
 from .pr import digit_factorial_product
-
-DIM_CAP = 200
 
 
 @dataclass

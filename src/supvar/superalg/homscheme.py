@@ -17,7 +17,7 @@ from itertools import product as iterprod
 from ..errors import BoundExceeded, ValidationError
 from .. import linalg
 from .algebra import PresentedSuperalgebra
-from .morphisms import PrPresentation
+from .pr import PrPresentation
 
 SOLVE_ASSIGNMENT_CAP = 3**8
 
@@ -286,19 +286,13 @@ def _tensor_components(A: _SVec, B: _SVec):
     return out
 
 
-def hom_scheme_ideal(source: PrPresentation, target) -> PolynomialIdeal:
+def hom_scheme_ideal(source: PrPresentation, alg: PresentedSuperalgebra) -> PolynomialIdeal:
     """Ideal presenting Hom_{Hopf}(P_r, kG) in the variables x_{i}_{j}.
 
-    target may be a PresentedSuperalgebra (with Hopf data) or an
-    (algebra, hopf) pair.  Variables are ordered generator-major then by
-    basis index; x_{i}_{j} carries parity |r_i| + |s_j|.
+    The target algebra must carry its Hopf data.  Variables are ordered
+    generator-major then by basis index; x_{i}_{j} carries parity
+    |r_i| + |s_j|.
     """
-    if isinstance(target, tuple):
-        alg, hopf = target
-        if alg.hopf is None:
-            alg.hopf = hopf
-    else:
-        alg = target
     if alg.hopf is None:
         raise ValidationError("target needs Hopf structure")
 

@@ -17,72 +17,8 @@ import numpy as np
 
 from ..errors import ValidationError
 from .. import linalg
-from .pr import PrIndex, pr_coproduct
 from .algebra import GroupAlgebraSpec, PresentedSuperalgebra
-from .pr import digit_factorial_product
-
-
-@dataclass(frozen=True)
-class PrPresentation:
-    """The presentation of P_r on u_0..u_{r-1} (even) and v (odd)."""
-
-    p: int
-    r: int
-
-    @property
-    def gen_names(self):
-        return tuple(f"u{i}" for i in range(self.r)) + ("v",)
-
-    def gen_parity(self, name: str) -> int:
-        return 1 if name == "v" else 0
-
-    def relations(self):
-        """Defining relations as (label, ((coeff mod p, monomial), ...))."""
-        p, r = self.p, self.r
-        rels = []
-        names = list(self.gen_names)
-        for a in range(len(names)):
-            for b in range(a + 1, len(names)):
-                rels.append(
-                    (
-                        f"[{names[a]},{names[b]}]",
-                        (
-                            (1, ((names[a], 1), (names[b], 1))),
-                            (p - 1, ((names[b], 1), (names[a], 1))),
-                        ),
-                    )
-                )
-        for i in range(r - 1):
-            rels.append((f"u{i}^p", ((1, ((f"u{i}", p),)),)))
-        rels.append((f"u{r-1}^p+v^2", ((1, ((f"u{r-1}", p),)), (1, (("v", 2),)))))
-        return tuple(rels)
-
-    def gamma_monomial(self, ell: int, has_v: bool):
-        """(coeff mod p, ((gen, exp), ...)) expressing a basis element."""
-        p, r = self.p, self.r
-        coeff = pow(digit_factorial_product(ell, p), p - 2, p)
-        mon = []
-        if has_v:
-            mon.append(("v", 1))
-        rest = ell
-        for i in range(r - 1):
-            d = rest % p
-            if d:
-                mon.append((f"u{i}", d))
-            rest //= p
-        if rest:
-            mon.append((f"u{r-1}", rest))
-        return coeff, tuple(mon)
-
-    def gen_coproduct(self, name: str):
-        """Coproduct of a generator as ((left monomial data, right, coeff)), where
-        each side is a gamma index interpreted through gamma_monomial."""
-        if name == "v":
-            x = PrIndex(0, True)
-        else:
-            i = int(name[1:])
-            x = PrIndex(self.p**i, False)
-        return pr_coproduct(self.p, self.r, x)
+from .pr import PrPresentation
 
 
 @dataclass

@@ -10,11 +10,17 @@ the divided-power basis
 and {gamma_l, v*gamma_l} is a homogeneous basis.  Products, coproducts and
 the antipode all have closed forms in this basis; coefficients live in the
 prime field and are kept as plain ints mod p.
+
+PrPresentation holds the presentation data (generators, defining
+relations, the monomial of each gamma) that the group algebra builders,
+morphisms and Hom-scheme ideals share; graded_commutator and p_power build
+every commutator and p-power relation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 
 @dataclass(frozen=True)
@@ -179,5 +185,68 @@ def pr_antipode_counit(p: int, r: int, x: PrIndex):
     return el, counit
 
 
-def pr_counit(p: int, r: int, x: PrIndex) -> int:
-    return 1 if (x.ell == 0 and not x.has_v) else 0
+# -- presentation data ---------------------------------------------------
+
+
+def graded_commutator(a: str, pa: int, b: str, pb: int, p: int):
+    """The relation [a,b] = ab - (-1)^{|a||b|} ba, as (label, terms)."""
+    sign = -1 if (pa and pb) else 1
+    return (f"[{a},{b}]", ((1, ((a, 1), (b, 1))), ((-sign) % p, ((b, 1), (a, 1)))))
+
+
+def p_power(g: str, p: int):
+    """The relation g^p = 0, as (label, terms)."""
+    return (f"{g}^p", ((1, ((g, p),)),))
+
+
+@dataclass(frozen=True)
+class PrPresentation:
+    """The presentation of P_r on u_0..u_{r-1} (even) and v (odd)."""
+
+    p: int
+    r: int
+
+    @property
+    def gen_names(self):
+        return tuple(f"u{i}" for i in range(self.r)) + ("v",)
+
+    def gen_parity(self, name: str) -> int:
+        return 1 if name == "v" else 0
+
+    def relations(self):
+        """Defining relations as (label, ((coeff mod p, monomial), ...))."""
+        p, r = self.p, self.r
+        rels = [
+            graded_commutator(a, self.gen_parity(a), b, self.gen_parity(b), p)
+            for a, b in combinations(self.gen_names, 2)
+        ]
+        rels += [p_power(f"u{i}", p) for i in range(r - 1)]
+        rels.append((f"u{r-1}^p+v^2", ((1, ((f"u{r-1}", p),)), (1, (("v", 2),)))))
+        return tuple(rels)
+
+    def gamma_monomial(self, ell: int, has_v: bool):
+        """(coeff mod p, ((gen, exp), ...)) expressing a basis element."""
+        p, r = self.p, self.r
+        coeff = pow(digit_factorial_product(ell, p), p - 2, p)
+        mon = []
+        if has_v:
+            mon.append(("v", 1))
+        rest = ell
+        for i in range(r - 1):
+            d = rest % p
+            if d:
+                mon.append((f"u{i}", d))
+            rest //= p
+        if rest:
+            mon.append((f"u{r-1}", rest))
+        return coeff, tuple(mon)
+
+    def gen_coproduct(self, name: str):
+        """Coproduct of a generator as ((left monomial data, right, coeff)), where
+        each side is a gamma index interpreted through gamma_monomial."""
+        if name == "v":
+            x = PrIndex(0, True)
+        else:
+            i = int(name[1:])
+            x = PrIndex(self.p**i, False)
+        return pr_coproduct(self.p, self.r, x)

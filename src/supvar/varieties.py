@@ -22,24 +22,28 @@ dilation action making everything conical.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import BoundExceeded, ValidationError
 from .gfield import FieldDescriptor, FieldElement, frobenius, inverse_frobenius
 from . import linalg
 from .smod import P1ModuleView, SuperModule, extend_scalars, p1_view_from_images
 from .superalg.algebra import GroupAlgebraSpec, PresentedSuperalgebra, build_group_algebra
 from .superalg.homscheme import hom_scheme_ideal, solve_even_points
-from .superalg.morphisms import PrPresentation
+from .superalg.pr import PrPresentation
 from .homalg import pd_infinite
 
 # Points are decided in chunks whose stacked 2n x 2n blocks hold at most
 # this many cells (n = dim M), which bounds the memory of the stacks.
 _CHUNK_CELLS = 2**14
+
+# Point enumerations run over q^arity candidate tuples; more than this many
+# raise BoundExceeded before any is built.
+POINTS_CAP = 3**12
 
 
 @dataclass(frozen=True)
@@ -93,14 +97,33 @@ def _hom_height(spec: GroupAlgebraSpec) -> int:
     raise ValidationError(f"no P_r height for family {spec.family}")
 
 
+def _arity(spec: GroupAlgebraSpec) -> int:
+    """Number of coordinates of a point of the family."""
+    if not isinstance(spec, GroupAlgebraSpec):
+        raise ValidationError("points need a finite group algebra spec")
+    if spec.family == "GaMinus":
+        return 1
+    if spec.family == "Gar":
+        return spec.r
+    if spec.family in ("Mrs", "Mrf"):
+        return 1 + spec.r + (spec.family == "Mrs" and spec.eta == 0 and spec.s >= 2)
+    raise ValidationError(f"no points for family {spec.family}")
+
+
+def _check_points_cap(spec: GroupAlgebraSpec, field: FieldDescriptor):
+    arity = _arity(spec)
+    if field.q**arity > POINTS_CAP:
+        raise BoundExceeded(f"{field.q}^{arity} candidate points exceed the cap {POINTS_CAP}")
+
+
 def family_points(spec: GroupAlgebraSpec, field: FieldDescriptor):
-    """Parametrized F_q points; raises for unsupported families."""
+    """Parametrized F_q points; raises for unsupported families and, before
+    enumerating, for more than POINTS_CAP candidate tuples."""
+    _check_points_cap(spec, field)
     els = field.elements()
     p, r = spec.p, spec.r
     pts = []
     if spec.family == "Mrs" and spec.eta == 0:
-        import itertools
-
         for mu in els:
             for avec in itertools.product(els, repeat=r):
                 if spec.s >= 2:
@@ -112,8 +135,6 @@ def family_points(spec: GroupAlgebraSpec, field: FieldDescriptor):
                     pts.append(GroupPoint((mu,) + avec))
         return _sorted_points(pts)
     if spec.family == "Mrs" and spec.eta != 0:
-        import itertools
-
         if r < 2:
             raise ValidationError(
                 "parametrized points for the eta-families need r >= 2"
@@ -124,8 +145,6 @@ def family_points(spec: GroupAlgebraSpec, field: FieldDescriptor):
                     pts.append(GroupPoint((mu,) + avec))
         return _sorted_points(pts)
     if spec.family == "Gar":
-        import itertools
-
         return _sorted_points(
             GroupPoint(avec) for avec in itertools.product(els, repeat=r)
         )
@@ -137,16 +156,7 @@ def family_points(spec: GroupAlgebraSpec, field: FieldDescriptor):
 def check_point(spec: GroupAlgebraSpec, pt: GroupPoint):
     """Coordinate count, and mu^2 = a_0^{p^r} where the family imposes it,
     for a point given from outside the program."""
-    if not isinstance(spec, GroupAlgebraSpec):
-        raise ValidationError("points need a finite group algebra spec")
-    if spec.family == "GaMinus":
-        arity = 1
-    elif spec.family == "Gar":
-        arity = spec.r
-    elif spec.family in ("Mrs", "Mrf"):
-        arity = 1 + spec.r + (spec.family == "Mrs" and spec.eta == 0 and spec.s >= 2)
-    else:
-        raise ValidationError(f"no points for family {spec.family}")
+    arity = _arity(spec)
     if len(pt.coords) != arity:
         raise ValidationError(
             f"a point of {spec.label()} has {arity} coordinates, got {len(pt.coords)}"
@@ -249,12 +259,6 @@ def validate_point_images(spec, alg, images):
         raise ValidationError("images violate u^p + v^2 = 0")
 
 
-@lru_cache(maxsize=None)
-def _algebra_for(spec: GroupAlgebraSpec, field: FieldDescriptor):
-    alg, _ = build_group_algebra(spec, field)
-    return alg
-
-
 def enumerate_points(spec: GroupAlgebraSpec, field: FieldDescriptor, method: str = "param") -> PointSet:
     """All F_q points, by parametrization or by the brute-force solver.
 
@@ -262,17 +266,18 @@ def enumerate_points(spec: GroupAlgebraSpec, field: FieldDescriptor, method: str
     matches them against the parametrization; a mismatch raises, so the two
     methods cross-check each other.
     """
-    if method == "param":
-        return PointSet(spec, field, family_points(spec, field))
-    if method != "solve":
+    if method not in ("param", "solve"):
         raise ValidationError("method must be 'param' or 'solve'")
-    alg = _algebra_for(spec, field)
+    param_pts = family_points(spec, field)
+    if method == "param":
+        return PointSet(spec, field, param_pts)
+    alg = build_group_algebra(spec, field)[0]
     pres = PrPresentation(spec.p, _hom_height(spec))
     ideal = hom_scheme_ideal(pres, alg)
     sols = solve_even_points(ideal)
     # match solutions with parametrized points through their images
     lookup = {}
-    for pt in family_points(spec, field):
+    for pt in param_pts:
         images = point_images(spec, alg, pt)
         key = tuple(tuple(int(x) for x in images[g]) for g in pres.gen_names)
         lookup[key] = pt
@@ -287,16 +292,18 @@ def enumerate_points(spec: GroupAlgebraSpec, field: FieldDescriptor, method: str
     return PointSet(spec, field, _sorted_points(pts))
 
 
-def point_to_p1(spec: GroupAlgebraSpec, pt: GroupPoint, field: FieldDescriptor):
-    """Images of u and v of P_1 under the point's morphism composed with
-    the inclusion u -> u_{r-1}, v -> v.  Returns (algebra, u_img, v_img)."""
-    alg = _algebra_for(spec, field)
+def _p1_images(spec: GroupAlgebraSpec, alg: PresentedSuperalgebra, pt: GroupPoint):
     images = point_images(spec, alg, pt)
     validate_point_images(spec, alg, images)
     r = _hom_height(spec)
-    u_img = images.get(f"u{r-1}", alg.el_zero())
-    v_img = images["v"]
-    return alg, u_img, v_img
+    return images.get(f"u{r-1}", alg.el_zero()), images["v"]
+
+
+def point_to_p1(spec: GroupAlgebraSpec, pt: GroupPoint, field: FieldDescriptor):
+    """Images of u and v of P_1 under the point's morphism composed with
+    the inclusion u -> u_{r-1}, v -> v.  Returns (algebra, u_img, v_img)."""
+    alg = build_group_algebra(spec, field)[0]
+    return (alg, *_p1_images(spec, alg, pt))
 
 
 def point_pullback(spec: GroupAlgebraSpec, pt: GroupPoint, M: SuperModule) -> P1ModuleView:
@@ -319,7 +326,7 @@ def support_set(
     the requested field.  The zero point always belongs to the support of a
     nonzero module.
 
-    Each point's images are built and checked on their own (point_to_p1);
+    Each point's images are built and checked on their own (_p1_images);
     the points are then decided a chunk at a time.  A chunk's pullbacks form
     one stacked P_1-view, built, validated and decided together (see
     homalg.pd_infinite), and its 2n x 2n blocks hold at most _CHUNK_CELLS
@@ -327,14 +334,14 @@ def support_set(
     verdict of a point does not depend on its chunk.
     """
     MF = extend_scalars(M, field)
-    if _algebra_for(spec, field) is not MF.algebra:
+    if build_group_algebra(spec, field)[0] is not MF.algebra:
         raise ValidationError("module algebra does not match the point's group")
     pts = enumerate_points(spec, field, method=method).points
     per = max(1, _CHUNK_CELLS // (4 * MF.dim**2 or 1))
     out = []
     for lo in range(0, len(pts), per):
         chunk = pts[lo : lo + per]
-        images = [point_to_p1(spec, pt, field)[1:] for pt in chunk]
+        images = [_p1_images(spec, MF.algebra, pt) for pt in chunk]
         u_imgs = np.stack([u for u, _ in images])
         v_imgs = np.stack([v for _, v in images])
         infinite = pd_infinite(p1_view_from_images(MF, u_imgs, v_imgs))
@@ -371,11 +378,11 @@ def psi_map(spec: GroupAlgebraSpec, pt: GroupPoint):
 
 
 def psi_target_points(spec: GroupAlgebraSpec, field: FieldDescriptor):
-    """F_q points of the cohomological spectrum, in psi's coordinate order."""
-    import itertools
+    """F_q points of the cohomological spectrum, in psi's coordinate order.
 
+    psi is a bijection onto them, so the same POINTS_CAP bound applies."""
+    _check_points_cap(spec, field)
     els = field.elements()
-    p = spec.p
     out = []
     if spec.family == "GaMinus":
         return _sorted_points(GroupPoint((d,)) for d in els)
@@ -413,7 +420,7 @@ def monoid_scale(spec: GroupAlgebraSpec, pt: GroupPoint, mu_t: FieldElement, a_t
     r = _hom_height(spec)
     if a_t ** (p**r) != mu_t * mu_t:
         raise ValidationError("inadmissible scaling: a^(p^r) != mu^2")
-    alg = _algebra_for(spec, field)
+    alg = build_group_algebra(spec, field)[0]
     images = point_images(spec, alg, pt)
     F = alg.F
     scaled = {}

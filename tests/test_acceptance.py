@@ -43,7 +43,6 @@ from supvar.varieties import (
     psi_target_points,
     support_set,
     family_points,
-    _algebra_for,
 )
 
 F3 = make_field(3, 1)
@@ -103,7 +102,7 @@ def test_criterion_02_l_module_supports():
 
 
 def test_criterion_03_tensor_property():
-    alg = _algebra_for(M11, F3)
+    alg = build_group_algebra(M11, F3)[0]
     mods = [_L(*pp) for pp in L_PARAMS]
     pairs = [(i, j) for i in range(4) for j in range(i, 4)]
     sups = [_support_keys(M11, M, F3) for M in mods]
@@ -122,7 +121,7 @@ def test_criterion_03_tensor_property():
 
 
 def test_criterion_04_pd_trichotomy():
-    m12_alg = _algebra_for(M12, F3)
+    m12_alg = build_group_algebra(M12, F3)[0]
     tk = p1_trivial(F3)
     for seed in range(50):
         M = random_module(seed, m12_alg, 8)
@@ -201,7 +200,7 @@ def test_criterion_07_solver_vs_parametrization():
 
 
 def test_criterion_08_resolution_ranks():
-    alg = _algebra_for(M11, F3)
+    alg = build_group_algebra(M11, F3)[0]
     res = resolution_of_trivial(alg, 8)
     assert [e + o for e, o in res.ranks()] == list(range(1, 10))
     assert res.minimal
@@ -251,7 +250,7 @@ def test_criterion_10_second_radical():
 
 
 def test_criterion_11_naturality_and_decomposition():
-    alg = _algebra_for(M11, F3)
+    alg = build_group_algebra(M11, F3)[0]
     embs = m11_subgroup_embeddings(3)
     all_pts = {p.key() for p in enumerate_points(M11, F3).points}
     for seed in range(20):
@@ -283,7 +282,7 @@ def test_criterion_12_conicality():
         for j in range(i, len(mods)):
             supports.append(support_set(M11, tensor_module(mods[i], mods[j]), F9))
     rng = random.Random(2024)
-    alg = _algebra_for(M11, F3)
+    alg = build_group_algebra(M11, F3)[0]
     for _ in range(20):
         s1, s2 = rng.randrange(10**6), rng.randrange(10**6)
         M, N = random_module(s1, alg, 6), random_module(s2, alg, 6)
@@ -311,7 +310,7 @@ def test_criterion_13_coproduct_oracle():
 
 
 def test_criterion_14_carlson_modules():
-    alg = _algebra_for(M11, F3)
+    alg = build_group_algebra(M11, F3)[0]
     res = resolution_of_trivial(alg, 3)
     classes = []
     for degree in (1, 2):

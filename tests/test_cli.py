@@ -165,6 +165,28 @@ def test_bound_exceeded_exit_3(capsys, tmp_path):
     big = write(tmp_path, "m21.json", '{"family":"Mrs","p":3,"r":2,"s":1}')
     code, _, err = run(capsys, ["points", "-g", big, "-F", "3^1", "--method", "solve"])
     assert code == 3
+    # a dimension of 3^10000 is refused by the spec's label, not printed
+    huge = '{"family":"Mrs","p":3,"r":1,"s":10000}'
+    code, out, err = run(capsys, ["resolve", "-g", huge, "-n", "1"])
+    assert (code, out) == (3, "") and err.count("\n") == 1 and "M_{1;10000}" in err
+
+
+def test_point_enumeration_bounded(capsys, monkeypatch):
+    from supvar.gfield import FieldDescriptor
+
+    # 2401^4 candidate tuples: refused before any field element is listed
+    def no_elements(self):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(FieldDescriptor, "elements", no_elements)
+    m22p7 = '{"family":"Mrs","p":7,"r":2,"s":2}'
+    for method in ("param", "solve"):
+        code, out, err = run(capsys, ["points", "-g", m22p7, "-F", "7^4", "--method", method])
+        assert (code, out) == (3, "") and err.count("\n") == 1, method
+    # the P_1 shorthand has no points: exit 2, not a traceback
+    for method in ("param", "solve"):
+        code, out, err = run(capsys, ["points", "-g", "p1", "-F", "3", "--method", method])
+        assert (code, out) == (2, "") and err.count("\n") == 1, method
 
 
 def test_degree_arguments_bounded(capsys, m11_file, l01_file, tmp_path):

@@ -5,7 +5,9 @@ import pytest
 
 from supvar.errors import BoundExceeded, ValidationError
 from supvar.gfield import make_field
+from supvar.superalg import algebra
 from supvar.superalg.algebra import (
+    DIM_CAP,
     AlgebraError,
     GroupAlgebraSpec,
     build_group_algebra,
@@ -37,6 +39,10 @@ ALL_SPECS = [
     GroupAlgebraSpec("Mrs", 5, r=1, s=1),
 ]
 
+TENSOR_SPEC = GroupAlgebraSpec(
+    "Tensor", 3, factors=(GroupAlgebraSpec("Gar", 3, r=1), GroupAlgebraSpec("GaMinus", 3))
+)
+
 
 def test_dimensions():
     assert build_group_algebra(GroupAlgebraSpec("Mrs", 3, r=1, s=1))[0].dim == 6
@@ -62,6 +68,88 @@ def test_hopf_axioms(spec):
     verify_algebra(alg)
     verify_hopf(alg)
     assert hopf is alg.hopf
+
+
+def _tables(alg):
+    H = alg.hopf
+    return (
+        alg.dim, alg.parity.tolist(), alg.basis_names, alg.unit_index, alg.mult,
+        alg.generators, alg.gen_parity, alg.monomials, alg.relations,
+        alg.augmentation.tolist(), H.coproduct, H.counit.tolist(), H.antipode.tolist(),
+        alg.spec,
+    )
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + [TENSOR_SPEC], ids=lambda s: s.label())
+def test_one_build_serves_every_field(spec):
+    base, _ = build_group_algebra(spec)
+    assert spec.dim() == base.dim
+    assert build_group_algebra(spec)[0] is base
+    for n in (2, 3) if spec.p == 3 else (2,):
+        F = make_field(spec.p, n)
+        alg, hopf = build_group_algebra(spec, F)
+        assert alg.field == F and hopf is alg.hopf
+        assert build_group_algebra(spec, F)[0] is alg
+        assert _tables(alg) == _tables(base)
+        verify_algebra(alg)
+        verify_hopf(alg)
+
+
+def test_verify_algebra_once_per_spec(monkeypatch):
+    # a spec no other test builds, so the first build below is cold
+    spec = GroupAlgebraSpec("Mrf", 3, r=1, f=(1, 2), eta=1)
+    calls = []
+    real = algebra.verify_algebra
+    monkeypatch.setattr(algebra, "verify_algebra", lambda alg: calls.append(alg) or real(alg))
+    algs = [build_group_algebra(spec, make_field(3, n))[0] for n in (1, 2, 3)]
+    assert len(calls) == 1 and calls[0] is algs[0]
+    assert [a.field.q for a in algs] == [3, 9, 27]
+    assert algs[2].dim == spec.dim() == 18
+
+
+def test_tensor_cap_checked_before_factors(monkeypatch):
+    spec = GroupAlgebraSpec(
+        "Tensor", 3, factors=(GroupAlgebraSpec("Mrs", 3, r=2, s=2), GroupAlgebraSpec("Gar", 3, r=2))
+    )
+    assert spec.dim() == 54 * 9 > DIM_CAP
+    calls = []
+    real = algebra._build_cached
+    monkeypatch.setattr(algebra, "_build_cached", lambda *a: calls.append(a) or real(*a))
+    for field in (None, make_field(3, 2)):
+        calls.clear()
+        with pytest.raises(BoundExceeded):
+            build_group_algebra(spec, field)
+        assert all(a[0] is spec for a in calls)
+
+
+def test_relation_labels():
+    def labels(spec):
+        return [lbl for lbl, _ in build_group_algebra(spec)[0].relations]
+
+    assert labels(GroupAlgebraSpec("Mrs", 3, r=2, s=1)) == [
+        "[u0,u1]", "[u0,v]", "[u1,v]", "u0^p", "u1^p+v^2", "f(u)+eta*u0",
+    ]
+    assert labels(GroupAlgebraSpec("Mrf", 3, r=1, f=(2, 1), eta=2)) == [
+        "[u0,v]", "u0^p+v^2", "f(u)+eta*u0",
+    ]
+    assert labels(GroupAlgebraSpec("Gar", 3, r=3)) == [
+        "[u0,u1]", "[u0,u2]", "[u1,u2]", "u0^p", "u1^p", "u2^p",
+    ]
+    assert labels(GroupAlgebraSpec("Gar", 3, r=0)) == []
+    assert labels(GroupAlgebraSpec("GaMinus", 3)) == ["v^2"]
+    assert labels(GroupAlgebraSpec("TruncEven", 3, t=2)) == ["g^9"]
+    # a factor's own relations keep its generator names
+    assert labels(TENSOR_SPEC) == ["u0^p", "v^2", "[t0_u0,t1_v]"]
+    assert labels(GroupAlgebraSpec("Tensor", 3, factors=(GroupAlgebraSpec("GaMinus", 3),) * 2)) == [
+        "v^2", "v^2", "[t0_v,t1_v]",
+    ]
+    # the commutator of two odd generators is their anticommutator
+    m11 = build_group_algebra(GroupAlgebraSpec("Mrs", 3, r=1, s=1))[0]
+    assert dict(m11.relations)["[u0,v]"] == ((1, (("u0", 1), ("v", 1))), (2, (("v", 1), ("u0", 1))))
+    gg = build_group_algebra(GroupAlgebraSpec("Tensor", 3, factors=(GroupAlgebraSpec("GaMinus", 3),) * 2))
+    assert dict(gg[0].relations)["[t0_v,t1_v]"] == (
+        (1, (("t0_v", 1), ("t1_v", 1))), (1, (("t1_v", 1), ("t0_v", 1))),
+    )
 
 
 def test_augmentation_ideal_nilpotent():

@@ -5,12 +5,14 @@ import random
 import numpy as np
 import pytest
 
-from supvar.errors import ValidationError
+from supvar.errors import BoundExceeded, ValidationError
 from supvar.gfield import make_field
 from supvar.smod import build_L, random_module, restrict_module, trivial_module, regular_module
 from supvar.superalg.algebra import GroupAlgebraSpec, build_group_algebra
 from supvar.varieties import (
+    POINTS_CAP,
     GroupPoint,
+    _arity,
     admissible_scalings,
     enumerate_points,
     family_points,
@@ -21,7 +23,6 @@ from supvar.varieties import (
     psi_map,
     psi_target_points,
     support_set,
-    _algebra_for,
 )
 
 F3 = make_field(3, 1)
@@ -42,6 +43,16 @@ def test_point_counts():
     assert len(family_points(M11, F9)) == 81
 
 
+def test_point_enumeration_bounded():
+    big = GroupAlgebraSpec("Mrs", 7, r=2, s=2)
+    for enum in (family_points, psi_target_points):
+        with pytest.raises(BoundExceeded):
+            enum(big, make_field(7, 4))
+    # M_{2;2} over F_27 (19,683 points) sits exactly at the cap, so it runs
+    assert 27 ** _arity(M22) == POINTS_CAP
+    assert [_arity(s) for s in (M11, M21, M12, M22)] == [2, 3, 3, 4]
+
+
 def test_points_sorted_and_rendered():
     pts = enumerate_points(M11, F3)
     keys = [p.key() for p in pts.points]
@@ -52,7 +63,7 @@ def test_points_sorted_and_rendered():
 
 
 def test_point_images_m11():
-    alg = _algebra_for(M11, F3)
+    alg = build_group_algebra(M11, F3)[0]
     pt = GroupPoint((F3.element(2), F3.element(1)))  # (d, c)
     im = point_images(M11, alg, pt)
     want_u = alg.el_zero()
@@ -65,7 +76,7 @@ def test_point_images_m11():
 
 def test_point_images_m21():
     # image of u_1 at (mu, a_0, a_1) is a_0^3 gamma_3 + a_1 gamma_1
-    alg = _algebra_for(M21, F3)
+    alg = build_group_algebra(M21, F3)[0]
     pt = GroupPoint((F3.element(1), F3.element(2), F3.element(1)))
     im = point_images(M21, alg, pt)
     want = alg.el_zero()
@@ -84,7 +95,7 @@ def test_point_images_match_dual_oracle_comorphism():
     import supvar.linalg as la
 
     orc = km_r_dual_oracle(3, 2, 1)
-    alg = _algebra_for(M21, F3)
+    alg = build_group_algebra(M21, F3)[0]
     F = la.tables(F3)
     rng = random.Random(0)
     pts = family_points(M21, F3)
@@ -143,7 +154,7 @@ def test_point_images_are_hopf_morphisms():
              GroupAlgebraSpec("Mrs", 3, r=2, s=1, eta=1)]
     rng = random.Random(5)
     for spec in specs:
-        alg = _algebra_for(spec, F3)
+        alg = build_group_algebra(spec, F3)[0]
         pres = PrPresentation(3, _hom_height(spec))
         pts = family_points(spec, F3)
         for pt in [pts[i] for i in rng.sample(range(len(pts)), min(4, len(pts)))]:
@@ -159,7 +170,7 @@ def test_param_points_satisfy_hom_ideal_beyond_solver():
     from supvar.superalg.morphisms import PrPresentation
 
     for spec in (M21, M12):
-        alg = _algebra_for(spec, F3)
+        alg = build_group_algebra(spec, F3)[0]
         pres = PrPresentation(3, spec.r)
         ideal = hom_scheme_ideal(pres, alg)
         polys = [g for _, g in ideal.generators if not g.is_zero()]
@@ -202,7 +213,7 @@ def test_support_lines():
 
 
 def test_support_trivial_and_regular():
-    A = _algebra_for(M11, F3)
+    A = build_group_algebra(M11, F3)[0]
     k = trivial_module(A)
     sup = support_set(M11, k, F3)
     assert len(sup.points) == 9  # every point
@@ -282,7 +293,7 @@ def test_monoid_scale_verifies_on_higher_rank():
 
 def test_support_and_scaling_over_eta_family():
     spec = GroupAlgebraSpec("Mrs", 3, r=2, s=1, eta=1)
-    alg = _algebra_for(spec, F3)
+    alg = build_group_algebra(spec, F3)[0]
     pts = enumerate_points(spec, F3)
     assert len(pts.points) == 9  # mu^2 = a_0^{p^2} cuts 27 down to 9 over F_3
     sup_triv = support_set(spec, trivial_module(alg), F3)
@@ -297,7 +308,7 @@ def test_support_and_scaling_over_eta_family():
 
 def test_supports_over_height_two_family():
     # exercises the multinomial rho-images of kM_{2;1} inside the pd pipeline
-    alg = _algebra_for(M21, F3)
+    alg = build_group_algebra(M21, F3)[0]
     npts = len(enumerate_points(M21, F3).points)
     assert npts == 27
     sup_triv = support_set(M21, trivial_module(alg), F3)
@@ -314,7 +325,7 @@ def test_supports_over_height_two_family():
 
 
 def test_naturality_via_embeddings():
-    A = _algebra_for(M11, F3)
+    A = build_group_algebra(M11, F3)[0]
     embs = m11_subgroup_embeddings(3)
     for seed in range(6):
         M = random_module(seed, A, 6)
@@ -332,8 +343,8 @@ def test_naturality_across_heights():
     # height-one points embed as the line {(0, a)} in V_2(G_{a(2)})
     gar2 = GroupAlgebraSpec("Gar", 3, r=2)
     gar1 = GroupAlgebraSpec("Gar", 3, r=1)
-    amb_alg = _algebra_for(gar2, F3)
-    sub_alg = _algebra_for(gar1, F3)
+    amb_alg = build_group_algebra(gar2, F3)[0]
+    sub_alg = build_group_algebra(gar1, F3)[0]
 
     def embed(pt):
         return GroupPoint((F3.element(0), pt.coords[0]))
