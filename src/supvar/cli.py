@@ -23,7 +23,7 @@ from .smod import (
     p1_view_from_module,
 )
 from .superalg.algebra import GroupAlgebraSpec, build_group_algebra
-from .superalg.homscheme import hom_scheme_ideal
+from .superalg.homscheme import check_source, hom_scheme_ideal
 from .superalg.morphisms import SuperalgebraMorphism, classify_quotient
 from .superalg.pr import PrPresentation
 from .homalg import (
@@ -204,6 +204,7 @@ def cmd_homscheme(args):
             pres = PrPresentation(int(data["p"]), int(data["r"]))
         except (KeyError, TypeError, ValueError):
             raise ValidationError("presentation needs integer fields 'p' and 'r'") from None
+    check_source(pres, spec.p)
     field = make_field(spec.p, 1)
     alg, _ = build_group_algebra(spec, field)
     ideal = hom_scheme_ideal(pres, alg)

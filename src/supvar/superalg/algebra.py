@@ -45,6 +45,11 @@ class AlgebraError(ValidationError):
     pass
 
 
+def _power(p: int, e: int) -> int:
+    """p**e, or DIM_CAP + 1 once e > log_2(DIM_CAP) >= log_p(DIM_CAP)."""
+    return p**e if e <= DIM_CAP.bit_length() else DIM_CAP + 1
+
+
 @dataclass
 class HopfStructure:
     """Coproduct, counit and antipode tables in the algebra's basis."""
@@ -113,16 +118,19 @@ class GroupAlgebraSpec:
         return f
 
     def dim(self) -> int:
-        """Dimension of the group algebra, read from the spec alone."""
+        """Dimension of the group algebra, read from the spec alone.  Past
+        DIM_CAP it is only a value above the cap: no huge power is taken."""
         p = self.p
-        if self.family in ("Mrs", "Mrf"):
-            return 2 * p ** (self.r + len(self.fcoeffs()) - 1)
+        if self.family == "Mrs":
+            return 2 * _power(p, self.r + self.s - 1)
+        if self.family == "Mrf":
+            return 2 * _power(p, self.r + len(self.fcoeffs()) - 1)
         if self.family == "Gar":
-            return p**self.r
+            return _power(p, self.r)
         if self.family == "GaMinus":
             return 2
         if self.family == "TruncEven":
-            return p**self.t
+            return _power(p, self.t)
         if self.family == "Tensor":
             return prod(f.dim() for f in self.factors)
         raise ValidationError(f"unknown family {self.family!r}")
@@ -255,13 +263,6 @@ class PresentedSuperalgebra:
         if len(pars) > 1:
             return None
         return pars.pop() if pars else 0
-
-    def counit_of(self, x):
-        F = self.F
-        out = 0
-        for i in np.nonzero(x)[0]:
-            out = F.add[out, F.mul[x[i], self.augmentation[i]]]
-        return int(out)
 
     def radical_coords(self):
         """Coordinates spanning the augmentation ideal (all non-unit basis)."""
@@ -675,29 +676,45 @@ def _light_checks(alg: PresentedSuperalgebra):
 
 
 def verify_algebra(alg: PresentedSuperalgebra, seed: int = 0, exhaustive_limit: int = 32):
-    """Associativity (exhaustive up to the limit, sampled above), unit,
-    parity, and multiplicativity of the augmentation."""
-    d = alg.dim
+    """Associativity, unit, parity, and multiplicativity of the augmentation.
+
+    Up to exhaustive_limit, associativity is checked on every basis triple
+    through the dense structure tensor T (b_i b_j = sum_k T[i, j, k] b_k):
+    for each i, (b_i b_j) b_k and b_i (b_j b_k) over all (j, k) are two
+    array products, so scratch memory stays O(d^3).  Above the limit, 500
+    triples drawn with the seed are checked through el_mul.  The
+    augmentation is checked on all pairs as one array comparison.  A
+    failure names the first bad triple (pair) in lexicographic order.
+    """
+    d, F, aug = alg.dim, alg.F, alg.augmentation
     if d <= exhaustive_limit:
-        triples = [(i, j, k) for i in range(d) for j in range(d) for k in range(d)]
+        T = np.zeros((d, d, d), dtype=linalg.DT)
+        for (i, j), ent in alg.mult.items():
+            for k, c in ent:
+                T[i, j, k] = F.add[T[i, j, k], c]
+        flat = T.reshape(d, d * d)
+        for i in range(d):
+            lhs = linalg.bmatmul(F, T[i], flat).reshape(d, d, d)
+            rhs = linalg.bmatmul(F, flat.reshape(d * d, d), T[i]).reshape(d, d, d)
+            if not np.array_equal(lhs, rhs):
+                j, k = np.argwhere(lhs != rhs)[0][:2]
+                raise AlgebraError(f"associativity fails at ({i},{j},{k})")
     else:
         rng = random.Random(seed)
-        triples = [
-            (rng.randrange(d), rng.randrange(d), rng.randrange(d)) for _ in range(500)
-        ]
-    for i, j, k in triples:
-        lhs = alg.el_mul(alg.el_mul(alg.el_basis(i), alg.el_basis(j)), alg.el_basis(k))
-        rhs = alg.el_mul(alg.el_basis(i), alg.el_mul(alg.el_basis(j), alg.el_basis(k)))
-        if not np.array_equal(lhs, rhs):
-            raise AlgebraError(f"associativity fails at ({i},{j},{k})")
-    F = alg.F
-    for i in range(d):
-        for j in range(d):
-            prod = alg.el_mul(alg.el_basis(i), alg.el_basis(j))
-            lhs = alg.counit_of(prod)
-            rhs = int(F.mul[alg.augmentation[i], alg.augmentation[j]])
-            if lhs != rhs:
-                raise AlgebraError(f"augmentation not multiplicative at ({i},{j})")
+        for _ in range(500):
+            i, j, k = rng.randrange(d), rng.randrange(d), rng.randrange(d)
+            lhs = alg.el_mul(alg.el_mul(alg.el_basis(i), alg.el_basis(j)), alg.el_basis(k))
+            rhs = alg.el_mul(alg.el_basis(i), alg.el_mul(alg.el_basis(j), alg.el_basis(k)))
+            if not np.array_equal(lhs, rhs):
+                raise AlgebraError(f"associativity fails at ({i},{j},{k})")
+    counits = np.zeros((d, d), dtype=linalg.DT)  # counit of b_i b_j
+    for (i, j), ent in alg.mult.items():
+        for k, c in ent:
+            counits[i, j] = F.add[counits[i, j], F.mul[c, aug[k]]]
+    want = F.mul[aug[:, None], aug[None, :]]
+    if not np.array_equal(counits, want):
+        i, j = np.argwhere(counits != want)[0]
+        raise AlgebraError(f"augmentation not multiplicative at ({i},{j})")
     _light_checks(alg)
 
 

@@ -12,7 +12,8 @@ force (odd variables are set to zero).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iterprod
+
+import numpy as np
 
 from ..errors import BoundExceeded, ValidationError
 from .. import linalg
@@ -20,165 +21,178 @@ from .algebra import PresentedSuperalgebra
 from .pr import PrPresentation
 
 SOLVE_ASSIGNMENT_CAP = 3**8
+# P_r sources above this height are refused before any work: the coproduct
+# of u_{r-1} alone has p^{r-1} + 1 terms, so each step in r costs p times more.
+SOURCE_R_CAP = 12
+SLOT_BITS = 8  # per variable of a packed monomial: the top bit is a guard
+MAX_EXPONENT = (1 << (SLOT_BITS - 1)) - 1
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """even: sorted ((var, exp), ...); odd: strictly increasing var tuple."""
+class _Memo(dict):
+    """A dict that fills a missing key with fn(key)."""
 
-    even: tuple
-    odd: tuple
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
 
-    def degree(self):
-        return sum(e for _, e in self.even) + len(self.odd)
+    def __missing__(self, key):
+        val = self[key] = self.fn(key)
+        return val
 
 
-def _merge_odd(a: tuple, b: tuple):
-    """Concatenate odd variable lists; Koszul sign, or None if a square appears."""
-    if set(a) & set(b):
-        return None, 0
-    merged = []
-    sign = 1
-    i = j = 0
-    a, b = list(a), list(b)
-    while i < len(a) or j < len(b):
-        if j >= len(b) or (i < len(a) and a[i] < b[j]):
-            merged.append(a[i])
-            i += 1
-        else:
-            # b[j] moves left past the remaining elements of a
-            if (len(a) - i) % 2 == 1:
-                sign = -sign
-            merged.append(b[j])
-            j += 1
-    return tuple(merged), sign
+def _swaps(a: int, b: int) -> int:
+    """Transpositions that bring the odd variables of a*b into order: pairs
+    of a variable of b and a later variable (a lower slot) of a."""
+    n = 0
+    while b:
+        low = b & -b
+        n += (a & (low - 1)).bit_count()
+        b ^= low
+    return n
 
 
 class PolyRing:
-    """Supercommutative polynomials over F_q in named graded variables."""
+    """Supercommutative polynomials over F_q in named graded variables.
+
+    A monomial is one int with a SLOT_BITS-wide slot per variable, variable 0
+    in the highest slot; the slot of an odd variable holds 0 or 1.  So a
+    product of monomials is one addition, an odd square shows as
+    `m1 & m2 & oddmask`, and comparing two monomials compares their exponent
+    vectors lexicographically.  The top bit of every slot is a guard: an
+    exponent above MAX_EXPONENT sets it and raises ValidationError instead of
+    carrying into the next slot.
+
+    Coefficients are field element indices.  The ring keeps, as lists, the
+    rows of the field's add and mul tables for the coefficients that occur
+    (never a whole q x q table), and the text of every coefficient and
+    monomial it renders.
+    """
 
     def __init__(self, field, variables):
         self.field = field
-        self.F = linalg.tables(field)
+        self.F = F = linalg.tables(field)
         self.variables = tuple(variables)  # ((name, parity), ...)
         self.name_index = {name: i for i, (name, _) in enumerate(self.variables)}
         self.parity = tuple(par for _, par in self.variables)
-
-    def zero(self, parity=0):
-        return SuperPoly(self, {}, parity)
-
-    def one(self):
-        return SuperPoly(self, {Monomial((), ()): 1}, 0)
-
-    def const(self, cidx):
-        cidx = int(cidx)
-        if cidx == 0:
-            return self.zero()
-        return SuperPoly(self, {Monomial((), ()): cidx}, 0)
+        n = len(self.variables)
+        self.shift = tuple(SLOT_BITS * (n - 1 - i) for i in range(n))
+        self.guard = sum(1 << (s + SLOT_BITS - 1) for s in self.shift)
+        self.oddmask = sum(1 << s for s, par in zip(self.shift, self.parity) if par)
+        self.add_rows = _Memo(lambda c: F.add[c].tolist())
+        self.mul_rows = _Memo(lambda c: F.mul[c].tolist())
+        self.neg = F.neg.tolist()
+        self.coeff_text = _Memo(lambda c: F.to_element(c).encode())
+        self.monomial_text = _Memo(self._describe)
 
     def var(self, name):
         i = self.name_index[name]
-        par = self.parity[i]
-        if par:
-            mon = Monomial((), (i,))
-        else:
-            mon = Monomial(((i, 1),), ())
-        return SuperPoly(self, {mon: 1}, par)
+        return SuperPoly(self, {1 << self.shift[i]: 1}, self.parity[i])
+
+    def poly(self, terms):
+        """A SuperPoly of nonzero terms, its parity read off a monomial."""
+        par = (next(iter(terms)) & self.oddmask).bit_count() % 2 if terms else 0
+        return SuperPoly(self, terms, par)
+
+    def factors(self, m: int):
+        """((variable, exponent), ...) of a monomial, in variable order; only
+        the nonzero slots are visited."""
+        out = []
+        top = len(self.variables) - 1
+        while m:
+            slot = (m.bit_length() - 1) // SLOT_BITS
+            low = slot * SLOT_BITS
+            out.append((top - slot, m >> low))
+            m &= (1 << low) - 1
+        return out
+
+    def _describe(self, m: int):
+        fs = [(self.variables[v][0], e) for v, e in self.factors(m)]
+        text = "*".join(name if e == 1 else f"{name}^{e}" for name, e in fs)
+        return sum(e for _, e in fs), text
+
+    def accumulate(self, acc: dict, terms: dict, c: int = 1):
+        """acc += c * terms, in place (cancelled terms stay as zeros)."""
+        add, row = self.add_rows, self.mul_rows[c]
+        for m, v in terms.items():
+            acc[m] = add[acc.get(m, 0)][row[v]]
+
+    def addmul(self, targets, A: dict, B: dict):
+        """For each (acc, c) of targets, acc += c * A * B, in place, with A's
+        monomials on the left (Koszul signs)."""
+        guard, odd, neg = self.guard, self.oddmask, self.neg
+        add, mul = self.add_rows, self.mul_rows
+        targets = [(acc, mul[c]) for acc, c in targets]
+        for m1, c1 in A.items():
+            o1 = m1 & odd
+            row = mul[c1]
+            for m2, c2 in B.items():
+                if o1 & m2:
+                    continue
+                m = m1 + m2
+                if m & guard:
+                    raise ValidationError(f"a monomial exponent exceeds {MAX_EXPONENT}")
+                v = row[c2]
+                if o1 and _swaps(o1, m2 & odd) & 1:
+                    v = neg[v]
+                for acc, crow in targets:
+                    acc[m] = add[acc.get(m, 0)][crow[v]]
+
+
+def _nonzero(terms: dict) -> dict:
+    return {m: c for m, c in terms.items() if c}
 
 
 class SuperPoly:
-    """Parity-homogeneous polynomial: dict Monomial -> field element index."""
+    """Parity-homogeneous polynomial: dict packed monomial (see PolyRing) ->
+    nonzero field element index."""
 
     __slots__ = ("ring", "terms", "parity")
 
     def __init__(self, ring, terms, parity):
         self.ring = ring
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.terms = _nonzero(terms)
         self.parity = parity
 
     def is_zero(self):
         return not self.terms
 
     def __add__(self, other):
-        F = self.ring.F
         if not other.is_zero() and not self.is_zero() and self.parity != other.parity:
             raise ValidationError("adding polynomials of different parity")
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = int(F.add[out.get(m, 0), c])
+        self.ring.accumulate(out, other.terms)
         par = self.parity if self.terms else other.parity
         return SuperPoly(self.ring, out, par)
 
-    def __neg__(self):
-        F = self.ring.F
-        return SuperPoly(self.ring, {m: int(F.neg[c]) for m, c in self.terms.items()}, self.parity)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, cidx):
-        F = self.ring.F
-        cidx = int(cidx)
-        return SuperPoly(self.ring, {m: int(F.mul[cidx, c]) for m, c in self.terms.items()}, self.parity)
-
     def __mul__(self, other):
-        F = self.ring.F
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                odd, sign = _merge_odd(m1.odd, m2.odd)
-                if odd is None:
-                    continue
-                ev = dict(m1.even)
-                for v, e in m2.even:
-                    ev[v] = ev.get(v, 0) + e
-                mon = Monomial(tuple(sorted(ev.items())), odd)
-                c = int(F.mul[c1, c2])
-                if sign < 0:
-                    c = int(F.neg[c])
-                out[mon] = int(F.add[out.get(mon, 0), c])
+        self.ring.addmul([(out, 1)], self.terms, other.terms)
         return SuperPoly(self.ring, out, (self.parity + other.parity) % 2)
 
     def evaluate(self, assignment):
-        """Value at a point; odd variables evaluate to the assigned value too
-        (pass zeros for even points)."""
+        """Value at a point, through the field tables; odd variables evaluate
+        to the assigned value too (pass zeros for even points).  Entries may
+        be index arrays of one shape, giving the values at many points."""
         F = self.ring.F
         total = 0
         for m, c in self.terms.items():
             val = c
-            for v, e in m.even:
-                a = assignment[v]
+            for v, e in self.ring.factors(m):
                 for _ in range(e):
-                    val = int(F.mul[val, a])
-            for v in m.odd:
-                val = int(F.mul[val, assignment[v]])
-            total = int(F.add[total, val])
+                    val = F.mul[val, assignment[v]]
+            total = F.add[total, val]
         return total
 
     def render(self):
-        """Deterministic text: graded lex monomial order, descending."""
+        """Deterministic text: monomials by (degree, exponent vector), descending."""
         if not self.terms:
             return "0"
-        names = [n for n, _ in self.ring.variables]
-
-        def key(m):
-            expvec = [0] * len(names)
-            for v, e in m.even:
-                expvec[v] = e
-            for v in m.odd:
-                expvec[v] = 1
-            return (m.degree(), expvec)
-
+        ring = self.ring
+        desc, coeff = ring.monomial_text, ring.coeff_text
         parts = []
-        for m in sorted(self.terms, key=key, reverse=True):
-            c = self.ring.F.to_element(self.terms[m]).encode()
-            factors = []
-            for v, e in sorted(m.even + tuple((v, 1) for v in m.odd)):
-                factors.append(names[v] if e == 1 else f"{names[v]}^{e}")
-            if not factors:
-                parts.append(c)
-            else:
-                parts.append("*".join([c] + factors))
+        for m in sorted(self.terms, key=lambda m: (desc[m][0], m), reverse=True):
+            text, c = desc[m][1], coeff[self.terms[m]]
+            parts.append(f"{c}*{text}" if text else c)
         return " + ".join(parts)
 
 
@@ -192,98 +206,61 @@ class PolynomialIdeal:
     target: PresentedSuperalgebra
 
     def render(self):
-        lines = []
-        seen = set()
-        for _, g in self.generators:
-            if g.is_zero():
-                continue
-            text = g.render()
-            if text not in seen:
-                seen.add(text)
-                lines.append(text)
-        return "\n".join(lines)
+        """The distinct nonzero generators, one per line, first occurrence first."""
+        texts = (g.render() for _, g in self.generators if not g.is_zero())
+        return "\n".join(dict.fromkeys(texts))
 
     def even_variable_names(self):
         return [n for n, par in self.ring.variables if par == 0]
 
 
+@dataclass(slots=True)
 class _SVec:
-    """Element of kG (x) T: one SuperPoly per kG basis index, fixed parity."""
+    """Element of kG (x) T: one term dict per kG basis index, fixed parity."""
 
-    __slots__ = ("alg", "ring", "comps", "parity")
-
-    def __init__(self, alg, ring, comps, parity):
-        self.alg = alg
-        self.ring = ring
-        self.comps = comps  # list of SuperPoly, length alg.dim
-        self.parity = parity
-
-    @staticmethod
-    def zero(alg, ring, parity=0):
-        return _SVec(alg, ring, [ring.zero() for _ in range(alg.dim)], parity)
-
-    @staticmethod
-    def unit(alg, ring):
-        v = _SVec.zero(alg, ring)
-        v.comps[alg.unit_index] = ring.one()
-        return v
-
-    def add(self, other):
-        return _SVec(
-            self.alg,
-            self.ring,
-            [a + b for a, b in zip(self.comps, other.comps)],
-            self.parity if any(not c.is_zero() for c in self.comps) else other.parity,
-        )
-
-    def scale(self, cidx):
-        return _SVec(self.alg, self.ring, [c.scale(cidx) for c in self.comps], self.parity)
+    alg: PresentedSuperalgebra
+    ring: PolyRing
+    comps: list  # nonzero-term dicts, one per basis index
+    parity: int
 
     def mul(self, other):
         alg, ring = self.alg, self.ring
-        F = alg.F
-        out = [ring.zero() for _ in range(alg.dim)]
+        par, neg = alg.parity.tolist(), ring.neg
+        out = [{} for _ in range(alg.dim)]
         for j, P in enumerate(self.comps):
-            if P.is_zero():
+            if not P:
                 continue
-            pj = (self.parity + alg.parity[j]) % 2  # parity of the coefficient poly
+            pj = (self.parity + par[j]) % 2  # parity of the coefficient poly
             for k, Q in enumerate(other.comps):
-                if Q.is_zero():
-                    continue
-                PQ = P * Q
-                if pj and alg.parity[k]:
-                    PQ = -PQ
-                for m, c in alg.mult.get((j, k), ()):
-                    out[m] = out[m] + PQ.scale(c)
-        return _SVec(alg, ring, out, (self.parity + other.parity) % 2)
-
-    def pow(self, e):
-        out = _SVec.unit(self.alg, self.ring)
-        for _ in range(e):
-            out = out.mul(self)
-        return out
+                ent = alg.mult.get((j, k))
+                if Q and ent:
+                    ring.addmul([(out[m], neg[c] if pj and par[k] else c) for m, c in ent], P, Q)
+        return _SVec(alg, ring, [_nonzero(d) for d in out], (self.parity + other.parity) % 2)
 
 
-def _tensor_components(A: _SVec, B: _SVec):
-    """(S (x) S) (x) T components of A (x) B with the Koszul reordering sign."""
-    alg = A.alg
-    out = {}
-    for c, P in enumerate(A.comps):
-        if P.is_zero():
+def _tensor_components(A: _SVec, B: _SVec, c: int, out: dict):
+    """Add c * (A (x) B) into out, {(c, d): terms} over (S (x) S) (x) T, with
+    the Koszul reordering sign."""
+    ring, par = A.ring, A.alg.parity.tolist()
+    for a, P in enumerate(A.comps):
+        if not P:
             continue
-        pc = (A.parity + alg.parity[c]) % 2
-        for d, Q in enumerate(B.comps):
-            if Q.is_zero():
-                continue
-            PQ = P * Q
-            if pc and alg.parity[d]:
-                PQ = -PQ
-            key = (c, d)
-            if key in out:
-                out[key] = out[key] + PQ
-            else:
-                out[key] = PQ
-    return out
+        pa = (A.parity + par[a]) % 2
+        for b, Q in enumerate(B.comps):
+            if Q:
+                target = (out.setdefault((a, b), {}), ring.neg[c] if pa and par[b] else c)
+                ring.addmul([target], P, Q)
+
+
+def check_source(source: PrPresentation, p: int):
+    """A P_r source for a target of characteristic p: exit-2 errors for
+    r < 1 or another p, BoundExceeded above SOURCE_R_CAP."""
+    if source.p != p:
+        raise ValidationError(f"source p = {source.p} differs from the target's p = {p}")
+    if source.r < 1:
+        raise ValidationError("the source P_r needs r >= 1")
+    if source.r > SOURCE_R_CAP:
+        raise BoundExceeded(f"source r = {source.r} exceeds the cap {SOURCE_R_CAP}")
 
 
 def hom_scheme_ideal(source: PrPresentation, alg: PresentedSuperalgebra) -> PolynomialIdeal:
@@ -291,123 +268,145 @@ def hom_scheme_ideal(source: PrPresentation, alg: PresentedSuperalgebra) -> Poly
 
     The target algebra must carry its Hopf data.  Variables are ordered
     generator-major then by basis index; x_{i}_{j} carries parity
-    |r_i| + |s_j|.
+    |r_i| + |s_j|.  Each power rho(g)^e and each nonzero gamma image is built
+    once; products add into one term dict per output component.
     """
     if alg.hopf is None:
         raise ValidationError("target needs Hopf structure")
+    check_source(source, alg.field.p)
 
     gens = source.gen_names
     nonunit = [j for j in range(alg.dim) if j != alg.unit_index]
-    variables = []
-    for gi, g in enumerate(gens, start=1):
-        for j in nonunit:
-            par = (source.gen_parity(g) + int(alg.parity[j])) % 2
-            variables.append((f"x_{gi}_{j}", par))
+    variables = [
+        (f"x_{gi}_{j}", (source.gen_parity(g) + int(alg.parity[j])) % 2)
+        for gi, g in enumerate(gens, start=1)
+        for j in nonunit
+    ]
     ring = PolyRing(alg.field, variables)
     F = alg.F
+    neg1 = ring.neg[1]
+
+    def x(gi, j):
+        return 1 << ring.shift[ring.name_index[f"x_{gi}_{j}"]]
 
     rho = {}
     for gi, g in enumerate(gens, start=1):
-        v = _SVec.zero(alg, ring, parity=source.gen_parity(g))
+        comps = [{} for _ in range(alg.dim)]
         for j in nonunit:
-            v.comps[j] = ring.var(f"x_{gi}_{j}")
-        rho[g] = v
+            comps[j] = {x(gi, j): 1}
+        rho[g] = _SVec(alg, ring, comps, source.gen_parity(g))
+
+    def scalar(c):
+        comps = [{} for _ in range(alg.dim)]
+        comps[alg.unit_index] = {0: c}
+        return _SVec(alg, ring, comps, 0)
+
+    def power(g, e):
+        return scalar(1) if e == 0 else powers[(g, e - 1)].mul(rho[g])
 
     def eval_monomial(coeff, mon):
-        out = _SVec.unit(alg, ring)
+        """The image of coeff * mon, or None when it is zero."""
+        out = scalar(F.scalar(coeff))
         for g, e in mon:
-            out = out.mul(rho[g].pow(e))
-        return out.scale(F.scalar(coeff))
+            out = out.mul(powers[(g, e)])
+        return out if any(out.comps) else None
 
-    def eval_terms(terms):
-        acc = None
-        for coeff, mon in terms:
-            t = eval_monomial(coeff, mon)
-            acc = t if acc is None else acc.add(t)
-        return acc
+    powers = _Memo(lambda key: power(*key))  # (gen, exp) -> image of gen^exp
+    gammas = {}  # (ell, has_v) -> image of gamma_ell or v*gamma_ell, if nonzero
+
+    def gamma(ell, has_v):
+        image = gammas.get((ell, has_v))
+        if image is None:
+            image = eval_monomial(*source.gamma_monomial(ell, has_v))
+            if image:
+                gammas[(ell, has_v)] = image
+        return image
 
     out = []
 
     # algebra relations of the source
     for label, terms in source.relations():
-        vec = eval_terms(terms)
-        for j, P in enumerate(vec.comps):
-            if not P.is_zero():
-                out.append((f"rel:{label}[{j}]", P))
+        acc = [{} for _ in range(alg.dim)]
+        for coeff, mon in terms:
+            image = eval_monomial(coeff, mon)
+            for a, P in zip(acc, image.comps if image else ()):
+                ring.accumulate(a, P)
+        for j, P in enumerate(map(_nonzero, acc)):
+            if P:
+                out.append((f"rel:{label}[{j}]", ring.poly(P)))
 
-    # coproduct compatibility on each generator
+    # coproduct compatibility on each generator: lhs - rhs accumulated in place
     for gi, g in enumerate(gens, start=1):
-        lhs = {}
+        acc = {}
         for le, ri, c in source.gen_coproduct(g):
-            A = eval_monomial(*source.gamma_monomial(le.ell, le.has_v))
-            B = eval_monomial(*source.gamma_monomial(ri.ell, ri.has_v))
-            for (cc, dd), P in _tensor_components(A, B).items():
-                P = P.scale(F.scalar(c))
-                lhs[(cc, dd)] = lhs[(cc, dd)] + P if (cc, dd) in lhs else P
-        rhs = {}
+            A, B = gamma(le.ell, le.has_v), gamma(ri.ell, ri.has_v)
+            if A and B:
+                _tensor_components(A, B, F.scalar(c), acc)
         for j in nonunit:
-            xv = ring.var(f"x_{gi}_{j}")
             for a, b, c in alg.hopf.coproduct[j]:
-                P = xv.scale(F.scalar(c))
-                rhs[(a, b)] = rhs[(a, b)] + P if (a, b) in rhs else P
-        keys = set(lhs) | set(rhs)
-        for cc, dd in sorted(keys):
-            P = lhs.get((cc, dd), ring.zero()) - rhs.get((cc, dd), ring.zero())
-            if not P.is_zero():
-                out.append((f"cop:{g}[{cc},{dd}]", P))
+                ring.accumulate(acc.setdefault((a, b), {}), {x(gi, j): F.scalar(c)}, neg1)
+        for cc, dd in sorted(acc):
+            P = _nonzero(acc[(cc, dd)])
+            if P:
+                out.append((f"cop:{g}[{cc},{dd}]", ring.poly(P)))
 
     # antipode compatibility: rho(S g) = S(rho(g)), with S g = -g
     for gi, g in enumerate(gens, start=1):
-        lhs = [ring.zero() for _ in range(alg.dim)]
-        rhs = [ring.zero() for _ in range(alg.dim)]
+        acc = [{} for _ in range(alg.dim)]
         for j in nonunit:
-            xv = ring.var(f"x_{gi}_{j}")
-            lhs[j] = -xv
-            for m in range(alg.dim):
-                c = alg.hopf.antipode[m, j]
-                if c:
-                    rhs[m] = rhs[m] + xv.scale(c)
-        for m in range(alg.dim):
-            P = lhs[m] - rhs[m]
-            if not P.is_zero():
-                out.append((f"ant:{g}[{m}]", P))
+            ring.accumulate(acc[j], {x(gi, j): neg1})
+            for m in np.nonzero(alg.hopf.antipode[:, j])[0]:
+                ring.accumulate(acc[m], {x(gi, j): int(alg.hopf.antipode[m, j])}, neg1)
+        for m, P in enumerate(map(_nonzero, acc)):
+            if P:
+                out.append((f"ant:{g}[{m}]", ring.poly(P)))
 
     return PolynomialIdeal(ring, tuple(out), source, alg)
+
+
+def check_solver_cap(source: PrPresentation, alg: PresentedSuperalgebra) -> int:
+    """The solver's candidate count q^(number of even variables), read from
+    the presentation and the algebra's parities before any ideal is built;
+    raises BoundExceeded above SOLVE_ASSIGNMENT_CAP."""
+    odd = int(alg.parity.sum())  # odd basis elements; the unit is even
+    n_even = sum(odd if source.gen_parity(g) else alg.dim - 1 - odd for g in source.gen_names)
+    count = alg.field.q**n_even
+    if count > SOLVE_ASSIGNMENT_CAP:
+        raise BoundExceeded(
+            f"{count} candidate assignments exceed the cap {SOLVE_ASSIGNMENT_CAP}"
+        )
+    return count
 
 
 def solve_even_points(ideal: PolynomialIdeal, field=None):
     """All even F_q points by brute force (odd variables forced to zero).
 
+    Every candidate assignment is evaluated at once, as index arrays.
     Returns a list of morphism image dictionaries {generator: vector}.
     """
     alg = ideal.target
     field = field or alg.field
     if field != alg.field:
         raise ValidationError("solver field must match the target algebra field")
-    q = field.q
-    even_vars = [i for i, (_, par) in enumerate(ideal.ring.variables) if par == 0]
-    count = q ** len(even_vars)
-    if count > SOLVE_ASSIGNMENT_CAP:
-        raise BoundExceeded(
-            f"{count} candidate assignments exceed the cap {SOLVE_ASSIGNMENT_CAP}"
-        )
-    gens = ideal.source.gen_names
-    nonunit = [j for j in range(alg.dim) if j != alg.unit_index]
-    nvars = len(ideal.ring.variables)
-    polys = [g for _, g in ideal.generators if not g.is_zero()]
+    count = check_solver_cap(ideal.source, alg)
+    ring = ideal.ring
+    even = [i for i, par in enumerate(ring.parity) if par == 0]
+    grid = np.indices((field.q,) * len(even), dtype=linalg.DT).reshape(len(even), count)
+    columns = [0] * len(ring.parity)
+    for pos, col in zip(even, grid):
+        columns[pos] = col
+    ok = np.ones(count, dtype=bool)
+    for _, P in ideal.generators:
+        ok &= P.evaluate(columns) == 0
 
     solutions = []
-    for combo in iterprod(range(q), repeat=len(even_vars)):
-        assignment = [0] * nvars
-        for pos, v in zip(even_vars, combo):
-            assignment[pos] = v
-        if all(P.evaluate(assignment) == 0 for P in polys):
-            images = {}
-            pos = 0
-            for gi, g in enumerate(gens, start=1):
-                vec = alg.el_zero()
-                for j in nonunit:
-                    vec[j] = assignment[ideal.ring.name_index[f"x_{gi}_{j}"]]
-                images[g] = vec
-            solutions.append(images)
+    for combo in grid.T[ok]:
+        assignment = dict(zip(even, combo))
+        images = {}
+        for gi, g in enumerate(ideal.source.gen_names, start=1):
+            images[g] = vec = alg.el_zero()
+            for j in range(alg.dim):
+                pos = ring.name_index.get(f"x_{gi}_{j}")  # None at the unit
+                vec[j] = assignment.get(pos, 0)
+        solutions.append(images)
     return solutions

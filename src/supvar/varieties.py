@@ -33,7 +33,7 @@ from .gfield import FieldDescriptor, FieldElement, frobenius, inverse_frobenius
 from . import linalg
 from .smod import P1ModuleView, SuperModule, extend_scalars, p1_view_from_images
 from .superalg.algebra import GroupAlgebraSpec, PresentedSuperalgebra, build_group_algebra
-from .superalg.homscheme import hom_scheme_ideal, solve_even_points
+from .superalg.homscheme import check_solver_cap, hom_scheme_ideal, solve_even_points
 from .superalg.pr import PrPresentation
 from .homalg import pd_infinite
 
@@ -273,6 +273,7 @@ def enumerate_points(spec: GroupAlgebraSpec, field: FieldDescriptor, method: str
         return PointSet(spec, field, param_pts)
     alg = build_group_algebra(spec, field)[0]
     pres = PrPresentation(spec.p, _hom_height(spec))
+    check_solver_cap(pres, alg)
     ideal = hom_scheme_ideal(pres, alg)
     sols = solve_even_points(ideal)
     # match solutions with parametrized points through their images

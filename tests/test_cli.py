@@ -5,6 +5,7 @@ import json
 import pytest
 
 from supvar.cli import main
+from supvar.gfield import make_field
 
 M11 = '{"family":"Mrs","p":3,"r":1,"s":1,"eta":"0"}'
 
@@ -187,6 +188,59 @@ def test_point_enumeration_bounded(capsys, monkeypatch):
     for method in ("param", "solve"):
         code, out, err = run(capsys, ["points", "-g", "p1", "-F", "3", "--method", method])
         assert (code, out) == (2, "") and err.count("\n") == 1, method
+
+
+@pytest.mark.parametrize(
+    "source,code,words",
+    [
+        ('{"p":3,"r":0}', 2, "r >= 1"),
+        ('{"p":3,"r":-1}', 2, "r >= 1"),
+        ('{"p":5,"r":1}', 2, "differs"),
+        ('{"p":3,"r":40}', 3, "cap 12"),
+        ('{"p":3,"r":13}', 3, "cap 12"),
+    ],
+)
+def test_homscheme_source_rules(capsys, monkeypatch, m11_file, source, code, words):
+    import supvar.cli
+
+    # every refusal comes before the target is built
+    def no_build(*args):
+        raise AssertionError("target built")
+
+    monkeypatch.setattr(supvar.cli, "build_group_algebra", no_build)
+    got, out, err = run(capsys, ["homscheme", "--source", source, "--target", m11_file])
+    assert (got, out) == (code, "") and err.count("\n") == 1 and words in err
+
+
+def test_solver_cap_checked_before_tables(capsys, monkeypatch):
+    from supvar import linalg
+
+    # q^(#even vars) = 2401^6: refused before the GF(2401) tables or the ideal
+    real = linalg.GFTables.__init__
+
+    def tables(self, field):
+        assert field.q != 2401, "GF(2401) tables built"
+        real(self, field)
+
+    monkeypatch.setattr(make_field(7, 4), "_tables", None)
+    monkeypatch.setattr(linalg.GFTables, "__init__", tables)
+    gar = '{"family":"Gar","p":7,"r":1}'
+    code, out, err = run(capsys, ["points", "-g", gar, "-F", "7^4", "--method", "solve"])
+    assert (code, out) == (3, "") and err.count("\n") == 1
+    assert err == f"error: {2401**6} candidate assignments exceed the cap 6561\n"
+
+
+def test_absurd_spec_parameters_refused_at_once(capsys):
+    import time
+
+    for spec in (
+        '{"family":"Mrs","p":3,"r":1,"s":1000000000}',
+        '{"family":"Gar","p":3,"r":1000000000}',
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["resolve", "-g", spec, "-n", "1"])
+        assert time.perf_counter() - start < 0.5, spec
+        assert (code, out) == (3, "") and err.count("\n") == 1 and "cap 200" in err
 
 
 def test_degree_arguments_bounded(capsys, m11_file, l01_file, tmp_path):

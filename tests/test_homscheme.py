@@ -1,12 +1,24 @@
 """The Hom-scheme ideal and its brute-force even-point solver."""
 
+import hashlib
+import random
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from supvar.errors import BoundExceeded
+from supvar.errors import BoundExceeded, ValidationError
 from supvar.gfield import make_field
 from supvar.superalg.algebra import GroupAlgebraSpec, build_group_algebra
-from supvar.superalg.homscheme import PolyRing, hom_scheme_ideal, solve_even_points
+from supvar.superalg.homscheme import (
+    MAX_EXPONENT,
+    SOURCE_R_CAP,
+    PolyRing,
+    SuperPoly,
+    check_source,
+    hom_scheme_ideal,
+    solve_even_points,
+)
 from supvar.superalg.morphisms import PrPresentation
 
 F3 = make_field(3, 1)
@@ -81,3 +93,208 @@ def test_solver_bound():
     ideal = hom_scheme_ideal(PrPresentation(3, 2), big)
     with pytest.raises(BoundExceeded):
         solve_even_points(ideal)
+
+
+# -- the packed-monomial core against the tuple-monomial product ---------
+
+
+@dataclass(frozen=True)
+class Monomial:
+    """even: sorted ((var, exp), ...); odd: strictly increasing var tuple."""
+
+    even: tuple
+    odd: tuple
+
+    def degree(self):
+        return sum(e for _, e in self.even) + len(self.odd)
+
+
+def _merge_odd(a: tuple, b: tuple):
+    """Concatenate odd variable lists; Koszul sign, or None if a square appears."""
+    if set(a) & set(b):
+        return None, 0
+    merged = []
+    sign = 1
+    i = j = 0
+    while i < len(a) or j < len(b):
+        if j >= len(b) or (i < len(a) and a[i] < b[j]):
+            merged.append(a[i])
+            i += 1
+        else:
+            # b[j] moves left past the remaining elements of a
+            if (len(a) - i) % 2 == 1:
+                sign = -sign
+            merged.append(b[j])
+            j += 1
+    return tuple(merged), sign
+
+
+def oracle_mul(F, P, Q):
+    out = {}
+    for m1, c1 in P.items():
+        for m2, c2 in Q.items():
+            odd, sign = _merge_odd(m1.odd, m2.odd)
+            if odd is None:
+                continue
+            ev = dict(m1.even)
+            for v, e in m2.even:
+                ev[v] = ev.get(v, 0) + e
+            mon = Monomial(tuple(sorted(ev.items())), odd)
+            c = int(F.mul[c1, c2])
+            if sign < 0:
+                c = int(F.neg[c])
+            out[mon] = int(F.add[out.get(mon, 0), c])
+    return {m: c for m, c in out.items() if c}
+
+
+def oracle_add(F, P, Q):
+    out = dict(P)
+    for m, c in Q.items():
+        out[m] = int(F.add[out.get(m, 0), c])
+    return {m: c for m, c in out.items() if c}
+
+
+def oracle_evaluate(F, P, assignment):
+    total = 0
+    for m, c in P.items():
+        val = c
+        for v, e in m.even:
+            for _ in range(e):
+                val = int(F.mul[val, assignment[v]])
+        for v in m.odd:
+            val = int(F.mul[val, assignment[v]])
+        total = int(F.add[total, val])
+    return total
+
+
+def oracle_render(F, names, P):
+    if not P:
+        return "0"
+
+    def key(m):
+        expvec = [0] * len(names)
+        for v, e in m.even:
+            expvec[v] = e
+        for v in m.odd:
+            expvec[v] = 1
+        return (m.degree(), expvec)
+
+    parts = []
+    for m in sorted(P, key=key, reverse=True):
+        c = F.to_element(P[m]).encode()
+        factors = [
+            names[v] if e == 1 else f"{names[v]}^{e}"
+            for v, e in sorted(m.even + tuple((v, 1) for v in m.odd))
+        ]
+        parts.append("*".join([c] + factors))
+    return " + ".join(parts)
+
+
+VARS = [("x", 0), ("a", 1), ("y", 0), ("b", 1), ("z", 0), ("c", 1)]
+
+
+def _random_pair(rng, ring, q, parity):
+    """One random polynomial of the given parity, as (SuperPoly, oracle dict)."""
+    F = ring.F
+    new, old = {}, {}
+    for _ in range(rng.randrange(1, 6)):
+        while True:
+            exps = [rng.randrange(2) if par else rng.randrange(4) for _, par in VARS]
+            if sum(e for e, (_, par) in zip(exps, VARS) if par) % 2 == parity:
+                break
+        c = rng.randrange(1, q)
+        key = sum(e << ring.shift[v] for v, e in enumerate(exps))
+        mon = Monomial(
+            tuple((v, e) for v, e in enumerate(exps) if e and not VARS[v][1]),
+            tuple(v for v, e in enumerate(exps) if e and VARS[v][1]),
+        )
+        new[key] = int(F.add[new.get(key, 0), c])
+        old[mon] = int(F.add[old.get(mon, 0), c])
+    return SuperPoly(ring, new, parity), {m: c for m, c in old.items() if c}
+
+
+def _as_oracle(ring, P):
+    out = {}
+    for m, c in P.terms.items():
+        fs = ring.factors(m)
+        out[Monomial(
+            tuple((v, e) for v, e in fs if not ring.parity[v]),
+            tuple(v for v, _ in fs if ring.parity[v]),
+        )] = c
+    return out
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 2)])
+def test_packed_core_matches_tuple_monomials(p, n):
+    field = make_field(p, n)
+    ring = PolyRing(field, VARS)
+    F = ring.F
+    names = [name for name, _ in VARS]
+    rng = random.Random(1000 * p + n)
+    for _ in range(60):
+        pa, pb = rng.randrange(2), rng.randrange(2)
+        P, oP = _random_pair(rng, ring, field.q, pa)
+        Q, oQ = _random_pair(rng, ring, field.q, pb)
+        R, oR = _random_pair(rng, ring, field.q, pa)
+        assert _as_oracle(ring, P * Q) == oracle_mul(F, oP, oQ)
+        assert _as_oracle(ring, Q * P) == oracle_mul(F, oQ, oP)
+        assert _as_oracle(ring, P + R) == oracle_add(F, oP, oR)
+        assert (P * Q).render() == oracle_render(F, names, oracle_mul(F, oP, oQ))
+        assert (P + R).render() == oracle_render(F, names, oracle_add(F, oP, oR))
+        point = [rng.randrange(field.q) for _ in VARS]
+        assert P.evaluate(point) == oracle_evaluate(F, oP, point)
+        assert (P * Q).evaluate(point) == oracle_evaluate(F, oracle_mul(F, oP, oQ), point)
+
+
+def test_exponent_overflow_raises():
+    ring = PolyRing(F3, [("a", 1), ("x", 0), ("y", 0)])
+    x, y = ring.var("x"), ring.var("y")
+    big = SuperPoly(ring, {MAX_EXPONENT << ring.shift[1]: 1}, 0)
+    assert (big * y).render() == f"1*x^{MAX_EXPONENT}*y"  # the neighbours are untouched
+    half = SuperPoly(ring, {(MAX_EXPONENT // 2 + 1) << ring.shift[1]: 1}, 0)
+    for P, Q in ((big, x), (half, half), (x * y, big)):
+        with pytest.raises(ValidationError):
+            P * Q
+
+
+def test_source_checks():
+    check_source(PrPresentation(3, SOURCE_R_CAP), 3)
+    with pytest.raises(BoundExceeded):
+        check_source(PrPresentation(3, SOURCE_R_CAP + 1), 3)
+    for bad in (PrPresentation(3, 0), PrPresentation(3, -1), PrPresentation(5, 1)):
+        with pytest.raises(ValidationError):
+            check_source(bad, 3)
+
+
+# sha1 of hom_scheme_ideal(...).render(), recorded with the tuple-monomial
+# implementation that the packed monomials replaced
+RENDER_SHA1 = [
+    (1, {"family": "Mrs", "p": 3, "r": 1, "s": 1}, "3a9fd97c14a261015a081777f2de80670dcc82fb"),
+    (2, {"family": "Mrs", "p": 3, "r": 2, "s": 1}, "e757d396ce334fc7682a8ba311e8e00e125ffa28"),
+    (1, {"family": "Mrs", "p": 3, "r": 1, "s": 2}, "97b6b4d2ab08528f8497f1d74ecdce0650079598"),
+    (1, {"family": "Gar", "p": 3, "r": 1}, "3040a8fc6ff0905be36202cfe06fa016e0cbd947"),
+    (1, {"family": "GaMinus", "p": 3}, "da39a3ee5e6b4b0d3255bfef95601890afd80709"),
+    (2, {"family": "Gar", "p": 3, "r": 2}, "47f469a71a95717afc95da48887602760edadd36"),
+    (1, {"family": "Mrs", "p": 5, "r": 1, "s": 1}, "c0ddca9242cfc0fdb33bf8e9ac0fe4b2f40c6ba7"),
+    (
+        1,
+        {
+            "family": "Tensor",
+            "p": 3,
+            "factors": [{"family": "Mrs", "p": 3, "r": 1, "s": 1}, {"family": "GaMinus", "p": 3}],
+        },
+        "61598fb73cf6650049df53f42397d27f665e7818",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "r,spec,digest",
+    RENDER_SHA1,
+    ids=["P1-M11", "P2-M21", "P1-M12", "P1-Ga1", "P1-GaMinus", "P2-Ga2", "P1-M11p5", "P1-M11xGaMinus"],
+)
+def test_render_digests_unchanged(r, spec, digest):
+    spec = GroupAlgebraSpec.from_json(spec)
+    alg, _ = build_group_algebra(spec)
+    text = hom_scheme_ideal(PrPresentation(spec.p, r), alg).render()
+    assert hashlib.sha1(text.encode()).hexdigest() == digest

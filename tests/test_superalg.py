@@ -1,5 +1,8 @@
 """Group algebra constructors, Hopf axioms, tensor products, classification."""
 
+import random
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -353,3 +356,55 @@ def test_classify_strips_leading_zero_generator():
     )
     label = classify_quotient(phi)
     assert label.kind == "Mrf" and label.r == 1 and label.f == (1,) and label.eta == 0
+
+
+def _verify_by_el_mul(alg):
+    """The basis-triple loop through el_mul: the first failure's message, or None."""
+    d, F = alg.dim, alg.F
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                lhs = alg.el_mul(alg.el_mul(alg.el_basis(i), alg.el_basis(j)), alg.el_basis(k))
+                rhs = alg.el_mul(alg.el_basis(i), alg.el_mul(alg.el_basis(j), alg.el_basis(k)))
+                if not np.array_equal(lhs, rhs):
+                    return f"associativity fails at ({i},{j},{k})"
+    for i in range(d):
+        for j in range(d):
+            got = 0
+            for k, c in enumerate(alg.el_mul(alg.el_basis(i), alg.el_basis(j))):
+                got = int(F.add[got, F.mul[c, alg.augmentation[k]]])
+            if got != int(F.mul[alg.augmentation[i], alg.augmentation[j]]):
+                return f"augmentation not multiplicative at ({i},{j})"
+    return None
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [GroupAlgebraSpec("Mrs", 3, r=1, s=1), GroupAlgebraSpec("Gar", 3, r=2), TENSOR_SPEC],
+    ids=lambda s: s.label(),
+)
+def test_verify_algebra_matches_el_mul_oracle(spec):
+    base, _ = build_group_algebra(spec)
+    assert _verify_by_el_mul(base) is None
+    verify_algebra(base)
+    rng = random.Random(7)
+    keys = sorted(base.mult)
+    for trial in range(8):
+        mult = dict(base.mult)
+        aug = base.augmentation
+        if trial % 4 == 3:  # a wrong counit value
+            aug = aug.copy()
+            i = rng.randrange(base.dim)
+            aug[i] = (aug[i] + 1) % 3
+        else:  # one structure constant off by one
+            key = keys[rng.randrange(len(keys))]
+            ent = list(mult[key])
+            pos = rng.randrange(len(ent))
+            ent[pos] = (ent[pos][0], (ent[pos][1] + 1) % 3)
+            mult[key] = tuple(ent)
+        bad = replace(base, mult=mult, augmentation=aug)
+        want = _verify_by_el_mul(bad)
+        assert want is not None
+        with pytest.raises(AlgebraError) as err:
+            verify_algebra(bad)
+        assert str(err.value) == want
