@@ -21,9 +21,9 @@ from .algebra import PresentedSuperalgebra
 from .pr import PrPresentation
 
 SOLVE_ASSIGNMENT_CAP = 3**8
-# P_r sources above this height are refused before any work: the coproduct
-# of u_{r-1} alone has p^{r-1} + 1 terms, so each step in r costs p times more.
-SOURCE_R_CAP = 12
+# P_r sources are refused before any work once the coproduct of u_{r-1}, with
+# p^{r-1} + 1 terms, outgrows this: r <= 12 at p = 3, 8 at p = 5, 7 at p = 7.
+SOURCE_TERM_CAP = 3**11
 SLOT_BITS = 8  # per variable of a packed monomial: the top bit is a guard
 MAX_EXPONENT = (1 << (SLOT_BITS - 1)) - 1
 
@@ -83,10 +83,6 @@ class PolyRing:
         self.neg = F.neg.tolist()
         self.coeff_text = _Memo(lambda c: F.to_element(c).encode())
         self.monomial_text = _Memo(self._describe)
-
-    def var(self, name):
-        i = self.name_index[name]
-        return SuperPoly(self, {1 << self.shift[i]: 1}, self.parity[i])
 
     def poly(self, terms):
         """A SuperPoly of nonzero terms, its parity read off a monomial."""
@@ -155,14 +151,6 @@ class SuperPoly:
 
     def is_zero(self):
         return not self.terms
-
-    def __add__(self, other):
-        if not other.is_zero() and not self.is_zero() and self.parity != other.parity:
-            raise ValidationError("adding polynomials of different parity")
-        out = dict(self.terms)
-        self.ring.accumulate(out, other.terms)
-        par = self.parity if self.terms else other.parity
-        return SuperPoly(self.ring, out, par)
 
     def __mul__(self, other):
         out = {}
@@ -254,13 +242,22 @@ def _tensor_components(A: _SVec, B: _SVec, c: int, out: dict):
 
 def check_source(source: PrPresentation, p: int):
     """A P_r source for a target of characteristic p: exit-2 errors for
-    r < 1 or another p, BoundExceeded above SOURCE_R_CAP."""
+    r < 1 or another p, BoundExceeded above source_r_cap(p)."""
     if source.p != p:
         raise ValidationError(f"source p = {source.p} differs from the target's p = {p}")
     if source.r < 1:
         raise ValidationError("the source P_r needs r >= 1")
-    if source.r > SOURCE_R_CAP:
-        raise BoundExceeded(f"source r = {source.r} exceeds the cap {SOURCE_R_CAP}")
+    cap = source_r_cap(p)
+    if source.r > cap:
+        raise BoundExceeded(f"source r = {source.r} exceeds the cap {cap} at p = {p}")
+
+
+def source_r_cap(p: int) -> int:
+    """The largest r with p^(r-1) <= SOURCE_TERM_CAP."""
+    r = 1
+    while p**r <= SOURCE_TERM_CAP:
+        r += 1
+    return r
 
 
 def hom_scheme_ideal(source: PrPresentation, alg: PresentedSuperalgebra) -> PolynomialIdeal:

@@ -191,16 +191,20 @@ def test_point_enumeration_bounded(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "source,code,words",
+    "source,p,code,words",
     [
-        ('{"p":3,"r":0}', 2, "r >= 1"),
-        ('{"p":3,"r":-1}', 2, "r >= 1"),
-        ('{"p":5,"r":1}', 2, "differs"),
-        ('{"p":3,"r":40}', 3, "cap 12"),
-        ('{"p":3,"r":13}', 3, "cap 12"),
+        ('{"p":3,"r":0}', 3, 2, "r >= 1"),
+        ('{"p":3,"r":-1}', 3, 2, "r >= 1"),
+        ('{"p":5,"r":1}', 3, 2, "differs"),
+        ('{"p":3,"r":40}', 3, 3, "cap 12 at p = 3"),
+        ('{"p":3,"r":13}', 3, 3, "cap 12 at p = 3"),
+        ('{"p":5,"r":9}', 5, 3, "cap 8 at p = 5"),
+        ('{"p":5,"r":12}', 5, 3, "cap 8 at p = 5"),
+        ('{"p":7,"r":8}', 7, 3, "cap 7 at p = 7"),
+        ('{"p":7,"r":12}', 7, 3, "cap 7 at p = 7"),
     ],
 )
-def test_homscheme_source_rules(capsys, monkeypatch, m11_file, source, code, words):
+def test_homscheme_source_rules(capsys, monkeypatch, source, p, code, words):
     import supvar.cli
 
     # every refusal comes before the target is built
@@ -208,7 +212,8 @@ def test_homscheme_source_rules(capsys, monkeypatch, m11_file, source, code, wor
         raise AssertionError("target built")
 
     monkeypatch.setattr(supvar.cli, "build_group_algebra", no_build)
-    got, out, err = run(capsys, ["homscheme", "--source", source, "--target", m11_file])
+    target = json.dumps({"family": "Mrs", "p": p, "r": 1, "s": 1})
+    got, out, err = run(capsys, ["homscheme", "--source", source, "--target", target])
     assert (got, out) == (code, "") and err.count("\n") == 1 and words in err
 
 

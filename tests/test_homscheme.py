@@ -12,26 +12,38 @@ from supvar.gfield import make_field
 from supvar.superalg.algebra import GroupAlgebraSpec, build_group_algebra
 from supvar.superalg.homscheme import (
     MAX_EXPONENT,
-    SOURCE_R_CAP,
+    SOURCE_TERM_CAP,
     PolyRing,
     SuperPoly,
     check_source,
     hom_scheme_ideal,
     solve_even_points,
+    source_r_cap,
 )
 from supvar.superalg.morphisms import PrPresentation
 
 F3 = make_field(3, 1)
 
 
+def _var(ring, name):
+    return ring.poly({1 << ring.shift[ring.name_index[name]]: 1})
+
+
+def _add(P, Q):
+    # the sum the ideal builds, accumulated in place
+    acc = dict(P.terms)
+    P.ring.accumulate(acc, Q.terms)
+    return SuperPoly(P.ring, acc, P.parity)
+
+
 def test_superpoly_arithmetic():
     ring = PolyRing(F3, [("x", 0), ("a", 1), ("b", 1)])
-    x, a, b = ring.var("x"), ring.var("a"), ring.var("b")
+    x, a, b = (_var(ring, n) for n in "xab")
     assert (a * a).is_zero()  # odd square
     ab = a * b
     ba = b * a
-    assert (ab + ba).is_zero()  # anticommute
-    two_x = x + x
+    assert _add(ab, ba).is_zero()  # anticommute
+    two_x = _add(x, x)
     assert two_x.evaluate([2, 0, 0]) == F3.element(4).index
     assert (x * x).render() == "1*x^2"
     assert ab.render() == "1*a*b"
@@ -238,9 +250,9 @@ def test_packed_core_matches_tuple_monomials(p, n):
         R, oR = _random_pair(rng, ring, field.q, pa)
         assert _as_oracle(ring, P * Q) == oracle_mul(F, oP, oQ)
         assert _as_oracle(ring, Q * P) == oracle_mul(F, oQ, oP)
-        assert _as_oracle(ring, P + R) == oracle_add(F, oP, oR)
+        assert _as_oracle(ring, _add(P, R)) == oracle_add(F, oP, oR)
         assert (P * Q).render() == oracle_render(F, names, oracle_mul(F, oP, oQ))
-        assert (P + R).render() == oracle_render(F, names, oracle_add(F, oP, oR))
+        assert _add(P, R).render() == oracle_render(F, names, oracle_add(F, oP, oR))
         point = [rng.randrange(field.q) for _ in VARS]
         assert P.evaluate(point) == oracle_evaluate(F, oP, point)
         assert (P * Q).evaluate(point) == oracle_evaluate(F, oracle_mul(F, oP, oQ), point)
@@ -248,7 +260,7 @@ def test_packed_core_matches_tuple_monomials(p, n):
 
 def test_exponent_overflow_raises():
     ring = PolyRing(F3, [("a", 1), ("x", 0), ("y", 0)])
-    x, y = ring.var("x"), ring.var("y")
+    x, y = _var(ring, "x"), _var(ring, "y")
     big = SuperPoly(ring, {MAX_EXPONENT << ring.shift[1]: 1}, 0)
     assert (big * y).render() == f"1*x^{MAX_EXPONENT}*y"  # the neighbours are untouched
     half = SuperPoly(ring, {(MAX_EXPONENT // 2 + 1) << ring.shift[1]: 1}, 0)
@@ -258,9 +270,13 @@ def test_exponent_overflow_raises():
 
 
 def test_source_checks():
-    check_source(PrPresentation(3, SOURCE_R_CAP), 3)
-    with pytest.raises(BoundExceeded):
-        check_source(PrPresentation(3, SOURCE_R_CAP + 1), 3)
+    # the cap bounds the p^(r-1) + 1 coproduct terms of u_{r-1}
+    for p, cap in ((3, 12), (5, 8), (7, 7)):
+        assert source_r_cap(p) == cap
+        assert p ** (cap - 1) <= SOURCE_TERM_CAP < p**cap
+        check_source(PrPresentation(p, cap), p)
+        with pytest.raises(BoundExceeded):
+            check_source(PrPresentation(p, cap + 1), p)
     for bad in (PrPresentation(3, 0), PrPresentation(3, -1), PrPresentation(5, 1)):
         with pytest.raises(ValidationError):
             check_source(bad, 3)
