@@ -120,10 +120,6 @@ def msub(F: GFTables, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return F.add[A, F.neg[B]]
 
 
-def mneg(F: GFTables, A: np.ndarray) -> np.ndarray:
-    return F.neg[A]
-
-
 def scale(F: GFTables, c, A: np.ndarray) -> np.ndarray:
     """Scale by a FieldElement or a plain int read as a prime-field value."""
     return F.mul[F.scalar(c), A]
@@ -293,12 +289,10 @@ def right_kernel(F: GFTables, A: np.ndarray) -> np.ndarray:
     if m == 0:
         return identity(n)
     R, pivots = rref(F, A)
-    free = [c for c in range(n) if c not in pivots]
-    K = zeros(n, len(free))
-    for idx, fcol in enumerate(free):
-        K[fcol, idx] = 1
-        for i, pcol in enumerate(pivots):
-            K[pcol, idx] = F.neg[R[i, fcol]]
+    free = np.delete(np.arange(n), pivots)
+    K = zeros(n, free.size)
+    K[free, np.arange(free.size)] = 1
+    K[pivots] = F.neg[R[: len(pivots), free]]
     return K
 
 

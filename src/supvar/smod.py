@@ -37,9 +37,6 @@ class SuperModule:
     def F(self):
         return linalg.tables(self.algebra.field)
 
-    def gen_action(self, name: str) -> np.ndarray:
-        return self.action[name]
-
     def basis_action(self, i: int) -> np.ndarray:
         """Action matrix of the i-th algebra basis element."""
         return self.basis_actions()[i].reshape(self.dim, self.dim)
@@ -85,7 +82,7 @@ def validate_module(M: SuperModule) -> ValidationReport:
     """Check parity compatibility of the actions and all algebra relations."""
     issues = []
     A = M.algebra
-    if M.parity.shape != (M.dim,) or not set(np.unique(M.parity)) <= {0, 1}:
+    if M.parity.shape != (M.dim,) or not np.all((M.parity == 0) | (M.parity == 1)):
         issues.append("parity vector malformed (entries must be 0/1)")
         return ValidationReport(False, issues)
     for g, gi in A.generators.items():
@@ -369,8 +366,9 @@ class P1ModuleView:
     def F(self):
         return linalg.tables(self.field)
 
-    def validate(self) -> ValidationReport:
-        """Parity, UV = VU, V^2 = -U^p and U^dim = 0, on every slice."""
+    def validate(self, nilpotent: bool = True) -> ValidationReport:
+        """Parity, UV = VU, V^2 = -U^p and, with `nilpotent`, U^dim = 0, on
+        every slice.  Only p1_view_from_images leaves the last one out."""
         issues = []
         F = self.F
         p = self.field.p
@@ -385,7 +383,7 @@ class P1ModuleView:
         rel = linalg.madd(F, linalg.matpow(F, self.U, p), linalg.bmatmul(F, self.V, self.V))
         if np.any(rel):
             issues.append("V^2 != -U^p")
-        if np.any(linalg.matpow(F, self.U, max(self.dim, 1))):
+        if nilpotent and np.any(linalg.matpow(F, self.U, max(self.dim, 1))):
             issues.append("U is not nilpotent (module is not torsion)")
         return ValidationReport(not issues, issues)
 
@@ -417,15 +415,41 @@ def p1_view_from_module(M: SuperModule) -> P1ModuleView:
     return p1_view(M.algebra.field, M.parity.copy(), U.copy(), V.copy())
 
 
-def p1_view_from_images(M: SuperModule, u_img: np.ndarray, v_img: np.ndarray) -> P1ModuleView:
+def p1_view_from_images(
+    M: SuperModule, u_img: np.ndarray, v_img: np.ndarray, check: bool = False
+) -> P1ModuleView:
     """Pull a module back to P_1 along u -> u_img, v -> v_img.
 
-    Stacks of images (..., algebra dim) give the validated stack of
-    pullbacks, one slice per pair of images.
+    Stacks of images (..., algebra dim) give the stack of pullbacks, one
+    slice per pair of images.  Each image is checked in kG: u has counit 0
+    and is even, v is odd.  The stack is checked for parity, UV = VU and
+    V^2 = -U^p; U^dim = 0 only with `check`, since it follows from the
+    rest.  M is a checked kG-module and the images satisfy the P_r
+    relations (varieties.validate_point_images).  With counit 0, u lies in
+    the radical of the local algebra kG, spanned by nonempty words in the
+    generators, and the radical acts nilpotently on M: every word of
+    length dim M vanishes on it (checked below, once per module).  So U is
+    nilpotent.
     """
-    return p1_view(
-        M.algebra.field, M.parity.copy(), M.element_action(u_img), M.element_action(v_img)
+    A = M.algebra
+    if np.any(linalg.bmatmul(M.F, u_img[..., None, :], A.augmentation[:, None])):
+        raise ValidationError("point image of u has nonzero counit")
+    if np.any(u_img[..., A.parity == 1]) or np.any(v_img[..., A.parity == 0]):
+        raise ValidationError("point images of u and v must be even and odd")
+    out = P1ModuleView(
+        A.field, M.dim, M.parity.copy(), M.element_action(u_img), M.element_action(v_img)
     )
+    out.validate(nilpotent=check).raise_if_invalid()
+    if "rad_nilpotent" not in M._cache:
+        # W <- sum_g g.W takes rad^k M to rad^{k+1} M
+        W = linalg.identity(M.dim)
+        for _ in range(M.dim):
+            parts = [linalg.matmul(M.F, M.action[g], W) for g in A.generators]
+            W = linalg.column_space(M.F, np.hstack([W[:, :0]] + parts))
+        if W.shape[1]:
+            raise ValidationError("the radical of the algebra does not act nilpotently")
+        M._cache["rad_nilpotent"] = True
+    return out
 
 
 def p1_trivial(field: FieldDescriptor, odd: bool = False) -> P1ModuleView:
@@ -506,7 +530,7 @@ def module_from_json(d: dict):
     field = parse_field(d["field"])
     dim = int(d["dim"])
     parity = np.array([int(x) for x in d["parity"]], dtype=np.int8)
-    if parity.shape != (dim,) or not set(np.unique(parity)) <= {0, 1}:
+    if parity.shape != (dim,) or not np.all((parity == 0) | (parity == 1)):
         raise ValidationError("parity vector malformed (entries must be 0/1)")
 
     def parse_mat(rows):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, prod
 
@@ -257,6 +257,27 @@ class PresentedSuperalgebra:
         for _ in range(e):
             out = self.el_mul(out, x)
         return out
+
+    @cached_property
+    def tensor(self):
+        """Dense structure constants: b_i b_j = sum_k tensor[i, j, k] b_k."""
+        T = np.zeros((self.dim,) * 3, dtype=linalg.DT)
+        for (i, j), ent in self.mult.items():
+            for k, c in ent:
+                T[i, j, k] = self.F.add[T[i, j, k], c]
+        return T
+
+    @cached_property
+    def _tensor_terms(self):
+        i, j, k = np.nonzero(self.tensor)
+        return i, j, self.tensor[i, j, k], np.eye(self.dim, dtype=linalg.DT)[k]
+
+    def el_mul_stack(self, x, y):
+        """x y for stacks of elements (..., dim): the products x_i y_j T_ijk
+        of the tensor's nonzero entries, summed into b_k by one product."""
+        i, j, c, onehot = self._tensor_terms
+        terms = self.F.mul[self.F.mul[x[..., i], y[..., j]], c].reshape(-1, len(c))
+        return linalg.matmul(self.F, terms, onehot).reshape(x.shape)
 
     def element_parity(self, x):
         pars = set(int(self.parity[i]) for i in np.nonzero(x)[0])
@@ -688,10 +709,7 @@ def verify_algebra(alg: PresentedSuperalgebra, seed: int = 0, exhaustive_limit: 
     """
     d, F, aug = alg.dim, alg.F, alg.augmentation
     if d <= exhaustive_limit:
-        T = np.zeros((d, d, d), dtype=linalg.DT)
-        for (i, j), ent in alg.mult.items():
-            for k, c in ent:
-                T[i, j, k] = F.add[T[i, j, k], c]
+        T = alg.tensor
         flat = T.reshape(d, d * d)
         for i in range(d):
             lhs = linalg.bmatmul(F, T[i], flat).reshape(d, d, d)

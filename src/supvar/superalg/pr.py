@@ -48,13 +48,6 @@ class PrElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def add_term(self, idx: PrIndex, c: int):
-        c = (self.terms.get(idx, 0) + c) % self.p
-        if c:
-            self.terms[idx] = c
-        else:
-            self.terms.pop(idx, None)
-
     def __eq__(self, other):
         return (
             isinstance(other, PrElement)

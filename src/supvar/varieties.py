@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
 
 import numpy as np
@@ -188,74 +189,67 @@ def _multinomial(parts) -> int:
     return out
 
 
-def point_images(spec: GroupAlgebraSpec, alg: PresentedSuperalgebra, pt: GroupPoint):
-    """Generator images in kG of the morphism labeled by the point."""
-    field = alg.field
-    p = spec.p
+def _images(spec: GroupAlgebraSpec, alg: PresentedSuperalgebra, pts):
+    """Generator images in kG of the morphisms labeled by the points, as
+    (len(pts), algebra dim) index arrays, one row per point: table lookups
+    on the coordinate indices of all points at once."""
     F = alg.F
-
-    def gidx(ell, has_v=False):
-        n_gamma = alg.dim // 2 if "v" in alg.generators else alg.dim
-        return ell + (n_gamma if has_v else 0)
-
-    images = {}
+    p, r = spec.p, spec.r
+    C = np.array([pt.key() for pt in pts], dtype=linalg.DT)
+    zero = np.zeros((len(pts), alg.dim), dtype=linalg.DT)
+    v = zero.copy()
     if spec.family == "GaMinus":
-        (d,) = pt.coords
-        v = alg.el_zero()
-        v[alg.generators["v"]] = d.index
-        images["u0"] = alg.el_zero()
-        images["v"] = v
-        return images
+        v[:, alg.generators["v"]] = C[:, 0]
+        return {"u0": zero, "v": v}
 
-    r = spec.r
-    if spec.family == "Gar":
-        avec = pt.coords
-        mu = None
-    else:
-        mu = pt.coords[0]
-        avec = pt.coords[1 : 1 + r]
-        b = pt.coords[1 + r] if (spec.family == "Mrs" and spec.eta == 0 and spec.s >= 2) else None
-
+    lead = int(spec.family != "Gar")  # mu leads the coordinates
+    avec = C[:, lead : lead + r]
     weights = [p**k for k in range(r)]
+    images = {}
     for j in range(r):
-        vec = alg.el_zero()
+        vec = zero.copy()
         for parts in _weighted_compositions(p**j, weights):
             coeff = _multinomial(parts) % p
             if coeff == 0:
                 continue
-            c = field.element(coeff)
-            for a_k, i_k in zip(avec, parts):
-                if i_k:
-                    c = c * a_k**i_k
-            if c.is_zero():
-                continue
-            i = sum(parts)
-            k = gidx(i)
-            vec[k] = F.add[vec[k], c.index]
-        if j == r - 1 and spec.family == "Mrs" and spec.eta == 0 and spec.s >= 2:
-            k = gidx(p ** (r + spec.s - 2))
-            vec[k] = F.add[vec[k], b.index]
+            c = np.full(len(pts), coeff, dtype=linalg.DT)  # a prime-field index
+            for k, i_k in enumerate(parts):
+                for _ in range(i_k):
+                    c = F.mul[c, avec[:, k]]
+            vec[:, sum(parts)] = F.add[vec[:, sum(parts)], c]  # gamma_i has index i
         images[f"u{j}"] = vec
-
-    if spec.family != "Gar":
-        v = alg.el_zero()
-        v[alg.generators["v"]] = mu.index
-        images["v"] = v
-    else:
-        images["v"] = alg.el_zero()
+    if spec.family == "Mrs" and spec.eta == 0 and spec.s >= 2:
+        top, k = images[f"u{r-1}"], p ** (r + spec.s - 2)
+        top[:, k] = F.add[top[:, k], C[:, 1 + r]]
+    if lead:
+        v[:, alg.generators["v"]] = C[:, 0]
+    images["v"] = v
     return images
 
 
+def point_images(spec: GroupAlgebraSpec, alg: PresentedSuperalgebra, pt: GroupPoint):
+    """Generator images in kG of the morphism labeled by the point."""
+    return {g: x[0] for g, x in _images(spec, alg, [pt]).items()}
+
+
 def validate_point_images(spec, alg, images):
-    """The P_r relations must hold on the images."""
+    """The P_r relations must hold on the images.
+
+    Images may be stacked, (..., algebra dim) per generator; the products
+    then run over the whole stack through the algebra's dense structure
+    tensor."""
     p = spec.p
     r = _hom_height(spec)
+
+    def power(x):
+        return reduce(alg.el_mul_stack, [x] * p)
+
     for i in range(r - 1):
-        if np.any(alg.el_pow(images[f"u{i}"], p)):
+        if np.any(power(images[f"u{i}"])):
             raise ValidationError(f"image of u{i} is not p-nilpotent")
-    top = images.get(f"u{r-1}", alg.el_zero())
-    rel = alg.el_add(alg.el_pow(top, p), alg.el_mul(images["v"], images["v"]))
-    if np.any(rel):
+    v = images["v"]
+    top = images.get(f"u{r-1}", np.zeros_like(v))
+    if np.any(alg.F.add[power(top), alg.el_mul_stack(v, v)]):
         raise ValidationError("images violate u^p + v^2 = 0")
 
 
@@ -293,26 +287,26 @@ def enumerate_points(spec: GroupAlgebraSpec, field: FieldDescriptor, method: str
     return PointSet(spec, field, _sorted_points(pts))
 
 
-def _p1_images(spec: GroupAlgebraSpec, alg: PresentedSuperalgebra, pt: GroupPoint):
-    images = point_images(spec, alg, pt)
+def _p1_images(spec: GroupAlgebraSpec, alg: PresentedSuperalgebra, images):
+    """The checked images of u = u_{r-1} and v, stacked or single."""
     validate_point_images(spec, alg, images)
     r = _hom_height(spec)
-    return images.get(f"u{r-1}", alg.el_zero()), images["v"]
+    return images.get(f"u{r-1}", np.zeros_like(images["v"])), images["v"]
 
 
 def point_to_p1(spec: GroupAlgebraSpec, pt: GroupPoint, field: FieldDescriptor):
     """Images of u and v of P_1 under the point's morphism composed with
     the inclusion u -> u_{r-1}, v -> v.  Returns (algebra, u_img, v_img)."""
     alg = build_group_algebra(spec, field)[0]
-    return (alg, *_p1_images(spec, alg, pt))
+    return (alg, *_p1_images(spec, alg, point_images(spec, alg, pt)))
 
 
 def point_pullback(spec: GroupAlgebraSpec, pt: GroupPoint, M: SuperModule) -> P1ModuleView:
-    """The P_1-structure of M pulled back at the point."""
+    """The P_1-structure of M pulled back at the point, with every check."""
     alg, u_img, v_img = point_to_p1(spec, pt, M.algebra.field)
     if alg is not M.algebra:
         raise ValidationError("module algebra does not match the point's group")
-    return p1_view_from_images(M, u_img, v_img)
+    return p1_view_from_images(M, u_img, v_img, check=True)
 
 
 def support_set(
@@ -320,6 +314,7 @@ def support_set(
     M: SuperModule,
     field: FieldDescriptor,
     method: str = "param",
+    check: bool = False,
 ) -> SupportSet:
     """Points where the pulled-back module has infinite projective dimension.
 
@@ -327,12 +322,22 @@ def support_set(
     the requested field.  The zero point always belongs to the support of a
     nonzero module.
 
-    Each point's images are built and checked on their own (_p1_images);
-    the points are then decided a chunk at a time.  A chunk's pullbacks form
-    one stacked P_1-view, built, validated and decided together (see
-    homalg.pd_infinite), and its 2n x 2n blocks hold at most _CHUNK_CELLS
-    cells, so the stacks take a few MB whatever the number of points.  The
-    verdict of a point does not depend on its chunk.
+    The points are decided a chunk at a time.  A chunk's images are built
+    as index arrays and checked against the P_r relations together
+    (validate_point_images); its pullbacks form one stacked P_1-view,
+    built, validated and decided together (see homalg.pd_infinite).  Its
+    2n x 2n blocks hold at most _CHUNK_CELLS cells, so the stacks take a
+    few MB whatever the number of points.  The verdict of a point does not
+    depend on its chunk.
+
+    Two stacked checks run only with `check`: U^dim = 0 on the view and
+    d.d = 0 on its hom complex.  Both follow from data checked where it
+    enters.  M is a checked kG-module, the images satisfy the P_r
+    relations, and u, with counit 0, lies in the radical of kG, which acts
+    nilpotently on M (smod.p1_view_from_images checks the last two, per
+    point and once per module).  Together these give the view's relations,
+    and the periodic complex of a valid view has d.d = 0 by construction
+    (homalg.p1_hom_complex).
     """
     MF = extend_scalars(M, field)
     if build_group_algebra(spec, field)[0] is not MF.algebra:
@@ -342,10 +347,9 @@ def support_set(
     out = []
     for lo in range(0, len(pts), per):
         chunk = pts[lo : lo + per]
-        images = [_p1_images(spec, MF.algebra, pt) for pt in chunk]
-        u_imgs = np.stack([u for u, _ in images])
-        v_imgs = np.stack([v for _, v in images])
-        infinite = pd_infinite(p1_view_from_images(MF, u_imgs, v_imgs))
+        u_imgs, v_imgs = _p1_images(spec, MF.algebra, _images(spec, MF.algebra, chunk))
+        view = p1_view_from_images(MF, u_imgs, v_imgs, check=check)
+        infinite = pd_infinite(view, check=check)
         out.extend(pt for pt, inf in zip(chunk, infinite) if inf)
     return SupportSet(spec, field, _sorted_points(out), module=M)
 

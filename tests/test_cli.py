@@ -364,3 +364,34 @@ def test_outputs_identical_across_processes(tmp_path, m11_file, l01_file):
             chunks.append(proc.stdout)
         outs.append("\n".join(chunks))
     assert outs[0] == outs[1]
+
+
+def test_support_and_resolve_load_no_oracle_or_masked_arrays(tmp_path, m11_file, l01_file):
+    # numpy.ma costs ~20 ms to import and the dual oracle is test-only
+    import os
+    import subprocess
+    import sys
+
+    import supvar
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(supvar.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    script = (
+        "import sys\n"
+        "from supvar.cli import main\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print(sorted(m for m in ('numpy.ma', 'supvar.superalg.dual_oracle') if m in sys.modules))\n"
+    )
+    for argv in (
+        ["support", "-g", m11_file, "-m", l01_file, "-F", "3^2"],
+        ["resolve", "-g", m11_file, "-n", "6"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", script] + argv,
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=str(tmp_path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]", (argv, proc.stdout)

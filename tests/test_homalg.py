@@ -59,7 +59,7 @@ def test_trivial_module_complex_dims():
 def test_complex_differentials_compose_to_zero():
     L = build_L(F3.element(1), F3.element(1))
     W = p1_view_from_module(L)
-    cx = p1_hom_complex(W, 5)  # composition checked in the constructor
+    cx = p1_hom_complex(W, 5, check=True)  # composition checked in the constructor
     assert len(cx.diffs) == 6
 
 

@@ -36,6 +36,40 @@ def test_kernel_and_solve_random():
             assert np.array_equal(la.matmul(F, A, y), b)
 
 
+def _right_kernel_loop(F, A):
+    """The former fill of right_kernel, one entry at a time (reference)."""
+    m, n = A.shape
+    if n == 0:
+        return la.zeros(0, 0)
+    if m == 0:
+        return la.identity(n)
+    R, pivots = la.rref(F, A)
+    free = [c for c in range(n) if c not in pivots]
+    K = la.zeros(n, len(free))
+    for idx, fcol in enumerate(free):
+        K[fcol, idx] = 1
+        for i, pcol in enumerate(pivots):
+            K[pcol, idx] = F.neg[R[i, fcol]]
+    return K
+
+
+def test_right_kernel_matches_entrywise_fill():
+    rng = random.Random(7)
+    for field in (make_field(3, 1), make_field(3, 2), make_field(5, 2)):
+        F = la.tables(field)
+        mats = [la.zeros(3, 5), la.zeros(0, 4), la.zeros(4, 0), la.zeros(0, 0)]
+        mats += [la.identity(4), np.concatenate([la.identity(3), rand_mat(rng, F, 3, 2)], axis=1)]
+        for _ in range(30):
+            m, n, k = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 3)
+            mats.append(rand_mat(rng, F, m, n))
+            # rank at most k
+            mats.append(la.matmul(F, rand_mat(rng, F, m, k), rand_mat(rng, F, k, n)))
+        for A in mats:
+            want = _right_kernel_loop(F, A)
+            got = la.right_kernel(F, A)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (field, A)
+
+
 def test_solve_inconsistent():
     F = la.tables(make_field(3, 1))
     A = la.from_int_matrix(F, [[1, 0], [0, 0]])

@@ -1,11 +1,17 @@
 """The chunked, stacked support decision against the per-point oracle, and
-the checks that now run once per chunk."""
+the checks that now run once per chunk or where the data enters."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import supvar
+import supvar.homalg as homalg
+import supvar.smod as smod
 import supvar.varieties as varieties
 from supvar.cli import main
 from supvar.errors import ValidationError
@@ -17,6 +23,7 @@ from supvar.smod import (
     extend_scalars,
     module_to_json,
     p1_trivial,
+    p1_view_from_images,
     random_module,
     tensor_module,
 )
@@ -117,3 +124,103 @@ def test_moved_checks_still_fire(message, M, tmp_path, capsys):
     code = main(["support", "-g", str(grp), "-m", str(mod), "-F", "3^1"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("name,spec,make,field", CASES, ids=[c[0] for c in CASES])
+def test_checked_path_matches_default(name, spec, make, field, monkeypatch):
+    """check=True adds the stacked U^dim = 0 and d.d = 0 checks and changes
+    no verdict."""
+    seen = {"nilpotent": [], "complex": []}
+    validate = smod.P1ModuleView.validate
+    post_init = homalg.CochainComplex.__post_init__
+
+    def counting_validate(self, nilpotent=True):
+        seen["nilpotent"].append(nilpotent)
+        return validate(self, nilpotent)
+
+    def counting_post_init(self):
+        seen["complex"].append(self.check)
+        post_init(self)
+
+    monkeypatch.setattr(smod.P1ModuleView, "validate", counting_validate)
+    monkeypatch.setattr(homalg.CochainComplex, "__post_init__", counting_post_init)
+    M = make()
+    default = support_set(spec, M, field)
+    assert seen["complex"] and seen["nilpotent"]
+    assert not any(seen["complex"]) and not any(seen["nilpotent"])
+    seen = {"nilpotent": [], "complex": []}
+    checked = support_set(spec, M, field, check=True)
+    assert seen["complex"] and all(seen["complex"])
+    assert seen["nilpotent"] and all(seen["nilpotent"])
+    assert checked.points == default.points
+
+
+def _files(tmp_path, M):
+    mod = tmp_path / "mod.json"
+    mod.write_text(json.dumps(module_to_json(M)))
+    grp = tmp_path / "m11.json"
+    grp.write_text(json.dumps(M11.to_json()))
+    return str(grp), str(mod)
+
+
+def _cli_fails(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    return err
+
+
+def test_radical_not_nilpotent(tmp_path, capsys, monkeypatch):
+    """U = I and V^2 = -I pass the stacked parity, commute and square checks
+    at u -> u0, v -> v, and at the zero point; the radical check rejects them."""
+    alg, _ = build_group_algebra(M11)
+    V = np.array([[0, 2], [1, 0]], dtype=np.int32)
+    U = np.eye(2, dtype=np.int32)
+    M = SuperModule(alg, 2, np.array([0, 1], dtype=np.int8), {"u0": U, "v": V})
+    radical = "radical of the algebra does not act nilpotently"
+    with pytest.raises(ValidationError, match=radical):
+        p1_view_from_images(M, alg.el_gen("u0"), alg.el_gen("v"))
+    with pytest.raises(ValidationError, match="U is not nilpotent"):
+        p1_view_from_images(M, alg.el_gen("u0"), alg.el_gen("v"), check=True)
+    # one point per chunk: the first, (0, 0), passes the stacked checks
+    monkeypatch.setattr(varieties, "_CHUNK_CELLS", 4 * M.dim**2)
+    with pytest.raises(ValidationError, match=radical):
+        support_set(M11, M, F3)
+    grp, mod = _files(tmp_path, M)
+    argv = ["support", "-g", grp, "-m", mod, "-F", "3^2"]
+    _cli_fails(argv, capsys)  # rejected at load: u0^3 != 0
+    src = os.path.dirname(os.path.dirname(os.path.abspath(supvar.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "supvar.cli"] + argv, capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "case,message", [("counit", "nonzero counit"), ("parity", "must be even and odd")]
+)
+def test_bad_point_images_rejected(case, message, tmp_path, capsys, monkeypatch):
+    """Images that satisfy u^3 + v^2 = 0 in kM_{1;1} but have a nonzero
+    counit (u -> -1, v -> 1) or the wrong parity (u -> v, v -> 0)."""
+    alg, _ = build_group_algebra(M11)
+    u, v = alg.el_zero(), alg.el_zero()
+    if case == "counit":
+        u[alg.unit_index], v[alg.unit_index] = alg.F.neg[1], 1
+    else:
+        u[alg.generators["v"]] = 1
+    M = build_L(F3.element(1), F3.element(1))
+    with pytest.raises(ValidationError, match=message):
+        p1_view_from_images(M, u, v)
+    monkeypatch.setattr(
+        varieties,
+        "_images",
+        lambda spec, alg, pts: {"u0": np.tile(u, (len(pts), 1)), "v": np.tile(v, (len(pts), 1))},
+    )
+    for fld in (F3, F9):
+        with pytest.raises(ValidationError, match=message):
+            support_set(M11, M, fld)
+    grp, mod = _files(tmp_path, M)
+    assert message in _cli_fails(["support", "-g", grp, "-m", mod, "-F", "3^2"], capsys)
+    assert message in _cli_fails(["pd", "-g", grp, "-m", mod, "-P", "1,1"], capsys)
