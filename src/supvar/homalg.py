@@ -36,6 +36,8 @@ PD_INFINITE = "Infinite"
 # Caps on the depth of an Ext table and of a minimal resolution.
 EXT_DEGREE_CAP = 10_000
 RESOLVE_STEPS_CAP = 100
+# Cap on the dimension rank * dim A of each free module of a resolution.
+RESOLVE_DIM_CAP = 2048
 
 
 def check_depth(what: str, n: int, low: int, cap: int) -> None:
@@ -410,7 +412,7 @@ def _graded_right_kernel(F, A, col_parity, row_parity):
 
     Returns (columns matrix, parity vector of the kernel basis).
     """
-    cols_out = []
+    blocks = [linalg.zeros(A.shape[1], 0)]
     pars = []
     for par in (0, 1):
         csel = np.nonzero(col_parity == par)[0]
@@ -423,38 +425,20 @@ def _graded_right_kernel(F, A, col_parity, row_parity):
         if other.size and np.any(A[np.ix_(other, csel)]):
             raise ValidationError("map is not parity graded")
         K = linalg.right_kernel(F, block)
-        for t in range(K.shape[1]):
-            full = linalg.zeros(A.shape[1], 1).ravel()
-            full[csel] = K[:, t]
-            cols_out.append(full)
-            pars.append(par)
-    if not cols_out:
-        return linalg.zeros(A.shape[1], 0), np.zeros(0, dtype=np.int8)
-    return np.stack(cols_out, axis=1), np.array(pars, dtype=np.int8)
-
-
-def _free_module(A, gen_parities):
-    """Free module on homogeneous generators: coordinates (gen, basis)."""
-    rank = len(gen_parities)
-    dim = rank * A.dim
-    parity = np.zeros(dim, dtype=np.int8)
-    for g, gp in enumerate(gen_parities):
-        parity[g * A.dim : (g + 1) * A.dim] = (A.parity.astype(np.int8) + gp) % 2
-    reg = regular_module(A)
-    action = {}
-    for name in A.generators:
-        blocks = reg.action[name]
-        mat = linalg.zeros(dim, dim)
-        for g in range(rank):
-            mat[g * A.dim : (g + 1) * A.dim, g * A.dim : (g + 1) * A.dim] = blocks
-        action[name] = mat
-    return SuperModule(A, dim, parity, action)
+        blocks.append(linalg.zeros(A.shape[1], K.shape[1]))
+        blocks[-1][csel] = K
+        pars += [par] * K.shape[1]
+    return np.concatenate(blocks, axis=1), np.array(pars, dtype=np.int8)
 
 
 @dataclass
 class ResolutionData:
     """A minimal resolution ... -> P_1 -> P_0 -> M -> 0 over a local algebra.
 
+    P_n is the free module A^rank on the generator parities gen_parities[n],
+    with coordinates (gen, basis) and held by those parities alone: an
+    algebra element acts on it by its regular action on each block of
+    dim A coordinates (see `_block_act`).
     boundaries[0] maps P_0 onto M; boundaries[n] maps P_n into P_{n-1}.
     omega[i] holds a column basis of ker(boundaries[i]) inside P_i together
     with its parity vector, so omega[n-1] is the n-th syzygy Omega^n(M).
@@ -463,10 +447,13 @@ class ResolutionData:
     algebra: object
     target: SuperModule
     gen_parities: list  # per step: tuple of generator parities
-    modules: list  # the free modules P_n
     boundaries: list  # matrices
     omega: list  # omega[i] = (column basis of ker(boundaries[i]), parities)
     minimal: bool = True
+
+    def free_dim(self, n):
+        """Dimension of P_n."""
+        return len(self.gen_parities[n]) * self.algebra.dim
 
     def ranks(self):
         return [
@@ -475,73 +462,74 @@ class ResolutionData:
         ]
 
 
-def _unit_coords(A, rank):
-    return np.array([g * A.dim + A.unit_index for g in range(rank)], dtype=int)
-
-
-def _submodule(P: SuperModule, cols, par):
-    """The submodule of P spanned by the given (invariant) columns."""
-    F = linalg.tables(P.algebra.field)
-    action = {}
-    for g in P.algebra.generators:
-        action[g] = linalg.restrict_operator(F, cols, P.action[g]) if cols.size else linalg.zeros(0, 0)
-    return SuperModule(P.algebra, cols.shape[1], par.copy(), action)
-
-
-def _cover(Q: SuperModule):
-    """Minimal free cover of Q: generator parities and the map matrix
-    (columns indexed by (gen, algebra basis))."""
-    A = Q.algebra
-    F = linalg.tables(A.field)
-    if Q.dim == 0:
-        return (), linalg.zeros(0, 0)
-    # acts[b, :, j] = (basis element b) . (basis vector j)
-    acts = Q.basis_actions().reshape(A.dim, Q.dim, Q.dim)
-    rad = acts[A.radical_coords()].transpose(1, 0, 2).reshape(Q.dim, -1)
-    comp = linalg.complement_coords(F, rad)
-    gen_par = tuple(int(Q.parity[c]) for c in comp)
-    dmat = acts[:, :, comp].transpose(1, 2, 0).reshape(Q.dim, len(comp) * A.dim)
-    return gen_par, dmat
+def _block_act(F, T, K):
+    """Regular actions T (..., dim A, dim A) applied to the columns K of a
+    free module over A, block by block: shape (..., rank, dim A, columns)."""
+    d = T.shape[-1]
+    return linalg.bmatmul(F, T[..., None, :, :], K.reshape(K.shape[0] // d, d, K.shape[1]))
 
 
 def minimal_resolution(A, M: SuperModule, steps: int) -> ResolutionData:
     """Minimal free resolution of M over a finite-dimensional local algebra.
 
-    Iteratively covers by the free module on M_n/(rad M_n); boundary
-    entries stay in the radical, which is re-checked at every step.
+    Each step covers a syzygy Omega by the free module on Omega/(rad Omega),
+    and no P_n is built (see ResolutionData).  Omega is the column span of
+    the kernel basis K from `_graded_right_kernel`, and `right_kernel` puts
+    the identity on K's free rows f: row f_t is column t's last nonzero
+    row, since a pivot row of an rref is zero left of its pivot.  So a
+    vector w of Omega has coordinates w[f] in K, and a basis element b with
+    regular action L_b acts on Omega by X_b = (L_b K)[f], a row gather with
+    no solve.  complement_coords picks the generators c from the radical's
+    X_b, and the boundary sends (c, b) to L_b K_c = K X_b e_c.  The ranks,
+    boundaries and kernels are thus those of restricting a dense P_n's
+    action to Omega and covering the result.
+
+    Omega must be a submodule for X_b to be its action.  That is checked
+    at each step for each generator g as K X_g = L_g K (ValidationError
+    otherwise), on the rows outside f: on f both sides are X_g.  It then
+    holds for every basis element, a product of generators.  Boundary
+    entries stay in the radical, which is re-checked at every step.  The
+    dimension of each P_n is capped by RESOLVE_DIM_CAP (BoundExceeded),
+    checked once its rank is known and before its boundary is built.
     """
     check_depth("steps", steps, 0, RESOLVE_STEPS_CAP)
     _check_local(A)
-    rep = validate_module(M)
-    rep.raise_if_invalid()
+    validate_module(M).raise_if_invalid()
     F = linalg.tables(A.field)
-    gens0, d0 = _cover(M)
-    P0 = _free_module(A, gens0)
-    res = ResolutionData(
-        algebra=A,
-        target=M,
-        gen_parities=[gens0],
-        modules=[P0],
-        boundaries=[d0],
-        omega=[],
-    )
-    K, Kpar = _graded_right_kernel(F, d0, P0.parity, M.parity)
-    res.omega.append((K, Kpar))
-    while len(res.modules) <= steps:
-        Kcols, Kpar = res.omega[-1]
-        sub_mod = _submodule(res.modules[-1], Kcols, Kpar)
-        gens, dmat = _cover(sub_mod)
+    rad = A.radical_coords()
+    reg = regular_module(A)
+    L = reg.basis_actions().reshape(A.dim, A.dim, A.dim)
+    acts = M.basis_actions().reshape(A.dim, M.dim, M.dim)
+    res = ResolutionData(algebra=A, target=M, gen_parities=[], boundaries=[], omega=[])
+    # S spans rad . Omega (Omega = M at step 0): column (b, j) is b on vector j
+    S = acts[rad].transpose(1, 0, 2).reshape(M.dim, len(rad) * M.dim)
+    Kpar = tgt_par = M.parity
+    while len(res.gen_parities) <= steps:
+        if res.omega:
+            K, Kpar = res.omega[-1]
+            f = K.shape[0] - 1 - np.argmax(K[::-1] != 0, axis=0) if K.size else []
+            rest = np.delete(np.arange(K.shape[0]), f)  # K X_g = L_g K holds on f
+            for g in A.generators:
+                LgK = _block_act(F, reg.action[g], K).reshape(K.shape)
+                if not np.array_equal(linalg.matmul(F, K[rest], LgK[f]), LgK[rest]):
+                    raise ValidationError(f"syzygy {len(res.omega)} is not a submodule")
+            S = np.concatenate([_block_act(F, L[b], K).reshape(K.shape)[f] for b in rad], axis=1)
+        comp = linalg.complement_coords(F, S)
+        gens = tuple(int(Kpar[c]) for c in comp)
+        check_depth(f"dim P_{len(res.gen_parities)}", len(gens) * A.dim, 0, RESOLVE_DIM_CAP)
+        if res.omega:
+            bnd = _block_act(F, L, K[:, comp]).transpose(1, 2, 3, 0)
+            # minimality: columns live in rad . P_{n-1}
+            if bnd[:, A.unit_index].any():
+                res.minimal = False
+        else:
+            bnd = acts[:, :, comp].transpose(1, 2, 0)
+        bnd = bnd.reshape(len(tgt_par), len(comp) * A.dim)
+        par = ((np.array(gens, dtype=np.int8)[:, None] + A.parity) % 2).astype(np.int8).ravel()
         res.gen_parities.append(gens)
-        P = _free_module(A, gens)
-        res.modules.append(P)
-        bnd = linalg.matmul(F, Kcols, dmat) if Kcols.size else linalg.zeros(res.modules[-2].dim, 0)
         res.boundaries.append(bnd)
-        # minimality: columns live in rad . P_{n-1}
-        unit_rows = _unit_coords(A, len(res.gen_parities[-2]))
-        if bnd.size and np.any(bnd[unit_rows, :]):
-            res.minimal = False
-        K, Kpar = _graded_right_kernel(F, bnd, P.parity, res.modules[-2].parity)
-        res.omega.append((K, Kpar))
+        res.omega.append(_graded_right_kernel(F, bnd, par, tgt_par))
+        tgt_par = par
     return res
 
 
@@ -575,7 +563,7 @@ def _check_local(A):
 def resolution_of_trivial(A, steps: int) -> ResolutionData:
     """Cached minimal resolution of the trivial module."""
     cached = getattr(A, "_trivial_resolution", None)
-    if cached is not None and len(cached.modules) > steps:
+    if cached is not None and len(cached.gen_parities) > steps:
         return cached
     res = minimal_resolution(A, trivial_module(A), steps)
     A._trivial_resolution = res
@@ -598,7 +586,7 @@ def cocycle_from_values(res: ResolutionData, n: int, values, parity: int) -> Coc
     gens = res.gen_parities[n]
     if len(values) != len(gens):
         raise ValidationError(f"need {len(gens)} generator values")
-    vec = linalg.zeros(1, res.modules[n].dim).ravel()
+    vec = linalg.zeros(1, res.free_dim(n)).ravel()
     for g, val in enumerate(values):
         idx = F.scalar(val)
         if idx and gens[g] != parity:
@@ -620,7 +608,7 @@ def carlson_module(A, n: int, zeta: CocycleClass) -> SuperModule:
     F = linalg.tables(A.field)
     if not np.any(zeta.vector):
         raise ValidationError("zeta is zero")
-    if zeta.vector.shape != (res.modules[n].dim,):
+    if zeta.vector.shape != (res.free_dim(n),):
         raise ValidationError("zeta has the wrong length for degree n")
     # cocycle condition: zeta vanishes on the image of the next boundary
     nxt = res.boundaries[n + 1]
@@ -646,13 +634,11 @@ def carlson_module(A, n: int, zeta: CocycleClass) -> SuperModule:
         if len(pars) != 1:
             raise ValidationError("kernel basis is not homogeneous")
         Lpar.append(pars.pop())
-    P = res.modules[n - 1]
     action = {}
-    for g in A.generators:
-        try:
-            action[g] = linalg.restrict_operator(F, Lcols, P.action[g])
-        except ValueError:
-            raise ValidationError("kernel of zeta is not a submodule") from None
+    for g, T in regular_module(A).action.items():
+        action[g] = linalg.solve(F, Lcols, _block_act(F, T, Lcols).reshape(Lcols.shape))
+        if action[g] is None:
+            raise ValidationError("kernel of zeta is not a submodule")
     out = SuperModule(A, Lcols.shape[1], np.array(Lpar, dtype=np.int8), action)
     validate_module(out).raise_if_invalid()
     if out.dim != Kcols.shape[1] - 1:

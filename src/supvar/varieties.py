@@ -328,7 +328,8 @@ def support_set(
     built, validated and decided together (see homalg.pd_infinite).  Its
     2n x 2n blocks hold at most _CHUNK_CELLS cells, so the stacks take a
     few MB whatever the number of points.  The verdict of a point does not
-    depend on its chunk.
+    depend on its chunk.  The support keeps the order of the points, which
+    enumerate_points lists sorted and without repeats.
 
     Two stacked checks run only with `check`: U^dim = 0 on the view and
     d.d = 0 on its hom complex.  Both follow from data checked where it
@@ -351,7 +352,7 @@ def support_set(
         view = p1_view_from_images(MF, u_imgs, v_imgs, check=check)
         infinite = pd_infinite(view, check=check)
         out.extend(pt for pt, inf in zip(chunk, infinite) if inf)
-    return SupportSet(spec, field, _sorted_points(out), module=M)
+    return SupportSet(spec, field, tuple(out), module=M)
 
 
 def psi_map(spec: GroupAlgebraSpec, pt: GroupPoint):

@@ -1,11 +1,13 @@
 """Golden-file coverage of every CLI path."""
 
+import hashlib
 import json
 
 import pytest
 
-from supvar.cli import main
+from supvar.cli import main, parse_spec
 from supvar.gfield import make_field
+from supvar.superalg.algebra import build_group_algebra
 
 M11 = '{"family":"Mrs","p":3,"r":1,"s":1,"eta":"0"}'
 
@@ -105,6 +107,33 @@ def test_resolve_golden(capsys, m11_file):
     assert lines[0] == "0: 1|0" and lines[1] == "1: 1|1"
     totals = [sum(int(x) for x in ln.split(": ")[1].split("|")) for ln in lines]
     assert totals == list(range(1, 10))
+
+
+# sha256 of the whole stdout, recorded while each P_n was a dense module;
+# the runs reach P_60 of dimension 366 over M_{1;1} and P_8 of dimension
+# 810 over M_{2;1}
+LARGE_RESOLVE_GOLDENS = [
+    ("M11.n60", M11, 60, "451fc994dd24ac723b1ad7e840bdb849367d7cbcbb89c2d8b30a3076d3f5a33f"),
+    (
+        "M21.n8",
+        '{"family":"Mrs","p":3,"r":2,"s":1}',
+        8,
+        "6a3d955a8e981234e62c9bb73bfe477b062522225be53dd7197d324c9df791ad",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name,spec,steps,digest", LARGE_RESOLVE_GOLDENS, ids=[g[0] for g in LARGE_RESOLVE_GOLDENS]
+)
+def test_resolve_large_golden(capsys, tmp_path, monkeypatch, name, spec, steps, digest):
+    # compute afresh, and leave no longer resolution in the algebra's cache
+    alg = build_group_algebra(parse_spec(spec), make_field(3, 1))[0]
+    monkeypatch.setattr(alg, "_trivial_resolution", None, raising=False)
+    code, out, err = run(capsys, ["resolve", "-g", write(tmp_path, "g.json", spec), "-n", str(steps)])
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == steps + 1
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_classify_golden(capsys, tmp_path):

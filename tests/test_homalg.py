@@ -328,7 +328,7 @@ def test_carlson_errors():
     A = m11()
     res = resolution_of_trivial(A, 2)
     with pytest.raises(ValidationError):
-        carlson_module(A, 1, CocycleClass(1, np.ones(res.modules[1].dim, dtype=la.DT), 0))
+        carlson_module(A, 1, CocycleClass(1, np.ones(res.free_dim(1), dtype=la.DT), 0))
     with pytest.raises(ValidationError):
         z = cocycle_from_values(res, 1, [0, 0], 0)
         carlson_module(A, 1, z)

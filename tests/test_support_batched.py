@@ -87,6 +87,18 @@ def test_support_matches_per_point_oracle(name, spec, make, field):
     assert {pt.key() for pt in sup.points} == oracle(spec, M, field)
 
 
+@pytest.mark.parametrize("name,spec,make,field", CASES, ids=[c[0] for c in CASES])
+def test_support_keeps_enumeration_order(name, spec, make, field):
+    # support_set keeps the order in which enumerate_points lists the
+    # points, with no second sort; the result must equal its own re-sort
+    pts = support_set(spec, make(), field).points
+    assert pts == varieties._sorted_points(pts)
+    keys = [pt.sort_key() for pt in pts]
+    assert keys == sorted(set(keys))
+    order = {pt.key(): i for i, pt in enumerate(enumerate_points(spec, field).points)}
+    assert [order[pt.key()] for pt in pts] == sorted(order[pt.key()] for pt in pts)
+
+
 def test_chunk_boundaries(monkeypatch):
     M = build_L(F3.element(1), F3.element(2))
     want = [pt.key() for pt in support_set(M11, M, F9).points]
