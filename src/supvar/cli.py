@@ -145,7 +145,7 @@ def cmd_resolve(args):
     field = make_field(spec.p, 1)
     alg, _ = build_group_algebra(spec, field)
     res = resolution_of_trivial(alg, args.steps)
-    for n, (e, o) in enumerate(res.ranks()[: args.steps + 1]):
+    for n, (e, o) in enumerate(res.ranks()):
         print(f"{n}: {e}|{o}")
     return 0
 

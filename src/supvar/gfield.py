@@ -6,6 +6,10 @@ Elements are dense coefficient vectors over F_p in the polynomial basis
 polynomial, ordered by the coefficient tuple (a_0, ..., a_{n-1}), so that
 element encodings are identical across runs and platforms.
 
+Multiplication has one definition: `FieldDescriptor.mulmat`, the F_p-matrix
+of x -> a*x for every element a.  `FieldElement.__mul__`, the index tables
+of `linalg.GFTables` and every matrix product in `linalg` are derived from it.
+
 Text encodings: a descriptor prints as "p^n"; an element of a prime field
 prints as a single digit, and an element of an extension field as a
 colon-joined coefficient list "c0:c1:...", low degree first.
@@ -14,6 +18,8 @@ colon-joined coefficient list "c0:c1:...", low degree first.
 from __future__ import annotations
 
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -41,17 +47,6 @@ def _poly_trim(c):
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
 
 
 def _poly_mod(a, m, p):
@@ -120,7 +115,7 @@ def canonical_modulus(p: int, n: int):
 class FieldDescriptor:
     """A fixed finite field F_{p^n} with its canonical modulus."""
 
-    __slots__ = ("p", "n", "q", "modulus", "_tables")
+    __slots__ = ("p", "n", "q", "modulus", "_tables", "_mulmat")
 
     def __init__(self, p: int, n: int, modulus):
         self.p = p
@@ -128,6 +123,29 @@ class FieldDescriptor:
         self.q = p**n
         self.modulus = tuple(modulus)
         self._tables = None
+        self._mulmat = None
+
+    @property
+    def digits(self) -> np.ndarray:
+        """Coefficient vectors of all q elements in index order: shape (q, n)."""
+        return (np.arange(self.q)[:, None] // self.p ** np.arange(self.n)) % self.p
+
+    @property
+    def mulmat(self) -> np.ndarray:
+        """The multiplication matrices of the field, shape (q, n, n), int64.
+
+        mulmat[a] is the matrix over F_p of x -> a*x in the basis
+        1, x, ..., x^{n-1}, so a*b has coefficients mulmat[a] @ b.  Column j
+        is a*x^j = sum_i a_i x^{i+j}, reduced through the rows x^k mod the
+        modulus (k < 2n - 1).  Built once per descriptor.
+        """
+        if self._mulmat is None:
+            p, n = self.p, self.n
+            red = [_poly_mod([0] * k + [1], self.modulus, p) for k in range(2 * n - 1)]
+            red = [(r + [0] * n)[:n] for r in red]  # x^k mod the modulus
+            shift = np.array([[red[i + j] for j in range(n)] for i in range(n)])  # [i, j, t]
+            self._mulmat = np.einsum("ai,ijt->atj", self.digits, shift) % p
+        return self._mulmat
 
     def zero(self) -> "FieldElement":
         return FieldElement(self, (0,) * self.n)
@@ -236,10 +254,7 @@ class FieldElement:
         if other is NotImplemented:
             return NotImplemented
         f = self.field
-        prod = _poly_mul(list(self.coeffs), list(other.coeffs), f.p)
-        red = _poly_mod(prod, list(f.modulus), f.p) if f.n > 1 else prod
-        red = (red + [0] * f.n)[: f.n]
-        return FieldElement(f, tuple(red))
+        return FieldElement(f, ((f.mulmat[self.index] @ other.coeffs) % f.p).tolist())
 
     __rmul__ = __mul__
 

@@ -14,7 +14,7 @@ infinite projective dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -561,13 +561,23 @@ def _check_local(A):
 
 
 def resolution_of_trivial(A, steps: int) -> ResolutionData:
-    """Cached minimal resolution of the trivial module."""
+    """Minimal resolution of the trivial module up to P_steps: steps + 1 entries.
+
+    The longest resolution computed so far is cached on the algebra; a
+    shorter one is its prefix, so the result does not depend on what ran
+    before.  `minimal` is the cached run's flag (a prefix of a minimal
+    resolution is minimal).
+    """
     cached = getattr(A, "_trivial_resolution", None)
-    if cached is not None and len(cached.gen_parities) > steps:
-        return cached
-    res = minimal_resolution(A, trivial_module(A), steps)
-    A._trivial_resolution = res
-    return res
+    if cached is None or len(cached.gen_parities) <= steps:
+        cached = A._trivial_resolution = minimal_resolution(A, trivial_module(A), steps)
+    k = steps + 1
+    return replace(
+        cached,
+        gen_parities=cached.gen_parities[:k],
+        boundaries=cached.boundaries[:k],
+        omega=cached.omega[:k],
+    )
 
 
 @dataclass

@@ -1,10 +1,11 @@
-"""Dense exact linear algebra over F_{p^n} via lookup tables.
+"""Dense exact linear algebra over F_{p^n} on field indices.
 
 Matrices are numpy int32 arrays whose entries are field element *indices*:
 the integer whose base-p digits are the polynomial coefficients, low digit
-first (so 0 is zero and 1 is one for every field).  Addition and
-multiplication of entries are q x q table lookups, which keeps Gaussian
-elimination exact and lets numpy vectorise the row operations.
+first (so 0 is zero and 1 is one for every field).  Elimination works on
+q x q addition and multiplication tables; products go through one exact
+float64 kernel (`bmatmul`).  Both come from the field's multiplication
+matrices `FieldDescriptor.mulmat`, the one definition of multiplication.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .gfield import FieldDescriptor, FieldElement
 
 DT = np.int32
 
-_CHUNK = 512
+_CHUNK = 64
 
 
 class GFTables:
@@ -25,61 +26,29 @@ class GFTables:
         self.field = field
         p, n, q = field.p, field.n, field.q
         self.p, self.n, self.q = p, n, q
-
-        powers = p ** np.arange(n, dtype=np.int64)
-        coeffs = np.zeros((q, n), dtype=np.int64)
-        idx = np.arange(q, dtype=np.int64)
-        for i in range(n):
-            coeffs[:, i] = (idx // powers[i]) % p
-        self._coeffs = coeffs
-
-        # reduction of x^k mod the modulus, as coefficient rows, k < 2n-1
-        red = np.zeros((2 * n - 1, n), dtype=np.int64)
-        for k in range(n):
-            red[k, k] = 1
-        mod = np.array(field.modulus, dtype=np.int64)
-        for k in range(n, 2 * n - 1):
-            # x^k = x * x^{k-1}, then reduce the overflow coefficient
-            shifted = np.zeros(n + 1, dtype=np.int64)
-            shifted[1:] = red[k - 1]
-            shifted[:n] = (shifted[:n] - shifted[n] * mod[:n]) % p
-            red[k] = shifted[:n] % p
+        digits = field.digits
+        self.powers = powers = p ** np.arange(n)
+        # float64 copies, the operands of bmatmul
+        self.digits = digits.astype(np.float64)
+        self.mulmat = field.mulmat.astype(np.float64)
 
         self.add = np.empty((q, q), dtype=DT)
         self.mul = np.empty((q, q), dtype=DT)
         for lo in range(0, q, _CHUNK):
             hi = min(lo + _CHUNK, q)
-            block = coeffs[lo:hi]
-            # addition: digitwise mod p
-            s = (block[:, None, :] + coeffs[None, :, :]) % p
-            self.add[lo:hi] = (s * powers[None, None, :]).sum(axis=2)
-            # multiplication: convolution then reduction
-            conv = np.zeros((hi - lo, q, 2 * n - 1), dtype=np.int64)
-            for i in range(n):
-                for j in range(n):
-                    conv[:, :, i + j] += block[:, i, None] * coeffs[None, :, j]
-            conv %= p
-            prod = np.tensordot(conv, red, axes=([2], [0])) % p
-            self.mul[lo:hi] = (prod * powers[None, None, :]).sum(axis=2)
-
-        self._red = red
-
-        negc = (-coeffs) % p
-        self.neg = ((negc * powers[None, :]).sum(axis=1)).astype(DT)
+            self.add[lo:hi] = ((digits[lo:hi, None, :] + digits[None, :, :]) % p) @ powers
+            self.mul[lo:hi] = powers @ (field.mulmat[lo:hi] @ digits.T % p)
+        self.neg = ((-digits) % p @ powers).astype(DT)
 
         self.inv = np.zeros(q, dtype=DT)
         ones = np.argwhere(self.mul == 1)
         self.inv[ones[:, 0]] = ones[:, 1]
 
-        # frobenius x -> x^p is linear: x^{ip} mod modulus per basis power
-        frob_rows = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            c = [0] * n
-            c[i] = 1
-            e = FieldElement(field, tuple(c)) ** p
-            frob_rows[i] = np.array(e.coeffs, dtype=np.int64)
-        fc = (coeffs @ frob_rows) % p
-        self.frob = ((fc * powers[None, :]).sum(axis=1)).astype(DT)
+        # x -> x^p, by p - 1 multiplications
+        idx = np.arange(q)
+        self.frob = idx.astype(DT)
+        for _ in range(p - 1):
+            self.frob = self.mul[self.frob, idx]
 
     def scalar(self, x) -> int:
         """Index of a FieldElement or small int in this field."""
@@ -139,40 +108,31 @@ def matmul(F: GFTables, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def bmatmul(F: GFTables, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Matrix product over any leading stack axes, broadcast as numpy's `@`.
 
-    Integer arithmetic on coefficient digits, so the inner products run
-    through numpy's fast integer matmul.  `matmul` stays the entry point for
-    single matrices: perfbench's tracer counts its calls and reads a 2-D
-    shape from its arguments.
+    Restriction of scalars to F_p: each entry a of A becomes its n x n
+    multiplication matrix `mulmat[a]`, each entry b of B its coefficient
+    column, and one float64 product of size mn x kn x l gives the
+    coefficients of every entry of AB; they are reduced mod p and packed
+    back into indices.  For n = 1 the blocks are 1 x 1 and this is the plain
+    product of the indices.
+
+    float64 so that the product runs in BLAS; it is exact because every
+    partial sum is an integer of at most k*n*(p-1)^2 < 2^53, so the
+    reduction mod p can wait until the end (the delayed reduction of
+    FFLAS, Dumas, Giorgi and Pernet, ACM TOMS 2008).  The sums are reduced
+    as int64, which numpy does several times faster than a float64 fmod.
+    `matmul` stays the entry point for single matrices: perfbench's tracer
+    counts its calls and reads a 2-D shape from its arguments.
     """
     m, k = A.shape[-2:]
-    k2, n = B.shape[-2:]
+    k2, l = B.shape[-2:]
     assert k == k2, (A.shape, B.shape)
-    shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (m, n)
-    if k == 0 or m == 0 or n == 0:
-        return np.zeros(shape, dtype=DT)
-    p = F.p
-    if F.n == 1:
-        return ((A.astype(np.int64) @ B.astype(np.int64)) % p).astype(DT)
-    # split indices into base-p digits, convolve, reduce modulo the modulus
-    nd = F.n
-    Ad = [((A.astype(np.int64) // p**i) % p) for i in range(nd)]
-    Bd = [((B.astype(np.int64) // p**i) % p) for i in range(nd)]
-    conv = [np.zeros(shape, dtype=np.int64) for _ in range(2 * nd - 1)]
-    for i in range(nd):
-        for j in range(nd):
-            conv[i + j] += Ad[i] @ Bd[j]
-    red = F._red  # x^k mod modulus as coefficient rows
-    out = np.zeros(shape, dtype=np.int64)
-    powers = p ** np.arange(nd, dtype=np.int64)
-    coeffs = [np.zeros(shape, dtype=np.int64) for _ in range(nd)]
-    for kpow in range(2 * nd - 1):
-        ck = conv[kpow] % p
-        for t in range(nd):
-            if red[kpow, t]:
-                coeffs[t] += ck * int(red[kpow, t])
-    for t in range(nd):
-        out += (coeffs[t] % p) * powers[t]
-    return out.astype(DT)
+    n, p = F.n, F.p
+    assert k * n * (p - 1) ** 2 < 2**53, (k, F.field)
+    lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    Am = F.mulmat[A].swapaxes(-3, -2).reshape(A.shape[:-2] + (m * n, k * n))
+    Bd = F.digits[B].swapaxes(-2, -1).reshape(B.shape[:-2] + (k * n, l))
+    C = (Am @ Bd).astype(np.int64) % p
+    return (F.powers @ C.reshape(lead + (m, n, l))).astype(DT)
 
 
 def stack_nonzero(A: np.ndarray):
@@ -213,8 +173,6 @@ def rref(F: GFTables, A: np.ndarray):
     """Reduced row echelon form; returns (R, pivot_column_list)."""
     R = A.astype(DT).copy()
     m, n = R.shape
-    prime = F.n == 1
-    p = F.p
     pivots = []
     r = 0
     for c in range(n):
@@ -227,19 +185,13 @@ def rref(F: GFTables, A: np.ndarray):
         pr = r + int(nz[0])
         if pr != r:
             R[[r, pr]] = R[[pr, r]]
-        if prime:
-            R[r] = (R[r].astype(np.int64) * int(F.inv[R[r, c]])) % p
-        else:
-            R[r] = F.mul[F.inv[R[r, c]], R[r]]
+        # row r is zero left of column c, so the updates start at c
+        R[r, c:] = F.mul[F.inv[R[r, c]], R[r, c:]]
         rows = np.nonzero(R[:, c])[0]
         rows = rows[rows != r]
         if rows.size:
             factors = F.neg[R[rows, c]]
-            if prime:
-                upd = R[rows].astype(np.int64) + factors[:, None].astype(np.int64) * R[r][None, :]
-                R[rows] = (upd % p).astype(DT)
-            else:
-                R[rows] = F.add[R[rows], F.mul[factors[:, None], R[r][None, :]]]
+            R[rows, c:] = F.add[R[rows, c:], F.mul[factors[:, None], R[r, c:]]]
         pivots.append(c)
         r += 1
     return R, pivots

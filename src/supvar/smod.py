@@ -275,6 +275,7 @@ def random_module(seed: int, algebra: PresentedSuperalgebra, dim_bound: int) -> 
     A = algebra
     F = A.F
     reg = regular_module(A)
+    L = reg.basis_actions().reshape(A.dim, A.dim, A.dim)
     q = A.field.q
     for _attempt in range(500):
         ngen = rng.randint(1, 3)
@@ -289,11 +290,8 @@ def random_module(seed: int, algebra: PresentedSuperalgebra, dim_bound: int) -> 
                 gens.append(v)
         if not gens:
             continue
-        cols = []
-        for w in gens:
-            for b in range(A.dim):
-                cols.append(linalg.matvec(F, reg.basis_action(b), w))
-        W = np.stack(cols, axis=1)
+        # column g * dim + b is b * gens[g]
+        W = linalg.bmatmul(F, L, np.stack(gens, axis=1)).transpose(1, 2, 0).reshape(A.dim, -1)
         Wb = linalg.column_space(F, W)
         qdim = A.dim - Wb.shape[1]
         if not 1 <= qdim <= dim_bound:

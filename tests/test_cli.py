@@ -109,6 +109,22 @@ def test_resolve_golden(capsys, m11_file):
     assert totals == list(range(1, 10))
 
 
+
+def test_resolution_length_independent_of_cache(capsys, monkeypatch, m11_file):
+    # a resolution to P_8 is cached first; asking for P_3 then gives 4 steps
+    from supvar.homalg import resolution_of_trivial
+
+    alg = build_group_algebra(parse_spec(M11), make_field(3, 1))[0]
+    monkeypatch.setattr(alg, "_trivial_resolution", None, raising=False)
+    long = resolution_of_trivial(alg, 8)
+    short = resolution_of_trivial(alg, 3)
+    assert len(long.gen_parities) == 9
+    assert [len(x) for x in (short.gen_parities, short.boundaries, short.omega)] == [4, 4, 4]
+    assert short.ranks() == long.ranks()[:4]
+    code, out, _ = run(capsys, ["resolve", "-g", m11_file, "-n", "3"])
+    assert code == 0
+    assert out.splitlines() == [f"{n}: {e}|{o}" for n, (e, o) in enumerate(long.ranks()[:4])]
+
 # sha256 of the whole stdout, recorded while each P_n was a dense module;
 # the runs reach P_60 of dimension 366 over M_{1;1} and P_8 of dimension
 # 810 over M_{2;1}
