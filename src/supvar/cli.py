@@ -3,6 +3,18 @@
 Inputs are JSON (group specs and module files); outputs are deterministic
 sorted text, one item per line, so golden-file comparisons are exact.
 Exit codes: 0 success, 2 validation error, 3 bound exceeded.
+
+Every command is a fresh process, so start-up is paid on every call.  This
+module imports only the standard library and `supvar.errors` at load time:
+`import supvar.cli` loads no numpy.  Each subcommand imports what it calls
+when it runs, so `homscheme` never loads the module or homological layers
+and `resolve` never loads the points, Hom-scheme or morphism code.
+
+`main` sets `OPENBLAS_NUM_THREADS=1` before anything imports numpy, unless
+the caller has set `OPENBLAS_NUM_THREADS` or `OMP_NUM_THREADS`.  The
+products here are small: starting OpenBLAS's second thread adds tens of
+milliseconds to the numpy import, and even the longest resolutions ran no
+slower on one thread.  Set either variable to use more threads.
 """
 
 from __future__ import annotations
@@ -13,35 +25,6 @@ import os
 import sys
 
 from .errors import BoundExceeded, ValidationError
-from .gfield import make_field, parse_element, parse_field
-from .smod import (
-    P1ModuleView,
-    SuperModule,
-    build_L,
-    module_from_json,
-    module_to_json,
-    p1_view_from_module,
-)
-from .superalg.algebra import GroupAlgebraSpec, build_group_algebra
-from .superalg.homscheme import check_source, hom_scheme_ideal
-from .superalg.morphisms import SuperalgebraMorphism, classify_quotient
-from .superalg.pr import PrPresentation
-from .homalg import (
-    EXT_DEGREE_CAP,
-    RESOLVE_STEPS_CAP,
-    check_depth,
-    ext_dims,
-    pd_class,
-    resolution_of_trivial,
-)
-from .varieties import (
-    GroupPoint,
-    check_point,
-    enumerate_points,
-    point_pullback,
-    psi_map,
-    support_set,
-)
 
 
 def _load_json(arg: str):
@@ -65,10 +48,15 @@ def parse_spec(arg: str):
     """Group spec from a path, inline JSON, or the shorthand 'p1'/'p<r>'."""
     if arg.strip().lower() == "p1":
         return "P1"
+    from .superalg.algebra import GroupAlgebraSpec
+
     return GroupAlgebraSpec.from_json(_load_json(arg))
 
 
 def _parse_point(spec, field, text):
+    from .gfield import parse_element
+    from .varieties import GroupPoint, check_point
+
     parts = [s for s in text.split(",") if s != ""]
     pt = GroupPoint(tuple(parse_element(field, s) for s in parts))
     check_point(spec, pt)
@@ -76,12 +64,17 @@ def _parse_point(spec, field, text):
 
 
 def _module_as_p1(mod, grp):
+    from .smod import P1ModuleView, p1_view_from_module
+
     if isinstance(mod, P1ModuleView):
         return mod
     return p1_view_from_module(mod)
 
 
 def cmd_points(args):
+    from .gfield import parse_field
+    from .varieties import enumerate_points
+
     spec = parse_spec(args.group)
     field = parse_field(args.field)
     pts = enumerate_points(spec, field, method=args.method)
@@ -92,6 +85,10 @@ def cmd_points(args):
 
 
 def cmd_support(args):
+    from .gfield import parse_field
+    from .smod import SuperModule, module_from_json
+    from .varieties import support_set
+
     spec = parse_spec(args.group)
     field = parse_field(args.field)
     mod = module_from_json(_load_json(args.module))
@@ -107,6 +104,9 @@ def cmd_support(args):
 
 
 def cmd_ext(args):
+    from .homalg import EXT_DEGREE_CAP, check_depth, ext_dims
+    from .smod import module_from_json
+
     check_depth("-d", args.degree, 2, EXT_DEGREE_CAP)
     grp = parse_spec(args.group)
     mod = module_from_json(_load_json(args.module))
@@ -121,11 +121,16 @@ def cmd_ext(args):
 
 
 def cmd_pd(args):
+    from .homalg import pd_class
+    from .smod import SuperModule, module_from_json
+
     spec = parse_spec(args.group)
     mod = module_from_json(_load_json(args.module))
     if spec == "P1":
         view = _module_as_p1(mod, spec)
     else:
+        from .varieties import point_pullback
+
         if not isinstance(mod, SuperModule):
             raise ValidationError("pd at a point needs a group algebra module")
         if mod.algebra.spec != spec:
@@ -140,8 +145,14 @@ def cmd_pd(args):
 
 
 def cmd_resolve(args):
+    from .gfield import make_field
+    from .homalg import RESOLVE_STEPS_CAP, check_depth, resolution_of_trivial
+    from .superalg.algebra import build_group_algebra
+
     check_depth("-n", args.steps, 0, RESOLVE_STEPS_CAP)
     spec = parse_spec(args.group)
+    if spec == "P1":
+        raise ValidationError("resolve needs a finite group algebra spec")
     field = make_field(spec.p, 1)
     alg, _ = build_group_algebra(spec, field)
     res = resolution_of_trivial(alg, args.steps)
@@ -151,6 +162,11 @@ def cmd_resolve(args):
 
 
 def cmd_classify(args):
+    from .gfield import parse_element, parse_field
+    from .superalg.algebra import GroupAlgebraSpec, build_group_algebra
+    from .superalg.morphisms import SuperalgebraMorphism, classify_quotient
+    from .superalg.pr import PrPresentation
+
     data = _load_json(args.file)
     for key in ("p", "r", "target", "images"):
         if key not in data:
@@ -181,6 +197,9 @@ def cmd_classify(args):
 
 
 def cmd_psi(args):
+    from .gfield import parse_field
+    from .varieties import psi_map
+
     spec = parse_spec(args.group)
     field = parse_field(args.field)
     pt = _parse_point(spec, field, args.point)
@@ -190,6 +209,11 @@ def cmd_psi(args):
 
 
 def cmd_homscheme(args):
+    from .gfield import make_field
+    from .superalg.algebra import GroupAlgebraSpec, build_group_algebra
+    from .superalg.homscheme import check_source, hom_scheme_ideal
+    from .superalg.pr import PrPresentation
+
     spec = parse_spec(args.target)
     if not isinstance(spec, GroupAlgebraSpec):
         raise ValidationError("--target must be a finite group algebra spec")
@@ -215,6 +239,9 @@ def cmd_homscheme(args):
 
 
 def cmd_lmodule(args):
+    from .gfield import parse_element, parse_field
+    from .smod import build_L, module_to_json
+
     field = parse_field(args.field)
     mu = parse_element(field, args.mu)
     a = parse_element(field, args.a)
@@ -230,7 +257,9 @@ def cmd_lmodule(args):
 
 
 def build_parser():
-    ap = argparse.ArgumentParser(prog="supvar", description=__doc__)
+    # --help shows the docstring's first two paragraphs, not the notes on start-up
+    about = "\n\n".join((__doc__ or "").split("\n\n")[:2])
+    ap = argparse.ArgumentParser(prog="supvar", description=about)
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("points", help="enumerate V_r(G)(F_q)")
@@ -289,6 +318,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

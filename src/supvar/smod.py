@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dfield
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,7 +19,9 @@ from .errors import ValidationError
 from .gfield import FieldDescriptor, parse_element, parse_field
 from . import linalg
 from .superalg.algebra import GroupAlgebraSpec, PresentedSuperalgebra, build_group_algebra
-from .superalg.morphisms import SuperalgebraMorphism
+
+if TYPE_CHECKING:
+    from .superalg.morphisms import SuperalgebraMorphism
 
 
 @dataclass

@@ -142,27 +142,25 @@ def _carry_free_splits(b: int, p: int):
 
 
 def pr_coproduct(p: int, r: int, x: PrIndex):
-    """Coproduct of a basis element, as a list of (left, right, coeff) terms.
+    """Coproduct of a basis element, yielded as (left, right, coeff) terms.
 
     For gamma_ell with ell = a + b p^r the terms are gamma_{i+s p^r} (x)
     gamma_{j+t p^r} over i + j = a and carry-free s + t = b, each with
     coefficient 1; v is primitive and distributes with trivial signs since
-    the gammas are even.
+    the gammas are even.  Delta(u_{r-1}) alone has p^{r-1} + 1 terms, so
+    they are yielded one at a time rather than listed.
     """
     pr = p**r
     a, b = x.ell % pr, x.ell // pr
-    pairs = []
+    splits = _carry_free_splits(b, p)
     for i in range(a + 1):
-        for s, t in _carry_free_splits(b, p):
-            pairs.append((i + s * pr, (a - i) + t * pr))
-    out = []
-    for le, ri in pairs:
-        if x.has_v:
-            out.append((PrIndex(le, True), PrIndex(ri, False), 1))
-            out.append((PrIndex(le, False), PrIndex(ri, True), 1))
-        else:
-            out.append((PrIndex(le, False), PrIndex(ri, False), 1))
-    return out
+        for s, t in splits:
+            le, ri = i + s * pr, (a - i) + t * pr
+            if x.has_v:
+                yield PrIndex(le, True), PrIndex(ri, False), 1
+                yield PrIndex(le, False), PrIndex(ri, True), 1
+            else:
+                yield PrIndex(le, False), PrIndex(ri, False), 1
 
 
 def pr_antipode_counit(p: int, r: int, x: PrIndex):
@@ -235,7 +233,7 @@ class PrPresentation:
         return coeff, tuple(mon)
 
     def gen_coproduct(self, name: str):
-        """Coproduct of a generator as ((left monomial data, right, coeff)), where
+        """Coproduct of a generator, yielded as (left, right, coeff) terms, where
         each side is a gamma index interpreted through gamma_monomial."""
         if name == "v":
             x = PrIndex(0, True)

@@ -26,17 +26,19 @@ import itertools
 from dataclasses import dataclass
 from functools import reduce
 from math import comb
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import BoundExceeded, ValidationError
-from .gfield import FieldDescriptor, FieldElement, frobenius, inverse_frobenius
+from .gfield import frobenius, inverse_frobenius
 from . import linalg
-from .smod import P1ModuleView, SuperModule, extend_scalars, p1_view_from_images
-from .superalg.algebra import GroupAlgebraSpec, PresentedSuperalgebra, build_group_algebra
-from .superalg.homscheme import check_solver_cap, hom_scheme_ideal, solve_even_points
-from .superalg.pr import PrPresentation
-from .homalg import pd_infinite
+from .superalg.algebra import GroupAlgebraSpec, build_group_algebra
+
+if TYPE_CHECKING:
+    from .gfield import FieldDescriptor, FieldElement
+    from .smod import P1ModuleView, SuperModule
+    from .superalg.algebra import PresentedSuperalgebra
 
 # Points are decided in chunks whose stacked 2n x 2n blocks hold at most
 # this many cells (n = dim M), which bounds the memory of the stacks.
@@ -265,6 +267,9 @@ def enumerate_points(spec: GroupAlgebraSpec, field: FieldDescriptor, method: str
     param_pts = family_points(spec, field)
     if method == "param":
         return PointSet(spec, field, param_pts)
+    from .superalg.homscheme import check_solver_cap, hom_scheme_ideal, solve_even_points
+    from .superalg.pr import PrPresentation
+
     alg = build_group_algebra(spec, field)[0]
     pres = PrPresentation(spec.p, _hom_height(spec))
     check_solver_cap(pres, alg)
@@ -303,6 +308,8 @@ def point_to_p1(spec: GroupAlgebraSpec, pt: GroupPoint, field: FieldDescriptor):
 
 def point_pullback(spec: GroupAlgebraSpec, pt: GroupPoint, M: SuperModule) -> P1ModuleView:
     """The P_1-structure of M pulled back at the point, with every check."""
+    from .smod import p1_view_from_images
+
     alg, u_img, v_img = point_to_p1(spec, pt, M.algebra.field)
     if alg is not M.algebra:
         raise ValidationError("module algebra does not match the point's group")
@@ -340,6 +347,9 @@ def support_set(
     and the periodic complex of a valid view has d.d = 0 by construction
     (homalg.p1_hom_complex).
     """
+    from .homalg import pd_infinite
+    from .smod import extend_scalars, p1_view_from_images
+
     MF = extend_scalars(M, field)
     if build_group_algebra(spec, field)[0] is not MF.algebra:
         raise ValidationError("module algebra does not match the point's group")

@@ -11,6 +11,18 @@ from supvar.superalg.algebra import build_group_algebra
 
 M11 = '{"family":"Mrs","p":3,"r":1,"s":1,"eta":"0"}'
 
+# a map P_1 -> kM_{1;1,2} by its generators' images, as `classify` reads it
+QUOT = {
+    "p": 3,
+    "r": 1,
+    "field": "3",
+    "target": {"family": "Mrs", "p": 3, "r": 1, "s": 1, "eta": "2"},
+    "images": {
+        "u0": ["0", "1", "0", "0", "0", "0"],
+        "v": ["0", "0", "0", "1", "0", "0"],
+    },
+}
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -153,17 +165,7 @@ def test_resolve_large_golden(capsys, tmp_path, monkeypatch, name, spec, steps, 
 
 
 def test_classify_golden(capsys, tmp_path):
-    quot = {
-        "p": 3,
-        "r": 1,
-        "field": "3",
-        "target": {"family": "Mrs", "p": 3, "r": 1, "s": 1, "eta": "2"},
-        "images": {
-            "u0": ["0", "1", "0", "0", "0", "0"],
-            "v": ["0", "0", "0", "1", "0", "0"],
-        },
-    }
-    path = write(tmp_path, "quot.json", json.dumps(quot))
+    path = write(tmp_path, "quot.json", json.dumps(QUOT))
     code, out, _ = run(capsys, ["classify", "-f", path])
     assert (code, out.strip()) == (0, "M_{1;1,2}")
 
@@ -250,13 +252,13 @@ def test_point_enumeration_bounded(capsys, monkeypatch):
     ],
 )
 def test_homscheme_source_rules(capsys, monkeypatch, source, p, code, words):
-    import supvar.cli
+    import supvar.superalg.algebra
 
     # every refusal comes before the target is built
     def no_build(*args):
         raise AssertionError("target built")
 
-    monkeypatch.setattr(supvar.cli, "build_group_algebra", no_build)
+    monkeypatch.setattr(supvar.superalg.algebra, "build_group_algebra", no_build)
     target = json.dumps({"family": "Mrs", "p": p, "r": 1, "s": 1})
     got, out, err = run(capsys, ["homscheme", "--source", source, "--target", target])
     assert (got, out) == (code, "") and err.count("\n") == 1 and words in err
@@ -338,6 +340,8 @@ def test_bad_inputs_exit_2(capsys, m11_file):
     assert code == 2
     code, _, err = run(capsys, ["points", "-g", '{"family":"Mrs","p":3,"r":"x","s":1}', "-F", "3^1"])
     assert code == 2
+    code, out, err = run(capsys, ["resolve", "-g", "p1", "-n", "1"])
+    assert (code, out, err) == (2, "", "error: resolve needs a finite group algebra spec\n")
 
 
 def test_points_checked_at_the_boundary(capsys, m11_file, l01_file, tmp_path):
@@ -376,61 +380,103 @@ def test_spec_rules_at_parse_time(capsys, spec):
     assert err.startswith("error:") and err.count("\n") == 1 and "need" in err
 
 
-def test_outputs_identical_across_processes(tmp_path, m11_file, l01_file):
-    # byte-identical output under different hash seeds (no hidden set order)
+def _subprocess_env(**extra):
+    """The environment of a fresh `supvar` process: the absolute src path
+    (the process runs in tmp_path) and no caller BLAS thread setting."""
     import os
-    import subprocess
-    import sys
 
     import supvar
 
-    # the subprocess runs in tmp_path, so it needs the absolute src path
     src = os.path.dirname(os.path.dirname(os.path.abspath(supvar.__file__)))
-    env = dict(os.environ)
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(extra)
+    return env
+
+
+def _every_subcommand(tmp_path, m11_file, l01_file):
+    """(argv, exit code) covering all nine subcommands, error exits included."""
+    quot_file = write(tmp_path, "quot.json", json.dumps(QUOT))
+    return [
+        (["points", "-g", m11_file, "-F", "3^1", "--method", "solve"], 0),
+        (["points", "-g", m11_file, "-F", "6^1"], 2),
+        (["support", "-g", m11_file, "-m", l01_file, "-F", "3^2"], 0),
+        (["ext", "-g", "p1", "-m", l01_file, "-d", "4"], 0),
+        (["ext", "-g", "p1", "-m", l01_file, "-d", "20000"], 3),
+        (["pd", "-g", m11_file, "-m", l01_file, "-P", "0,1"], 0),
+        (["pd", "-g", m11_file, "-m", l01_file], 2),
+        (["resolve", "-g", m11_file, "-n", "6"], 0),
+        (["resolve", "-g", '{"family":"Mrs","p":3,"r":1,"s":10000}', "-n", "1"], 3),
+        (["classify", "-f", quot_file], 0),
+        (["psi", "-g", m11_file, "-P", "1,2", "-F", "3^1"], 0),
+        (["homscheme", "--source", "p1", "--target", m11_file], 0),
+        (["homscheme", "--source", '{"p":3,"r":13}', "--target", m11_file], 3),
+        (["lmodule", "--mu", "1", "--a", "2", "-F", "3^2"], 0),
+    ]
+
+
+def test_outputs_identical_across_processes(tmp_path, m11_file, l01_file):
+    # byte-identical output under different hash seeds (no hidden set order);
+    # each subcommand runs its own deferred imports in a new interpreter
+    import subprocess
+    import sys
+
+    cases = _every_subcommand(tmp_path, m11_file, l01_file)
+    assert {argv[0] for argv, _ in cases} == {
+        "points", "support", "ext", "pd", "resolve", "classify", "psi", "homscheme", "lmodule",
+    }
     outs = []
     for seed in ("0", "1"):
-        env["PYTHONHASHSEED"] = seed
-        cmds = [
-            ["support", "-g", m11_file, "-m", l01_file, "-F", "3^2"],
-            ["homscheme", "--source", "p1", "--target", m11_file],
-            ["points", "-g", m11_file, "-F", "3^1", "--method", "solve"],
-        ]
-        chunks = []
-        for cmd in cmds:
+        env = _subprocess_env(PYTHONHASHSEED=seed)
+        got = []
+        for argv, code in cases:
             proc = subprocess.run(
-                [sys.executable, "-m", "supvar.cli"] + cmd,
+                [sys.executable, "-m", "supvar.cli"] + argv,
                 capture_output=True,
                 text=True,
                 env=env,
                 cwd=str(tmp_path),
             )
-            assert proc.returncode == 0, proc.stderr
-            chunks.append(proc.stdout)
-        outs.append("\n".join(chunks))
+            assert proc.returncode == code, (argv, proc.stderr)
+            assert "Traceback" not in proc.stderr, argv
+            assert (proc.stdout == "") == (code != 0), argv
+            got.append((proc.stdout, proc.stderr))
+        outs.append(got)
     assert outs[0] == outs[1]
 
 
+# supvar modules that each subcommand must leave unloaded; no subcommand
+# loads the test-only dual oracle or numpy.ma (~20 ms to import)
+_UNUSED_MODULES = {
+    "points": ("smod", "homalg", "superalg.morphisms"),
+    "support": ("superalg.homscheme", "superalg.morphisms"),
+    "ext": ("varieties", "superalg.homscheme", "superalg.morphisms"),
+    "pd": ("superalg.homscheme", "superalg.morphisms"),
+    "resolve": ("varieties", "superalg.homscheme", "superalg.morphisms"),
+    "classify": ("smod", "homalg", "varieties", "superalg.homscheme"),
+    "psi": ("smod", "homalg", "superalg.homscheme", "superalg.morphisms"),
+    "homscheme": ("smod", "homalg", "varieties", "superalg.morphisms"),
+    "lmodule": ("homalg", "varieties", "superalg.homscheme", "superalg.morphisms"),
+}
+
+
 def test_support_and_resolve_load_no_oracle_or_masked_arrays(tmp_path, m11_file, l01_file):
-    # numpy.ma costs ~20 ms to import and the dual oracle is test-only
-    import os
+    # every subcommand imports only the modules it calls
+    import ast
     import subprocess
     import sys
 
-    import supvar
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(supvar.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
     script = (
         "import sys\n"
         "from supvar.cli import main\n"
         "assert main(sys.argv[1:]) == 0\n"
-        "print(sorted(m for m in ('numpy.ma', 'supvar.superalg.dual_oracle') if m in sys.modules))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('supvar.') or m == 'numpy.ma'))\n"
     )
-    for argv in (
-        ["support", "-g", m11_file, "-m", l01_file, "-F", "3^2"],
-        ["resolve", "-g", m11_file, "-n", "6"],
-    ):
+    env = _subprocess_env()
+    for argv, code in _every_subcommand(tmp_path, m11_file, l01_file):
+        if code != 0:
+            continue
         proc = subprocess.run(
             [sys.executable, "-c", script] + argv,
             capture_output=True,
@@ -439,4 +485,53 @@ def test_support_and_resolve_load_no_oracle_or_masked_arrays(tmp_path, m11_file,
             cwd=str(tmp_path),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]", (argv, proc.stdout)
+        loaded = set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+        unused = ["superalg.dual_oracle", *_UNUSED_MODULES[argv[0]]]
+        assert "numpy.ma" not in loaded, argv
+        assert not loaded & {f"supvar.{m}" for m in unused}, (argv, sorted(loaded))
+
+
+def test_import_cli_loads_no_numpy():
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, supvar.cli\n"
+        "print(sorted(m for m in sys.modules if 'supvar' in m or 'numpy' in m))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_subprocess_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['supvar', 'supvar.cli', 'supvar.errors']"
+
+
+@pytest.mark.parametrize(
+    "caller,expect",
+    [
+        ({}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}),
+        ({"OPENBLAS_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": None}),
+        ({"OMP_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "2"}),
+    ],
+)
+def test_main_defaults_to_one_blas_thread(caller, expect):
+    # main sets one OpenBLAS thread before numpy loads, unless the caller chose
+    import subprocess
+    import sys
+
+    script = (
+        "import os, sys\n"
+        "from supvar.cli import main\n"
+        "assert 'numpy' not in sys.modules\n"
+        "assert main(['lmodule', '--mu', '0', '--a', '1', '-F', '3']) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+        "print({k: os.environ.get(k) for k in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS')})\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=_subprocess_env(**caller),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr(expect)

@@ -83,6 +83,22 @@ def test_coproduct_spec_examples():
     ]
 
 
+def test_coproduct_terms_are_yielded_not_listed():
+    # Delta(u_11) of P_12 at p = 3 has 3^11 + 1 terms; listing them took ~60 MB
+    import tracemalloc
+
+    from supvar.superalg.pr import PrPresentation
+
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in PrPresentation(3, 12).gen_coproduct("u11"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 3**11 + 1
+    assert peak < 4 * 2**20, peak
+
+
 @pytest.mark.parametrize("p,r", [(3, 1), (3, 2)])
 def test_coproduct_coassociative_and_counital(p, r):
     for ell in range(p ** (r + 2)):
