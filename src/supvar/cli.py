@@ -30,11 +30,15 @@ from .errors import BoundExceeded, ValidationError
 def _load_json(arg: str):
     """Accept a path to a JSON file or inline JSON text."""
     if os.path.exists(arg):
-        with open(arg) as fh:
-            try:
+        try:
+            with open(arg) as fh:
                 return json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ValidationError(f"malformed JSON in {arg}: {e}") from None
+        except json.JSONDecodeError as e:
+            raise ValidationError(f"malformed JSON in {arg}: {e}") from None
+        except OSError as e:
+            raise ValidationError(f"cannot read {arg}: {e.strerror}") from None
+        except UnicodeDecodeError:
+            raise ValidationError(f"cannot read {arg}: not UTF-8 text") from None
     arg = arg.strip()
     if arg.startswith("{"):
         try:
@@ -249,8 +253,11 @@ def cmd_lmodule(args):
     data = module_to_json(M)
     text = json.dumps(data, indent=1, sort_keys=True)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as e:
+            raise ValidationError(f"cannot write {args.output}: {e.strerror}") from None
     else:
         print(text)
     return 0

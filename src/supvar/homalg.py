@@ -25,7 +25,6 @@ from .smod import (
     SuperModule,
     p1_dual,
     p1_tensor,
-    regular_module,
     trivial_module,
     validate_module,
 )
@@ -462,11 +461,14 @@ class ResolutionData:
         ]
 
 
-def _block_act(F, T, K):
-    """Regular actions T (..., dim A, dim A) applied to the columns K of a
-    free module over A, block by block: shape (..., rank, dim A, columns)."""
-    d = T.shape[-1]
-    return linalg.bmatmul(F, T[..., None, :, :], K.reshape(K.shape[0] // d, d, K.shape[1]))
+def _block_act(F, S, K):
+    """Regular actions, given by tensor slices S = T[b] (..., dim A, dim A)
+    as b acts by S.T, on the columns K of a free module over A, block by
+    block: shape (..., rank, dim A, columns), from one product K' S."""
+    d, (n, cols) = S.shape[-1], K.shape
+    K = K.reshape(n // d, d, cols).transpose(0, 2, 1).reshape(-1, d)
+    out = linalg.bmatmul(F, K, S).reshape(S.shape[:-2] + (n // d, cols, d))
+    return out.swapaxes(-2, -1)
 
 
 def minimal_resolution(A, M: SuperModule, steps: int) -> ResolutionData:
@@ -497,8 +499,7 @@ def minimal_resolution(A, M: SuperModule, steps: int) -> ResolutionData:
     validate_module(M).raise_if_invalid()
     F = linalg.tables(A.field)
     rad = A.radical_coords()
-    reg = regular_module(A)
-    L = reg.basis_actions().reshape(A.dim, A.dim, A.dim)
+    T = A.tensor
     acts = M.basis_actions().reshape(A.dim, M.dim, M.dim)
     res = ResolutionData(algebra=A, target=M, gen_parities=[], boundaries=[], omega=[])
     # S spans rad . Omega (Omega = M at step 0): column (b, j) is b on vector j
@@ -509,16 +510,16 @@ def minimal_resolution(A, M: SuperModule, steps: int) -> ResolutionData:
             K, Kpar = res.omega[-1]
             f = K.shape[0] - 1 - np.argmax(K[::-1] != 0, axis=0) if K.size else []
             rest = np.delete(np.arange(K.shape[0]), f)  # K X_g = L_g K holds on f
-            for g in A.generators:
-                LgK = _block_act(F, reg.action[g], K).reshape(K.shape)
+            for g in A.generators.values():
+                LgK = _block_act(F, T[g], K).reshape(K.shape)
                 if not np.array_equal(linalg.matmul(F, K[rest], LgK[f]), LgK[rest]):
                     raise ValidationError(f"syzygy {len(res.omega)} is not a submodule")
-            S = np.concatenate([_block_act(F, L[b], K).reshape(K.shape)[f] for b in rad], axis=1)
+            S = np.concatenate([_block_act(F, T[b], K).reshape(K.shape)[f] for b in rad], axis=1)
         comp = linalg.complement_coords(F, S)
         gens = tuple(int(Kpar[c]) for c in comp)
         check_depth(f"dim P_{len(res.gen_parities)}", len(gens) * A.dim, 0, RESOLVE_DIM_CAP)
         if res.omega:
-            bnd = _block_act(F, L, K[:, comp]).transpose(1, 2, 3, 0)
+            bnd = _block_act(F, T, K[:, comp]).transpose(1, 2, 3, 0)
             # minimality: columns live in rad . P_{n-1}
             if bnd[:, A.unit_index].any():
                 res.minimal = False
@@ -534,29 +535,28 @@ def minimal_resolution(A, M: SuperModule, steps: int) -> ResolutionData:
 
 
 def _check_local(A):
-    """Augmentation ideal spanned by the non-unit basis and nilpotent."""
+    """Augmentation ideal I spanned by the non-unit basis and nilpotent.
+
+    The layer I^{n+1} = I I^n is spanned by the products b_r x = x T[r] of
+    the radical basis b_r with a basis x of I^n, taken as one stacked
+    product for sixteen r at a time (on the support s of the x), so no
+    temporary grows with the whole tensor.  One rref keeps a basis.
+    """
     F = linalg.tables(A.field)
-    if any(A.augmentation[i] for i in A.radical_coords()) or not A.augmentation[A.unit_index]:
+    d, rad, T = A.dim, np.array(A.radical_coords(), dtype=int), A.tensor
+    if A.augmentation[rad].any() or not A.augmentation[A.unit_index]:
         raise ValidationError("algebra augmentation is not the unit indicator")
-    # nilpotency of the radical via powers of its spanning set
-    rad = [A.el_basis(i) for i in A.radical_coords()]
-    layer = rad
-    for _ in range(A.dim + 1):
-        if not layer:
+    layer = linalg.identity(d)[rad]
+    for _ in range(d + 1):
+        if not layer.size:
             return
-        nxt = []
-        mat = []
-        for x in layer:
-            for y in rad:
-                z = A.el_mul(x, y)
-                if np.any(z):
-                    nxt.append(z)
-                    mat.append(z)
-        if not nxt:
-            return
-        Mx = np.stack(mat, axis=1)
-        keep = linalg.column_space(F, Mx)
-        layer = [keep[:, i] for i in range(keep.shape[1])]
+        s = np.flatnonzero(layer.any(axis=0))
+        prods = []
+        for lo in range(0, len(rad), 16):
+            P = linalg.bmatmul(F, layer[:, s], T[rad[lo : lo + 16]][:, s]).reshape(-1, d)
+            prods.append(P[P.any(axis=1)])
+        R, pivots = linalg.rref(F, np.concatenate(prods))
+        layer = R[: len(pivots)]
     raise ValidationError("augmentation ideal is not nilpotent; algebra not local")
 
 
@@ -645,8 +645,8 @@ def carlson_module(A, n: int, zeta: CocycleClass) -> SuperModule:
             raise ValidationError("kernel basis is not homogeneous")
         Lpar.append(pars.pop())
     action = {}
-    for g, T in regular_module(A).action.items():
-        action[g] = linalg.solve(F, Lcols, _block_act(F, T, Lcols).reshape(Lcols.shape))
+    for g, i in A.generators.items():
+        action[g] = linalg.solve(F, Lcols, _block_act(F, A.tensor[i], Lcols).reshape(Lcols.shape))
         if action[g] is None:
             raise ValidationError("kernel of zeta is not a submodule")
     out = SuperModule(A, Lcols.shape[1], np.array(Lpar, dtype=np.int8), action)

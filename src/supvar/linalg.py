@@ -171,7 +171,7 @@ def kron(F: GFTables, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def rref(F: GFTables, A: np.ndarray):
     """Reduced row echelon form; returns (R, pivot_column_list)."""
-    R = A.astype(DT).copy()
+    R = A.astype(DT)  # a copy
     m, n = R.shape
     pivots = []
     r = 0

@@ -122,20 +122,14 @@ def trivial_module(A: PresentedSuperalgebra, odd: bool = False) -> SuperModule:
 
 
 def regular_module(A: PresentedSuperalgebra) -> SuperModule:
-    """A acting on itself by left multiplication (cached per algebra)."""
+    """A acting on itself by left multiplication (cached per algebra): the
+    action of b_i is tensor[i].T, since b_i b_j = sum_k tensor[i, j, k] b_k."""
     cached = getattr(A, "_regular_module", None)
-    if cached is not None:
-        return cached
-    action = {}
-    for g in A.generators:
-        mat = linalg.zeros(A.dim, A.dim)
-        gv = A.el_gen(g)
-        for j in range(A.dim):
-            mat[:, j] = A.el_mul(gv, A.el_basis(j))
-        action[g] = mat
-    out = SuperModule(A, A.dim, A.parity.astype(np.int8).copy(), action)
-    A._regular_module = out
-    return out
+    if cached is None:
+        action = {g: np.ascontiguousarray(A.tensor[i].T) for g, i in A.generators.items()}
+        cached = SuperModule(A, A.dim, A.parity.astype(np.int8).copy(), action)
+        A._regular_module = cached
+    return cached
 
 
 def pullback(M: SuperModule, phi: SuperalgebraMorphism) -> SuperModule:
@@ -277,8 +271,7 @@ def random_module(seed: int, algebra: PresentedSuperalgebra, dim_bound: int) -> 
     rng = random.Random(seed)
     A = algebra
     F = A.F
-    reg = regular_module(A)
-    L = reg.basis_actions().reshape(A.dim, A.dim, A.dim)
+    L = A.tensor.transpose(0, 2, 1)  # L[i] is the regular action of b_i
     q = A.field.q
     for _attempt in range(500):
         ngen = rng.randint(1, 3)
@@ -306,9 +299,9 @@ def random_module(seed: int, algebra: PresentedSuperalgebra, dim_bound: int) -> 
         B = np.concatenate([Wb, E], axis=1)
         Binv = linalg.solve(F, B, linalg.identity(A.dim))
         proj = Binv[Wb.shape[1] :, :]
-        action = {}
-        for g in A.generators:
-            action[g] = linalg.matmul(F, proj, linalg.matmul(F, reg.action[g], E))
+        action = {
+            g: linalg.matmul(F, proj, linalg.matmul(F, L[i], E)) for g, i in A.generators.items()
+        }
         parity = A.parity[comp].astype(np.int8)
         out = SuperModule(A, qdim, parity, action)
         validate_module(out).raise_if_invalid()

@@ -1,17 +1,19 @@
 """Finite-dimensional presented Hopf superalgebras and their constructors.
 
-An algebra is given by a basis, a parity vector, sparse structure constants,
-named generators, and an expression of every basis element as a scalar times
-a monomial in the generators (so modules only ever need one action matrix
-per generator).  Structure constants are stored as field element indices in
-the sense of supvar.linalg.
+An algebra is given by a basis, a parity vector, a dense structure tensor
+(b_i b_j = sum_k T[i, j, k] b_k), named generators, and an expression of
+every basis element as a scalar times a monomial in the generators (so
+modules only ever need one action matrix per generator).  The tensor holds
+prime-field element indices in the sense of supvar.linalg, which name the
+same elements in every extension field.
 
 Constructors cover the group algebras of the multiparameter supergroups
 (quotients of P_r), the purely even truncated polynomial Hopf algebra, and
 tensor products with the Koszul sign rule.  Every constructor takes the spec
 alone and builds over F_p: the structure constants lie in the prime field,
 whose elements keep their index in every extension.  build_group_algebra
-builds and verifies each spec once and serves every field from that build.
+builds and verifies each spec once and serves every field from that build,
+with the one tensor shared by all of them.
 The P_r relations and gamma monomials come from pr.PrPresentation.
 """
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from math import comb, prod
 
@@ -204,7 +206,7 @@ class PresentedSuperalgebra:
     parity: np.ndarray  # (dim,) of 0/1
     basis_names: tuple
     unit_index: int
-    mult: dict  # (i, j) -> tuple of (k, coeff_index)
+    tensor: np.ndarray  # (dim, dim, dim): b_i b_j = sum_k tensor[i, j, k] b_k
     generators: dict  # name -> basis index
     gen_parity: dict  # name -> 0/1
     monomials: tuple  # per basis index: (coeff_index, ((gen, exp), ...))
@@ -223,9 +225,7 @@ class PresentedSuperalgebra:
         return np.zeros(self.dim, dtype=linalg.DT)
 
     def el_unit(self):
-        e = self.el_zero()
-        e[self.unit_index] = 1
-        return e
+        return self.el_basis(self.unit_index)
 
     def el_basis(self, i: int):
         e = self.el_zero()
@@ -242,42 +242,28 @@ class PresentedSuperalgebra:
         return self.F.add[x, y]
 
     def el_mul(self, x, y):
-        F = self.F
-        out = self.el_zero()
-        for i in np.nonzero(x)[0]:
-            xi = x[i]
-            for j in np.nonzero(y)[0]:
-                c = F.mul[xi, y[j]]
-                for k, ck in self.mult.get((int(i), int(j)), ()):
-                    out[k] = F.add[out[k], F.mul[c, ck]]
-        return out
+        """x y for elements or stacks of them (..., dim), broadcast as numpy
+        does: the terms x_i y_j over the union supports i of x and j of y,
+        summed against tensor[i, j] by one product."""
+        F, d = self.F, self.dim
+        shape = np.broadcast_shapes(x.shape, y.shape)
+        i = np.flatnonzero(x.reshape(-1, d).any(axis=0))
+        j = np.flatnonzero(y.reshape(-1, d).any(axis=0))
+        terms = F.mul[x[..., i, None], y[..., None, j]].reshape(prod(shape[:-1]), i.size * j.size)
+        out = linalg.matmul(F, terms, self.tensor[np.ix_(i, j)].reshape(-1, d))
+        return out.reshape(shape)
 
     def el_pow(self, x, e: int):
-        out = self.el_unit()
-        for _ in range(e):
-            out = self.el_mul(out, x)
+        return reduce(self.el_mul, [x] * e, self.el_unit())
+
+    @cached_property
+    def products(self):
+        """The tensor's nonzero entries for sparse loops:
+        (i, j) -> [(k, tensor[i, j, k]), ...] in increasing k."""
+        out = {}
+        for i, j, k in np.argwhere(self.tensor).tolist():
+            out.setdefault((i, j), []).append((k, int(self.tensor[i, j, k])))
         return out
-
-    @cached_property
-    def tensor(self):
-        """Dense structure constants: b_i b_j = sum_k tensor[i, j, k] b_k."""
-        T = np.zeros((self.dim,) * 3, dtype=linalg.DT)
-        for (i, j), ent in self.mult.items():
-            for k, c in ent:
-                T[i, j, k] = self.F.add[T[i, j, k], c]
-        return T
-
-    @cached_property
-    def _tensor_terms(self):
-        i, j, k = np.nonzero(self.tensor)
-        return i, j, self.tensor[i, j, k], np.eye(self.dim, dtype=linalg.DT)[k]
-
-    def el_mul_stack(self, x, y):
-        """x y for stacks of elements (..., dim): the products x_i y_j T_ijk
-        of the tensor's nonzero entries, summed into b_k by one product."""
-        i, j, c, onehot = self._tensor_terms
-        terms = self.F.mul[self.F.mul[x[..., i], y[..., j]], c].reshape(-1, len(c))
-        return linalg.matmul(self.F, terms, onehot).reshape(x.shape)
 
     def element_parity(self, x):
         pars = set(int(self.parity[i]) for i in np.nonzero(x)[0])
@@ -297,8 +283,8 @@ def _quotient_reducer(p, r, fcoeffs, eta):
     """Normal form map for gamma indices in P_r/(f(u_{r-1}) + eta u_0).
 
     fcoeffs = (c_1, ..., c_t) with c_t nonzero; basis indices run below
-    p^{r+t-1}.  Returns (basis_bound, reduce) where reduce(n) maps a gamma
-    index to a dict {index below bound: coefficient mod p}.
+    p^{r+t-1}.  Returns (basis_bound, normal_form) where normal_form(n) maps
+    a gamma index to a dict {index below bound: coefficient mod p}.
     """
     t = len(fcoeffs)
     top = p ** (r + t - 1)
@@ -314,7 +300,7 @@ def _quotient_reducer(p, r, fcoeffs, eta):
 
     memo = {}
 
-    def reduce(n: int):
+    def normal_form(n: int):
         if n < top:
             return {n: 1}
         if n in memo:
@@ -327,7 +313,7 @@ def _quotient_reducer(p, r, fcoeffs, eta):
             c1 = gamma_coeff(m, l, p, r)
             if c1 == 0:
                 continue
-            for k, ck in reduce(m + l).items():
+            for k, ck in normal_form(m + l).items():
                 v = (out.get(k, 0) + inv_c0 * cl % p * c1 % p * ck) % p
                 if v:
                     out[k] = v
@@ -336,11 +322,21 @@ def _quotient_reducer(p, r, fcoeffs, eta):
         memo[n] = out
         return out
 
-    return top, reduce
+    return top, normal_form
+
+
+def _truncated_tensor(m, coeff=lambda i, j: 1):
+    """T[i, j, i + j] = coeff(i, j) for i + j < m: the tensor of a truncated
+    polynomial (or divided power) algebra in the basis g^0, ..., g^{m-1}."""
+    T = np.zeros((m,) * 3, dtype=linalg.DT)
+    for i in range(m):
+        for j in range(m - i):
+            T[i, j, i + j] = coeff(i, j)
+    return T
 
 
 def _base_algebra(
-    spec, names, parity, mult, generators, gen_parity, monomials, relations, cop, signs
+    spec, names, parity, tensor, generators, gen_parity, monomials, relations, cop, signs
 ):
     """A base family's algebra over F_p: basis 0 is the unit and carries
     the counit, and the antipode is the diagonal of the given signs."""
@@ -354,7 +350,7 @@ def _base_algebra(
         parity=np.asarray(parity, dtype=np.int8),
         basis_names=tuple(names),
         unit_index=0,
-        mult=mult,
+        tensor=tensor,
         generators=generators,
         gen_parity=gen_parity,
         monomials=tuple(monomials),
@@ -369,7 +365,7 @@ def _build_pr_quotient(spec: GroupAlgebraSpec):
     """Group algebra of M_{r;f,eta}: P_r modulo f(u_{r-1}) + eta*u_0."""
     p, r = spec.p, spec.r
     fcoeffs = spec.fcoeffs()
-    n_gamma, reduce = _quotient_reducer(p, r, fcoeffs, spec.eta)
+    n_gamma, normal_form = _quotient_reducer(p, r, fcoeffs, spec.eta)
     dim = 2 * n_gamma
     pres = PrPresentation(p, r)
 
@@ -381,20 +377,15 @@ def _build_pr_quotient(spec: GroupAlgebraSpec):
     def bidx(ell, has_v):
         return ell + (n_gamma if has_v else 0)
 
-    mult = {}
+    T = np.zeros((dim,) * 3, dtype=linalg.DT)
     for i in range(dim):
         xi = PrIndex(i % n_gamma, i >= n_gamma)
         for j in range(dim):
             yj = PrIndex(j % n_gamma, j >= n_gamma)
-            prod = gamma_product(p, r, xi, yj)
-            entries = {}
-            for idx, c in prod.terms.items():
-                for k, ck in reduce(idx.ell).items():
+            for idx, c in gamma_product(p, r, xi, yj).terms.items():
+                for k, ck in normal_form(idx.ell).items():
                     tgt = bidx(k, idx.has_v)
-                    entries[tgt] = (entries.get(tgt, 0) + c * ck) % p
-            ent = tuple((k, int(v)) for k, v in sorted(entries.items()) if v)
-            if ent:
-                mult[(i, j)] = ent
+                    T[i, j, tgt] = (T[i, j, tgt] + c * ck) % p
 
     generators = {f"u{i}": bidx(p**i, False) for i in range(r)}
     generators["v"] = bidx(0, True)
@@ -418,7 +409,7 @@ def _build_pr_quotient(spec: GroupAlgebraSpec):
         cop.append(tuple((j, k, int(v)) for (j, k), v in sorted(terms.items()) if v))
     signs = [(-1) ** (i % n_gamma + (i >= n_gamma)) for i in range(dim)]
     return _base_algebra(
-        spec, names, parity, mult, generators, gen_parity, monomials, relations, cop, signs
+        spec, names, parity, T, generators, gen_parity, monomials, relations, cop, signs
     )
 
 
@@ -428,14 +419,7 @@ def _build_gar(spec: GroupAlgebraSpec):
     dim = p**r
     parity = np.zeros(dim, dtype=np.int8)
     names = tuple(f"g{l}" for l in range(dim))
-    mult = {}
-    for i in range(dim):
-        for j in range(dim):
-            if i + j >= dim:
-                continue
-            c = gamma_coeff(i, j, p, max(r, 1))
-            if c:
-                mult[(i, j)] = ((i + j, c),)
+    T = _truncated_tensor(dim, lambda i, j: gamma_coeff(i, j, p, max(r, 1)))
     generators = {f"u{i}": p**i for i in range(r)}
     gen_parity = {f"u{i}": 0 for i in range(r)}
     pres = PrPresentation(p, max(r, 1))
@@ -452,7 +436,7 @@ def _build_gar(spec: GroupAlgebraSpec):
         cop.append(tuple(terms))
     signs = [(-1) ** i for i in range(dim)]
     return _base_algebra(
-        spec, names, parity, mult, generators, gen_parity, monomials, relations, cop, signs
+        spec, names, parity, T, generators, gen_parity, monomials, relations, cop, signs
     )
 
 
@@ -462,7 +446,7 @@ def _build_gaminus(spec: GroupAlgebraSpec):
         spec,
         names=("1", "v"),
         parity=(0, 1),
-        mult={(0, 0): ((0, 1),), (0, 1): ((1, 1),), (1, 0): ((1, 1),)},
+        tensor=_truncated_tensor(2),
         generators={"v": 1},
         gen_parity={"v": 1},
         monomials=((1, ()), (1, (("v", 1),))),
@@ -476,10 +460,6 @@ def _build_trunc_even(spec: GroupAlgebraSpec):
     """k[g]/(g^{p^t}) with g even and primitive (binomial coproduct)."""
     p, t = spec.p, spec.t
     m = p**t
-    mult = {}
-    for i in range(m):
-        for j in range(m - i):
-            mult[(i, j)] = ((i + j, 1),)
     cop = []
     for j in range(m):
         terms = []
@@ -492,7 +472,7 @@ def _build_trunc_even(spec: GroupAlgebraSpec):
         spec,
         names=[f"g^{j}" for j in range(m)],
         parity=[0] * m,
-        mult=mult,
+        tensor=_truncated_tensor(m),
         generators={"g": 1},
         gen_parity={"g": 0},
         monomials=[(1, ()) if j == 0 else (1, (("g", j),)) for j in range(m)],
@@ -530,41 +510,27 @@ def tensor_algebra(A: PresentedSuperalgebra, B: PresentedSuperalgebra):
     def idx(i, j):
         return i * B.dim + j
 
-    parity = np.zeros(dim, dtype=np.int8)
-    names = []
-    monomials = []
-    for i in range(A.dim):
-        for j in range(B.dim):
-            parity[idx(i, j)] = (A.parity[i] + B.parity[j]) % 2
-            names.append(f"{A.basis_names[i]}|{B.basis_names[j]}")
-            ca, ma = A.monomials[i]
-            cb, mb = B.monomials[j]
-            monomials.append((int(F.mul[F.scalar(ca), F.scalar(cb)]), ma + mb))
+    def outer(a, b):  # a_i b_j at idx(i, j)
+        return F.mul[a[:, None], b[None, :]].ravel()
 
-    mult = {}
-    for (i1, j1) in [(i, j) for i in range(A.dim) for j in range(B.dim)]:
-        for (i2, j2) in [(i, j) for i in range(A.dim) for j in range(B.dim)]:
-            sign = -1 if (B.parity[j1] and A.parity[i2]) else 1
-            ent = {}
-            for ka, ca in A.mult.get((i1, i2), ()):
-                for kb, cb in B.mult.get((j1, j2), ()):
-                    c = int(F.mul[F.scalar(ca), F.scalar(cb)])
-                    if sign < 0:
-                        c = int(F.neg[c])
-                    k = idx(ka, kb)
-                    ent[k] = int(F.add[ent.get(k, 0), c])
-            ent = tuple((k, v) for k, v in sorted(ent.items()) if v)
-            if ent:
-                mult[(idx(i1, j1), idx(i2, j2))] = ent
+    parity = (A.parity[:, None] ^ B.parity[None, :]).ravel()
+    names = tuple(f"{a}|{b}" for a in A.basis_names for b in B.basis_names)
+    monomials = tuple(
+        (int(F.mul[F.scalar(ca), F.scalar(cb)]), ma + mb)
+        for ca, ma in A.monomials
+        for cb, mb in B.monomials
+    )
 
-    generators = {}
-    gen_parity = {}
-    for g, i in A.generators.items():
-        generators[g] = idx(i, B.unit_index)
-        gen_parity[g] = A.gen_parity[g]
-    for g, j in B.generators.items():
-        generators[g] = idx(A.unit_index, j)
-        gen_parity[g] = B.gen_parity[g]
+    # T[(i1, j1), (i2, j2), (ka, kb)] = (-1)^{|b_j1||a_i2|} TA[i1, i2, ka] TB[j1, j2, kb]:
+    # one outer product of prime-field entries, reduced mod p
+    sign = np.where(np.outer(B.parity, A.parity), -1, 1).astype(linalg.DT)
+    TB = B.tensor[:, None, :, None, :] * sign[:, :, None, None, None]
+    T = A.tensor[:, None, :, None, :, None] * TB[None]
+    T = np.remainder(T, A.field.p, out=T).reshape(dim, dim, dim)
+
+    generators = {g: idx(i, B.unit_index) for g, i in A.generators.items()}
+    generators.update((g, idx(A.unit_index, j)) for g, j in B.generators.items())
+    gen_parity = {**A.gen_parity, **B.gen_parity}
 
     relations = list(A.relations) + list(B.relations)
     relations += [
@@ -573,10 +539,7 @@ def tensor_algebra(A: PresentedSuperalgebra, B: PresentedSuperalgebra):
         for gb, pb in B.gen_parity.items()
     ]
 
-    augmentation = np.zeros(dim, dtype=linalg.DT)
-    for i in range(A.dim):
-        for j in range(B.dim):
-            augmentation[idx(i, j)] = F.mul[A.augmentation[i], B.augmentation[j]]
+    augmentation = outer(A.augmentation, B.augmentation)
 
     hopf = None
     if A.hopf is not None and B.hopf is not None:
@@ -592,10 +555,7 @@ def tensor_algebra(A: PresentedSuperalgebra, B: PresentedSuperalgebra):
                         key = (idx(a1, b1), idx(a2, b2))
                         terms[key] = int(F.add[terms.get(key, 0), c])
                 cop.append(tuple((a, b, v) for (a, b), v in sorted(terms.items()) if v))
-        counit = np.zeros(dim, dtype=linalg.DT)
-        for i in range(A.dim):
-            for j in range(B.dim):
-                counit[idx(i, j)] = F.mul[A.hopf.counit[i], B.hopf.counit[j]]
+        counit = outer(A.hopf.counit, B.hopf.counit)
         # S_{A(x)B} = S_A (x) S_B; both antipodes are even maps, so the
         # Koszul rule adds no signs here (the convolution axiom pins this).
         antipode = linalg.kron(F, A.hopf.antipode, B.hopf.antipode)
@@ -611,12 +571,12 @@ def tensor_algebra(A: PresentedSuperalgebra, B: PresentedSuperalgebra):
         field=A.field,
         dim=dim,
         parity=parity,
-        basis_names=tuple(names),
+        basis_names=names,
         unit_index=idx(A.unit_index, B.unit_index),
-        mult=mult,
+        tensor=T,
         generators=generators,
         gen_parity=gen_parity,
-        monomials=tuple(monomials),
+        monomials=monomials,
         relations=tuple(relations),
         augmentation=augmentation,
         hopf=hopf,
@@ -652,6 +612,7 @@ def _build_cached(spec: GroupAlgebraSpec, field: FieldDescriptor):
             alg = tensor_algebra(alg, b)
         alg.spec = spec
     verify_algebra(alg)
+    alg.tensor.flags.writeable = False  # shared by the algebra over every field
     return alg
 
 
@@ -662,8 +623,8 @@ def build_group_algebra(spec: GroupAlgebraSpec, field: FieldDescriptor | None = 
     algebra.  The spec's dimension is checked against DIM_CAP before any
     work.  Each spec is built and verified once, over F_p; over an extension
     field the algebra is that build with its field replaced, sharing every
-    table.  Results are cached per (spec, field), so a repeated build
-    returns the identical object.
+    table, the structure tensor included.  Results are cached per (spec,
+    field), so a repeated build returns the identical object.
     """
     if field is None:
         field = make_field(spec.p, 1)
@@ -675,15 +636,16 @@ def build_group_algebra(spec: GroupAlgebraSpec, field: FieldDescriptor | None = 
 
 def _light_checks(alg: PresentedSuperalgebra):
     """Cheap structural checks run on every build."""
-    u = alg.unit_index
-    for i in range(alg.dim):
-        if alg.mult.get((u, i), ()) != ((i, 1),) or alg.mult.get((i, u), ()) != ((i, 1),):
-            raise AlgebraError(f"unit axiom fails at basis {i}")
-    for (i, j), ent in alg.mult.items():
-        want = (alg.parity[i] + alg.parity[j]) % 2
-        for k, _ in ent:
-            if alg.parity[k] != want:
-                raise AlgebraError(f"parity not multiplicative at ({i},{j})->{k}")
+    T, u, par = alg.tensor, alg.unit_index, alg.parity
+    one = np.eye(alg.dim, dtype=linalg.DT)
+    bad = np.flatnonzero((T[u] != one).any(axis=1) | (T[:, u] != one).any(axis=1))
+    if bad.size:
+        raise AlgebraError(f"unit axiom fails at basis {bad[0]}")
+    ijk = np.argwhere(T)
+    bad = ijk[par[ijk[:, 2]] != (par[ijk[:, 0]] + par[ijk[:, 1]]) % 2]
+    if bad.size:
+        i, j, k = bad[0]
+        raise AlgebraError(f"parity not multiplicative at ({i},{j})->{k}")
     if alg.hopf is not None:
         F = alg.F
         for i in range(alg.dim):
@@ -703,13 +665,15 @@ def verify_algebra(alg: PresentedSuperalgebra, seed: int = 0, exhaustive_limit: 
     through the dense structure tensor T (b_i b_j = sum_k T[i, j, k] b_k):
     for each i, (b_i b_j) b_k and b_i (b_j b_k) over all (j, k) are two
     array products, so scratch memory stays O(d^3).  Above the limit, 500
-    triples drawn with the seed are checked through el_mul.  The
-    augmentation is checked on all pairs as one array comparison.  A
-    failure names the first bad triple (pair) in lexicographic order.
+    triples drawn with the seed are checked as (b_i b_j) b_k = T[i, j] b_k
+    against b_i (b_j b_k) = b_i T[j, k] by stacked el_mul, 25 triples at a
+    time, so no product spans much of T.  The augmentation is checked
+    on all pairs as one array comparison, its values taken one slice T[i]
+    at a time.  A failure names the first bad triple (pair) in
+    lexicographic order.
     """
-    d, F, aug = alg.dim, alg.F, alg.augmentation
+    d, F, aug, T = alg.dim, alg.F, alg.augmentation, alg.tensor
     if d <= exhaustive_limit:
-        T = alg.tensor
         flat = T.reshape(d, d * d)
         for i in range(d):
             lhs = linalg.bmatmul(F, T[i], flat).reshape(d, d, d)
@@ -719,16 +683,14 @@ def verify_algebra(alg: PresentedSuperalgebra, seed: int = 0, exhaustive_limit: 
                 raise AlgebraError(f"associativity fails at ({i},{j},{k})")
     else:
         rng = random.Random(seed)
-        for _ in range(500):
-            i, j, k = rng.randrange(d), rng.randrange(d), rng.randrange(d)
-            lhs = alg.el_mul(alg.el_mul(alg.el_basis(i), alg.el_basis(j)), alg.el_basis(k))
-            rhs = alg.el_mul(alg.el_basis(i), alg.el_mul(alg.el_basis(j), alg.el_basis(k)))
-            if not np.array_equal(lhs, rhs):
-                raise AlgebraError(f"associativity fails at ({i},{j},{k})")
-    counits = np.zeros((d, d), dtype=linalg.DT)  # counit of b_i b_j
-    for (i, j), ent in alg.mult.items():
-        for k, c in ent:
-            counits[i, j] = F.add[counits[i, j], F.mul[c, aug[k]]]
+        ijk = np.array([[rng.randrange(d) for _ in range(3)] for _ in range(500)])
+        one = np.eye(d, dtype=linalg.DT)
+        for i, j, k in (ijk[lo : lo + 25].T for lo in range(0, 500, 25)):
+            bad = alg.el_mul(T[i, j], one[k]) != alg.el_mul(one[i], T[j, k])
+            if bad.any():
+                t = bad.any(axis=1).argmax()
+                raise AlgebraError(f"associativity fails at ({i[t]},{j[t]},{k[t]})")
+    counits = np.stack([linalg.matvec(F, T[i], aug) for i in range(d)])  # of b_i b_j
     want = F.mul[aug[:, None], aug[None, :]]
     if not np.array_equal(counits, want):
         i, j = np.argwhere(counits != want)[0]
@@ -745,11 +707,10 @@ def _tensor_square_product(alg, t1, t2):
             c = int(F.mul[c1, c2])
             if alg.parity[k1] and alg.parity[j2]:
                 c = int(F.neg[c])
-            for m1, cm1 in alg.mult.get((j1, j2), ()):
-                for m2, cm2 in alg.mult.get((k1, k2), ()):
+            for m1, cm1 in alg.products.get((j1, j2), ()):
+                for m2, cm2 in alg.products.get((k1, k2), ()):
                     v = int(F.mul[c, int(F.mul[cm1, cm2])])
-                    key = (m1, m2)
-                    out[key] = int(F.add[out.get(key, 0), v])
+                    out[m1, m2] = int(F.add[out.get((m1, m2), 0), v])
     return {k: v for k, v in out.items() if v}
 
 
@@ -762,6 +723,7 @@ def verify_hopf(alg: PresentedSuperalgebra, seed: int = 0, pair_limit: int = 40)
     F = alg.F
     H = alg.hopf
     d = alg.dim
+    E, S = np.eye(d, dtype=linalg.DT), H.antipode.T  # S[j] is the antipode of b_j
     for i in range(d):
         # coassociativity
         lhs = {}
@@ -777,20 +739,11 @@ def verify_hopf(alg: PresentedSuperalgebra, seed: int = 0, pair_limit: int = 40)
         rhs = {k: v for k, v in rhs.items() if v}
         if lhs != rhs:
             raise AlgebraError(f"coassociativity fails at basis {i}")
-        # antipode convolution inverse, both sides
-        for flip in (False, True):
-            acc = alg.el_zero()
-            for j, k, c in H.coproduct[i]:
-                if flip:
-                    img = H.antipode[:, k]
-                    part = alg.el_mul(alg.el_basis(j), img)
-                else:
-                    img = H.antipode[:, j]
-                    part = alg.el_mul(img, alg.el_basis(k))
-                acc = F.add[acc, F.mul[F.scalar(c), part]]
-            want = alg.el_zero()
-            want[alg.unit_index] = H.counit[i]
-            if not np.array_equal(acc, want):
+        # antipode convolution inverse, both sides: sum_c c S(b_j) b_k, sum_c c b_j S(b_k)
+        j, k, c = np.array(H.coproduct[i], dtype=linalg.DT).reshape(-1, 3).T
+        want = F.mul[H.counit[i], E[alg.unit_index]]
+        for terms in (alg.el_mul(S[j], E[k]), alg.el_mul(E[j], S[k])):
+            if not np.array_equal(linalg.matmul(F, c[None], terms)[0], want):
                 raise AlgebraError(f"antipode axiom fails at basis {i}")
     # coproduct is an algebra map into the super tensor square
     if d <= pair_limit:
@@ -803,7 +756,7 @@ def verify_hopf(alg: PresentedSuperalgebra, seed: int = 0, pair_limit: int = 40)
         t2 = {(a, b): F.scalar(c) for a, b, c in H.coproduct[j]}
         got = _tensor_square_product(alg, t1, t2)
         want = {}
-        for k, c in alg.mult.get((i, j), ()):
+        for k, c in alg.products.get((i, j), ()):
             for a, b, c2 in H.coproduct[k]:
                 key = (a, b)
                 want[key] = int(F.add[want.get(key, 0), F.mul[F.scalar(c), F.scalar(c2)]])

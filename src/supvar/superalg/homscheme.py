@@ -220,7 +220,7 @@ class _SVec:
                 continue
             pj = (self.parity + par[j]) % 2  # parity of the coefficient poly
             for k, Q in enumerate(other.comps):
-                ent = alg.mult.get((j, k))
+                ent = alg.products.get((j, k))
                 if Q and ent:
                     ring.addmul([(out[m], neg[c] if pj and par[k] else c) for m, c in ent], P, Q)
         return _SVec(alg, ring, [_nonzero(d) for d in out], (self.parity + other.parity) % 2)
@@ -302,10 +302,14 @@ def hom_scheme_ideal(source: PrPresentation, alg: PresentedSuperalgebra) -> Poly
         return scalar(1) if e == 0 else powers[(g, e - 1)].mul(rho[g])
 
     def eval_monomial(coeff, mon):
-        """The image of coeff * mon, or None when it is zero."""
+        """The image of coeff * mon, or None when it is zero; a zero factor
+        makes it zero before any product."""
+        factors = [powers[(g, e)] for g, e in mon]
+        if not all(any(f.comps) for f in factors):
+            return None
         out = scalar(F.scalar(coeff))
-        for g, e in mon:
-            out = out.mul(powers[(g, e)])
+        for f in factors:
+            out = out.mul(f)
         return out if any(out.comps) else None
 
     powers = _Memo(lambda key: power(*key))  # (gen, exp) -> image of gen^exp
@@ -336,8 +340,11 @@ def hom_scheme_ideal(source: PrPresentation, alg: PresentedSuperalgebra) -> Poly
     for gi, g in enumerate(gens, start=1):
         acc = {}
         for le, ri, c in source.gen_coproduct(g):
-            A, B = gamma(le.ell, le.has_v), gamma(ri.ell, ri.has_v)
-            if A and B:
+            # B is skipped when A is zero; zero images are not memoised, as for
+            # a large source nearly all p^(r-1) gammas are zero and distinct
+            A = gamma(le.ell, le.has_v)
+            B = A and gamma(ri.ell, ri.has_v)
+            if B:
                 _tensor_components(A, B, F.scalar(c), acc)
         for j in nonunit:
             for a, b, c in alg.hopf.coproduct[j]:

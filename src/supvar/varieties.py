@@ -244,14 +244,14 @@ def validate_point_images(spec, alg, images):
     r = _hom_height(spec)
 
     def power(x):
-        return reduce(alg.el_mul_stack, [x] * p)
+        return reduce(alg.el_mul, [x] * p)
 
     for i in range(r - 1):
         if np.any(power(images[f"u{i}"])):
             raise ValidationError(f"image of u{i} is not p-nilpotent")
     v = images["v"]
     top = images.get(f"u{r-1}", np.zeros_like(v))
-    if np.any(alg.F.add[power(top), alg.el_mul_stack(v, v)]):
+    if np.any(alg.F.add[power(top), alg.el_mul(v, v)]):
         raise ValidationError("images violate u^p + v^2 = 0")
 
 

@@ -304,7 +304,7 @@ def test_criterion_13_coproduct_oracle():
                 tuple(sorted(t)) for t in hopf.coproduct
             ), (r, s)
             assert {k: tuple(v) for k, v in orc.gamma_mult.items()} == {
-                k: tuple(v) for k, v in alg.mult.items()
+                k: tuple(v) for k, v in alg.products.items()
             }, (r, s)
     _passed(13, "coproduct/multiplication equal the dualized k[M_{r;s}] tables, (r,s) in {1,2}^2")
 

@@ -333,7 +333,7 @@ def test_ext_two_modules(capsys, tmp_path):
     assert out.splitlines() == ["0: 0|1", "1: 1|1", "2: 1|1", "3: 1|1"]
 
 
-def test_bad_inputs_exit_2(capsys, m11_file):
+def test_bad_inputs_exit_2(capsys, m11_file, tmp_path):
     code, _, err = run(capsys, ["points", "-g", m11_file, "-F", "6^1"])
     assert code == 2
     code, _, err = run(capsys, ["psi", "-g", m11_file, "-P", "x,y", "-F", "3^1"])
@@ -342,6 +342,18 @@ def test_bad_inputs_exit_2(capsys, m11_file):
     assert code == 2
     code, out, err = run(capsys, ["resolve", "-g", "p1", "-n", "1"])
     assert (code, out, err) == (2, "", "error: resolve needs a finite group algebra spec\n")
+    # files that cannot be read or written: one error line, no traceback
+    missing = str(tmp_path / "missing" / "x.json")
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    for argv in (
+        ["lmodule", "--mu", "0", "--a", "1", "-F", "3", "-o", missing],
+        ["resolve", "-g", str(tmp_path), "-n", "2"],
+        ["resolve", "-g", str(binary), "-n", "2"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: cannot ") and err.count("\n") == 1, argv
 
 
 def test_points_checked_at_the_boundary(capsys, m11_file, l01_file, tmp_path):
@@ -413,6 +425,8 @@ def _every_subcommand(tmp_path, m11_file, l01_file):
         (["homscheme", "--source", "p1", "--target", m11_file], 0),
         (["homscheme", "--source", '{"p":3,"r":13}', "--target", m11_file], 3),
         (["lmodule", "--mu", "1", "--a", "2", "-F", "3^2"], 0),
+        (["lmodule", "--mu", "0", "--a", "1", "-F", "3", "-o", "missing/x.json"], 2),
+        (["resolve", "-g", ".", "-n", "2"], 2),
     ]
 
 

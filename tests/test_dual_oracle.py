@@ -13,7 +13,7 @@ def test_dual_tables_match_built_algebra(r, s):
     orc = km_r_dual_oracle(3, r, s)
     assert orc.dim == alg.dim
     assert {k: tuple(v) for k, v in orc.gamma_mult.items()} == {
-        k: tuple(v) for k, v in alg.mult.items()
+        k: tuple(v) for k, v in alg.products.items()
     }
     assert tuple(tuple(sorted(t)) for t in orc.gamma_coproduct) == tuple(
         tuple(sorted(t)) for t in hopf.coproduct

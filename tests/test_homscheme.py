@@ -57,6 +57,21 @@ def test_trivial_target_forces_zero():
     assert all(not np.any(v) for v in sols[0].values())
 
 
+def test_zero_images_skip_products(monkeypatch):
+    # into the trivial algebra every image is zero: only the powers g^e,
+    # e < p, of the generators are multiplied, never a gamma monomial
+    from supvar.superalg import homscheme
+
+    calls = []
+    real = homscheme._SVec.mul
+    monkeypatch.setattr(homscheme._SVec, "mul", lambda a, b: calls.append(1) or real(a, b))
+    triv, _ = build_group_algebra(GroupAlgebraSpec("Gar", 3, r=0))
+    source = PrPresentation(3, 6)
+    ideal = hom_scheme_ideal(source, triv)
+    assert ideal.render() == ""
+    assert len(calls) <= 3 * len(source.gen_names)
+
+
 def test_ga1_even_points():
     # only rho(u) = c s survive: 3 points, odd variables forced to zero
     ga1, _ = build_group_algebra(GroupAlgebraSpec("Gar", 3, r=1))

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from supvar import linalg
 from supvar.errors import BoundExceeded, ValidationError
 from supvar.gfield import make_field
 from supvar.superalg import algebra
@@ -73,10 +74,39 @@ def test_hopf_axioms(spec):
     assert hopf is alg.hopf
 
 
+def test_verify_hopf_rejects_a_wrong_antipode():
+    # the antipode is the unique convolution inverse of the identity
+    alg, hopf = build_group_algebra(GroupAlgebraSpec("Mrs", 3, r=1, s=1))
+    for b in range(alg.dim):
+        S = hopf.antipode.copy()
+        S[b, b] = (S[b, b] + 1) % 3
+        with pytest.raises(AlgebraError, match="antipode axiom fails"):
+            verify_hopf(replace(alg, hopf=replace(hopf, antipode=S)))
+
+
+def test_verify_algebra_rejects_a_wrong_counit():
+    # (counit (x) id) o coproduct = id; the loop below names the first basis it fails at
+    alg, hopf = build_group_algebra(TENSOR_SPEC)
+    F = alg.F
+    for b in range(alg.dim):
+        counit = hopf.counit.copy()
+        counit[b] = (counit[b] + 1) % 3
+        first = None
+        for i in range(alg.dim):
+            acc = alg.el_zero()
+            for j, k, c in hopf.coproduct[i]:
+                acc[k] = F.add[acc[k], F.mul[F.scalar(c), counit[j]]]
+            if first is None and not np.array_equal(acc, alg.el_basis(i)):
+                first = i
+        with pytest.raises(AlgebraError) as err:
+            verify_algebra(replace(alg, hopf=replace(hopf, counit=counit)))
+        assert str(err.value) == f"counit axiom fails at basis {first}"
+
+
 def _tables(alg):
     H = alg.hopf
     return (
-        alg.dim, alg.parity.tolist(), alg.basis_names, alg.unit_index, alg.mult,
+        alg.dim, alg.parity.tolist(), alg.basis_names, alg.unit_index, alg.tensor.tolist(),
         alg.generators, alg.gen_parity, alg.monomials, alg.relations,
         alg.augmentation.tolist(), H.coproduct, H.counit.tolist(), H.antipode.tolist(),
         alg.spec,
@@ -96,6 +126,70 @@ def test_one_build_serves_every_field(spec):
         assert _tables(alg) == _tables(base)
         verify_algebra(alg)
         verify_hopf(alg)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + [TENSOR_SPEC], ids=lambda s: s.label())
+def test_one_tensor_shared_by_every_field(spec):
+    base, _ = build_group_algebra(spec)
+    T = base.tensor
+    assert T.shape == (base.dim,) * 3 and T.dtype == linalg.DT
+    assert T.min() >= 0 and T.max() < spec.p  # prime-field indices
+    assert not T.flags.writeable
+    for n in (2, 3):
+        assert build_group_algebra(spec, make_field(spec.p, n))[0].tensor is T
+
+
+def _el_mul_oracle(alg, x, y):
+    """x y by the sparse triple loop over the nonzero structure constants."""
+    F = alg.F
+    out = alg.el_zero()
+    for i in np.nonzero(x)[0]:
+        for j in np.nonzero(y)[0]:
+            c = F.mul[x[i], y[j]]
+            for k, ck in alg.products.get((int(i), int(j)), ()):
+                out[k] = F.add[out[k], F.mul[c, ck]]
+    return out
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 2)], ids=["F3", "F9", "F25"])
+def test_el_mul_matches_sparse_oracle(p, n):
+    rng = np.random.default_rng(10 * p + n)
+    field = make_field(p, n)
+    specs = [
+        GroupAlgebraSpec("Mrs", p, r=1, s=1, eta=1),
+        GroupAlgebraSpec("Mrs", p, r=2, s=1) if p == 3 else GroupAlgebraSpec("GaMinus", p),
+        GroupAlgebraSpec("Tensor", p, factors=(GroupAlgebraSpec("Gar", p, r=1),) * 2),
+    ]
+    for spec in specs:
+        alg, _ = build_group_algebra(spec, field)
+        d = alg.dim
+
+        def rand(*lead):
+            x = rng.integers(0, field.q, size=lead + (d,)).astype(linalg.DT)
+            x[rng.random(x.shape) < 0.6] = 0
+            return x
+
+        def oracle(X, Y):
+            X, Y = np.broadcast_arrays(X, Y)
+            flat = [_el_mul_oracle(alg, x, y) for x, y in zip(X.reshape(-1, d), Y.reshape(-1, d))]
+            return np.array(flat, dtype=linalg.DT).reshape(X.shape)
+
+        X, Y = rand(3, 1), rand(1, 4)
+        X[1] = 0  # a zero element inside a stack
+        cases = [
+            (X[0, 0], Y[0, 0]),  # single elements
+            (X[:, 0], rand(3)),  # stacks, pairwise
+            (X, Y),  # broadcast to (3, 4, d)
+            (rand(5), Y[0, 1]),  # a stack times one element
+            (alg.el_zero(), Y[0, 2]),  # zero factors
+            (X[0, 0], alg.el_zero()),
+            (rand(0), Y[0, 3]),  # empty stacks
+            (rand(0, 2), rand(0, 2)),
+        ]
+        for x, y in cases:
+            got = alg.el_mul(x, y)
+            assert got.dtype == linalg.DT
+            assert np.array_equal(got, oracle(x, y)), (spec.label(), x.shape, y.shape)
 
 
 def test_verify_algebra_once_per_spec(monkeypatch):
@@ -184,9 +278,8 @@ def test_tensor_unit_factor_is_identity():
     triv, _ = build_group_algebra(GroupAlgebraSpec("Gar", 3, r=0))
     T = tensor_algebra(triv, m11)
     assert T.dim == m11.dim
-    assert {k: tuple(v) for k, v in T.mult.items()} == {
-        k: tuple(v) for k, v in m11.mult.items()
-    }
+    assert T.tensor.dtype == m11.tensor.dtype
+    assert T.tensor.tolist() == m11.tensor.tolist()
 
 
 def test_tensor_koszul_sign():
@@ -213,11 +306,8 @@ def test_tensor_ga1_gaminus_is_m11_as_algebra():
     for i in range(3):
         for e in range(2):
             tmap[i * 2 + e] = e * 3 + i
-    mult_t = {}
-    for (a, b), ent in T.mult.items():
-        mult_t[(tmap[a], tmap[b])] = tuple(sorted((tmap[k], c) for k, c in ent))
-    mult_m = {k: tuple(sorted(v)) for k, v in m11.mult.items()}
-    assert mult_t == mult_m
+    perm = [t for t, _ in sorted(tmap.items(), key=lambda item: item[1])]
+    assert T.tensor[np.ix_(perm, perm, perm)].tolist() == m11.tensor.tolist()
 
 
 def test_tensor_field_mismatch():
@@ -378,6 +468,20 @@ def _verify_by_el_mul(alg):
     return None
 
 
+def _sampled_by_el_mul(alg, seed=0):
+    """The 500 seeded basis triples, one at a time through the sparse el_mul
+    loop: the first failure's message, or None."""
+    rng = random.Random(seed)
+    for _ in range(500):
+        i, j, k = rng.randrange(alg.dim), rng.randrange(alg.dim), rng.randrange(alg.dim)
+        b = alg.el_basis
+        lhs = _el_mul_oracle(alg, _el_mul_oracle(alg, b(i), b(j)), b(k))
+        rhs = _el_mul_oracle(alg, b(i), _el_mul_oracle(alg, b(j), b(k)))
+        if not np.array_equal(lhs, rhs):
+            return f"associativity fails at ({i},{j},{k})"
+    return None
+
+
 @pytest.mark.parametrize(
     "spec",
     [GroupAlgebraSpec("Mrs", 3, r=1, s=1), GroupAlgebraSpec("Gar", 3, r=2), TENSOR_SPEC],
@@ -388,23 +492,28 @@ def test_verify_algebra_matches_el_mul_oracle(spec):
     assert _verify_by_el_mul(base) is None
     verify_algebra(base)
     rng = random.Random(7)
-    keys = sorted(base.mult)
+    sampled_failures = 0
+    keys = [tuple(ijk) for ijk in np.argwhere(base.tensor).tolist()]
     for trial in range(8):
-        mult = dict(base.mult)
+        T = base.tensor.copy()
         aug = base.augmentation
         if trial % 4 == 3:  # a wrong counit value
             aug = aug.copy()
             i = rng.randrange(base.dim)
             aug[i] = (aug[i] + 1) % 3
-        else:  # one structure constant off by one
+        else:  # one nonzero structure constant off by one
             key = keys[rng.randrange(len(keys))]
-            ent = list(mult[key])
-            pos = rng.randrange(len(ent))
-            ent[pos] = (ent[pos][0], (ent[pos][1] + 1) % 3)
-            mult[key] = tuple(ent)
-        bad = replace(base, mult=mult, augmentation=aug)
+            T[key] = (T[key] + 1) % 3
+        bad = replace(base, tensor=T, augmentation=aug)
         want = _verify_by_el_mul(bad)
         assert want is not None
         with pytest.raises(AlgebraError) as err:
             verify_algebra(bad)
         assert str(err.value) == want
+        sampled = _sampled_by_el_mul(bad)
+        if sampled is not None:  # the sampled path, forced by a zero limit
+            sampled_failures += 1
+            with pytest.raises(AlgebraError) as err:
+                verify_algebra(bad, exhaustive_limit=0)
+            assert str(err.value) == sampled
+    assert sampled_failures
