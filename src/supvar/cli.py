@@ -24,7 +24,7 @@ import json
 import os
 import sys
 
-from .errors import BoundExceeded, ValidationError
+from .errors import BoundExceeded, ValidationError, json_int
 
 
 def _load_json(arg: str):
@@ -175,10 +175,7 @@ def cmd_classify(args):
     for key in ("p", "r", "target", "images"):
         if key not in data:
             raise ValidationError(f"classify file missing key {key!r}")
-    try:
-        p, r = int(data["p"]), int(data["r"])
-    except (TypeError, ValueError):
-        raise ValidationError("classify file fields 'p' and 'r' must be integers") from None
+    p, r = (json_int(data[key], f"classify file field {key!r}") for key in ("p", "r"))
     field = parse_field(data.get("field", str(p)))
     spec = GroupAlgebraSpec.from_json(data["target"])
     alg, _ = build_group_algebra(spec, field)
@@ -226,12 +223,10 @@ def cmd_homscheme(args):
         pres = PrPresentation(spec.p, 1)
     else:
         data = _load_json(args.source)
-        if "family" in data:
+        if not isinstance(data, dict) or "family" in data:
             raise ValidationError('--source must be "p1" or {"p": .., "r": ..}')
-        try:
-            pres = PrPresentation(int(data["p"]), int(data["r"]))
-        except (KeyError, TypeError, ValueError):
-            raise ValidationError("presentation needs integer fields 'p' and 'r'") from None
+        p, r = (json_int(data.get(key), f"presentation field {key!r}") for key in ("p", "r"))
+        pres = PrPresentation(p, r)
     check_source(pres, spec.p)
     field = make_field(spec.p, 1)
     alg, _ = build_group_algebra(spec, field)

@@ -280,15 +280,16 @@ def complement_coords(F: GFTables, S: np.ndarray):
     a greedy left-to-right pass keeps when each one is independent of
     col(S) and of the e_j kept before it.
 
-    One rref of [base | I_m], with base the independent columns of S.  The
-    rref pivots are exactly the greedy left-to-right independent columns;
-    base's columns are all pivots, so the pivots past base are the e_i.
+    One rref of S^T with its columns reversed.  Keeping e_i adds one to the
+    dimension of col(S) + span(e_0..e_{i-1}) exactly when projecting col(S)
+    onto the coordinates i, i+1, .. has no larger rank than projecting onto
+    i+1, ..; that is, when coordinate i is not a pivot of that rref, read
+    from the right.
     """
     m = S.shape[0]
-    base = column_space(F, S) if S.size else zeros(m, 0)
-    r = base.shape[1]
-    _, pivots = rref(F, np.concatenate([base, identity(m)], axis=1))
-    return [c - r for c in pivots[r:]]
+    _, pivots = rref(F, S.T[:, ::-1])
+    taken = {m - 1 - c for c in pivots}
+    return [i for i in range(m) if i not in taken]
 
 
 def restrict_operator(F: GFTables, K: np.ndarray, T: np.ndarray) -> np.ndarray:

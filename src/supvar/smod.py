@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, json_int
 from .gfield import FieldDescriptor, parse_element, parse_field
 from . import linalg
 from .superalg.algebra import GroupAlgebraSpec, PresentedSuperalgebra, build_group_algebra
@@ -522,10 +522,13 @@ def module_from_json(d: dict):
         if key not in d:
             raise ValidationError(f"module file missing key {key!r}")
     field = parse_field(d["field"])
-    dim = int(d["dim"])
-    parity = np.array([int(x) for x in d["parity"]], dtype=np.int8)
-    if parity.shape != (dim,) or not np.all((parity == 0) | (parity == 1)):
+    dim = json_int(d["dim"], "module file field 'dim'")
+    if not isinstance(d["parity"], list):
+        raise ValidationError("module file field 'parity' must list integers")
+    parity = [json_int(x, "each entry of module file field 'parity'") for x in d["parity"]]
+    if len(parity) != dim or not all(x in (0, 1) for x in parity):
         raise ValidationError("parity vector malformed (entries must be 0/1)")
+    parity = np.array(parity, dtype=np.int8)
 
     def parse_mat(rows):
         if len(rows) != dim or any(len(r) != dim for r in rows):

@@ -27,14 +27,13 @@ from math import comb, prod
 
 import numpy as np
 
-from ..errors import BoundExceeded, ValidationError
-from ..gfield import FieldDescriptor, make_field
+from ..errors import BoundExceeded, ValidationError, json_int
+from ..gfield import SUPPORTED_PRIMES, FieldDescriptor, make_field
 from .. import linalg
 from .pr import (
     PrIndex,
     PrPresentation,
     gamma_coeff,
-    gamma_product,
     graded_commutator,
     p_power,
     pr_coproduct,
@@ -147,23 +146,21 @@ class GroupAlgebraSpec:
             raise ValidationError("P1 is not a finite group algebra spec")
 
         def num(key, default=None):
-            try:
-                val = d[key] if default is None else d.get(key, default)
-                return int(val)
-            except KeyError:
-                raise ValidationError(f"group spec missing {key!r}") from None
-            except (TypeError, ValueError):
-                raise ValidationError(f"group spec field {key!r} must be an integer") from None
+            if default is None and key not in d:
+                raise ValidationError(f"group spec missing {key!r}")
+            return json_int(d.get(key, default), f"group spec field {key!r}")
 
         p = num("p")
+        if p not in SUPPORTED_PRIMES:
+            raise ValidationError(f"group spec field 'p' must be one of {SUPPORTED_PRIMES}")
         if fam == "Mrs":
-            spec = GroupAlgebraSpec("Mrs", p, r=num("r"), s=num("s"), eta=num("eta", "0") % p)
+            spec = GroupAlgebraSpec("Mrs", p, r=num("r"), s=num("s"), eta=num("eta", 0) % p)
         elif fam == "Mrf":
-            try:
-                f = tuple(int(c) % p for c in d["f"])
-            except (KeyError, TypeError, ValueError):
-                raise ValidationError("group spec field 'f' must list integers") from None
-            spec = GroupAlgebraSpec("Mrf", p, r=num("r"), eta=num("eta", "0") % p, f=f)
+            f = d.get("f")
+            if not isinstance(f, list):
+                raise ValidationError("group spec field 'f' must list integers")
+            f = tuple(json_int(c, "each entry of group spec field 'f'") % p for c in f)
+            spec = GroupAlgebraSpec("Mrf", p, r=num("r"), eta=num("eta", 0) % p, f=f)
         elif fam == "Gar":
             spec = GroupAlgebraSpec("Gar", p, r=num("r"))
         elif fam == "GaMinus":
@@ -377,15 +374,23 @@ def _build_pr_quotient(spec: GroupAlgebraSpec):
     def bidx(ell, has_v):
         return ell + (n_gamma if has_v else 0)
 
+    # gamma_a gamma_b = c gamma_{a+b}, so v gamma_a times gamma_b or v gamma_b
+    # is c v gamma_{a+b}, and v gamma_a v gamma_b is -c c' gamma_{a+b+p^r},
+    # where c' = gamma_coeff(a + b, p^r): one gamma_coeff per pair (a, b)
+    pr = p**r
+    vv = [-gamma_coeff(ell, pr, p, r) for ell in range(2 * n_gamma - 1)]
     T = np.zeros((dim,) * 3, dtype=linalg.DT)
-    for i in range(dim):
-        xi = PrIndex(i % n_gamma, i >= n_gamma)
-        for j in range(dim):
-            yj = PrIndex(j % n_gamma, j >= n_gamma)
-            for idx, c in gamma_product(p, r, xi, yj).terms.items():
-                for k, ck in normal_form(idx.ell).items():
-                    tgt = bidx(k, idx.has_v)
-                    T[i, j, tgt] = (T[i, j, tgt] + c * ck) % p
+    for a in range(n_gamma):
+        for b in range(n_gamma):
+            c = gamma_coeff(a, b, p, r)
+            if not c:
+                continue
+            for k, ck in normal_form(a + b).items():
+                T[a, b, k] = T[a + n_gamma, b, k + n_gamma] = T[a, b + n_gamma, k + n_gamma] = (
+                    c * ck % p
+                )
+            for k, ck in normal_form(a + b + pr).items():
+                T[a + n_gamma, b + n_gamma, k] = c * vv[a + b] * ck % p
 
     generators = {f"u{i}": bidx(p**i, False) for i in range(r)}
     generators["v"] = bidx(0, True)

@@ -26,6 +26,8 @@ SOLVE_ASSIGNMENT_CAP = 3**8
 SOURCE_TERM_CAP = 3**11
 SLOT_BITS = 8  # per variable of a packed monomial: the top bit is a guard
 MAX_EXPONENT = (1 << (SLOT_BITS - 1)) - 1
+SLOT_MASK = (1 << SLOT_BITS) - 1
+RENDER_CHUNK = 4096  # monomials per uint8 matrix of PolyRing._monomial_table
 
 
 class _Memo(dict):
@@ -65,13 +67,17 @@ class PolyRing:
     Coefficients are field element indices.  The ring keeps, as lists, the
     rows of the field's add and mul tables for the coefficients that occur
     (never a whole q x q table), and the text of every coefficient and
-    monomial it renders.
+    factor x^e it renders.  Monomial texts are not kept: `render` names the
+    monomials of one call in a table of its own.  Variable names are
+    single-line text.
     """
 
     def __init__(self, field, variables):
         self.field = field
         self.F = F = linalg.tables(field)
         self.variables = tuple(variables)  # ((name, parity), ...)
+        if any("\n" in name for name, _ in self.variables):
+            raise ValidationError("variable names must be single-line text")
         self.name_index = {name: i for i, (name, _) in enumerate(self.variables)}
         self.parity = tuple(par for _, par in self.variables)
         n = len(self.variables)
@@ -82,10 +88,11 @@ class PolyRing:
         self.mul_rows = _Memo(lambda c: F.mul[c].tolist())
         self.neg = F.neg.tolist()
         self.coeff_text = _Memo(lambda c: F.to_element(c).encode())
-        self.monomial_text = _Memo(self._describe)
+        self.factor_text = _Memo(self._factor_text)
 
     def poly(self, terms):
-        """A SuperPoly of nonzero terms, its parity read off a monomial."""
+        """A SuperPoly of terms, its parity read off a monomial; zero
+        coefficients are dropped."""
         par = (next(iter(terms)) & self.oddmask).bit_count() % 2 if terms else 0
         return SuperPoly(self, terms, par)
 
@@ -101,10 +108,65 @@ class PolyRing:
             m &= (1 << low) - 1
         return out
 
-    def _describe(self, m: int):
-        fs = [(self.variables[v][0], e) for v, e in self.factors(m)]
-        text = "*".join(name if e == 1 else f"{name}^{e}" for name, e in fs)
-        return sum(e for _, e in fs), text
+    def _factor_text(self, key: int):
+        """"*name" or "*name^e" of key = (variable << SLOT_BITS) | e, e >= 1;
+        key 0 is the separator, a newline."""
+        if not key:
+            return "\n"
+        name, e = self.variables[key >> SLOT_BITS][0], key & SLOT_MASK
+        return f"*{name}" if e == 1 else f"*{name}^{e}"
+
+    def _monomial_table(self, mons: list):
+        """(degree array, ["*x*y^2", ...]) of the monomials, "" for 1.
+
+        A monomial's bytes are its exponent vector (SLOT_BITS is 8), so each
+        chunk is one uint8 matrix: a row sum is a degree, and its nonzero
+        entries in row-major order are the factors in variable order.  All
+        factor texts of a chunk, with a separator after each row, are joined
+        and split in one pass; chunks keep the temporaries small.
+        """
+        n = len(self.variables)
+        deg = np.empty(len(mons), dtype=np.int64)
+        texts = []
+        for start in range(0, len(mons), RENDER_CHUNK):
+            chunk = mons[start : start + RENDER_CHUNK]
+            E = np.frombuffer(b"".join([m.to_bytes(n, "big") for m in chunk]), dtype=np.uint8)
+            E = E.reshape(len(chunk), n)
+            deg[start : start + len(chunk)] = E.sum(axis=1, dtype=np.int64)
+            rows, cols = np.divmod(np.flatnonzero(E), n)
+            ends = np.cumsum(np.bincount(rows, minlength=len(chunk)))
+            keys = np.insert((cols << SLOT_BITS) | E[rows, cols], ends, 0)
+            texts += "".join(map(self.factor_text.__getitem__, keys.tolist())).split("\n")[:-1]
+        return deg, texts
+
+    def render(self, polys):
+        """One text per distinct nonzero term dict of polys, first occurrence
+        first: "c*x*y^2 + ...", monomials by (degree, exponent vector)
+        descending.
+
+        Each distinct dict is formatted once: equal dicts, bucketed by length
+        and monomial sum, are dropped first.  One table ranks and names every
+        monomial of the rest, so a dict sorts by small ints.
+        """
+        distinct, buckets = [], {}
+        for terms in polys:
+            if terms:
+                bucket = buckets.setdefault((len(terms), sum(terms)), [])
+                if terms not in bucket:
+                    bucket.append(terms)
+                    distinct.append(terms)
+        mons = sorted(set().union(*distinct), reverse=True)
+        deg, texts = self._monomial_table(mons)
+        # a stable sort by degree keeps equal degrees in exponent-vector order
+        order = np.argsort(-deg, kind="stable").tolist()
+        rank = dict(zip([mons[i] for i in order], range(len(order))))
+        text = [texts[i] for i in order]
+        coeff = self.coeff_text
+        lines = []
+        for terms in distinct:
+            ranked = sorted(zip(map(rank.__getitem__, terms), terms.values()))
+            lines.append(" + ".join([coeff[c] + text[k] for k, c in ranked]))
+        return lines
 
     def accumulate(self, acc: dict, terms: dict, c: int = 1):
         """acc += c * terms, in place (cancelled terms stay as zeros)."""
@@ -172,16 +234,8 @@ class SuperPoly:
         return total
 
     def render(self):
-        """Deterministic text: monomials by (degree, exponent vector), descending."""
-        if not self.terms:
-            return "0"
-        ring = self.ring
-        desc, coeff = ring.monomial_text, ring.coeff_text
-        parts = []
-        for m in sorted(self.terms, key=lambda m: (desc[m][0], m), reverse=True):
-            text, c = desc[m][1], coeff[self.terms[m]]
-            parts.append(f"{c}*{text}" if text else c)
-        return " + ".join(parts)
+        """Deterministic text (PolyRing.render), "0" for zero."""
+        return self.ring.render([self.terms])[0] if self.terms else "0"
 
 
 @dataclass
@@ -195,8 +249,7 @@ class PolynomialIdeal:
 
     def render(self):
         """The distinct nonzero generators, one per line, first occurrence first."""
-        texts = (g.render() for _, g in self.generators if not g.is_zero())
-        return "\n".join(dict.fromkeys(texts))
+        return "\n".join(self.ring.render([g.terms for _, g in self.generators]))
 
     def even_variable_names(self):
         return [n for n, par in self.ring.variables if par == 0]
@@ -226,18 +279,25 @@ class _SVec:
         return _SVec(alg, ring, [_nonzero(d) for d in out], (self.parity + other.parity) % 2)
 
 
-def _tensor_components(A: _SVec, B: _SVec, c: int, out: dict):
+def _tensor_components(A: _SVec, B: _SVec, c: int, out: dict, mirror: bool):
     """Add c * (A (x) B) into out, {(c, d): terms} over (S (x) S) (x) T, with
-    the Koszul reordering sign."""
-    ring, par = A.ring, A.alg.parity.tolist()
+    the Koszul reordering sign; with mirror, add c * (B (x) A) too.
+
+    Each product P_a Q_b is formed once: the (b, a) component of B (x) A is
+    Q_b P_a = (-1)^{|P_a||Q_b|} P_a Q_b, moved past s_a, which leaves the
+    sign (-1)^{|Q_b||A|}."""
+    ring, par, neg = A.ring, A.alg.parity.tolist(), A.ring.neg
     for a, P in enumerate(A.comps):
         if not P:
             continue
         pa = (A.parity + par[a]) % 2
         for b, Q in enumerate(B.comps):
             if Q:
-                target = (out.setdefault((a, b), {}), ring.neg[c] if pa and par[b] else c)
-                ring.addmul([target], P, Q)
+                targets = [(out.setdefault((a, b), {}), neg[c] if pa and par[b] else c)]
+                if mirror:
+                    qb = (B.parity + par[b]) % 2
+                    targets.append((out.setdefault((b, a), {}), neg[c] if qb and A.parity else c))
+                ring.addmul(targets, P, Q)
 
 
 def check_source(source: PrPresentation, p: int):
@@ -332,27 +392,31 @@ def hom_scheme_ideal(source: PrPresentation, alg: PresentedSuperalgebra) -> Poly
             image = eval_monomial(coeff, mon)
             for a, P in zip(acc, image.comps if image else ()):
                 ring.accumulate(a, P)
-        for j, P in enumerate(map(_nonzero, acc)):
-            if P:
-                out.append((f"rel:{label}[{j}]", ring.poly(P)))
+        for j, P in enumerate(map(ring.poly, acc)):
+            if P.terms:
+                out.append((f"rel:{label}[{j}]", P))
 
-    # coproduct compatibility on each generator: lhs - rhs accumulated in place
+    # coproduct compatibility on each generator: lhs - rhs accumulated in place.
+    # Delta(g) is cocommutative: with (le, ri, c) it has (ri, le, c), and no
+    # Koszul sign as one side is even; so each pair is added from one term.
     for gi, g in enumerate(gens, start=1):
         acc = {}
         for le, ri, c in source.gen_coproduct(g):
+            if (ri.ell, ri.has_v) < (le.ell, le.has_v):
+                continue
             # B is skipped when A is zero; zero images are not memoised, as for
             # a large source nearly all p^(r-1) gammas are zero and distinct
             A = gamma(le.ell, le.has_v)
             B = A and gamma(ri.ell, ri.has_v)
             if B:
-                _tensor_components(A, B, F.scalar(c), acc)
+                _tensor_components(A, B, F.scalar(c), acc, le != ri)
         for j in nonunit:
             for a, b, c in alg.hopf.coproduct[j]:
                 ring.accumulate(acc.setdefault((a, b), {}), {x(gi, j): F.scalar(c)}, neg1)
         for cc, dd in sorted(acc):
-            P = _nonzero(acc[(cc, dd)])
-            if P:
-                out.append((f"cop:{g}[{cc},{dd}]", ring.poly(P)))
+            P = ring.poly(acc[(cc, dd)])
+            if P.terms:
+                out.append((f"cop:{g}[{cc},{dd}]", P))
 
     # antipode compatibility: rho(S g) = S(rho(g)), with S g = -g
     for gi, g in enumerate(gens, start=1):
@@ -361,9 +425,9 @@ def hom_scheme_ideal(source: PrPresentation, alg: PresentedSuperalgebra) -> Poly
             ring.accumulate(acc[j], {x(gi, j): neg1})
             for m in np.nonzero(alg.hopf.antipode[:, j])[0]:
                 ring.accumulate(acc[m], {x(gi, j): int(alg.hopf.antipode[m, j])}, neg1)
-        for m, P in enumerate(map(_nonzero, acc)):
-            if P:
-                out.append((f"ant:{g}[{m}]", ring.poly(P)))
+        for m, P in enumerate(map(ring.poly, acc)):
+            if P.terms:
+                out.append((f"ant:{g}[{m}]", P))
 
     return PolynomialIdeal(ring, tuple(out), source, alg)
 

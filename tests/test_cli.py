@@ -354,6 +354,40 @@ def test_bad_inputs_exit_2(capsys, m11_file, tmp_path):
         code, out, err = run(capsys, argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error: cannot ") and err.count("\n") == 1, argv
+    # integer fields take JSON integers: no overflow traceback, no truncation
+    for argv in _non_integer_fields(tmp_path):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "", argv
+        assert err.endswith("must be an integer\n") and err.count("\n") == 1, argv
+
+
+def _non_integer_fields(tmp_path):
+    """Command lines whose spec, presentation or module file holds a
+    non-finite, non-integer or boolean number in an integer field."""
+    huge = '{"family":"Mrs","p":3,"r":1e400,"s":1}'
+    half = '{"family":"Mrs","p":3,"r":1.5,"s":1}'
+    module = {
+        "group": json.loads(M11),
+        "field": "3^1",
+        "dim": 1e400,
+        "parity": [0],
+        "action": {"s": [["0"]], "t": [["0"]]},
+    }
+    dim_file = write(tmp_path, "dim.json", json.dumps(module).replace("Infinity", "1e400"))
+    module["dim"], module["parity"] = 1, [0.0]
+    parity_file = write(tmp_path, "parity.json", json.dumps(module))
+    m11 = write(tmp_path, "m11_target.json", M11)
+    return [
+        ["points", "-g", huge, "-F", "3"],
+        ["points", "-g", half, "-F", "3"],
+        ["resolve", "-g", huge, "-n", "2"],
+        ["resolve", "-g", '{"family":"Gar","p":3,"r":true}', "-n", "2"],
+        ["points", "-g", '{"family":"Mrf","p":3,"r":1,"f":[1e400]}', "-F", "3"],
+        ["support", "-g", m11, "-m", dim_file, "-F", "3"],
+        ["support", "-g", m11, "-m", parity_file, "-F", "3"],
+        ["homscheme", "--source", '{"p": 3, "r": 1e400}', "--target", m11],
+        ["homscheme", "--source", '{"p": 3, "r": 1.5}', "--target", m11],
+    ]
 
 
 def test_points_checked_at_the_boundary(capsys, m11_file, l01_file, tmp_path):
@@ -427,7 +461,7 @@ def _every_subcommand(tmp_path, m11_file, l01_file):
         (["lmodule", "--mu", "1", "--a", "2", "-F", "3^2"], 0),
         (["lmodule", "--mu", "0", "--a", "1", "-F", "3", "-o", "missing/x.json"], 2),
         (["resolve", "-g", ".", "-n", "2"], 2),
-    ]
+    ] + [(argv, 2) for argv in _non_integer_fields(tmp_path)]
 
 
 def test_outputs_identical_across_processes(tmp_path, m11_file, l01_file):

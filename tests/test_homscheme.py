@@ -10,9 +10,11 @@ import pytest
 from supvar.errors import BoundExceeded, ValidationError
 from supvar.gfield import make_field
 from supvar.superalg.algebra import GroupAlgebraSpec, build_group_algebra
+from supvar.superalg import homscheme
 from supvar.superalg.homscheme import (
     MAX_EXPONENT,
     SOURCE_TERM_CAP,
+    PolynomialIdeal,
     PolyRing,
     SuperPoly,
     check_source,
@@ -316,16 +318,142 @@ RENDER_SHA1 = [
         },
         "61598fb73cf6650049df53f42397d27f665e7818",
     ),
+    # the two largest ideals of the benchmark, recorded before the render
+    # built one monomial table per call
+    (3, {"family": "Gar", "p": 3, "r": 3}, "612da73e3720b76b0df9257abd8f03815d0a0a5e"),
+    (2, {"family": "Mrs", "p": 3, "r": 2, "s": 2}, "53542e798c47374de402420d85789c6f30d06eae"),
 ]
 
 
 @pytest.mark.parametrize(
     "r,spec,digest",
     RENDER_SHA1,
-    ids=["P1-M11", "P2-M21", "P1-M12", "P1-Ga1", "P1-GaMinus", "P2-Ga2", "P1-M11p5", "P1-M11xGaMinus"],
+    ids=[
+        "P1-M11", "P2-M21", "P1-M12", "P1-Ga1", "P1-GaMinus", "P2-Ga2", "P1-M11p5",
+        "P1-M11xGaMinus", "P3-Ga3", "P2-M22",
+    ],
 )
 def test_render_digests_unchanged(r, spec, digest):
     spec = GroupAlgebraSpec.from_json(spec)
     alg, _ = build_group_algebra(spec)
     text = hom_scheme_ideal(PrPresentation(spec.p, r), alg).render()
     assert hashlib.sha1(text.encode()).hexdigest() == digest
+
+
+# -- the render against the oracle where its shortcuts could break --------
+
+
+def _ideal(ring, polys):
+    return PolynomialIdeal(ring, tuple((f"g{i}", P) for i, P in enumerate(polys)), None, None)
+
+
+def _oracle_lines(ring, polys):
+    names = [name for name, _ in ring.variables]
+    texts = (oracle_render(ring.F, names, _as_oracle(ring, P)) for P in polys if P.terms)
+    return "\n".join(dict.fromkeys(texts))
+
+
+def test_render_degree_above_255():
+    # degrees 381, 256, 255, 1 and 0: no byte-wide degree
+    ring = PolyRing(F3, [("x", 0), ("a", 1), ("y", 0), ("z", 0)])
+    x, y, z = (ring.shift[ring.name_index[n]] for n in "xyz")
+    top = MAX_EXPONENT
+    P = SuperPoly(ring, {
+        top << x | top << y | top << z: 1,
+        top << x | top << y | 2 << z: 2,
+        top << x | top << y | 1 << z: 1,
+        top << x | 1 << y | 1 << z: 2,
+        1 << z: 1,
+        0: 2,
+    }, 0)
+    assert P.render() == _oracle_lines(ring, [P])
+    assert P.render().startswith(f"1*x^{top}*y^{top}*z^{top} + 2*x^{top}*y^{top}*z^2 + ")
+    assert P.render().endswith(" + 1*z + 2")
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 2)])
+def test_render_many_variables(p, n):
+    # 40 variables: monomials wider than any machine word, and more than
+    # RENDER_CHUNK monomials so the table spans several chunks
+    field = make_field(p, n)
+    variables = [(f"w{i}", i % 3 == 1) for i in range(40)]
+    ring = PolyRing(field, variables)
+    rng = random.Random(40 * p + n)
+    polys = []
+    for _ in range(70):
+        terms = {}
+        for _ in range(rng.randrange(1, 160)):
+            exps = [rng.randrange(2) if par else rng.choice((0, 0, 0, 1, 2, 9)) for _, par in variables]
+            m = sum(e << ring.shift[v] for v, e in enumerate(exps))
+            terms[m] = rng.randrange(1, field.q)
+        polys.append(SuperPoly(ring, terms, 0))
+    polys += polys[::7]  # repeats under other labels
+    assert len(set().union(*(P.terms for P in polys))) > homscheme.RENDER_CHUNK
+    assert _ideal(ring, polys).render() == _oracle_lines(ring, polys)
+    for P in polys[:5]:
+        assert P.render() == _oracle_lines(ring, [P])
+
+
+def test_render_empty_and_zero():
+    ring = PolyRing(F3, [("x", 0)])
+    assert _ideal(ring, []).render() == ""
+    assert _ideal(ring, [SuperPoly(ring, {1: 0}, 0)] * 3).render() == ""
+    assert SuperPoly(ring, {}, 0).render() == "0"
+    assert SuperPoly(ring, {0: 2}, 0).render() == "2"
+    bare = PolyRing(F3, [])
+    assert _ideal(bare, [SuperPoly(bare, {0: 1}, 0)]).render() == "1"
+
+
+def test_render_prints_equal_generators_once():
+    ring = PolyRing(F3, [("x", 0), ("y", 0)])
+    x, y = (1 << ring.shift[ring.name_index[n]] for n in "xy")
+    xy_1 = SuperPoly(ring, {x + y: 1, 0: 1}, 0)
+    x_y = SuperPoly(ring, {x: 1, y: 1}, 0)  # same length and monomial sum
+    x_2y = SuperPoly(ring, {x: 1, y: 2}, 0)  # same monomials
+    again = SuperPoly(ring, {0: 1, x + y: 1}, 0)  # equal to xy_1, other order
+    zero = SuperPoly(ring, {x: 0}, 0)
+    polys = [x_y, zero, xy_1, x_2y, again, x_y, x_2y]
+    assert _ideal(ring, polys).render() == "1*x + 1*y\n1*x*y + 1\n1*x + 2*y"
+    assert _ideal(ring, polys).render() == _oracle_lines(ring, polys)
+
+
+def test_variable_names_are_one_line():
+    with pytest.raises(ValidationError):
+        PolyRing(F3, [("x\ny", 0)])
+
+
+@pytest.mark.parametrize("p,r", [(3, 1), (3, 3), (5, 2)])
+def test_generator_coproducts_are_cocommutative(p, r):
+    # the ideal adds each coproduct term (le, ri, c) with its mirror
+    # (ri, le, c) from one product, so Delta(g) must hold both, with the
+    # same coefficient: no side is odd on both, so no Koszul sign
+    source = PrPresentation(p, r)
+    for g in source.gen_names:
+        terms = [((le.ell, le.has_v), (ri.ell, ri.has_v), c) for le, ri, c in source.gen_coproduct(g)]
+        assert sorted(terms) == sorted((b, a, c) for a, b, c in terms)
+        assert not any(a[1] and b[1] for a, b, _ in terms)
+
+
+@pytest.mark.parametrize("pa,pb", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_mirror_adds_b_tensor_a(pa, pb):
+    # c (A (x) B) + c (B (x) A) from the products of A's and B's components
+    # alone, with the sign of Q_b P_a = +-P_a Q_b, over an algebra with odd
+    # basis elements; the ideal itself only ever passes an even A
+    m11, _ = build_group_algebra(GroupAlgebraSpec("Mrs", 3, r=1, s=1))
+    ring = PolyRing(F3, VARS)
+    rng = random.Random(10 * pa + pb)
+    par = m11.parity.tolist()
+
+    def vec(parity):
+        comps = [_random_pair(rng, ring, 3, (parity + par[j]) % 2)[0].terms for j in range(m11.dim)]
+        return homscheme._SVec(m11, ring, comps, parity)
+
+    def nonzero(out):
+        return {k: P.terms for k, P in ((k, ring.poly(v)) for k, v in out.items()) if P.terms}
+
+    A, B = vec(pa), vec(pb)
+    both, apart = {}, {}
+    homscheme._tensor_components(A, B, 2, both, True)
+    homscheme._tensor_components(A, B, 2, apart, False)
+    homscheme._tensor_components(B, A, 2, apart, False)
+    assert nonzero(both) == nonzero(apart) != {}

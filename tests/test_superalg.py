@@ -328,6 +328,44 @@ def test_spec_json_roundtrip():
         GroupAlgebraSpec.from_json({"family": "Nope", "p": 3})
 
 
+QUOTIENT_SPECS = [
+    GroupAlgebraSpec("Mrs", 3, r=1, s=1),
+    GroupAlgebraSpec("Mrs", 3, r=2, s=2),
+    GroupAlgebraSpec("Mrs", 3, r=1, s=3, eta=2),
+    GroupAlgebraSpec("Mrs", 5, r=2, s=1, eta=3),
+    GroupAlgebraSpec("Mrs", 7, r=1, s=1),
+    GroupAlgebraSpec("Mrf", 3, r=2, f=(1, 2), eta=1),
+    GroupAlgebraSpec("Mrf", 5, r=1, f=(3, 1), eta=4),
+]
+
+
+@pytest.mark.parametrize("spec", QUOTIENT_SPECS, ids=lambda s: s.label())
+def test_quotient_tensor_matches_gamma_product(spec):
+    # the tensor of M_{r;f,eta} against all d^2 basis products formed one at
+    # a time by gamma_product and reduced by the quotient's normal form
+    from supvar.superalg.pr import PrIndex, gamma_product
+
+    p, r = spec.p, spec.r
+    n_gamma, normal_form = algebra._quotient_reducer(p, r, spec.fcoeffs(), spec.eta)
+    dim = 2 * n_gamma
+    T = np.zeros((dim,) * 3, dtype=linalg.DT)
+    for i in range(dim):
+        for j in range(dim):
+            prod = gamma_product(p, r, PrIndex(i % n_gamma, i >= n_gamma), PrIndex(j % n_gamma, j >= n_gamma))
+            for idx, c in prod.terms.items():
+                for k, ck in normal_form(idx.ell).items():
+                    tgt = k + (n_gamma if idx.has_v else 0)
+                    T[i, j, tgt] = (T[i, j, tgt] + c * ck) % p
+    alg, _ = build_group_algebra(spec)
+    assert alg.tensor.dtype == T.dtype and np.array_equal(alg.tensor, T)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 4, 11, -3])
+def test_spec_p_checked_at_parse_time(p):
+    with pytest.raises(ValidationError):
+        GroupAlgebraSpec.from_json({"family": "Mrs", "p": p, "r": 1, "s": 1})
+
+
 # -- classification -------------------------------------------------------
 
 
