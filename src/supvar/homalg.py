@@ -189,16 +189,15 @@ def pd_infinite(M: P1ModuleView, check: bool = False) -> np.ndarray:
     The whole stack goes through one dual, one complex with its parity
     check (and, with `check`, its d.d = 0 check, which holds by
     construction for a valid view; see p1_hom_complex), and one lockstep
-    rank per differential; the stacked 2n x 2n blocks take 4 n^2 cells per
-    slice.  Returns a bool array of the view's stack shape (0-d for a
-    single view).
+    rank of d_phi and d_psi stacked together; the stacked 2n x 2n blocks
+    take 4 n^2 cells per slice and differential.  Returns a bool array of
+    the view's stack shape (a numpy bool for a single view).
     """
     if M.dim == 0:
         raise ValidationError("pd_class of the zero module")
-    F = M.F
     cx = p1_hom_complex(p1_dual(M), 2, check)
-    h2 = 2 * M.dim - linalg.ranks(F, cx.diffs[1]) - linalg.ranks(F, cx.diffs[2])
-    return h2 != 0
+    ranks = linalg.ranks(M.F, np.stack([cx.diffs[1], cx.diffs[2]]))
+    return 2 * M.dim - ranks[0] - ranks[1] != 0
 
 
 def pd_class(M: P1ModuleView) -> str:

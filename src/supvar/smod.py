@@ -409,6 +409,15 @@ def p1_view_from_module(M: SuperModule) -> P1ModuleView:
     return p1_view(M.algebra.field, M.parity.copy(), U.copy(), V.copy())
 
 
+def check_p1_images(A: PresentedSuperalgebra, u_img: np.ndarray, v_img: np.ndarray) -> None:
+    """The checks in kG of images of u and v, single or stacked
+    (..., algebra dim): u has counit 0 and is even, v is odd."""
+    if np.any(linalg.bmatmul(A.F, u_img[..., None, :], A.augmentation[:, None])):
+        raise ValidationError("point image of u has nonzero counit")
+    if np.any(u_img[..., A.parity == 1]) or np.any(v_img[..., A.parity == 0]):
+        raise ValidationError("point images of u and v must be even and odd")
+
+
 def p1_view_from_images(
     M: SuperModule, u_img: np.ndarray, v_img: np.ndarray, check: bool = False
 ) -> P1ModuleView:
@@ -426,10 +435,7 @@ def p1_view_from_images(
     nilpotent.
     """
     A = M.algebra
-    if np.any(linalg.bmatmul(M.F, u_img[..., None, :], A.augmentation[:, None])):
-        raise ValidationError("point image of u has nonzero counit")
-    if np.any(u_img[..., A.parity == 1]) or np.any(v_img[..., A.parity == 0]):
-        raise ValidationError("point images of u and v must be even and odd")
+    check_p1_images(A, u_img, v_img)
     out = P1ModuleView(
         A.field, M.dim, M.parity.copy(), M.element_action(u_img), M.element_action(v_img)
     )
@@ -438,6 +444,8 @@ def p1_view_from_images(
         # W <- sum_g g.W takes rad^k M to rad^{k+1} M
         W = linalg.identity(M.dim)
         for _ in range(M.dim):
+            if not W.shape[1]:  # rad^k M = 0 for this k and all larger ones
+                break
             parts = [linalg.matmul(M.F, M.action[g], W) for g in A.generators]
             W = linalg.column_space(M.F, np.hstack([W[:, :0]] + parts))
         if W.shape[1]:
@@ -529,9 +537,12 @@ def module_from_json(d: dict):
     if len(parity) != dim or not all(x in (0, 1) for x in parity):
         raise ValidationError("parity vector malformed (entries must be 0/1)")
     parity = np.array(parity, dtype=np.int8)
+    if not isinstance(d["action"], dict):
+        raise ValidationError("module file field 'action' must map generators to matrices")
 
     def parse_mat(rows):
-        if len(rows) != dim or any(len(r) != dim for r in rows):
+        square = isinstance(rows, list) and len(rows) == dim
+        if not square or any(not isinstance(r, list) or len(r) != dim for r in rows):
             raise ValidationError("action matrix has wrong shape")
         out = linalg.zeros(dim, dim)
         for i, row in enumerate(rows):

@@ -113,8 +113,16 @@ def _arity(spec: GroupAlgebraSpec) -> int:
     raise ValidationError(f"no points for family {spec.family}")
 
 
+def _check_characteristic(spec: GroupAlgebraSpec, field: FieldDescriptor):
+    if field.p != spec.p:
+        raise ValidationError(f"field characteristic {field.p} != spec p {spec.p}")
+
+
 def _check_points_cap(spec: GroupAlgebraSpec, field: FieldDescriptor):
+    """The spec's p is the field's characteristic, and q^arity is within
+    POINTS_CAP."""
     arity = _arity(spec)
+    _check_characteristic(spec, field)
     if field.q**arity > POINTS_CAP:
         raise BoundExceeded(f"{field.q}^{arity} candidate points exceed the cap {POINTS_CAP}")
 
@@ -157,13 +165,15 @@ def family_points(spec: GroupAlgebraSpec, field: FieldDescriptor):
 
 
 def check_point(spec: GroupAlgebraSpec, pt: GroupPoint):
-    """Coordinate count, and mu^2 = a_0^{p^r} where the family imposes it,
-    for a point given from outside the program."""
+    """Coordinate count, the field's characteristic, and mu^2 = a_0^{p^r}
+    where the family imposes it, for a point given from outside the
+    program."""
     arity = _arity(spec)
     if len(pt.coords) != arity:
         raise ValidationError(
             f"a point of {spec.label()} has {arity} coordinates, got {len(pt.coords)}"
         )
+    _check_characteristic(spec, pt.coords[0].field)
     if spec.family == "Mrs" and (spec.s >= 2 or spec.eta != 0):
         mu, a0 = pt.coords[0], pt.coords[1]
         if mu * mu != a0 ** (spec.p**spec.r):
@@ -292,11 +302,41 @@ def enumerate_points(spec: GroupAlgebraSpec, field: FieldDescriptor, method: str
     return PointSet(spec, field, _sorted_points(pts))
 
 
+def _p1_pair(spec: GroupAlgebraSpec, images):
+    """The images of u = u_{r-1} and v, stacked or single."""
+    r = _hom_height(spec)
+    return images.get(f"u{r-1}", np.zeros_like(images["v"])), images["v"]
+
+
 def _p1_images(spec: GroupAlgebraSpec, alg: PresentedSuperalgebra, images):
     """The checked images of u = u_{r-1} and v, stacked or single."""
     validate_point_images(spec, alg, images)
-    r = _hom_height(spec)
-    return images.get(f"u{r-1}", np.zeros_like(images["v"])), images["v"]
+    return _p1_pair(spec, images)
+
+
+def _orbit_keys(F, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """One row per pair (u, v) of stacked images, equal for two pairs
+    exactly when a dilation u -> a u, v -> b v with a^p = b^2, b != 0,
+    takes one to the other.
+
+    Each pair is scaled to a canonical form.  If v != 0, b brings the first
+    nonzero entry of v to 1, and a = frob^-1(b^2).  If v = 0, a runs over
+    the nonzero squares, and brings the first nonzero entry of u to 1 or to
+    the least non-square.
+    """
+    rows = np.arange(len(u))
+    cu = u[rows, (u != 0).argmax(axis=1)]  # first nonzero entry, or 0
+    cv = v[rows, (v != 0).argmax(axis=1)]
+    idx = np.arange(F.q)
+    square = np.zeros(F.q, dtype=bool)
+    square[F.mul[idx, idx]] = True
+    frob_inv = np.empty(F.q, dtype=linalg.DT)
+    frob_inv[F.frob] = idx
+    b = np.where(cv != 0, F.inv[cv], 1)
+    a_v = frob_inv[F.mul[b, b]]
+    a_u = F.mul[np.where(square[cu], 1, square.argmin()), F.inv[cu]]
+    a = np.where(cv != 0, a_v, np.where(cu != 0, a_u, 1))
+    return np.hstack([F.mul[a[:, None], u], F.mul[b[:, None], v]])
 
 
 def point_to_p1(spec: GroupAlgebraSpec, pt: GroupPoint, field: FieldDescriptor):
@@ -329,40 +369,66 @@ def support_set(
     the requested field.  The zero point always belongs to the support of a
     nonzero module.
 
-    The points are decided a chunk at a time.  A chunk's images are built
-    as index arrays and checked against the P_r relations together
-    (validate_point_images); its pullbacks form one stacked P_1-view,
-    built, validated and decided together (see homalg.pd_infinite).  Its
-    2n x 2n blocks hold at most _CHUNK_CELLS cells, so the stacks take a
-    few MB whatever the number of points.  The verdict of a point does not
-    depend on its chunk.  The support keeps the order of the points, which
+    A point's verdict depends only on its images (u, v) in kG, and only on
+    their orbit under the dilations u -> a u, v -> b v with a^p = b^2,
+    b != 0.  These are automorphisms of P_1 = k[u, v]/(u^p + v^2), since
+    they take u^p + v^2 to b^2 (u^p + v^2), and twisting a module by an
+    automorphism keeps its projective dimension.  So the points are
+    decided one orbit at a time:
+
+    - Every point's images are built a chunk at a time as index arrays,
+      and every check in kG runs on all of them: the P_r relations
+      (validate_point_images), and u even with counit 0, v odd
+      (smod.check_p1_images).  Each point gets its orbit key (_orbit_keys).
+    - The first point of each orbit is decided from its own images, a
+      chunk of such points at a time: one stacked P_1-view, built,
+      validated and decided together (see homalg.pd_infinite).  Every
+      other point of the orbit takes its verdict.
+
+    The view checks of the other points follow exactly from those of their
+    orbit's first point: its view (U, V) passes, and the other point's view
+    is (aU, bV), which is again even and odd, commutes, and has
+    (bV)^2 = b^2 V^2 = -b^2 U^p = -(aU)^p.  The 2n x 2n blocks of a chunk
+    hold at most _CHUNK_CELLS cells, so the stacks take a few MB whatever
+    the number of points, and a point's verdict does not depend on its
+    chunk.  The support keeps the order of the points, which
     enumerate_points lists sorted and without repeats.
 
     Two stacked checks run only with `check`: U^dim = 0 on the view and
     d.d = 0 on its hom complex.  Both follow from data checked where it
     enters.  M is a checked kG-module, the images satisfy the P_r
     relations, and u, with counit 0, lies in the radical of kG, which acts
-    nilpotently on M (smod.p1_view_from_images checks the last two, per
-    point and once per module).  Together these give the view's relations,
-    and the periodic complex of a valid view has d.d = 0 by construction
-    (homalg.p1_hom_complex).
+    nilpotently on M (smod.check_p1_images checks the counit per point,
+    smod.p1_view_from_images the radical once per module).  Together these
+    give the view's relations, and the periodic complex of a valid view has
+    d.d = 0 by construction (homalg.p1_hom_complex).
     """
     from .homalg import pd_infinite
-    from .smod import extend_scalars, p1_view_from_images
+    from .smod import check_p1_images, extend_scalars, p1_view_from_images
 
     MF = extend_scalars(M, field)
-    if build_group_algebra(spec, field)[0] is not MF.algebra:
+    alg = MF.algebra
+    if build_group_algebra(spec, field)[0] is not alg:
         raise ValidationError("module algebra does not match the point's group")
     pts = enumerate_points(spec, field, method=method).points
     per = max(1, _CHUNK_CELLS // (4 * MF.dim**2 or 1))
-    out = []
+    orbit = np.empty(len(pts), dtype=np.int64)
+    numbers = {}  # orbit key -> orbit number, in the order of first points
+    firsts = []  # the first point of each orbit
     for lo in range(0, len(pts), per):
         chunk = pts[lo : lo + per]
-        u_imgs, v_imgs = _p1_images(spec, MF.algebra, _images(spec, MF.algebra, chunk))
+        u_imgs, v_imgs = _p1_images(spec, alg, _images(spec, alg, chunk))
+        check_p1_images(alg, u_imgs, v_imgs)
+        for i, key in enumerate(_orbit_keys(alg.F, u_imgs, v_imgs)):
+            orbit[lo + i] = numbers.setdefault(key.tobytes(), len(numbers))
+            if orbit[lo + i] == len(firsts):
+                firsts.append(chunk[i])
+    infinite = np.empty(len(firsts), dtype=bool)
+    for lo in range(0, len(firsts), per):
+        u_imgs, v_imgs = _p1_pair(spec, _images(spec, alg, firsts[lo : lo + per]))
         view = p1_view_from_images(MF, u_imgs, v_imgs, check=check)
-        infinite = pd_infinite(view, check=check)
-        out.extend(pt for pt, inf in zip(chunk, infinite) if inf)
-    return SupportSet(spec, field, tuple(out), module=M)
+        infinite[lo : lo + per] = pd_infinite(view, check=check)
+    return SupportSet(spec, field, tuple(itertools.compress(pts, infinite[orbit])), module=M)
 
 
 def psi_map(spec: GroupAlgebraSpec, pt: GroupPoint):

@@ -14,6 +14,7 @@ from supvar.gfield import make_field
 import supvar.linalg as la
 from supvar.smod import (
     build_L,
+    extend_scalars,
     p1_trivial,
     p1_view,
     p1_view_from_module,
@@ -39,6 +40,7 @@ from supvar.varieties import (
     enumerate_points,
     m11_subgroup_embeddings,
     monoid_scale,
+    point_pullback,
     psi_map,
     psi_target_points,
     support_set,
@@ -274,25 +276,50 @@ def test_criterion_12_conicality():
     # the supports of criteria 2 and 3, recomputed over F_9, must be stable
     # under every admissible dilation
     scalings = admissible_scalings(F9, 1)
-    supports = []
     mods = [_L(*pp) for pp in L_PARAMS]
-    for M in mods:
-        supports.append(support_set(M11, M, F9))
+    modules = list(mods)
     for i in range(len(mods)):
         for j in range(i, len(mods)):
-            supports.append(support_set(M11, tensor_module(mods[i], mods[j]), F9))
+            modules.append(tensor_module(mods[i], mods[j]))
     rng = random.Random(2024)
     alg = build_group_algebra(M11, F3)[0]
     for _ in range(20):
         s1, s2 = rng.randrange(10**6), rng.randrange(10**6)
         M, N = random_module(s1, alg, 6), random_module(s2, alg, 6)
-        supports.append(support_set(M11, tensor_module(M, N), F9))
+        modules.append(tensor_module(M, N))
+    supports = [support_set(M11, M, F9) for M in modules]
     for sup in supports:
         keys = {p.key() for p in sup.points}
         for pt in sup.points:
             for mt, at in scalings:
                 assert monoid_scale(M11, pt, mt, at).key() in keys
-    _passed(12, f"{len(supports)} supports invariant under all 9 admissible F_9 scalings")
+    # support_set decides one point per dilation orbit, so the check above
+    # holds by construction; the per-point oracle on sampled points and
+    # their dilations does not rest on it.  Invertible dilations keep a
+    # point outside the support outside.
+    pts = enumerate_points(M11, F9).points
+    invertible = [(mt, at) for mt, at in scalings if mt != F9.element(0)]
+    checked = {True: 0, False: 0}
+    for M, sup in zip(modules, supports):
+        MF = extend_scalars(M, F9)
+        keys = {p.key() for p in sup.points}
+        inside = [pt for pt in sup.points if any(c != F9.element(0) for c in pt.coords)]
+        outside = [pt for pt in pts if pt.key() not in keys]
+        for infinite, pool, dilations in ((True, inside, scalings), (False, outside, invertible)):
+            if not pool:
+                continue
+            pt = rng.choice(pool)
+            assert (pd_class(point_pullback(M11, pt, MF)) == PD_INFINITE) == infinite
+            for mt, at in rng.sample(dilations, 2):
+                scaled = point_pullback(M11, monoid_scale(M11, pt, mt, at), MF)
+                assert (pd_class(scaled) == PD_INFINITE) == infinite
+            checked[infinite] += 1
+    assert checked[True] and checked[False]
+    _passed(
+        12,
+        f"{len(supports)} supports invariant under all 9 admissible F_9 scalings; "
+        f"oracle on {checked[True]} points inside and {checked[False]} outside",
+    )
 
 
 def test_criterion_13_coproduct_oracle():

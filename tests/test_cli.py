@@ -359,6 +359,30 @@ def test_bad_inputs_exit_2(capsys, m11_file, tmp_path):
         code, out, err = run(capsys, argv)
         assert code == 2 and out == "", argv
         assert err.endswith("must be an integer\n") and err.count("\n") == 1, argv
+    for argv, message in _mismatched_inputs(tmp_path):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: {message}\n", argv
+
+
+def _mismatched_inputs(tmp_path):
+    """Command lines whose spec's p is not the field's characteristic, or
+    whose module file's action is not an object of matrices, with the one
+    error line each prints."""
+    p5 = '{"family":"Mrs","p":5,"r":1,"s":1}'
+    module = {"group": json.loads(M11), "field": "3^1", "dim": 1, "parity": [0]}
+    listed = write(tmp_path, "listed.json", json.dumps(dict(module, action=[])))
+    number = write(tmp_path, "number.json", json.dumps(dict(module, action={"s": 5, "t": [["0"]]})))
+    m11 = write(tmp_path, "m11_target.json", M11)
+    return [
+        (["points", "-g", p5, "-F", "3"], "field characteristic 3 != spec p 5"),
+        (["psi", "-g", p5, "-P", "1,2", "-F", "3"], "field characteristic 3 != spec p 5"),
+        (
+            ["support", "-g", m11, "-m", listed, "-F", "3"],
+            "module file field 'action' must map generators to matrices",
+        ),
+        (["support", "-g", m11, "-m", number, "-F", "3"], "action matrix has wrong shape"),
+    ]
 
 
 def _non_integer_fields(tmp_path):
@@ -461,7 +485,9 @@ def _every_subcommand(tmp_path, m11_file, l01_file):
         (["lmodule", "--mu", "1", "--a", "2", "-F", "3^2"], 0),
         (["lmodule", "--mu", "0", "--a", "1", "-F", "3", "-o", "missing/x.json"], 2),
         (["resolve", "-g", ".", "-n", "2"], 2),
-    ] + [(argv, 2) for argv in _non_integer_fields(tmp_path)]
+    ] + [(argv, 2) for argv in _non_integer_fields(tmp_path)] + [
+        (argv, 2) for argv, _ in _mismatched_inputs(tmp_path)
+    ]
 
 
 def test_outputs_identical_across_processes(tmp_path, m11_file, l01_file):

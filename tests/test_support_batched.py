@@ -39,6 +39,8 @@ M11 = GroupAlgebraSpec("Mrs", 3, r=1, s=1)
 M21 = GroupAlgebraSpec("Mrs", 3, r=2, s=1)
 M12 = GroupAlgebraSpec("Mrs", 3, r=1, s=2)
 M11P5 = GroupAlgebraSpec("Mrs", 5, r=1, s=1)
+M21ETA = GroupAlgebraSpec("Mrs", 3, r=2, s=1, eta=1)
+GAR2 = GroupAlgebraSpec("Gar", 3, r=2)
 
 
 def _random(spec, field, seed, dim_bound):
@@ -67,6 +69,10 @@ CASES = [
     ("M21/F9", M21, lambda: _random(M21, F3, 2, 6), F9),
     ("M12/F9", M12, lambda: _random(M12, F3, 4, 5), F9),
     ("p5/F25", M11P5, lambda: _random(M11P5, F5, 0, 5), F25),
+    # dimension 5 over M_{2;1,1}, where mu^2 = a_0^9, and dimension 6 over
+    # G_a(2), whose points all have v = 0
+    ("eta/F9", M21ETA, lambda: _random(M21ETA, F3, 4, 5), F9),
+    ("Gar2/F9", GAR2, lambda: _random(GAR2, F3, 9, 6), F9),
     (
         "LxL/F9",
         M11,
@@ -236,3 +242,40 @@ def test_bad_point_images_rejected(case, message, tmp_path, capsys, monkeypatch)
     grp, mod = _files(tmp_path, M)
     assert message in _cli_fails(["support", "-g", grp, "-m", mod, "-F", "3^2"], capsys)
     assert message in _cli_fails(["pd", "-g", grp, "-m", mod, "-P", "1,1"], capsys)
+
+
+def _brute_force_orbits(F, u, v):
+    """Each pair (u, v) as its least scaled copy (a u, b v) over all q - 1
+    choices of b != 0, with a the p-th root of b^2."""
+    least = [None] * len(u)
+    for b in range(1, F.q):
+        a = int(np.nonzero(F.frob == F.mul[b, b])[0][0])
+        scaled = np.hstack([F.mul[a, u], F.mul[b, v]])
+        for i, row in enumerate(map(tuple, scaled.tolist())):
+            if least[i] is None or row < least[i]:
+                least[i] = row
+    return least
+
+
+@pytest.mark.parametrize(
+    "spec,field,npts,norbits",
+    [
+        (M11, F9, 81, 12),
+        (M11, F27, 729, 30),
+        (M21, F9, 729, 102),
+        (M12, F9, 81, 12),
+        (M11P5, F25, 625, 28),
+        (M21ETA, F9, 81, 12),
+        (GAR2, F9, 81, 21),  # v = 0: a runs over the 4 nonzero squares
+    ],
+    ids=["M11/F9", "M11/F27", "M21/F9", "M12/F9", "p5/F25", "eta/F9", "Gar2/F9"],
+)
+def test_orbit_keys_partition_like_brute_force(spec, field, npts, norbits):
+    alg, _ = build_group_algebra(spec, field)
+    pts = enumerate_points(spec, field).points
+    u, v = varieties._p1_pair(spec, varieties._images(spec, alg, pts))
+    keys = [row.tobytes() for row in varieties._orbit_keys(alg.F, u, v)]
+    least = _brute_force_orbits(alg.F, u, v)
+    assert len(pts) == npts
+    # the same partition: the pairing (key, least) is one-to-one
+    assert len(set(keys)) == len(set(least)) == len(set(zip(keys, least))) == norbits
