@@ -172,12 +172,18 @@ def cmd_classify(args):
     from .superalg.pr import PrPresentation
 
     data = _load_json(args.file)
+    if not isinstance(data, dict):
+        raise ValidationError("classify file must hold a JSON object")
     for key in ("p", "r", "target", "images"):
         if key not in data:
             raise ValidationError(f"classify file missing key {key!r}")
     p, r = (json_int(data[key], f"classify file field {key!r}") for key in ("p", "r"))
+    if not isinstance(data.get("field", ""), str) or not isinstance(data["images"], dict):
+        raise ValidationError("classify file needs 'field' as text and 'images' as an object")
     field = parse_field(data.get("field", str(p)))
     spec = GroupAlgebraSpec.from_json(data["target"])
+    if p != spec.p or r < 1:
+        raise ValidationError(f"classify file needs r >= 1 and p = {spec.p}, the target's p")
     alg, _ = build_group_algebra(spec, field)
     pres = PrPresentation(p, r)
     images = {}
@@ -186,7 +192,7 @@ def cmd_classify(args):
             raise ValidationError(f"missing image for generator {g}")
         vec = alg.el_zero()
         entries = data["images"][g]
-        if len(entries) != alg.dim:
+        if not isinstance(entries, list) or len(entries) != alg.dim:
             raise ValidationError(f"image of {g} must list {alg.dim} coefficients")
         for i, s in enumerate(entries):
             vec[i] = parse_element(field, str(s)).index
@@ -230,10 +236,11 @@ def cmd_homscheme(args):
     check_source(pres, spec.p)
     field = make_field(spec.p, 1)
     alg, _ = build_group_algebra(spec, field)
-    ideal = hom_scheme_ideal(pres, alg)
-    out = ideal.render()
-    if out:
-        print(out)
+    # the ideal is built as it is rendered; every line is in hand before the
+    # first is written, so an error leaves stdout empty
+    lines = hom_scheme_ideal(pres, alg).render()
+    if lines:
+        print(*lines, sep="\n")
     return 0
 
 

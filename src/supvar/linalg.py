@@ -290,11 +290,3 @@ def complement_coords(F: GFTables, S: np.ndarray):
     _, pivots = rref(F, S.T[:, ::-1])
     taken = {m - 1 - c for c in pivots}
     return [i for i in range(m) if i not in taken]
-
-
-def restrict_operator(F: GFTables, K: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Matrix X with T K = K X, for T-invariant col(K) (K full column rank)."""
-    X = solve(F, K, matmul(F, T, K))
-    if X is None:
-        raise ValueError("subspace is not invariant under the operator")
-    return X

@@ -640,7 +640,8 @@ def build_group_algebra(spec: GroupAlgebraSpec, field: FieldDescriptor | None = 
 
 
 def _light_checks(alg: PresentedSuperalgebra):
-    """Cheap structural checks run on every build."""
+    """Cheap structural checks run on every build: unit, parity, and with
+    Hopf data the counit and super-cocommutativity of each Delta(b_i)."""
     T, u, par = alg.tensor, alg.unit_index, alg.parity
     one = np.eye(alg.dim, dtype=linalg.DT)
     bad = np.flatnonzero((T[u] != one).any(axis=1) | (T[:, u] != one).any(axis=1))
@@ -661,6 +662,20 @@ def _light_checks(alg: PresentedSuperalgebra):
                 acc[k] = F.add[acc[k], s]
             if not np.array_equal(acc, alg.el_basis(i)):
                 raise AlgebraError(f"counit axiom fails at basis {i}")
+            _check_cocommutative(alg, i)
+
+
+def _check_cocommutative(alg: PresentedSuperalgebra, i: int):
+    """Delta(b_i) is super-cocommutative, as kG is dual to the
+    supercommutative k[G]: its b_k (x) b_j coefficient is (-1)^{|b_j||b_k|}
+    times its b_j (x) b_k one.  The Hom-scheme ideal builds on this."""
+    F, par = alg.F, alg.parity.tolist()
+    cop = {}
+    for j, k, c in alg.hopf.coproduct[i]:
+        cop[(j, k)] = int(F.add[cop.get((j, k), 0), F.scalar(c)])
+    for (j, k), c in cop.items():
+        if cop.get((k, j), 0) != (int(F.neg[c]) if par[j] and par[k] else c):
+            raise AlgebraError(f"coproduct of basis {i} is not super-cocommutative at ({j},{k})")
 
 
 def verify_algebra(alg: PresentedSuperalgebra, seed: int = 0, exhaustive_limit: int = 32):

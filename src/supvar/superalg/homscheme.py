@@ -7,11 +7,21 @@ relations of P_r", "rho commutes with the coproducts", and "rho commutes
 with the antipodes" are polynomial in the x_{i,j}; this module emits those
 polynomials and enumerates their even points over the base field by brute
 force (odd variables are set to zero).
+
+kG is dual to the supercommutative k[G], so its coproduct is
+super-cocommutative, and so is that of P_r; both are checked where they
+enter.  So the coproduct generators satisfy cop:g[b,a] = (-1)^{|s_a||s_b|}
+cop:g[a,b], and only the components with a <= b are built.  The ideal is a
+stream: its generators are built one at a time, and the CLI formats them
+a chunk at a time, so the whole ideal is never held.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial, reduce
+from operator import or_
+from typing import Callable
 
 import numpy as np
 
@@ -27,7 +37,7 @@ SOURCE_TERM_CAP = 3**11
 SLOT_BITS = 8  # per variable of a packed monomial: the top bit is a guard
 MAX_EXPONENT = (1 << (SLOT_BITS - 1)) - 1
 SLOT_MASK = (1 << SLOT_BITS) - 1
-RENDER_CHUNK = 4096  # monomials per uint8 matrix of PolyRing._monomial_table
+RENDER_CHUNK = 4096  # monomials per chunk of generators that PolyRing.render formats together
 
 
 class _Memo(dict):
@@ -62,27 +72,32 @@ class PolyRing:
     `m1 & m2 & oddmask`, and comparing two monomials compares their exponent
     vectors lexicographically.  The top bit of every slot is a guard: an
     exponent above MAX_EXPONENT sets it and raises ValidationError instead of
-    carrying into the next slot.
+    carrying into the next slot.  A sum of two slots below half the guard
+    value cannot reach it, so `addmul` tests every product only when a slot
+    of a factor reaches that half (`high` masks those bits).
 
     Coefficients are field element indices.  The ring keeps, as lists, the
     rows of the field's add and mul tables for the coefficients that occur
     (never a whole q x q table), and the text of every coefficient and
     factor x^e it renders.  Monomial texts are not kept: `render` names the
-    monomials of one call in a table of its own.  Variable names are
-    single-line text.
+    monomials of each chunk in a table of its own.  Variable names are
+    distinct identifiers, so that the text of a polynomial determines it
+    (see `render`).
     """
 
     def __init__(self, field, variables):
         self.field = field
         self.F = F = linalg.tables(field)
         self.variables = tuple(variables)  # ((name, parity), ...)
-        if any("\n" in name for name, _ in self.variables):
-            raise ValidationError("variable names must be single-line text")
+        names = [name for name, _ in self.variables]
+        if len(set(names)) < len(names) or not all(name.isidentifier() for name in names):
+            raise ValidationError("variable names must be distinct identifiers")
         self.name_index = {name: i for i, (name, _) in enumerate(self.variables)}
         self.parity = tuple(par for _, par in self.variables)
         n = len(self.variables)
         self.shift = tuple(SLOT_BITS * (n - 1 - i) for i in range(n))
         self.guard = sum(1 << (s + SLOT_BITS - 1) for s in self.shift)
+        self.high = sum(3 << (s + SLOT_BITS - 2) for s in self.shift)
         self.oddmask = sum(1 << s for s, par in zip(self.shift, self.parity) if par)
         self.add_rows = _Memo(lambda c: F.add[c].tolist())
         self.mul_rows = _Memo(lambda c: F.mul[c].tolist())
@@ -119,54 +134,61 @@ class PolyRing:
     def _monomial_table(self, mons: list):
         """(degree array, ["*x*y^2", ...]) of the monomials, "" for 1.
 
-        A monomial's bytes are its exponent vector (SLOT_BITS is 8), so each
-        chunk is one uint8 matrix: a row sum is a degree, and its nonzero
-        entries in row-major order are the factors in variable order.  All
-        factor texts of a chunk, with a separator after each row, are joined
-        and split in one pass; chunks keep the temporaries small.
+        A monomial's bytes are its exponent vector (SLOT_BITS is 8), so the
+        monomials are one uint8 matrix: a row sum is a degree, and its
+        nonzero entries in row-major order are the factors in variable
+        order.  All factor texts, with a separator after each row, are
+        joined and split in one pass.
         """
         n = len(self.variables)
-        deg = np.empty(len(mons), dtype=np.int64)
-        texts = []
-        for start in range(0, len(mons), RENDER_CHUNK):
-            chunk = mons[start : start + RENDER_CHUNK]
-            E = np.frombuffer(b"".join([m.to_bytes(n, "big") for m in chunk]), dtype=np.uint8)
-            E = E.reshape(len(chunk), n)
-            deg[start : start + len(chunk)] = E.sum(axis=1, dtype=np.int64)
-            rows, cols = np.divmod(np.flatnonzero(E), n)
-            ends = np.cumsum(np.bincount(rows, minlength=len(chunk)))
-            keys = np.insert((cols << SLOT_BITS) | E[rows, cols], ends, 0)
-            texts += "".join(map(self.factor_text.__getitem__, keys.tolist())).split("\n")[:-1]
-        return deg, texts
+        E = np.frombuffer(b"".join([m.to_bytes(n, "big") for m in mons]), dtype=np.uint8)
+        E = E.reshape(len(mons), n)
+        rows, cols = np.divmod(np.flatnonzero(E), n)
+        ends = np.cumsum(np.bincount(rows, minlength=len(mons)))
+        keys = np.insert((cols << SLOT_BITS) | E[rows, cols], ends, 0)
+        texts = "".join(map(self.factor_text.__getitem__, keys.tolist())).split("\n")[:-1]
+        return E.sum(axis=1, dtype=np.int64), texts
 
     def render(self, polys):
-        """One text per distinct nonzero term dict of polys, first occurrence
+        """One line per distinct nonzero term dict of polys, first occurrence
         first: "c*x*y^2 + ...", monomials by (degree, exponent vector)
         descending.
 
-        Each distinct dict is formatted once: equal dicts, bucketed by length
-        and monomial sum, are dropped first.  One table ranks and names every
-        monomial of the rest, so a dict sorts by small ints.
+        polys is read once, and may be a generator.  Consecutive dicts are
+        formatted together, a chunk of about RENDER_CHUNK monomials at a
+        time, so only one chunk's dicts and tables are alive beside the
+        lines.  Repeats are dropped by their line: a line determines its
+        dict, since variable names are distinct identifiers and coefficient
+        texts hold no "*", "^" or " ".  All lines are returned together, so
+        an error raised by polys leaves none.
         """
-        distinct, buckets = [], {}
+        lines = {}  # line -> None, in first-occurrence order
+        chunk, size = [], 0
         for terms in polys:
             if terms:
-                bucket = buckets.setdefault((len(terms), sum(terms)), [])
-                if terms not in bucket:
-                    bucket.append(terms)
-                    distinct.append(terms)
-        mons = sorted(set().union(*distinct), reverse=True)
+                chunk.append(terms)
+                size += len(terms)
+                if size >= RENDER_CHUNK:
+                    self._render_chunk(chunk, lines)
+                    chunk, size = [], 0
+        self._render_chunk(chunk, lines)
+        return list(lines)
+
+    def _render_chunk(self, chunk: list, lines: dict):
+        """Add the line of each dict of chunk to lines.  One table ranks and
+        names every monomial of the chunk, so a dict sorts by small ints."""
+        if not chunk:
+            return
+        mons = sorted(set().union(*chunk), reverse=True)
         deg, texts = self._monomial_table(mons)
         # a stable sort by degree keeps equal degrees in exponent-vector order
         order = np.argsort(-deg, kind="stable").tolist()
         rank = dict(zip([mons[i] for i in order], range(len(order))))
         text = [texts[i] for i in order]
         coeff = self.coeff_text
-        lines = []
-        for terms in distinct:
+        for terms in chunk:
             ranked = sorted(zip(map(rank.__getitem__, terms), terms.values()))
-            lines.append(" + ".join([coeff[c] + text[k] for k, c in ranked]))
-        return lines
+            lines.setdefault(" + ".join([coeff[c] + text[k] for k, c in ranked]))
 
     def accumulate(self, acc: dict, terms: dict, c: int = 1):
         """acc += c * terms, in place (cancelled terms stay as zeros)."""
@@ -176,8 +198,10 @@ class PolyRing:
 
     def addmul(self, targets, A: dict, B: dict):
         """For each (acc, c) of targets, acc += c * A * B, in place, with A's
-        monomials on the left (Koszul signs)."""
+        monomials on the left (Koszul signs).  Products are tested against
+        the exponent guard only when a slot of A or B reaches half of it."""
         guard, odd, neg = self.guard, self.oddmask, self.neg
+        check = (reduce(or_, A, 0) | reduce(or_, B, 0)) & self.high
         add, mul = self.add_rows, self.mul_rows
         targets = [(acc, mul[c]) for acc, c in targets]
         for m1, c1 in A.items():
@@ -187,7 +211,7 @@ class PolyRing:
                 if o1 & m2:
                     continue
                 m = m1 + m2
-                if m & guard:
+                if check and m & guard:
                     raise ValidationError(f"a monomial exponent exceeds {MAX_EXPONENT}")
                 v = row[c2]
                 if o1 and _swaps(o1, m2 & odd) & 1:
@@ -240,16 +264,36 @@ class SuperPoly:
 
 @dataclass
 class PolynomialIdeal:
-    """Named generators of the Hom-scheme ideal in a fixed variable order."""
+    """Named generators of the Hom-scheme ideal in a fixed variable order.
+
+    The ideal is a stream: `items()` returns a fresh iterator over its
+    generators, in order, as (label, P).  P is a SuperPoly, or the label of
+    an earlier generator that this one equals.  Nothing is held between
+    calls.  `generators` materialises the stream once, for the solver and
+    the tests, with such a repeat as the identical object; `render` reads a
+    fresh stream and never holds the whole ideal.
+    """
 
     ring: PolyRing
-    generators: tuple  # (label, SuperPoly)
+    items: Callable  # () -> iterator of (label, SuperPoly or earlier label)
     source: PrPresentation
     target: PresentedSuperalgebra
 
+    @cached_property
+    def generators(self):
+        """((label, SuperPoly), ...) in order."""
+        by_label = {}
+        for label, P in self.items():
+            by_label[label] = by_label[P] if isinstance(P, str) else P
+        return tuple(by_label.items())
+
     def render(self):
-        """The distinct nonzero generators, one per line, first occurrence first."""
-        return "\n".join(self.ring.render([g.terms for _, g in self.generators]))
+        """The lines of the distinct nonzero generators, first occurrence
+        first (PolyRing.render), from a fresh stream: a generator that
+        repeats an earlier one is skipped unformatted.  The stream is built
+        as it is formatted, so an error in either raises before any line is
+        returned."""
+        return self.ring.render(P.terms for _, P in self.items() if not isinstance(P, str))
 
     def even_variable_names(self):
         return [n for n, par in self.ring.variables if par == 0]
@@ -279,25 +323,30 @@ class _SVec:
         return _SVec(alg, ring, [_nonzero(d) for d in out], (self.parity + other.parity) % 2)
 
 
-def _tensor_components(A: _SVec, B: _SVec, c: int, out: dict, mirror: bool):
-    """Add c * (A (x) B) into out, {(c, d): terms} over (S (x) S) (x) T, with
-    the Koszul reordering sign; with mirror, add c * (B (x) A) too.
+def _tensor_products(A: _SVec, B: _SVec, c: int, mirror: bool, out: dict):
+    """List the products whose sum is c * (A (x) B), and with mirror also
+    c * (B (x) A), at each s_a (x) s_b with a <= b: out[(a, b)] gains
+    (P, Q, coefficients), the product P Q taken once per coefficient, with
+    the Koszul reordering signs.
 
-    Each product P_a Q_b is formed once: the (b, a) component of B (x) A is
-    Q_b P_a = (-1)^{|P_a||Q_b|} P_a Q_b, moved past s_a, which leaves the
-    sign (-1)^{|Q_b||A|}."""
-    ring, par, neg = A.ring, A.alg.parity.tolist(), A.ring.neg
-    for a, P in enumerate(A.comps):
+    The component of B (x) A at (a, b) is B_a A_b = (-1)^{|A_b||B_a|}
+    A_b B_a, moved past s_a, which leaves the sign (-1)^{|B_a||A|}.  So
+    each product A_i B_j is listed once: at (i, j) for A (x) B if i <= j,
+    at (j, i) for B (x) A if j <= i, and with both coefficients at i = j."""
+    par, neg = A.alg.parity.tolist(), A.ring.neg
+    for i, P in enumerate(A.comps):
         if not P:
             continue
-        pa = (A.parity + par[a]) % 2
-        for b, Q in enumerate(B.comps):
-            if Q:
-                targets = [(out.setdefault((a, b), {}), neg[c] if pa and par[b] else c)]
-                if mirror:
-                    qb = (B.parity + par[b]) % 2
-                    targets.append((out.setdefault((b, a), {}), neg[c] if qb and A.parity else c))
-                ring.addmul(targets, P, Q)
+        for j, Q in enumerate(B.comps):
+            if not Q:
+                continue
+            coefs = []
+            if i <= j:
+                coefs.append(neg[c] if (A.parity + par[i]) % 2 and par[j] else c)
+            if mirror and j <= i:
+                coefs.append(neg[c] if (B.parity + par[j]) % 2 and A.parity else c)
+            if coefs:
+                out.setdefault((min(i, j), max(i, j)), []).append((P, Q, coefs))
 
 
 def check_source(source: PrPresentation, p: int):
@@ -320,28 +369,62 @@ def source_r_cap(p: int) -> int:
     return r
 
 
+def check_cocommutative(source: PrPresentation):
+    """Each generator's coproduct must be cocommutative with no term odd on
+    both sides, as P_r's is: the terms (le, ri, c) and (ri, le, c) add up
+    to the same coefficient.  The ideal adds each such pair from one term,
+    and builds only the coproduct components a <= b."""
+    for g in source.gen_names:
+        weight = {}
+        for le, ri, c in source.gen_coproduct(g):
+            if le.has_v and ri.has_v:
+                raise ValidationError(f"the coproduct of {g} has a term odd on both sides")
+            key = (le.ell, le.has_v, ri.ell, ri.has_v)
+            weight[key] = weight.get(key, 0) + c
+        if any((weight.get((k[2], k[3], k[0], k[1]), 0) - c) % source.p for k, c in weight.items()):
+            raise ValidationError(f"the coproduct of {g} is not super-cocommutative")
+
+
 def hom_scheme_ideal(source: PrPresentation, alg: PresentedSuperalgebra) -> PolynomialIdeal:
     """Ideal presenting Hom_{Hopf}(P_r, kG) in the variables x_{i}_{j}.
 
-    The target algebra must carry its Hopf data.  Variables are ordered
-    generator-major then by basis index; x_{i}_{j} carries parity
-    |r_i| + |s_j|.  Each power rho(g)^e and each nonzero gamma image is built
-    once; products add into one term dict per output component.
+    The target algebra must carry its Hopf data; its coproduct is checked
+    super-cocommutative when it is built, the source's here.  Variables are
+    ordered generator-major then by basis index; x_{i}_{j} carries parity
+    |r_i| + |s_j|.  Only the checks and the ring are made here: the
+    generators are built as the ideal's stream is read (_generators).
     """
     if alg.hopf is None:
         raise ValidationError("target needs Hopf structure")
     check_source(source, alg.field.p)
+    check_cocommutative(source)
 
-    gens = source.gen_names
     nonunit = [j for j in range(alg.dim) if j != alg.unit_index]
     variables = [
         (f"x_{gi}_{j}", (source.gen_parity(g) + int(alg.parity[j])) % 2)
-        for gi, g in enumerate(gens, start=1)
+        for gi, g in enumerate(source.gen_names, start=1)
         for j in nonunit
     ]
     ring = PolyRing(alg.field, variables)
-    F = alg.F
-    neg1 = ring.neg[1]
+    return PolynomialIdeal(ring, partial(_generators, source, alg, ring), source, alg)
+
+
+def _generators(source: PrPresentation, alg: PresentedSuperalgebra, ring: PolyRing):
+    """The generators of hom_scheme_ideal, in order, as PolynomialIdeal.items
+    yields them: the relations of the source, the coproduct compatibility of
+    each generator, then the antipode compatibility.
+
+    Each power rho(g)^e and each nonzero gamma image is built once.  For
+    each generator, the products behind every coproduct component (a, b)
+    with a <= b are listed first (_tensor_products); then each component is
+    accumulated into its own term dict and yielded at its place.  At (b, a)
+    the stream repeats it, by label, when |s_a||s_b| is even, and yields
+    its negation, kept until then, when it is odd.
+    """
+    gens = source.gen_names
+    nonunit = [j for j in range(alg.dim) if j != alg.unit_index]
+    F, par, neg = alg.F, alg.parity.tolist(), ring.neg
+    neg1 = neg[1]
 
     def x(gi, j):
         return 1 << ring.shift[ring.name_index[f"x_{gi}_{j}"]]
@@ -383,8 +466,6 @@ def hom_scheme_ideal(source: PrPresentation, alg: PresentedSuperalgebra) -> Poly
                 gammas[(ell, has_v)] = image
         return image
 
-    out = []
-
     # algebra relations of the source
     for label, terms in source.relations():
         acc = [{} for _ in range(alg.dim)]
@@ -394,29 +475,47 @@ def hom_scheme_ideal(source: PrPresentation, alg: PresentedSuperalgebra) -> Poly
                 ring.accumulate(a, P)
         for j, P in enumerate(map(ring.poly, acc)):
             if P.terms:
-                out.append((f"rel:{label}[{j}]", P))
+                yield f"rel:{label}[{j}]", P
 
-    # coproduct compatibility on each generator: lhs - rhs accumulated in place.
-    # Delta(g) is cocommutative: with (le, ri, c) it has (ri, le, c), and no
-    # Koszul sign as one side is even; so each pair is added from one term.
+    # coproduct compatibility on each generator: the component at
+    # s_a (x) s_b of (rho (x) rho)(Delta g) - Delta(rho(g)), a <= b.
+    # Delta(s_j) at s_a (x) s_b, a <= b, as [(j, c), ...]:
+    cop = {}
+    for j in nonunit:
+        for a, b, c in alg.hopf.coproduct[j]:
+            if a <= b:
+                cop.setdefault((a, b), []).append((j, F.scalar(c)))
     for gi, g in enumerate(gens, start=1):
-        acc = {}
+        # one term of each cocommuting pair (checked); B is skipped when A is
+        # zero, and zero images are not memoised, as for a large source
+        # nearly all p^(r-1) gammas are zero and distinct
+        products = {}  # (a, b), a <= b -> [(P, Q, coefficients), ...]
         for le, ri, c in source.gen_coproduct(g):
             if (ri.ell, ri.has_v) < (le.ell, le.has_v):
                 continue
-            # B is skipped when A is zero; zero images are not memoised, as for
-            # a large source nearly all p^(r-1) gammas are zero and distinct
             A = gamma(le.ell, le.has_v)
             B = A and gamma(ri.ell, ri.has_v)
             if B:
-                _tensor_components(A, B, F.scalar(c), acc, le != ri)
-        for j in nonunit:
-            for a, b, c in alg.hopf.coproduct[j]:
-                ring.accumulate(acc.setdefault((a, b), {}), {x(gi, j): F.scalar(c)}, neg1)
-        for cc, dd in sorted(acc):
-            P = ring.poly(acc[(cc, dd)])
+                _tensor_products(A, B, F.scalar(c), le != ri, products)
+        upper = products.keys() | cop.keys()
+        lower = {}  # (b, a) -> the label of (a, b), or its negation
+        for a, b in sorted(upper | {(b, a) for a, b in upper}):
+            label = f"cop:{g}[{a},{b}]"
+            if a > b:
+                if (a, b) in lower:
+                    yield label, lower.pop((a, b))
+                continue
+            acc = {}
+            for P, Q, coefs in products.get((a, b), ()):
+                ring.addmul([(acc, k) for k in coefs], P, Q)
+            for j, c in cop.get((a, b), ()):
+                ring.accumulate(acc, {x(gi, j): c}, neg1)
+            P = ring.poly(acc)
             if P.terms:
-                out.append((f"cop:{g}[{cc},{dd}]", P))
+                yield label, P
+                if a < b:
+                    odd = par[a] and par[b]
+                    lower[(b, a)] = ring.poly({m: neg[c] for m, c in P.terms.items()}) if odd else label
 
     # antipode compatibility: rho(S g) = S(rho(g)), with S g = -g
     for gi, g in enumerate(gens, start=1):
@@ -427,9 +526,7 @@ def hom_scheme_ideal(source: PrPresentation, alg: PresentedSuperalgebra) -> Poly
                 ring.accumulate(acc[m], {x(gi, j): int(alg.hopf.antipode[m, j])}, neg1)
         for m, P in enumerate(map(ring.poly, acc)):
             if P.terms:
-                out.append((f"ant:{g}[{m}]", P))
-
-    return PolynomialIdeal(ring, tuple(out), source, alg)
+                yield f"ant:{g}[{m}]", P
 
 
 def check_solver_cap(source: PrPresentation, alg: PresentedSuperalgebra) -> int:

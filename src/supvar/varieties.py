@@ -40,8 +40,10 @@ if TYPE_CHECKING:
     from .smod import P1ModuleView, SuperModule
     from .superalg.algebra import PresentedSuperalgebra
 
-# Points are decided in chunks whose stacked 2n x 2n blocks hold at most
-# this many cells (n = dim M), which bounds the memory of the stacks.
+# Points are decided in chunks whose stacks hold at most this many cells:
+# the 2n x 2n blocks of their P_1-views (n = dim M), or, while their images
+# are built and checked in kG, the d x d terms of a stacked el_mul (d = dim
+# kG).  This bounds the memory of the stacks.
 _CHUNK_CELLS = 2**14
 
 # Point enumerations run over q^arity candidate tuples; more than this many
@@ -388,11 +390,13 @@ def support_set(
     The view checks of the other points follow exactly from those of their
     orbit's first point: its view (U, V) passes, and the other point's view
     is (aU, bV), which is again even and odd, commutes, and has
-    (bV)^2 = b^2 V^2 = -b^2 U^p = -(aU)^p.  The 2n x 2n blocks of a chunk
-    hold at most _CHUNK_CELLS cells, so the stacks take a few MB whatever
-    the number of points, and a point's verdict does not depend on its
-    chunk.  The support keeps the order of the points, which
-    enumerate_points lists sorted and without repeats.
+    (bV)^2 = b^2 V^2 = -b^2 U^p = -(aU)^p.  A chunk's stacks hold at most
+    _CHUNK_CELLS cells: 4 n^2 per point in the views (n = dim M), d^2 per
+    point in the first pass (d = dim kG, the terms of a stacked el_mul).
+    So the stacks take a few MB whatever the number of points, and a
+    point's verdict does not depend on its chunk.  The support keeps the
+    order of the points, which enumerate_points lists sorted and without
+    repeats.
 
     Two stacked checks run only with `check`: U^dim = 0 on the view and
     d.d = 0 on its hom complex.  Both follow from data checked where it
@@ -411,7 +415,7 @@ def support_set(
     if build_group_algebra(spec, field)[0] is not alg:
         raise ValidationError("module algebra does not match the point's group")
     pts = enumerate_points(spec, field, method=method).points
-    per = max(1, _CHUNK_CELLS // (4 * MF.dim**2 or 1))
+    per = max(1, _CHUNK_CELLS // alg.dim**2)
     orbit = np.empty(len(pts), dtype=np.int64)
     numbers = {}  # orbit key -> orbit number, in the order of first points
     firsts = []  # the first point of each orbit
@@ -424,6 +428,7 @@ def support_set(
             if orbit[lo + i] == len(firsts):
                 firsts.append(chunk[i])
     infinite = np.empty(len(firsts), dtype=bool)
+    per = max(1, _CHUNK_CELLS // (4 * MF.dim**2 or 1))
     for lo in range(0, len(firsts), per):
         u_imgs, v_imgs = _p1_pair(spec, _images(spec, alg, firsts[lo : lo + per]))
         view = p1_view_from_images(MF, u_imgs, v_imgs, check=check)

@@ -24,10 +24,10 @@ from math import comb
 
 import numpy as np
 
-from ..errors import BoundExceeded, ValidationError
-from .. import linalg
-from .algebra import DIM_CAP
-from .pr import digit_factorial_product
+from supvar import linalg
+from supvar.errors import BoundExceeded, ValidationError
+from supvar.superalg.algebra import DIM_CAP
+from supvar.superalg.pr import digit_factorial_product
 
 
 @dataclass
@@ -182,7 +182,7 @@ def _convolve(F, basis, cop, f, g, g_parity):
 
 def km_r_dual_oracle(p: int, r: int, s: int, field=None) -> CoordinateCoalgebraOracle:
     """Build k[M_{r;s}], dualize, and return gamma-basis tables of kM_{r;s}."""
-    from ..gfield import make_field
+    from supvar.gfield import make_field
 
     if field is None:
         field = make_field(p, 1)

@@ -10,6 +10,7 @@ import random
 import numpy as np
 import pytest
 
+from oracles.dual_oracle import km_r_dual_oracle
 from supvar.gfield import make_field
 import supvar.linalg as la
 from supvar.smod import (
@@ -23,7 +24,6 @@ from supvar.smod import (
     tensor_module,
 )
 from supvar.superalg.algebra import GroupAlgebraSpec, build_group_algebra
-from supvar.superalg.dual_oracle import km_r_dual_oracle
 from supvar.superalg.morphisms import canonical_quotient_morphism, classify_quotient
 from supvar.homalg import (
     PD_INFINITE,

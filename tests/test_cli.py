@@ -264,6 +264,33 @@ def test_homscheme_source_rules(capsys, monkeypatch, source, p, code, words):
     assert (got, out) == (code, "") and err.count("\n") == 1 and words in err
 
 
+def test_homscheme_error_mid_stream_prints_nothing(capsys, monkeypatch, m11_file):
+    # an exponent overflow forced after a chunk of lines has been formatted:
+    # the stream is rendered whole before anything is written, so exit 2
+    # leaves stdout empty
+    from supvar.superalg import homscheme
+
+    monkeypatch.setattr(homscheme, "RENDER_CHUNK", 8)
+    chunks = []
+    real_chunk, real_addmul = homscheme.PolyRing._render_chunk, homscheme.PolyRing.addmul
+
+    def render_chunk(ring, *args):
+        chunks.append(1)
+        real_chunk(ring, *args)
+
+    def addmul(ring, targets, A, B):
+        if chunks:  # x^127 * x^127 for the first even variable
+            top = {homscheme.MAX_EXPONENT << ring.shift[ring.parity.index(0)]: 1}
+            A = B = top
+        real_addmul(ring, targets, A, B)
+
+    monkeypatch.setattr(homscheme.PolyRing, "_render_chunk", render_chunk)
+    monkeypatch.setattr(homscheme.PolyRing, "addmul", addmul)
+    code, out, err = run(capsys, ["homscheme", "--source", '{"p": 3, "r": 2}', "--target", m11_file])
+    assert chunks and (code, out) == (2, "")
+    assert err == f"error: a monomial exponent exceeds {homscheme.MAX_EXPONENT}\n"
+
+
 def test_solver_cap_checked_before_tables(capsys, monkeypatch):
     from supvar import linalg
 

@@ -4,7 +4,7 @@ basis must reproduce the built group algebra tables exactly."""
 import pytest
 
 from supvar.superalg.algebra import GroupAlgebraSpec, build_group_algebra
-from supvar.superalg.dual_oracle import km_r_dual_oracle
+from oracles.dual_oracle import km_r_dual_oracle
 
 
 @pytest.mark.parametrize("r,s", [(1, 1), (1, 2), (2, 1), (2, 2)])
@@ -59,3 +59,24 @@ def test_coordinate_algebra_bialgebra_axioms():
             for n, c2 in mult.get((i, m), ()):
                 rhs[n] = (rhs.get(n, 0) + c * c2) % 3
         assert {k2: v for k2, v in lhs.items() if v} == {k2: v for k2, v in rhs.items() if v}
+
+
+def test_oracles_live_outside_the_package():
+    # the oracles are test code: the package neither ships nor imports them
+    import ast
+    import importlib.util
+    import pathlib
+
+    import supvar
+    import supvar.homalg
+    import supvar.linalg
+
+    assert importlib.util.find_spec("supvar.superalg.dual_oracle") is None
+    assert not hasattr(supvar.homalg, "ext_dims_untwisted")
+    assert not hasattr(supvar.linalg, "restrict_operator")
+    for path in pathlib.Path(supvar.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            assert not any(n.split(".")[0] in ("oracles", "tests") for n in names), path

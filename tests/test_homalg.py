@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles.homalg_oracle import ext_dims_untwisted
 from supvar.errors import BoundExceeded, ValidationError
 from supvar.gfield import make_field
 import supvar.linalg as la
@@ -17,7 +18,6 @@ from supvar.homalg import (
     cocycle_from_values,
     cup_y_square,
     ext_dims,
-    ext_dims_untwisted,
     minimal_resolution,
     p1_hom_complex,
     pd_class,

@@ -7,9 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from oracles import homscheme_oracle
 from supvar.errors import BoundExceeded, ValidationError
 from supvar.gfield import make_field
-from supvar.superalg.algebra import GroupAlgebraSpec, build_group_algebra
+from supvar.superalg.algebra import GroupAlgebraSpec, build_group_algebra, verify_algebra
 from supvar.superalg import homscheme
 from supvar.superalg.homscheme import (
     MAX_EXPONENT,
@@ -23,6 +24,7 @@ from supvar.superalg.homscheme import (
     source_r_cap,
 )
 from supvar.superalg.morphisms import PrPresentation
+from supvar.superalg.pr import PrIndex
 
 F3 = make_field(3, 1)
 
@@ -70,7 +72,7 @@ def test_zero_images_skip_products(monkeypatch):
     triv, _ = build_group_algebra(GroupAlgebraSpec("Gar", 3, r=0))
     source = PrPresentation(3, 6)
     ideal = hom_scheme_ideal(source, triv)
-    assert ideal.render() == ""
+    assert ideal.render() == []
     assert len(calls) <= 3 * len(source.gen_names)
 
 
@@ -114,7 +116,7 @@ def test_variable_parities_and_render_determinism():
     text1 = ideal.render()
     text2 = hom_scheme_ideal(PrPresentation(3, 1), m11).render()
     assert text1 == text2
-    assert all(ln == ln.strip() and ln for ln in text1.splitlines())
+    assert all(ln == ln.strip() and ln and "\n" not in ln for ln in text1)
 
 
 def test_solver_bound():
@@ -284,6 +286,16 @@ def test_exponent_overflow_raises():
     for P, Q in ((big, x), (half, half), (x * y, big)):
         with pytest.raises(ValidationError):
             P * Q
+    # slots above 63 make addmul test every product; these all fit
+    x64, y64 = (SuperPoly(ring, {64 << ring.shift[v]: 2}, 0) for v in (1, 2))
+    below = SuperPoly(ring, {(MAX_EXPONENT - 64) << ring.shift[1]: 1}, 0)
+    assert (x64 * y64).render() == "1*x^64*y^64"
+    assert (x64 * below).render() == f"2*x^{MAX_EXPONENT}"
+    # only the last product overflows, in either order of the factors
+    mixed = SuperPoly(ring, {1 << ring.shift[2]: 1, 64 << ring.shift[1]: 1}, 0)
+    for P, Q in ((mixed, x64), (x64, mixed)):
+        with pytest.raises(ValidationError, match=f"exceeds {MAX_EXPONENT}$"):
+            P * Q
 
 
 def test_source_checks():
@@ -336,7 +348,7 @@ RENDER_SHA1 = [
 def test_render_digests_unchanged(r, spec, digest):
     spec = GroupAlgebraSpec.from_json(spec)
     alg, _ = build_group_algebra(spec)
-    text = hom_scheme_ideal(PrPresentation(spec.p, r), alg).render()
+    text = _text(hom_scheme_ideal(PrPresentation(spec.p, r), alg))
     assert hashlib.sha1(text.encode()).hexdigest() == digest
 
 
@@ -344,7 +356,12 @@ def test_render_digests_unchanged(r, spec, digest):
 
 
 def _ideal(ring, polys):
-    return PolynomialIdeal(ring, tuple((f"g{i}", P) for i, P in enumerate(polys)), None, None)
+    return PolynomialIdeal(ring, lambda: ((f"g{i}", P) for i, P in enumerate(polys)), None, None)
+
+
+def _text(ideal):
+    """The CLI's output of an ideal, without the final newline."""
+    return "\n".join(ideal.render())
 
 
 def _oracle_lines(ring, polys):
@@ -389,19 +406,19 @@ def test_render_many_variables(p, n):
         polys.append(SuperPoly(ring, terms, 0))
     polys += polys[::7]  # repeats under other labels
     assert len(set().union(*(P.terms for P in polys))) > homscheme.RENDER_CHUNK
-    assert _ideal(ring, polys).render() == _oracle_lines(ring, polys)
+    assert _text(_ideal(ring, polys)) == _oracle_lines(ring, polys)
     for P in polys[:5]:
         assert P.render() == _oracle_lines(ring, [P])
 
 
 def test_render_empty_and_zero():
     ring = PolyRing(F3, [("x", 0)])
-    assert _ideal(ring, []).render() == ""
-    assert _ideal(ring, [SuperPoly(ring, {1: 0}, 0)] * 3).render() == ""
+    assert _ideal(ring, []).render() == []
+    assert _ideal(ring, [SuperPoly(ring, {1: 0}, 0)] * 3).render() == []
     assert SuperPoly(ring, {}, 0).render() == "0"
     assert SuperPoly(ring, {0: 2}, 0).render() == "2"
     bare = PolyRing(F3, [])
-    assert _ideal(bare, [SuperPoly(bare, {0: 1}, 0)]).render() == "1"
+    assert _ideal(bare, [SuperPoly(bare, {0: 1}, 0)]).render() == ["1"]
 
 
 def test_render_prints_equal_generators_once():
@@ -413,13 +430,25 @@ def test_render_prints_equal_generators_once():
     again = SuperPoly(ring, {0: 1, x + y: 1}, 0)  # equal to xy_1, other order
     zero = SuperPoly(ring, {x: 0}, 0)
     polys = [x_y, zero, xy_1, x_2y, again, x_y, x_2y]
-    assert _ideal(ring, polys).render() == "1*x + 1*y\n1*x*y + 1\n1*x + 2*y"
-    assert _ideal(ring, polys).render() == _oracle_lines(ring, polys)
+    assert _ideal(ring, polys).render() == ["1*x + 1*y", "1*x*y + 1", "1*x + 2*y"]
+    assert _text(_ideal(ring, polys)) == _oracle_lines(ring, polys)
 
 
 def test_variable_names_are_one_line():
     with pytest.raises(ValidationError):
         PolyRing(F3, [("x\ny", 0)])
+
+
+@pytest.mark.parametrize(
+    "names", [["x*y"], ["x^2"], ["x y"], ["x+y"], [""], ["2x"], ["1"], ["x:1"], ["x", "y", "x"]]
+)
+def test_variable_names_keep_the_render_injective(names):
+    # the render drops repeats by their line, so a line must determine its
+    # polynomial: names are distinct identifiers.  With "x" and "x^2" both
+    # allowed, x^2 and the variable x^2 would print alike.
+    with pytest.raises(ValidationError, match="distinct identifiers"):
+        PolyRing(F3, [(n, 0) for n in names])
+    PolyRing(F3, [("x_1_2", 0), ("_y", 1), ("w0", 0)])
 
 
 @pytest.mark.parametrize("p,r", [(3, 1), (3, 3), (5, 2)])
@@ -435,10 +464,13 @@ def test_generator_coproducts_are_cocommutative(p, r):
 
 
 @pytest.mark.parametrize("pa,pb", [(0, 0), (0, 1), (1, 0), (1, 1)])
-def test_mirror_adds_b_tensor_a(pa, pb):
-    # c (A (x) B) + c (B (x) A) from the products of A's and B's components
-    # alone, with the sign of Q_b P_a = +-P_a Q_b, over an algebra with odd
-    # basis elements; the ideal itself only ever passes an even A
+def test_mirror_adds_b_tensor_a(pa, pb, monkeypatch):
+    # c (A (x) B) + c (B (x) A) at each s_a (x) s_b with a <= b, against the
+    # oracle's full computation, over an algebra with odd basis elements,
+    # with as many products formed; the ideal itself only ever passes an
+    # even A.  Below the diagonal the sum is (-1)^{|s_a||s_b|} times its
+    # mirror unless A and B are both odd, which is why a source term may
+    # not be odd on both sides.
     m11, _ = build_group_algebra(GroupAlgebraSpec("Mrs", 3, r=1, s=1))
     ring = PolyRing(F3, VARS)
     rng = random.Random(10 * pa + pb)
@@ -448,12 +480,127 @@ def test_mirror_adds_b_tensor_a(pa, pb):
         comps = [_random_pair(rng, ring, 3, (parity + par[j]) % 2)[0].terms for j in range(m11.dim)]
         return homscheme._SVec(m11, ring, comps, parity)
 
-    def nonzero(out):
-        return {k: P.terms for k, P in ((k, ring.poly(v)) for k, v in out.items()) if P.terms}
-
+    products = []
+    real = PolyRing.addmul
+    monkeypatch.setattr(PolyRing, "addmul", lambda *a: products.append(1) or real(*a))
     A, B = vec(pa), vec(pb)
-    both, apart = {}, {}
-    homscheme._tensor_components(A, B, 2, both, True)
-    homscheme._tensor_components(A, B, 2, apart, False)
-    homscheme._tensor_components(B, A, 2, apart, False)
-    assert nonzero(both) == nonzero(apart) != {}
+    full = {}
+    homscheme_oracle._tensor_components(A, B, 2, full, True)
+    full = {k: ring.poly(v).terms for k, v in full.items()}
+    formed, products[:] = len(products), []
+    listed = {}
+    homscheme._tensor_products(A, B, 2, True, listed)
+    assert all(a <= b for a, b in listed)
+    for a in range(m11.dim):
+        for b in range(a, m11.dim):
+            acc = {}
+            for P, Q, coefs in listed.get((a, b), ()):
+                ring.addmul([(acc, k) for k in coefs], P, Q)
+            assert ring.poly(acc).terms == full.get((a, b), {}), (a, b)
+    assert len(products) == formed
+    mirrored = [
+        full[(b, a)] == {m: ring.neg[c] if par[a] and par[b] else c for m, c in full[(a, b)].items()}
+        for a, b in full
+        if a < b
+    ]
+    assert all(mirrored) != (pa and pb)
+
+
+# -- the streamed ideal against the full build -----------------------------
+
+ORACLE_TARGETS = {
+    "Ga1": {"family": "Gar", "p": 3, "r": 1},
+    "Ga2": {"family": "Gar", "p": 3, "r": 2},
+    "Ga3": {"family": "Gar", "p": 3, "r": 3},
+    "GaMinus": {"family": "GaMinus", "p": 3},
+    "M11": {"family": "Mrs", "p": 3, "r": 1, "s": 1},
+    "M21": {"family": "Mrs", "p": 3, "r": 2, "s": 1},
+    "M12": {"family": "Mrs", "p": 3, "r": 1, "s": 2},
+    "M22": {"family": "Mrs", "p": 3, "r": 2, "s": 2},
+    "M211": {"family": "Mrs", "p": 3, "r": 2, "s": 1, "eta": 1},
+    "M11p5": {"family": "Mrs", "p": 5, "r": 1, "s": 1},
+    "M11p7": {"family": "Mrs", "p": 7, "r": 1, "s": 1},
+}
+ORACLE_CASES = [(r, name) for name in ORACLE_TARGETS for r in ((1, 2) if "p" in name else (1, 2, 3))]
+
+
+@pytest.mark.parametrize("r,target", ORACLE_CASES, ids=[f"P{r}-{t}" for r, t in ORACLE_CASES])
+def test_streamed_ideal_matches_full_build(r, target):
+    # labels, order and term dicts.  A lower coproduct component with
+    # |s_a||s_b| even is the very object of its upper one: the stream named
+    # it by label, so its render skips it unformatted.
+    spec = GroupAlgebraSpec.from_json(ORACLE_TARGETS[target])
+    alg, _ = build_group_algebra(spec)
+    source = PrPresentation(spec.p, r)
+    got = hom_scheme_ideal(source, alg).generators
+    want = homscheme_oracle.hom_scheme_generators(source, alg)
+    assert [label for label, _ in got] == [label for label, _ in want]
+    assert all(P.terms == Q.terms for (_, P), (_, Q) in zip(got, want))
+    by_label = dict(got)
+    par = alg.parity.tolist()
+    for label, P in got:
+        if label.startswith("cop:"):
+            g, ab = label[4:-1].split("[")
+            a, b = map(int, ab.split(","))
+            if a != b:
+                shared = P is by_label.get(f"cop:{g}[{b},{a}]")
+                assert shared == (not (par[a] and par[b])), label
+
+
+class _Skewed(PrPresentation):
+    """P_r with a coproduct term of u1 changed."""
+
+    def __init__(self, p, r, edit):
+        super().__init__(p, r)
+        object.__setattr__(self, "edit", edit)
+
+    def gen_coproduct(self, name):
+        terms = list(super().gen_coproduct(name))
+        return self.edit(terms) if name == "u1" else terms
+
+
+@pytest.mark.parametrize(
+    "edit,words",
+    [
+        (lambda t: t[:-1], "not super-cocommutative"),
+        (lambda t: [(le, ri, 2 if i == 1 else c) for i, (le, ri, c) in enumerate(t)], "not super-cocommutative"),
+        (lambda t: t + [(PrIndex(0, True), PrIndex(1, True), 1)], "odd on both sides"),
+    ],
+)
+def test_source_coproduct_checked_where_it_enters(edit, words):
+    ga2, _ = build_group_algebra(GroupAlgebraSpec("Gar", 3, r=2))
+    with pytest.raises(ValidationError, match=words):
+        hom_scheme_ideal(_Skewed(3, 2, edit), ga2)
+    hom_scheme_ideal(_Skewed(3, 2, lambda t: t[::-1]), ga2)  # order is free
+
+
+def test_target_coproduct_checked_where_it_enters():
+    # Delta(gamma_3) of G_a(2) has gamma_1 (x) gamma_2 and gamma_2 (x) gamma_1
+    from dataclasses import replace
+
+    alg, hopf = build_group_algebra(GroupAlgebraSpec("Gar", 3, r=2))
+    verify_algebra(alg)
+    cop = list(hopf.coproduct)
+    i = next(i for i, terms in enumerate(cop) if any(j != k and j and k for j, k, _ in terms))
+    j0, k0 = next((j, k) for j, k, _ in cop[i] if j != k and j and k)
+    cop[i] = tuple((j, k, c + 1 if (j, k) == (j0, k0) else c) for j, k, c in cop[i])
+    with pytest.raises(ValidationError, match="super-cocommutative"):
+        verify_algebra(replace(alg, hopf=replace(hopf, coproduct=tuple(cop))))
+
+
+def test_streamed_render_memory_is_bounded():
+    # building P_3 -> G_a(3) and rendering its lines, as the CLI does, peaks
+    # at one render chunk plus the output; the whole ideal held 11 MB, and
+    # with its render table peaked at 20 MB
+    import tracemalloc
+
+    alg, _ = build_group_algebra(GroupAlgebraSpec("Gar", 3, r=3))
+    tracemalloc.start()
+    try:
+        lines = hom_scheme_ideal(PrPresentation(3, 3), alg).render()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    digest = dict((spec["family"], d) for r, spec, d in RENDER_SHA1 if r == 3)["Gar"]
+    assert hashlib.sha1("\n".join(lines).encode()).hexdigest() == digest
+    assert peak < 8 * 2**20, peak

@@ -14,6 +14,7 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles.linalg_oracle import restrict_operator
 import supvar.homalg as homalg
 import supvar.linalg as la
 from supvar.cli import main
@@ -77,7 +78,7 @@ def _submodule(P, cols, par):
     F = la.tables(P.algebra.field)
     action = {}
     for g in P.algebra.generators:
-        action[g] = la.restrict_operator(F, cols, P.action[g]) if cols.size else la.zeros(0, 0)
+        action[g] = restrict_operator(F, cols, P.action[g]) if cols.size else la.zeros(0, 0)
     return SuperModule(P.algebra, cols.shape[1], par.copy(), action)
 
 

@@ -91,7 +91,7 @@ def test_point_images_m21():
 
 def test_point_images_match_dual_oracle_comorphism():
     """rho-images agree with honest dualization of the comorphism of k[M_{r;s}]."""
-    from supvar.superalg.dual_oracle import km_r_dual_oracle
+    from oracles.dual_oracle import km_r_dual_oracle
     import supvar.linalg as la
 
     orc = km_r_dual_oracle(3, 2, 1)
@@ -363,10 +363,10 @@ def test_hom_ideal_golden_ga1():
     from supvar.superalg.morphisms import PrPresentation
 
     ga1, _ = build_group_algebra(GroupAlgebraSpec("Gar", 3, r=1))
-    text = hom_scheme_ideal(PrPresentation(3, 1), ga1).render()
+    lines = hom_scheme_ideal(PrPresentation(3, 1), ga1).render()
     # primitivity of u and v forces the gamma_2 coefficients to vanish;
     # the algebra relations hold identically for this target
-    assert text == "2*x_1_2\n2*x_2_2\n1*x_1_2\n1*x_2_2"
+    assert lines == ["2*x_1_2", "2*x_2_2", "1*x_1_2", "1*x_2_2"]
 
 
 def test_decomposition_union():
