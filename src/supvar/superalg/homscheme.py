@@ -52,15 +52,20 @@ class _Memo(dict):
         return val
 
 
-def _swaps(a: int, b: int) -> int:
-    """Transpositions that bring the odd variables of a*b into order: pairs
-    of a variable of b and a later variable (a lower slot) of a."""
-    n = 0
-    while b:
-        low = b & -b
-        n += (a & (low - 1)).bit_count()
-        b ^= low
-    return n
+def _odd_below(a: int, odd: int) -> int:
+    """The bits of odd at which a has an odd number of bits at or below.
+
+    For b disjoint from a, (b & _odd_below(a, odd)).bit_count() is then
+    odd exactly when an odd number of pairs (bit of b, lower bit of a)
+    exist.  With a and b the odd variables of two monomials, those pairs
+    are the transpositions that bring the odd variables of a*b into order,
+    as a lower slot holds a later variable."""
+    flip = 0
+    while a:
+        low = a & -a
+        flip ^= -low  # every bit from low up
+        a ^= low
+    return flip & odd
 
 
 class PolyRing:
@@ -206,6 +211,7 @@ class PolyRing:
         targets = [(acc, mul[c]) for acc, c in targets]
         for m1, c1 in A.items():
             o1 = m1 & odd
+            below = _odd_below(o1, odd)
             row = mul[c1]
             for m2, c2 in B.items():
                 if o1 & m2:
@@ -214,7 +220,7 @@ class PolyRing:
                 if check and m & guard:
                     raise ValidationError(f"a monomial exponent exceeds {MAX_EXPONENT}")
                 v = row[c2]
-                if o1 and _swaps(o1, m2 & odd) & 1:
+                if below and (m2 & below).bit_count() & 1:
                     v = neg[v]
                 for acc, crow in targets:
                     acc[m] = add[acc.get(m, 0)][crow[v]]
