@@ -19,7 +19,7 @@ a chunk at a time, so the whole ideal is never held.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import partial, reduce
 from operator import or_
 from typing import Callable
 
@@ -275,23 +275,14 @@ class PolynomialIdeal:
     The ideal is a stream: `items()` returns a fresh iterator over its
     generators, in order, as (label, P).  P is a SuperPoly, or the label of
     an earlier generator that this one equals.  Nothing is held between
-    calls.  `generators` materialises the stream once, for the solver and
-    the tests, with such a repeat as the identical object; `render` reads a
-    fresh stream and never holds the whole ideal.
+    calls: `render` and the solver each read a fresh stream, skip the
+    repeats, and never hold the whole ideal.
     """
 
     ring: PolyRing
     items: Callable  # () -> iterator of (label, SuperPoly or earlier label)
     source: PrPresentation
     target: PresentedSuperalgebra
-
-    @cached_property
-    def generators(self):
-        """((label, SuperPoly), ...) in order."""
-        by_label = {}
-        for label, P in self.items():
-            by_label[label] = by_label[P] if isinstance(P, str) else P
-        return tuple(by_label.items())
 
     def render(self):
         """The lines of the distinct nonzero generators, first occurrence
@@ -567,8 +558,9 @@ def solve_even_points(ideal: PolynomialIdeal, field=None):
     for pos, col in zip(even, grid):
         columns[pos] = col
     ok = np.ones(count, dtype=bool)
-    for _, P in ideal.generators:
-        ok &= P.evaluate(columns) == 0
+    for _, P in ideal.items():
+        if not isinstance(P, str):  # a repeat vanishes where its original does
+            ok &= P.evaluate(columns) == 0
 
     solutions = []
     for combo in grid.T[ok]:

@@ -32,6 +32,15 @@ def _tensor_components(A: _SVec, B: _SVec, c: int, out: dict, mirror: bool):
                 ring.addmul(targets, P, Q)
 
 
+def materialise(ideal):
+    """((label, SuperPoly), ...) of a PolynomialIdeal's stream, in order,
+    with a repeat as the identical object of the generator it names."""
+    by_label = {}
+    for label, P in ideal.items():
+        by_label[label] = by_label[P] if isinstance(P, str) else P
+    return tuple(by_label.items())
+
+
 def hom_scheme_generators(source, alg):
     """((label, SuperPoly), ...) of the Hom-scheme ideal, every coproduct
     component (a, b) and (b, a) built in one accumulator dict per generator

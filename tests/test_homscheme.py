@@ -468,9 +468,10 @@ def test_mirror_adds_b_tensor_a(pa, pb, monkeypatch):
     # c (A (x) B) + c (B (x) A) at each s_a (x) s_b with a <= b, against the
     # oracle's full computation, over an algebra with odd basis elements,
     # with as many products formed; the ideal itself only ever passes an
-    # even A.  Below the diagonal the sum is (-1)^{|s_a||s_b|} times its
-    # mirror unless A and B are both odd, which is why a source term may
-    # not be odd on both sides.
+    # even A.  The oracle's mirror is checked against A (x) B and B (x) A
+    # built apart.  Below the diagonal the sum is (-1)^{|s_a||s_b|} times
+    # its mirror unless A and B are both odd, which is why a source term
+    # may not be odd on both sides.
     m11, _ = build_group_algebra(GroupAlgebraSpec("Mrs", 3, r=1, s=1))
     ring = PolyRing(F3, VARS)
     rng = random.Random(10 * pa + pb)
@@ -498,6 +499,11 @@ def test_mirror_adds_b_tensor_a(pa, pb, monkeypatch):
                 ring.addmul([(acc, k) for k in coefs], P, Q)
             assert ring.poly(acc).terms == full.get((a, b), {}), (a, b)
     assert len(products) == formed
+    apart = {}
+    homscheme_oracle._tensor_components(A, B, 2, apart, False)
+    homscheme_oracle._tensor_components(B, A, 2, apart, False)
+    nonzero = {k: P.terms for k, P in ((k, ring.poly(v)) for k, v in apart.items()) if P.terms}
+    assert nonzero == {k: v for k, v in full.items() if v} != {}
     mirrored = [
         full[(b, a)] == {m: ring.neg[c] if par[a] and par[b] else c for m, c in full[(a, b)].items()}
         for a, b in full
@@ -532,7 +538,7 @@ def test_streamed_ideal_matches_full_build(r, target):
     spec = GroupAlgebraSpec.from_json(ORACLE_TARGETS[target])
     alg, _ = build_group_algebra(spec)
     source = PrPresentation(spec.p, r)
-    got = hom_scheme_ideal(source, alg).generators
+    got = homscheme_oracle.materialise(hom_scheme_ideal(source, alg))
     want = homscheme_oracle.hom_scheme_generators(source, alg)
     assert [label for label, _ in got] == [label for label, _ in want]
     assert all(P.terms == Q.terms for (_, P), (_, Q) in zip(got, want))
