@@ -391,27 +391,26 @@ def minimal_resolution(A, M: SuperModule, steps: int) -> ResolutionData:
 
 
 def _check_local(A):
-    """Augmentation ideal I spanned by the non-unit basis and nilpotent.
+    """Augmentation ideal I spanned by the non-unit basis and nilpotent;
+    returns the dimensions of I, I^2, ..., ending in 0.
 
-    The layer I^{n+1} = I I^n is spanned by the products b_r x = x T[r] of
-    the radical basis b_r with a basis x of I^n, taken as one stacked
-    product for sixteen r at a time (on the support s of the x), so no
-    temporary grows with the whole tensor.  One rref keeps a basis.
+    Every basis element is a scalar times a word in the generators
+    (verify_algebra's premise), so I^n is spanned by the words of length at
+    least n, and I^{n+1} = sum_g I^n g.  Each layer is thus one product
+    x T[:, g] of a basis x of I^n with every generator g at once, and one
+    rref keeps a basis.
     """
     F = linalg.tables(A.field)
-    d, rad, T = A.dim, np.array(A.radical_coords(), dtype=int), A.tensor
+    d, rad = A.dim, A.radical_coords()
     if A.augmentation[rad].any() or not A.augmentation[A.unit_index]:
         raise ValidationError("algebra augmentation is not the unit indicator")
-    layer = linalg.identity(d)[rad]
+    right = A.tensor[:, list(A.generators.values())].reshape(d, -1)  # b_m g at column (g, k)
+    layer, dims = linalg.identity(d)[rad], []
     for _ in range(d + 1):
+        dims.append(len(layer))
         if not layer.size:
-            return
-        s = np.flatnonzero(layer.any(axis=0))
-        prods = []
-        for lo in range(0, len(rad), 16):
-            P = linalg.bmatmul(F, layer[:, s], T[rad[lo : lo + 16]][:, s]).reshape(-1, d)
-            prods.append(P[P.any(axis=1)])
-        R, pivots = linalg.rref(F, np.concatenate(prods))
+            return dims
+        R, pivots = linalg.rref(F, linalg.matmul(F, layer, right).reshape(-1, d))
         layer = R[: len(pivots)]
     raise ValidationError("augmentation ideal is not nilpotent; algebra not local")
 

@@ -48,15 +48,17 @@ class SuperModule:
         """Every basis action matrix, flattened: shape (algebra dim, dim * dim)."""
         cached = self._cache.get("basis_flat")
         if cached is None:
-            F = self.F
-            cached = linalg.zeros(self.algebra.dim, self.dim * self.dim)
-            for i, (coeff, mon) in enumerate(self.algebra.monomials):
-                out = linalg.identity(self.dim)
-                for g, e in mon:
-                    out = linalg.matmul(F, out, linalg.matpow(F, self.action[g], e))
-                cached[i] = linalg.scale(F, coeff, out).ravel()
+            mons = self.algebra.monomials
+            cached = np.stack([self.word_action(c, mon).ravel() for c, mon in mons])
             self._cache["basis_flat"] = cached
         return cached
+
+    def word_action(self, coeff, mon) -> np.ndarray:
+        """Action matrix of coeff g_1^e_1 g_2^e_2 ... for mon = ((g_1, e_1), ...)."""
+        F, out = self.F, linalg.identity(self.dim)
+        for g, e in mon:
+            out = linalg.matmul(F, out, linalg.matpow(F, self.action[g], e))
+        return linalg.scale(F, coeff, out)
 
     def element_action(self, vec: np.ndarray) -> np.ndarray:
         """Action matrix of an algebra element (index vector), or the stack of
@@ -106,10 +108,7 @@ def validate_module(M: SuperModule) -> ValidationReport:
         for label, terms in A.relations:
             acc = linalg.zeros(M.dim, M.dim)
             for coeff, mon in terms:
-                part = linalg.identity(M.dim)
-                for g, e in mon:
-                    part = linalg.matmul(F, part, linalg.matpow(F, M.action[g], e))
-                acc = linalg.madd(F, acc, linalg.scale(F, coeff, part))
+                acc = linalg.madd(F, acc, M.word_action(coeff, mon))
             if np.any(acc):
                 issues.append(f"relation {label} does not annihilate the module")
     return ValidationReport(not issues, issues)
@@ -526,6 +525,8 @@ def module_to_json(M: SuperModule) -> dict:
 def module_from_json(d: dict):
     """Parse a module file; returns a SuperModule, or a P1ModuleView when
     the group is the pseudo-family P1.  Validation runs automatically."""
+    if not isinstance(d, dict) or not isinstance(d.get("field", ""), str):
+        raise ValidationError("module file must be a JSON object with 'field' as text")
     for key in ("group", "field", "dim", "parity", "action"):
         if key not in d:
             raise ValidationError(f"module file missing key {key!r}")

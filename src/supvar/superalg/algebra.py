@@ -19,9 +19,8 @@ The P_r relations and gamma monomials come from pr.PrPresentation.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb, prod
 
@@ -250,8 +249,20 @@ class PresentedSuperalgebra:
         out = linalg.matmul(F, terms, self.tensor[np.ix_(i, j)].reshape(-1, d))
         return out.reshape(shape)
 
-    def el_pow(self, x, e: int):
-        return reduce(self.el_mul, [x] * e, self.el_unit())
+    def el_word(self, coeff, mon, images=None, memo=None):
+        """coeff g_1^e_1 g_2^e_2 ... for mon = ((g_1, e_1), ...), as the
+        left-normed word ((g_1 g_1) ... g_2) ... of its letters, multiplied
+        by el_mul.  A letter g stands for images[g] (default: its basis
+        element).  memo keeps the value of every prefix of the word, keyed
+        by its letters, for later calls."""
+        word, out = tuple(g for g, e in mon for _ in range(e)), self.el_unit()
+        gen = self.el_gen if images is None else images.__getitem__
+        memo = {} if memo is None else memo
+        for t in range(1, len(word) + 1):
+            if word[:t] not in memo:
+                memo[word[:t]] = self.el_mul(out, gen(word[t - 1]))
+            out = memo[word[:t]]
+        return self.el_scale(coeff, out)
 
     @cached_property
     def products(self):
@@ -639,147 +650,153 @@ def build_group_algebra(spec: GroupAlgebraSpec, field: FieldDescriptor | None = 
     return alg, alg.hopf
 
 
-def _light_checks(alg: PresentedSuperalgebra):
-    """Cheap structural checks run on every build: unit, parity, and with
-    Hopf data the counit and super-cocommutativity of each Delta(b_i)."""
-    T, u, par = alg.tensor, alg.unit_index, alg.parity
-    one = np.eye(alg.dim, dtype=linalg.DT)
-    bad = np.flatnonzero((T[u] != one).any(axis=1) | (T[:, u] != one).any(axis=1))
+def verify_algebra(alg: PresentedSuperalgebra):
+    """Unit, generation, associativity, the augmentation and parity, and
+    with Hopf data the counit and super-cocommutativity of each Delta(b_i).
+
+    Every check is exhaustive at every dimension.  They rest on one premise,
+    checked right after the unit axiom: each basis element b_i equals its
+    stored monomial, read as a scalar times a left-normed word in the
+    generators (el_word).  Associativity is then checked only as
+    (xy)g = x(yg), for all basis x, y and each generator g.  That gives
+    every triple, by induction on the length of a left-normed word w,
+    starting from the unit axiom at w = 1:
+    (xy)(wg) = ((xy)w)g = (x(yw))g = x((yw)g) = x(y(wg)).
+    In the same way the augmentation is checked as e(xg) = e(x)e(g) for
+    every basis x and g a generator or the unit.  A failure names the
+    first bad basis index, triple (x, y, g) or pair in lexicographic order.
+    """
+    d, F, aug, T, u, par = alg.dim, alg.F, alg.augmentation, alg.tensor, alg.unit_index, alg.parity
+    E = np.eye(d, dtype=linalg.DT)
+    bad = np.flatnonzero((T[u] != E).any(axis=1) | (T[:, u] != E).any(axis=1))
     if bad.size:
         raise AlgebraError(f"unit axiom fails at basis {bad[0]}")
-    ijk = np.argwhere(T)
-    bad = ijk[par[ijk[:, 2]] != (par[ijk[:, 0]] + par[ijk[:, 1]]) % 2]
+    words = {}
+    for i, (c, mon) in enumerate(alg.monomials):
+        if not np.array_equal(alg.el_word(c, mon, memo=words), E[i]):
+            raise AlgebraError(f"basis {i} is not its monomial")
+    gens = sorted(alg.generators.values())
+    i, j, k = np.unravel_index(np.flatnonzero(T), T.shape)  # T's nonzero entries
+    _check_associative(alg, gens, i, j, k)
+    gu = sorted({*gens, u})
+    counits = linalg.matmul(F, T[:, gu].reshape(-1, d), aug[:, None]).reshape(d, -1)  # of b_x b_g
+    bad = np.argwhere(counits != F.mul[aug[:, None], aug[gu]])
     if bad.size:
-        i, j, k = bad[0]
-        raise AlgebraError(f"parity not multiplicative at ({i},{j})->{k}")
-    if alg.hopf is not None:
-        F = alg.F
-        for i in range(alg.dim):
-            # (counit (x) id) o coproduct = id
-            acc = alg.el_zero()
-            for j, k, c in alg.hopf.coproduct[i]:
-                s = F.mul[F.scalar(c), alg.hopf.counit[j]]
-                acc[k] = F.add[acc[k], s]
-            if not np.array_equal(acc, alg.el_basis(i)):
-                raise AlgebraError(f"counit axiom fails at basis {i}")
-            _check_cocommutative(alg, i)
+        raise AlgebraError(f"augmentation not multiplicative at ({bad[0, 0]},{gu[bad[0, 1]]})")
+    bad = np.flatnonzero(par[k] != (par[i] + par[j]) % 2)
+    if bad.size:
+        raise AlgebraError(f"parity not multiplicative at ({i[bad[0]]},{j[bad[0]]})->{k[bad[0]]}")
+    if alg.hopf is None:
+        return
+    for i, cop in enumerate(_coproducts(alg)):
+        # (counit (x) id) o coproduct = id
+        if _collect(F, ((k, F.mul[c, alg.hopf.counit[j]]) for (j, k), c in cop.items())) != {i: 1}:
+            raise AlgebraError(f"counit axiom fails at basis {i}")
+        # kG is dual to the supercommutative k[G], so Delta(b_i) is
+        # super-cocommutative; the Hom-scheme ideal builds on this
+        for (j, k), c in cop.items():
+            if cop.get((k, j), 0) != (int(F.neg[c]) if par[j] and par[k] else c):
+                raise AlgebraError(
+                    f"coproduct of basis {i} is not super-cocommutative at ({j},{k})"
+                )
 
 
-def _check_cocommutative(alg: PresentedSuperalgebra, i: int):
-    """Delta(b_i) is super-cocommutative, as kG is dual to the
-    supercommutative k[G]: its b_k (x) b_j coefficient is (-1)^{|b_j||b_k|}
-    times its b_j (x) b_k one.  The Hom-scheme ideal builds on this."""
-    F, par = alg.F, alg.parity.tolist()
-    cop = {}
-    for j, k, c in alg.hopf.coproduct[i]:
-        cop[(j, k)] = int(F.add[cop.get((j, k), 0), F.scalar(c)])
-    for (j, k), c in cop.items():
-        if cop.get((k, j), 0) != (int(F.neg[c]) if par[j] and par[k] else c):
-            raise AlgebraError(f"coproduct of basis {i} is not super-cocommutative at ({j},{k})")
+def _matches(left, right, n):
+    """Index pairs (i, j) with left[i] == right[j]; right is sorted, below n."""
+    count = np.bincount(right, minlength=n)
+    reps = count[left]
+    i = np.repeat(np.arange(left.size), reps)
+    return i, np.arange(i.size) - np.repeat(np.cumsum(reps), reps) + np.cumsum(count)[left[i]]
 
 
-def verify_algebra(alg: PresentedSuperalgebra, seed: int = 0, exhaustive_limit: int = 32):
-    """Associativity, unit, parity, and multiplicativity of the augmentation.
-
-    Up to exhaustive_limit, associativity is checked on every basis triple
-    through the dense structure tensor T (b_i b_j = sum_k T[i, j, k] b_k):
-    for each i, (b_i b_j) b_k and b_i (b_j b_k) over all (j, k) are two
-    array products, so scratch memory stays O(d^3).  Above the limit, 500
-    triples drawn with the seed are checked as (b_i b_j) b_k = T[i, j] b_k
-    against b_i (b_j b_k) = b_i T[j, k] by stacked el_mul, 25 triples at a
-    time, so no product spans much of T.  The augmentation is checked
-    on all pairs as one array comparison, its values taken one slice T[i]
-    at a time.  A failure names the first bad triple (pair) in
-    lexicographic order.
-    """
-    d, F, aug, T = alg.dim, alg.F, alg.augmentation, alg.tensor
-    if d <= exhaustive_limit:
-        flat = T.reshape(d, d * d)
-        for i in range(d):
-            lhs = linalg.bmatmul(F, T[i], flat).reshape(d, d, d)
-            rhs = linalg.bmatmul(F, flat.reshape(d * d, d), T[i]).reshape(d, d, d)
-            if not np.array_equal(lhs, rhs):
-                j, k = np.argwhere(lhs != rhs)[0][:2]
-                raise AlgebraError(f"associativity fails at ({i},{j},{k})")
-    else:
-        rng = random.Random(seed)
-        ijk = np.array([[rng.randrange(d) for _ in range(3)] for _ in range(500)])
-        one = np.eye(d, dtype=linalg.DT)
-        for i, j, k in (ijk[lo : lo + 25].T for lo in range(0, 500, 25)):
-            bad = alg.el_mul(T[i, j], one[k]) != alg.el_mul(one[i], T[j, k])
-            if bad.any():
-                t = bad.any(axis=1).argmax()
-                raise AlgebraError(f"associativity fails at ({i[t]},{j[t]},{k[t]})")
-    counits = np.stack([linalg.matvec(F, T[i], aug) for i in range(d)])  # of b_i b_j
-    want = F.mul[aug[:, None], aug[None, :]]
-    if not np.array_equal(counits, want):
-        i, j = np.argwhere(counits != want)[0]
-        raise AlgebraError(f"augmentation not multiplicative at ({i},{j})")
-    _light_checks(alg)
+def _check_associative(alg: PresentedSuperalgebra, gens, x, y, m):
+    """(xy)g = x(yg) for all basis x, y and each generator g in gens, from
+    the tensor's nonzero entries T[x, y, m] (in C order): (b_x b_y) b_g sums
+    T[x, y, m] T[m, g, k] and b_x (b_y b_g) sums T[y, g, n] T[x, n, k] at
+    (x, y, g, k), mod p, as the entries are prime-field elements."""
+    T, d = alg.tensor, alg.dim
+    c = T[x, y, m].astype(np.int64)
+    by_y = np.argsort(y, kind="stable")
+    keys, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for pos, g in enumerate(gens):
+        a, b = np.nonzero(T[:, g])  # b_a b_g = T[a, g, b] b_b, sorted by a
+        cg = T[a, g, b].astype(np.int64)
+        s, t = _matches(m, a, d)
+        keys.append(((x[s] * d + y[s]) * len(gens) + pos) * d + b[t])
+        vals.append(c[s] * cg[t])
+        s, t = _matches(b, y[by_y], d)
+        t = by_y[t]
+        keys.append(((x[t] * d + a[s]) * len(gens) + pos) * d + m[t])
+        vals.append(-cg[s] * c[t])
+    keys, vals = np.concatenate(keys), np.concatenate(vals)
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    start = np.flatnonzero(np.diff(keys, prepend=-1))  # the first entry of each key
+    bad = keys[start][np.add.reduceat(vals, start) % alg.field.p != 0]
+    if bad.size:
+        xy, pos = divmod(int(bad[0]) // d, len(gens))
+        raise AlgebraError(f"associativity fails at ({xy // d},{xy % d},{gens[pos]})")
 
 
-def _tensor_square_product(alg, t1, t2):
-    """Product of two sparse tensors {(j,k): c} in alg (x) alg, Koszul signs."""
-    F = alg.F
+def _collect(F, terms):
+    """The sum per key of (key, value) pairs of field indices, zeros dropped."""
     out = {}
+    for key, v in terms:
+        out[key] = int(F.add[out.get(key, 0), v])
+    return {key: v for key, v in out.items() if v}
+
+
+def _coproducts(alg: PresentedSuperalgebra):
+    """Delta(b_i) as {(j, k): coefficient index} for every basis index i."""
+    F = alg.F
+    return [_collect(F, (((j, k), F.scalar(c)) for j, k, c in t)) for t in alg.hopf.coproduct]
+
+
+def _koszul_terms(alg: PresentedSuperalgebra, t1, t2):
+    """The terms ((m1, m2), c) of the product of t1 and t2, given as
+    {(j, k): c}, in alg (x) alg with the Koszul sign rule."""
+    F, par = alg.F, alg.parity
     for (j1, k1), c1 in t1.items():
         for (j2, k2), c2 in t2.items():
-            c = int(F.mul[c1, c2])
-            if alg.parity[k1] and alg.parity[j2]:
-                c = int(F.neg[c])
+            c = F.neg[F.mul[c1, c2]] if par[k1] and par[j2] else F.mul[c1, c2]
             for m1, cm1 in alg.products.get((j1, j2), ()):
                 for m2, cm2 in alg.products.get((k1, k2), ()):
-                    v = int(F.mul[c, int(F.mul[cm1, cm2])])
-                    out[m1, m2] = int(F.add[out.get((m1, m2), 0), v])
-    return {k: v for k, v in out.items() if v}
+                    yield (m1, m2), F.mul[c, F.mul[cm1, cm2]]
 
 
-def verify_hopf(alg: PresentedSuperalgebra, seed: int = 0, pair_limit: int = 40):
-    """Full Hopf axioms: coassociativity, counit, antipode convolution
-    inverse, and multiplicativity of the coproduct with Koszul signs
-    (exhaustive on basis pairs up to pair_limit, sampled above)."""
+def verify_hopf(alg: PresentedSuperalgebra):
+    """Coassociativity, multiplicativity of the coproduct with Koszul signs,
+    and the antipode as convolution inverse of the identity, each
+    exhaustive (verify_algebra checks the counit).
+
+    Multiplicativity is checked as Delta(xg) = Delta(x) Delta(g) for every
+    basis x and g a generator or the unit.  By verify_algebra's premise
+    every basis element is a scalar times a word in the generators, and A
+    and A (x) A are associative, so by induction on the length of w,
+    Delta(x(wg)) = Delta((xw)g) = Delta(xw) Delta(g)
+    = Delta(x) Delta(w) Delta(g) = Delta(x) Delta(wg): every pair follows.
+    """
     if alg.hopf is None:
         raise AlgebraError("no Hopf structure")
-    F = alg.F
-    H = alg.hopf
-    d = alg.dim
+    F, H, d = alg.F, alg.hopf, alg.dim
+    cop = _coproducts(alg)
+    for i, ci in enumerate(cop):
+        # (Delta (x) id) Delta = (id (x) Delta) Delta, as {(j1, j2, j3): c}
+        lhs = (((*a, k), F.mul[c, c2]) for (j, k), c in ci.items() for a, c2 in cop[j].items())
+        rhs = (((j, *a), F.mul[c, c2]) for (j, k), c in ci.items() for a, c2 in cop[k].items())
+        if _collect(F, lhs) != _collect(F, rhs):
+            raise AlgebraError(f"coassociativity fails at basis {i}")
+    for i in range(d):
+        for g in sorted({*alg.generators.values(), alg.unit_index}):
+            ig = alg.products.get((i, g), ())
+            want = ((a, F.mul[c, c2]) for k, c in ig for a, c2 in cop[k].items())
+            if _collect(F, _koszul_terms(alg, cop[i], cop[g])) != _collect(F, want):
+                raise AlgebraError(f"coproduct not multiplicative at ({i},{g})")
     E, S = np.eye(d, dtype=linalg.DT), H.antipode.T  # S[j] is the antipode of b_j
     for i in range(d):
-        # coassociativity
-        lhs = {}
-        rhs = {}
-        for j, k, c in H.coproduct[i]:
-            for j1, j2, c2 in H.coproduct[j]:
-                key = (j1, j2, k)
-                lhs[key] = int(F.add[lhs.get(key, 0), F.mul[F.scalar(c), F.scalar(c2)]])
-            for k1, k2, c2 in H.coproduct[k]:
-                key = (j, k1, k2)
-                rhs[key] = int(F.add[rhs.get(key, 0), F.mul[F.scalar(c), F.scalar(c2)]])
-        lhs = {k: v for k, v in lhs.items() if v}
-        rhs = {k: v for k, v in rhs.items() if v}
-        if lhs != rhs:
-            raise AlgebraError(f"coassociativity fails at basis {i}")
-        # antipode convolution inverse, both sides: sum_c c S(b_j) b_k, sum_c c b_j S(b_k)
+        # both sides of the antipode axiom: sum_c c S(b_j) b_k, sum_c c b_j S(b_k)
         j, k, c = np.array(H.coproduct[i], dtype=linalg.DT).reshape(-1, 3).T
         want = F.mul[H.counit[i], E[alg.unit_index]]
         for terms in (alg.el_mul(S[j], E[k]), alg.el_mul(E[j], S[k])):
             if not np.array_equal(linalg.matmul(F, c[None], terms)[0], want):
                 raise AlgebraError(f"antipode axiom fails at basis {i}")
-    # coproduct is an algebra map into the super tensor square
-    if d <= pair_limit:
-        pairs = [(i, j) for i in range(d) for j in range(d)]
-    else:
-        rng = random.Random(seed)
-        pairs = [(rng.randrange(d), rng.randrange(d)) for _ in range(400)]
-    for i, j in pairs:
-        t1 = {(a, b): F.scalar(c) for a, b, c in H.coproduct[i]}
-        t2 = {(a, b): F.scalar(c) for a, b, c in H.coproduct[j]}
-        got = _tensor_square_product(alg, t1, t2)
-        want = {}
-        for k, c in alg.products.get((i, j), ()):
-            for a, b, c2 in H.coproduct[k]:
-                key = (a, b)
-                want[key] = int(F.add[want.get(key, 0), F.mul[F.scalar(c), F.scalar(c2)]])
-        want = {k: v for k, v in want.items() if v}
-        if got != want:
-            raise AlgebraError(f"coproduct not multiplicative at ({i},{j})")

@@ -12,6 +12,7 @@ images of gamma_1, gamma_2, gamma_3, ...
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from functools import reduce
 
 import numpy as np
 
@@ -45,34 +46,16 @@ class SuperalgebraMorphism:
 
     def image_of_monomial(self, coeff, mon):
         """Image of coeff * prod gens^exp, multiplied in the target."""
-        B = self.target
-        out = B.el_unit()
-        for g, e in mon:
-            key = (g, e)
-            pw = self._image_cache.get(key)
-            if pw is None:
-                pw = B.el_pow(self.images[g], e)
-                self._image_cache[key] = pw
-            out = B.el_mul(out, pw)
-        return B.el_scale(coeff, out)
+        return self.target.el_word(coeff, mon, self.images, self._image_cache)
 
     def image_of_terms(self, terms):
         B = self.target
-        out = B.el_zero()
-        for coeff, mon in terms:
-            out = B.el_add(out, self.image_of_monomial(coeff, mon))
-        return out
+        return reduce(B.el_add, (self.image_of_monomial(c, mon) for c, mon in terms), B.el_zero())
 
     def gamma_image(self, ell: int, has_v: bool = False):
         if not isinstance(self.source, PrPresentation):
             raise ValidationError("gamma images need a P_r source")
-        key = ("gamma", ell, has_v)
-        out = self._image_cache.get(key)
-        if out is None:
-            coeff, mon = self.source.gamma_monomial(ell, has_v)
-            out = self.image_of_monomial(coeff, mon)
-            self._image_cache[key] = out
-        return out
+        return self.image_of_monomial(*self.source.gamma_monomial(ell, has_v))
 
     def matrix(self):
         """Full basis-to-basis matrix, derived lazily for finite sources.
@@ -85,11 +68,8 @@ class SuperalgebraMorphism:
             raise ValidationError("P_r sources have no finite matrix; use gamma_image")
         cached = self._image_cache.get("matrix")
         if cached is None:
-            A, B = self.source, self.target
-            cached = np.zeros((B.dim, A.dim), dtype=self.images[next(iter(self.images))].dtype)
-            for j in range(A.dim):
-                coeff, mon = A.monomials[j]
-                cached[:, j] = self.image_of_monomial(coeff, mon)
+            mons = self.source.monomials
+            cached = np.stack([self.image_of_monomial(c, mon) for c, mon in mons], axis=1)
             self._image_cache["matrix"] = cached
         return cached
 

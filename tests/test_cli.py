@@ -394,14 +394,28 @@ def test_bad_inputs_exit_2(capsys, m11_file, tmp_path):
 
 def _mismatched_inputs(tmp_path):
     """Command lines whose spec's p is not the field's characteristic, or
-    whose module file's action is not an object of matrices, with the one
-    error line each prints."""
+    whose module file is not an object, has a number for its field or an
+    action that is not an object of matrices, with the one error line each
+    prints."""
     p5 = '{"family":"Mrs","p":5,"r":1,"s":1}'
     module = {"group": json.loads(M11), "field": "3^1", "dim": 1, "parity": [0]}
     listed = write(tmp_path, "listed.json", json.dumps(dict(module, action=[])))
     number = write(tmp_path, "number.json", json.dumps(dict(module, action={"s": 5, "t": [["0"]]})))
     m11 = write(tmp_path, "m11_target.json", M11)
+    # these two ended in a traceback (exit 1) before the file's shape was checked
+    null = write(tmp_path, "null.json", "null")
+    zero = {"s": [["0"]], "t": [["0"]]}
+    field_int = write(tmp_path, "field_int.json", json.dumps(dict(module, field=3, action=zero)))
+    not_object = "module file must be a JSON object with 'field' as text"
     return [
+        (argv, not_object)
+        for bad in (null, field_int)
+        for argv in (
+            ["support", "-g", m11, "-m", bad, "-F", "3"],
+            ["pd", "-g", m11, "-m", bad, "-P", "0,0"],
+            ["ext", "-g", "p1", "-m", bad, "-d", "3"],
+        )
+    ] + [
         (["points", "-g", p5, "-F", "3"], "field characteristic 3 != spec p 5"),
         (["psi", "-g", p5, "-P", "1,2", "-F", "3"], "field characteristic 3 != spec p 5"),
         (

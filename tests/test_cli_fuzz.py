@@ -14,6 +14,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 from supvar.cli import main  # noqa: E402
+from supvar.gfield import make_field  # noqa: E402
+from supvar.smod import build_L, module_to_json  # noqa: E402
 
 # what json.load can return, non-finite floats included (1e400 reads as inf)
 json_values = st.recursive(
@@ -121,6 +123,61 @@ def test_classify_fuzz(capsys, tmp_path_factory, text):
     path = tmp_path_factory.mktemp("classify") / "quot.json"
     path.write_text(text)
     _call(capsys, ["classify", "-f", str(path)])
+
+
+F3 = make_field(3, 1)
+M11 = json.dumps(SPECS[3])
+# well-formed module files: L_{0,1} and the trivial module over M_{1;1}, and
+# the odd trivial P_1 module, as `support`, `pd` and `ext` read them
+MODULES = [
+    module_to_json(build_L(F3.element(0), F3.element(1))),
+    {"group": SPECS[3], "field": "3", "dim": 1, "parity": [0], "action": {"s": [[0]], "t": [[0]]}},
+    {
+        "group": {"family": "P1"}, "field": "3", "dim": 1, "parity": [1],
+        "action": {"u": [[0]], "v": [[0]]},
+    },
+]
+
+
+@st.composite
+def module_files(draw):
+    """A module file with up to two keys, of itself or of its group or its
+    action, deleted or replaced, or arbitrary JSON or text."""
+    d = draw(edited(draw(st.sampled_from(MODULES))))
+    for key in ("group", "action"):
+        if isinstance(d.get(key), dict) and draw(st.booleans()):
+            d[key] = draw(edited(d[key]))
+    return json.dumps(d)
+
+
+module_texts = module_files() | json_values.map(json.dumps) | st.text(max_size=8)
+
+
+def _module_path(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("module") / "module.json"
+    path.write_text(text)
+    return str(path)
+
+
+@FUZZ
+@given(text=module_texts, field=st.sampled_from(["3", "3^2"]))
+def test_support_module_fuzz(capsys, tmp_path_factory, text, field):
+    _call(capsys, ["support", "-g", M11, "-m", _module_path(tmp_path_factory, text), "-F", field])
+
+
+@FUZZ
+@given(text=module_texts, point=st.sampled_from(["0,0", "0,1", "2,1", "1", "x,0", ""]))
+def test_pd_module_fuzz(capsys, tmp_path_factory, text, point):
+    _call(capsys, ["pd", "-g", M11, "-m", _module_path(tmp_path_factory, text), "-P", point])
+
+
+@FUZZ
+@given(text=module_texts, text2=st.none() | module_texts)
+def test_ext_module_fuzz(capsys, tmp_path_factory, text, text2):
+    argv = ["ext", "-g", "p1", "-m", _module_path(tmp_path_factory, text), "-d", "3"]
+    if text2 is not None:
+        argv += ["-m2", _module_path(tmp_path_factory, text2)]
+    _call(capsys, argv)
 
 
 def test_the_fuzzed_inputs_reach_every_exit(capsys):

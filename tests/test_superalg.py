@@ -20,6 +20,13 @@ from supvar.superalg.algebra import (
     verify_algebra,
     verify_hopf,
 )
+from oracles.algebra_oracle import (
+    _tensor_square_product,
+    radical_layers,
+    verify_associative_d3,
+    verify_augmentation_pairs,
+    verify_coproduct_pairs,
+)
 from supvar.superalg.morphisms import (
     PrPresentation,
     SuperalgebraMorphism,
@@ -61,7 +68,7 @@ def test_m11_presentation():
     alg, _ = build_group_algebra(GroupAlgebraSpec("Mrs", 3, r=1, s=1))
     s = alg.el_gen("u0")
     t = alg.el_gen("v")
-    assert not np.any(alg.el_pow(s, 3))
+    assert not np.any(alg.el_word(1, (("u0", 3),)))
     assert not np.any(alg.el_mul(t, t))
     assert np.array_equal(alg.el_mul(s, t), alg.el_mul(t, s))
 
@@ -486,38 +493,129 @@ def test_classify_strips_leading_zero_generator():
     assert label.kind == "Mrf" and label.r == 1 and label.f == (1,) and label.eta == 0
 
 
-def _verify_by_el_mul(alg):
-    """The basis-triple loop through el_mul: the first failure's message, or None."""
-    d, F = alg.dim, alg.F
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                lhs = alg.el_mul(alg.el_mul(alg.el_basis(i), alg.el_basis(j)), alg.el_basis(k))
-                rhs = alg.el_mul(alg.el_basis(i), alg.el_mul(alg.el_basis(j), alg.el_basis(k)))
-                if not np.array_equal(lhs, rhs):
-                    return f"associativity fails at ({i},{j},{k})"
-    for i in range(d):
-        for j in range(d):
-            got = 0
-            for k, c in enumerate(alg.el_mul(alg.el_basis(i), alg.el_basis(j))):
-                got = int(F.add[got, F.mul[c, alg.augmentation[k]]])
-            if got != int(F.mul[alg.augmentation[i], alg.augmentation[j]]):
-                return f"augmentation not multiplicative at ({i},{j})"
+def _message(check, *args):
+    """The AlgebraError message of a check, or None when it passes."""
+    try:
+        check(*args)
+    except AlgebraError as err:
+        return str(err)
     return None
 
 
-def _sampled_by_el_mul(alg, seed=0):
-    """The 500 seeded basis triples, one at a time through the sparse el_mul
-    loop: the first failure's message, or None."""
-    rng = random.Random(seed)
-    for _ in range(500):
-        i, j, k = rng.randrange(alg.dim), rng.randrange(alg.dim), rng.randrange(alg.dim)
-        b = alg.el_basis
-        lhs = _el_mul_oracle(alg, _el_mul_oracle(alg, b(i), b(j)), b(k))
-        rhs = _el_mul_oracle(alg, b(i), _el_mul_oracle(alg, b(j), b(k)))
-        if not np.array_equal(lhs, rhs):
-            return f"associativity fails at ({i},{j},{k})"
+def _old_verify_algebra(alg):
+    """What verify_algebra checked on the tensor before its generator path:
+    every basis triple, the augmentation on every pair, and parity."""
+    verify_associative_d3(alg)
+    verify_augmentation_pairs(alg)
+    ijk = np.argwhere(alg.tensor)
+    if (alg.parity[ijk[:, 2]] != alg.parity[ijk[:, :2]].sum(axis=1) % 2).any():
+        raise AlgebraError("parity not multiplicative")
+
+
+def _first_bad_monomial(alg):
+    """The first basis index whose stored monomial, multiplied out letter by
+    letter through the sparse el_mul oracle, is not that basis element."""
+    for i, (c, mon) in enumerate(alg.monomials):
+        out = alg.el_unit()
+        for g, e in mon:
+            for _ in range(e):
+                out = _el_mul_oracle(alg, out, alg.el_gen(g))
+        if not np.array_equal(alg.el_scale(c, out), alg.el_basis(i)):
+            return i
     return None
+
+
+def _first_bad_generator_triple(alg):
+    """The first (x, y, g) with (b_x b_y) b_g != b_x (b_y b_g), g a generator,
+    from the dense tensor of prime-field entries."""
+    T, gens = alg.tensor.astype(np.int64), sorted(alg.generators.values())
+    lhs = np.einsum("xym,mgk->xygk", T, T[:, gens]) % alg.field.p
+    rhs = np.einsum("ygn,xnk->xygk", T[:, gens], T) % alg.field.p
+    bad = np.argwhere((lhs != rhs).any(axis=-1))
+    return (int(bad[0, 0]), int(bad[0, 1]), gens[bad[0, 2]]) if bad.size else None
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GroupAlgebraSpec("Mrs", 3, r=1, s=1),
+        GroupAlgebraSpec("Gar", 3, r=2),
+        GroupAlgebraSpec("Mrs", 3, r=2, s=1),
+        TENSOR_SPEC,
+    ],
+    ids=lambda s: s.label(),
+)
+def test_verify_algebra_matches_el_mul_oracle(spec):
+    # single-entry mutants that keep the unit axiom: each nonzero entry plus
+    # one, and 300 entries set to 1.  verify_algebra rejects what the d^3
+    # oracle rejects, and besides only tensors that no longer match the
+    # stored monomials, multiplied out by the sparse el_mul oracle; it
+    # names the first failing (x, y, g).
+    base, _ = build_group_algebra(spec)
+    assert _old_verify_algebra(base) is None and _message(verify_algebra, base) is None
+    d, u = base.dim, base.unit_index
+    rng = random.Random(7)
+    edits = [(tuple(k), (base.tensor[tuple(k)] + 1) % 3) for k in np.argwhere(base.tensor)]
+    edits += [(tuple(rng.randrange(d) for _ in range(3)), 1) for _ in range(300)]
+    seen = set()
+    for key, v in edits:
+        if u in key[:2] or base.tensor[key] == v:
+            continue
+        T = base.tensor.copy()
+        T[key] = v
+        bad = replace(base, tensor=T)
+        got, old = _message(verify_algebra, bad), _message(_old_verify_algebra, bad)
+        i = _first_bad_monomial(bad)
+        if i is not None:
+            assert got == f"basis {i} is not its monomial", key
+            seen.add("premise" if old is None else "premise, non-associative")
+            continue
+        assert (got is None) == (old is None), (key, got, old)
+        xyg = _first_bad_generator_triple(bad)
+        if xyg is not None:
+            assert got == "associativity fails at ({},{},{})".format(*xyg), key
+            seen.add("associativity")
+    assert {"premise, non-associative", "associativity"} <= seen
+    # a wrong counit value: the augmentation check agrees with the all-pairs one
+    for b in range(d):
+        aug = base.augmentation.copy()
+        aug[b] = (aug[b] + 1) % 3
+        bad = replace(base, augmentation=aug)
+        got = _message(verify_algebra, bad)
+        assert got is not None and got.startswith("augmentation not multiplicative at")
+        assert _message(verify_augmentation_pairs, bad) is not None
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + [TENSOR_SPEC], ids=lambda s: s.label())
+def test_swapped_monomials_fail_the_premise(spec):
+    base, _ = build_group_algebra(spec)
+    i, j = base.dim - 2, base.dim - 1
+    mons = list(base.monomials)
+    mons[i], mons[j] = mons[j], mons[i]
+    with pytest.raises(AlgebraError, match=f"^basis {i} is not its monomial$"):
+        verify_algebra(replace(base, monomials=tuple(mons)))
+
+
+def _twisted_coproduct(alg, k, l):
+    """(phi (x) phi) Delta phi^{-1} for phi: b_k -> b_k + b_l, the identity on
+    the other basis elements.  With b_k, b_l in the radical and of equal
+    parity it is coassociative, counital and super-cocommutative, but
+    multiplicative only if phi is an algebra map."""
+    F = alg.F
+    phi = {i: {i: 1} for i in range(alg.dim)}
+    phi[k] = {k: 1, l: 1}
+    cop = []
+    for i in range(alg.dim):
+        terms = [(j, k2, c) for j, k2, c in alg.hopf.coproduct[i]]
+        if i == k:  # phi^{-1}(b_k) = b_k - b_l
+            terms += [(j, k2, int(F.neg[F.scalar(c)])) for j, k2, c in alg.hopf.coproduct[l]]
+        out = {}
+        for j, k2, c in terms:
+            for a, ca in phi[j].items():
+                for b, cb in phi[k2].items():
+                    out[a, b] = int(F.add[out.get((a, b), 0), F.mul[F.scalar(c), ca * cb]])
+        cop.append(tuple((a, b, c) for (a, b), c in sorted(out.items()) if c))
+    return replace(alg, hopf=replace(alg.hopf, coproduct=tuple(cop)))
 
 
 @pytest.mark.parametrize(
@@ -525,33 +623,46 @@ def _sampled_by_el_mul(alg, seed=0):
     [GroupAlgebraSpec("Mrs", 3, r=1, s=1), GroupAlgebraSpec("Gar", 3, r=2), TENSOR_SPEC],
     ids=lambda s: s.label(),
 )
-def test_verify_algebra_matches_el_mul_oracle(spec):
+def test_verify_hopf_matches_all_pairs_oracle(spec):
     base, _ = build_group_algebra(spec)
-    assert _verify_by_el_mul(base) is None
-    verify_algebra(base)
-    rng = random.Random(7)
-    sampled_failures = 0
-    keys = [tuple(ijk) for ijk in np.argwhere(base.tensor).tolist()]
-    for trial in range(8):
-        T = base.tensor.copy()
-        aug = base.augmentation
-        if trial % 4 == 3:  # a wrong counit value
-            aug = aug.copy()
-            i = rng.randrange(base.dim)
-            aug[i] = (aug[i] + 1) % 3
-        else:  # one nonzero structure constant off by one
-            key = keys[rng.randrange(len(keys))]
-            T[key] = (T[key] + 1) % 3
-        bad = replace(base, tensor=T, augmentation=aug)
-        want = _verify_by_el_mul(bad)
-        assert want is not None
-        with pytest.raises(AlgebraError) as err:
-            verify_algebra(bad)
-        assert str(err.value) == want
-        sampled = _sampled_by_el_mul(bad)
-        if sampled is not None:  # the sampled path, forced by a zero limit
-            sampled_failures += 1
-            with pytest.raises(AlgebraError) as err:
-                verify_algebra(bad, exhaustive_limit=0)
-            assert str(err.value) == sampled
-    assert sampled_failures
+    assert _message(verify_hopf, base) is None
+    assert _message(verify_coproduct_pairs, base) is None
+    # twist by b_k -> b_k + b_l, b_k a generator with b_k^2 != 0 and b_l the
+    # first basis element in b_k^2 (adding a socle element could leave phi
+    # an algebra map, and Delta multiplicative)
+    squares = {i: base.el_mul(base.el_basis(i), base.el_basis(i)) for i in base.generators.values()}
+    k = min(i for i, sq in squares.items() if sq.any())
+    l = int(np.flatnonzero(squares[k])[0])
+    bad = _twisted_coproduct(base, k, l)
+    assert _message(verify_algebra, bad) is None  # counit and cocommutativity hold
+    got = _message(verify_hopf, bad)
+    assert got is not None and got.startswith("coproduct not multiplicative at (")
+    assert _message(verify_coproduct_pairs, bad) is not None
+    # the pair it names is broken: Delta(b_x b_g) != Delta(b_x) Delta(b_g),
+    # with b_g a generator or the unit
+    x, g = map(int, got[got.index("(") + 1 : -1].split(","))
+    assert g in {*base.generators.values(), base.unit_index}
+    F, cop = bad.F, bad.hopf.coproduct
+    want = {}
+    for m, c in bad.products.get((x, g), ()):
+        for a, b, c2 in cop[m]:
+            want[a, b] = int(F.add[want.get((a, b), 0), F.mul[c, F.scalar(c2)]])
+    t1, t2 = ({(a, b): F.scalar(c) for a, b, c in cop[i]} for i in (x, g))
+    assert _tensor_square_product(bad, t1, t2) != {ab: c for ab, c in want.items() if c}
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS + [TENSOR_SPEC], ids=lambda s: s.label())
+def test_locality_layers_match_the_radical_oracle(spec):
+    from supvar.homalg import _check_local
+
+    alg, _ = build_group_algebra(spec)
+    try:
+        want = radical_layers(alg)
+    except ValidationError:
+        with pytest.raises(ValidationError, match="not local"):
+            _check_local(alg)
+        return
+    assert _check_local(alg) == want
+    assert want[0] == alg.dim - 1 and want[-1] == 0
+
+

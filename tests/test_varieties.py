@@ -134,7 +134,7 @@ def test_point_images_match_dual_oracle_comorphism():
 
 def test_point_relation_validation():
     alg, u_img, v_img = point_to_p1(M11, GroupPoint((F3.element(1), F3.element(2))), F3)
-    rel = alg.el_add(alg.el_pow(u_img, 3), alg.el_mul(v_img, v_img))
+    rel = alg.el_add(alg.el_word(1, (("u", 3),), {"u": u_img}), alg.el_mul(v_img, v_img))
     assert not np.any(rel)
 
 
