@@ -2,7 +2,7 @@
 
 Inputs are JSON (group specs and module files); outputs are deterministic
 sorted text, one item per line, so golden-file comparisons are exact.
-Exit codes: 0 success, 2 validation error, 3 bound exceeded.
+Exit codes: 0 success, 2 validation error or closed stdout, 3 bound exceeded.
 
 Every command is a fresh process, so start-up is paid on every call.  This
 module imports only the standard library and `supvar.errors` at load time:
@@ -335,12 +335,18 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the exit flush
+        return code
     except BoundExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except ValidationError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        sys.stdout = open(os.devnull, "w")  # so that the exit flush cannot raise again
+        print("error: standard output closed", file=sys.stderr)
         return 2
 
 

@@ -263,7 +263,7 @@ def cup_y_square(M: P1ModuleView):
 
 
 def _graded_right_kernel(F, A, col_parity, row_parity):
-    """Kernel basis of a parity-preserving map, one parity block at a time.
+    """Kernel basis of a parity-preserving map (the caller checks it), by parity block.
 
     Returns (columns matrix, parity vector of the kernel basis).
     """
@@ -275,10 +275,6 @@ def _graded_right_kernel(F, A, col_parity, row_parity):
         if not csel.size:
             continue
         block = A[np.ix_(rsel, csel)] if rsel.size else linalg.zeros(0, len(csel))
-        # entries outside the matching rows must vanish for a graded map
-        other = np.nonzero(row_parity != par)[0]
-        if other.size and np.any(A[np.ix_(other, csel)]):
-            raise ValidationError("map is not parity graded")
         K = linalg.right_kernel(F, block)
         blocks.append(linalg.zeros(A.shape[1], K.shape[1]))
         blocks[-1][csel] = K
@@ -335,42 +331,47 @@ def minimal_resolution(A, M: SuperModule, steps: int) -> ResolutionData:
     the kernel basis K from `_graded_right_kernel`, and `right_kernel` puts
     the identity on K's free rows f: row f_t is column t's last nonzero
     row, since a pivot row of an rref is zero left of its pivot.  So a
-    vector w of Omega has coordinates w[f] in K, and a basis element b with
-    regular action L_b acts on Omega by X_b = (L_b K)[f], a row gather with
-    no solve.  complement_coords picks the generators c from the radical's
-    X_b, and the boundary sends (c, b) to L_b K_c = K X_b e_c.  The ranks,
-    boundaries and kernels are thus those of restricting a dense P_n's
-    action to Omega and covering the result.
+    vector w of Omega is K w[f], and a generator g with regular action L_g
+    acts on Omega by X_g = (L_g K)[f], a row gather with no solve.
 
-    Omega must be a submodule for X_b to be its action.  That is checked
-    at each step for each generator g as K X_g = L_g K (ValidationError
-    otherwise), on the rows outside f: on f both sides are X_g.  It then
-    holds for every basis element, a product of generators.  Boundary
-    entries stay in the radical, which is re-checked at every step.  The
-    dimension of each P_n is capped by RESOLVE_DIM_CAP (BoundExceeded),
-    checked once its rank is known and before its boundary is built.
+    Omega must be a submodule for X_g to be its action: checked at each
+    step for all generators at once as K X_g = L_g K on the rows outside f
+    (on f both sides are X_g; ValidationError otherwise).  Each radical
+    basis element is a scalar times a word g w in the generators
+    (verify_algebra's premise), so rad Omega = sum_g g Omega, and
+    complement_coords, which reads only the column space, picks the cover's
+    generators c from the X_g (the generators' actions on M at step 0).
+    The boundary sends (c, b) to L_b K_c.  Its columns lie in Omega, so it
+    is K times its rows f, with K injective: the same row space, hence the
+    same rref and kernel, which is taken on the rows f.  The parity check,
+    the minimality test (entries in the radical) and the stored boundary
+    read the whole matrix.  All agrees with restricting a dense P_n to
+    Omega and covering through the whole radical.  The dimension of each
+    P_n is capped by RESOLVE_DIM_CAP (BoundExceeded), checked once its
+    rank is known and before its boundary is built.
     """
     check_depth("steps", steps, 0, RESOLVE_STEPS_CAP)
     _check_local(A)
     validate_module(M).raise_if_invalid()
     F = linalg.tables(A.field)
-    rad = A.radical_coords()
+    gidx = list(A.generators.values())
     T = A.tensor
     acts = M.basis_actions().reshape(A.dim, M.dim, M.dim)
     res = ResolutionData(algebra=A, target=M, gen_parities=[], boundaries=[], omega=[])
-    # S spans rad . Omega (Omega = M at step 0): column (b, j) is b on vector j
-    S = acts[rad].transpose(1, 0, 2).reshape(M.dim, len(rad) * M.dim)
+    # S spans rad . Omega (Omega = M at step 0): column (g, j) is g on vector j
+    S = acts[gidx].transpose(1, 0, 2).reshape(M.dim, len(gidx) * M.dim)
     Kpar = tgt_par = M.parity
+    f = np.arange(M.dim)  # Omega = M, with K the identity
     while len(res.gen_parities) <= steps:
         if res.omega:
             K, Kpar = res.omega[-1]
             f = K.shape[0] - 1 - np.argmax(K[::-1] != 0, axis=0) if K.size else []
             rest = np.delete(np.arange(K.shape[0]), f)  # K X_g = L_g K holds on f
-            for g in A.generators.values():
-                LgK = _block_act(F, T[g], K).reshape(K.shape)
-                if not np.array_equal(linalg.matmul(F, K[rest], LgK[f]), LgK[rest]):
-                    raise ValidationError(f"syzygy {len(res.omega)} is not a submodule")
-            S = np.concatenate([_block_act(F, T[b], K).reshape(K.shape)[f] for b in rad], axis=1)
+            LK = _block_act(F, T[gidx], K).reshape((len(gidx),) + K.shape)
+            X = LK[:, f]
+            if not np.array_equal(linalg.bmatmul(F, K[rest], X), LK[:, rest]):
+                raise ValidationError(f"syzygy {len(res.omega)} is not a submodule")
+            S = X.transpose(1, 0, 2).reshape(len(f), len(gidx) * len(f))
         comp = linalg.complement_coords(F, S)
         gens = tuple(int(Kpar[c]) for c in comp)
         check_depth(f"dim P_{len(res.gen_parities)}", len(gens) * A.dim, 0, RESOLVE_DIM_CAP)
@@ -383,9 +384,13 @@ def minimal_resolution(A, M: SuperModule, steps: int) -> ResolutionData:
             bnd = acts[:, :, comp].transpose(1, 2, 0)
         bnd = bnd.reshape(len(tgt_par), len(comp) * A.dim)
         par = ((np.array(gens, dtype=np.int8)[:, None] + A.parity) % 2).astype(np.int8).ravel()
+        rows, cols = np.nonzero(bnd)
+        if np.any(tgt_par[rows] != par[cols]):
+            raise ValidationError("map is not parity graded")
         res.gen_parities.append(gens)
         res.boundaries.append(bnd)
-        res.omega.append(_graded_right_kernel(F, bnd, par, tgt_par))
+        # bnd = K bnd[f] with K injective: the same row space, so the same kernel
+        res.omega.append(_graded_right_kernel(F, bnd[f], par, Kpar))
         tgt_par = par
     return res
 

@@ -112,8 +112,9 @@ def bmatmul(F: GFTables, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     multiplication matrix `mulmat[a]`, each entry b of B its coefficient
     column, and one float64 product of size mn x kn x l gives the
     coefficients of every entry of AB; they are reduced mod p and packed
-    back into indices.  For n = 1 the blocks are 1 x 1 and this is the plain
-    product of the indices.
+    back into indices.  For n = 1 the blocks are 1 x 1 and an index is its
+    value, so the product is taken on the indices themselves, with no
+    gather.
 
     float64 so that the product runs in BLAS; it is exact because every
     partial sum is an integer of at most k*n*(p-1)^2 < 2^53, so the
@@ -128,6 +129,8 @@ def bmatmul(F: GFTables, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     assert k == k2, (A.shape, B.shape)
     n, p = F.n, F.p
     assert k * n * (p - 1) ** 2 < 2**53, (k, F.field)
+    if n == 1:
+        return ((A.astype(np.float64) @ B.astype(np.float64)).astype(np.int64) % p).astype(DT)
     lead = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
     Am = F.mulmat[A].swapaxes(-3, -2).reshape(A.shape[:-2] + (m * n, k * n))
     Bd = F.digits[B].swapaxes(-2, -1).reshape(B.shape[:-2] + (k * n, l))

@@ -606,6 +606,43 @@ def test_support_and_resolve_load_no_oracle_or_masked_arrays(tmp_path, m11_file,
         assert not loaded & {f"supvar.{m}" for m in unused}, (argv, sorted(loaded))
 
 
+@pytest.mark.parametrize(
+    "argv,lines",
+    [
+        # 1.7 MB and 0.35 MB of output, far more than a pipe holds
+        (["homscheme", "--source", '{"p":3,"r":3}', "--target", '{"family":"Gar","p":3,"r":3}'], 1),
+        (["points", "-g", '{"family":"Mrs","p":3,"r":2,"s":1}', "-F", "3^3"], 1),
+        # a few lines, closed before they are written: the last flush fails
+        (["resolve", "-g", M11, "-n", "2"], 0),
+    ],
+    ids=["homscheme", "points", "resolve"],
+)
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_2(argv, lines, unbuffered):
+    # a reader that stops early: one error line, no traceback
+    import subprocess
+    import sys
+
+    env = _subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "supvar.cli"] + argv,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    for _ in range(lines):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err == "error: standard output closed\n"
+    assert "Traceback" not in err
+
+
 def test_import_cli_loads_no_numpy():
     import subprocess
     import sys

@@ -3,8 +3,10 @@
 The reference below is the algorithm `minimal_resolution` used while it
 stored every free module P_n as a dense SuperModule: rank copies of the
 regular action per generator, restricted to each syzygy with
-`restrict_operator`, whose result is then covered through all its basis
-actions.  The resolution that holds P_n by its generator parities must
+`restrict_operator`, whose result is then covered through the actions of
+the whole radical, with each kernel taken on the full boundary.  The
+resolution that holds P_n by its generator parities, covers from the
+generators' actions alone and takes kernels on syzygy coordinates must
 agree with it bit for bit.
 """
 
@@ -125,6 +127,15 @@ ALGEBRAS = [
     ("M21", GroupAlgebraSpec("Mrs", 3, r=2, s=1), 4),
     ("Ga2", GroupAlgebraSpec("Gar", 3, r=2), 6),
     ("GaMinus", GroupAlgebraSpec("GaMinus", 3), 6),
+    ("Ga3", GroupAlgebraSpec("Gar", 3, r=3), 5),
+    ("M11p7", GroupAlgebraSpec("Mrs", 7, r=1, s=1), 12),
+    (
+        "Ga1xGaMinus",
+        GroupAlgebraSpec(
+            "Tensor", 3, factors=(GroupAlgebraSpec("Gar", 3, r=1), GroupAlgebraSpec("GaMinus", 3))
+        ),
+        12,
+    ),
 ]
 
 
@@ -202,6 +213,37 @@ def test_noninvariant_syzygy_rejected(monkeypatch):
 
     monkeypatch.setattr(homalg, "_graded_right_kernel", first_column)
     with pytest.raises(ValidationError, match="syzygy 1 is not a submodule"):
+        minimal_resolution(A, trivial_module(A), 1)
+
+
+@pytest.mark.parametrize("b,kept_by", [(2, "u0"), (3, "v")])
+def test_every_generator_checks_the_syzygy(monkeypatch, b, kept_by):
+    # span(e_b) in P_0 = A is kept by one generator of M_{1;1} and moved by
+    # the other, so only a check under each generator rejects it
+    A = build_group_algebra(M11)[0]
+    assert [g for g, i in A.generators.items() if not A.tensor[i, b].any()] == [kept_by]
+
+    def one_basis_vector(F, bnd, col_parity, row_parity):
+        K = la.zeros(bnd.shape[1], 1)
+        K[b, 0] = 1
+        return K, col_parity[[b]]
+
+    monkeypatch.setattr(homalg, "_graded_right_kernel", one_basis_vector)
+    with pytest.raises(ValidationError, match="syzygy 1 is not a submodule"):
+        minimal_resolution(A, trivial_module(A), 1)
+
+
+def test_mislabelled_syzygy_parity_rejected(monkeypatch):
+    # the true syzygy with every parity flipped: its cover's boundary mixes parities
+    A = build_group_algebra(M11)[0]
+    real = homalg._graded_right_kernel
+
+    def flipped(F, bnd, col_parity, row_parity):
+        K, par = real(F, bnd, col_parity, row_parity)
+        return K, (1 - par).astype(np.int8)
+
+    monkeypatch.setattr(homalg, "_graded_right_kernel", flipped)
+    with pytest.raises(ValidationError, match="map is not parity graded"):
         minimal_resolution(A, trivial_module(A), 1)
 
 
