@@ -58,13 +58,25 @@ def parse_spec(arg: str):
 
 
 def _parse_point(spec, field, text):
-    from .gfield import parse_element
-    from .varieties import GroupPoint, check_point
+    """A point's coordinate texts, as the row of their field indices."""
+    import numpy as np
 
-    parts = [s for s in text.split(",") if s != ""]
-    pt = GroupPoint(tuple(parse_element(field, s) for s in parts))
-    check_point(spec, pt)
+    from .gfield import parse_element
+    from .varieties import check_point
+
+    pt = np.array([parse_element(field, s).index for s in text.split(",") if s != ""], dtype=int)
+    check_point(spec, field, pt)
     return pt
+
+
+def _print_points(pts):
+    """A point set's lines, rendered and written a chunk at a time, so that
+    the text of every line is never held at once."""
+    from .varieties import render_points
+
+    step = 2**14
+    for lo in range(0, len(pts.points), step):
+        print(render_points(pts.field, pts.points[lo : lo + step]))
 
 
 def _module_as_p1(mod, grp):
@@ -81,10 +93,7 @@ def cmd_points(args):
 
     spec = parse_spec(args.group)
     field = parse_field(args.field)
-    pts = enumerate_points(spec, field, method=args.method)
-    out = pts.render()
-    if out:
-        print(out)
+    _print_points(enumerate_points(spec, field, method=args.method))
     return 0
 
 
@@ -100,10 +109,7 @@ def cmd_support(args):
         raise ValidationError("support needs a module over a finite group algebra")
     if mod.algebra.spec != spec:
         raise ValidationError("module file group does not match -g")
-    sup = support_set(spec, mod, field)
-    out = sup.render()
-    if out:
-        print(out)
+    _print_points(support_set(spec, mod, field))
     return 0
 
 
@@ -205,13 +211,12 @@ def cmd_classify(args):
 
 def cmd_psi(args):
     from .gfield import parse_field
-    from .varieties import psi_map
+    from .varieties import psi_map, render_points
 
     spec = parse_spec(args.group)
     field = parse_field(args.field)
     pt = _parse_point(spec, field, args.point)
-    img = psi_map(spec, pt)
-    print(",".join(c.encode() for c in img))
+    print(render_points(field, psi_map(spec, field, pt[None])))
     return 0
 
 
@@ -331,11 +336,12 @@ def main(argv=None) -> int:
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    try:
-        code = args.func(args)
+        try:
+            args = ap.parse_args(argv)
+        except SystemExit as e:  # after --help, or a usage error on stderr
+            code = int(e.code or 0)
+        else:
+            code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not in the exit flush
         return code
     except BoundExceeded as e:

@@ -147,9 +147,6 @@ class FieldDescriptor:
             self._mulmat = np.einsum("ai,ijt->atj", self.digits, shift) % p
         return self._mulmat
 
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.n)
-
     def one(self) -> "FieldElement":
         return FieldElement(self, (1,) + (0,) * (self.n - 1))
 
@@ -175,10 +172,6 @@ class FieldDescriptor:
             idx //= self.p
         return FieldElement(self, tuple(coeffs))
 
-    def elements(self):
-        """All field elements in index order (deterministic)."""
-        return [self.from_index(i) for i in range(self.q)]
-
     def encode(self) -> str:
         return f"{self.p}^{self.n}"
 
@@ -198,7 +191,13 @@ class FieldDescriptor:
 
 
 class FieldElement:
-    """An element of a fixed F_{p^n}, stored as its coefficient vector."""
+    """An element of a fixed F_{p^n}, stored as its coefficient vector.
+
+    The program meets elements only as text: parse_element reads one and
+    encode writes one.  All its arithmetic runs on element indices through
+    linalg.GFTables; the operators here are the tests' independent
+    reference for those tables.
+    """
 
     __slots__ = ("field", "coeffs")
 
@@ -234,29 +233,12 @@ class FieldElement:
             self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
         )
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        p = self.field.p
-        return FieldElement(self.field, tuple((-a) % p for a in self.coeffs))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         f = self.field
         return FieldElement(f, ((f.mulmat[self.index] @ other.coeffs) % f.p).tolist())
-
-    __rmul__ = __mul__
 
     def __pow__(self, e: int):
         if e < 0:
@@ -275,22 +257,6 @@ class FieldElement:
             raise FieldError("cannot invert zero")
         # x^(q-2) = x^(-1) in F_q
         return self ** (self.field.q - 2)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.element(other)
-        return (
-            isinstance(other, FieldElement)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.n, self.coeffs))
 
     def encode(self) -> str:
         if self.field.n == 1:
@@ -319,24 +285,6 @@ def make_field(p: int, n: int) -> FieldDescriptor:
     if not 1 <= n <= MAX_DEGREE:
         raise FieldError(f"extension degree must be in [1, {MAX_DEGREE}], got {n}")
     return FieldDescriptor(p, n, canonical_modulus(p, n))
-
-
-def inv(x: FieldElement) -> FieldElement:
-    """Multiplicative inverse; raises FieldError on zero."""
-    return x.inverse()
-
-
-def frobenius(x: FieldElement) -> FieldElement:
-    """The p-power map x -> x^p, a field automorphism of F_{p^n}."""
-    return x ** x.field.p
-
-
-def inverse_frobenius(x: FieldElement) -> FieldElement:
-    """The inverse of x -> x^p, i.e. x -> x^{p^{n-1}}."""
-    out = x
-    for _ in range(x.field.n - 1):
-        out = frobenius(out)
-    return out
 
 
 def parse_field(text: str) -> FieldDescriptor:
@@ -371,11 +319,3 @@ def parse_element(field: FieldDescriptor, text: str) -> FieldElement:
         raise FieldError(f"bad element {text!r} for {field.encode()}")
     return field.element(ints)
 
-
-def embed(x: FieldElement, field: FieldDescriptor) -> FieldElement:
-    """Embed a prime-field element into an extension of the same p."""
-    if x.field == field:
-        return x
-    if x.field.n != 1 or x.field.p != field.p:
-        raise FieldError(f"no canonical embedding {x.field.encode()} -> {field.encode()}")
-    return field.element(x.coeffs[0])

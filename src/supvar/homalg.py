@@ -351,7 +351,8 @@ def minimal_resolution(A, M: SuperModule, steps: int) -> ResolutionData:
     rank is known and before its boundary is built.
     """
     check_depth("steps", steps, 0, RESOLVE_STEPS_CAP)
-    _check_local(A)
+    if getattr(A, "_local_layers", None) is None:  # kept on the algebra, as its resolution of k
+        A._local_layers = _check_local(A)
     validate_module(M).raise_if_invalid()
     F = linalg.tables(A.field)
     gidx = list(A.generators.values())

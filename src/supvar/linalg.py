@@ -51,12 +51,8 @@ class GFTables:
             self.frob = self.mul[self.frob, idx]
 
     def scalar(self, x) -> int:
-        """Index of a FieldElement or small int in this field."""
-        if isinstance(x, FieldElement):
-            if x.field != self.field:
-                raise ValueError("field mismatch")
-            return x.index
-        return self.field.element(int(x)).index
+        """Index of an int read in the prime field: its value mod p."""
+        return int(x) % self.p
 
     def to_element(self, idx: int) -> FieldElement:
         return self.field.from_index(int(idx))
@@ -90,7 +86,7 @@ def msub(F: GFTables, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def scale(F: GFTables, c, A: np.ndarray) -> np.ndarray:
-    """Scale by a FieldElement or a plain int read as a prime-field value."""
+    """Scale by a plain int read as a prime-field value."""
     return F.mul[F.scalar(c), A]
 
 

@@ -238,19 +238,21 @@ def build_L(mu, a, p: int | None = None) -> SuperModule:
     p = p or field.p
     if p != field.p:
         raise ValidationError("p must match the field characteristic")
-    if mu.is_zero() and a.is_zero():
+    mu, a = mu.index, a.index
+    if mu == 0 and a == 0:
         raise ValidationError("(mu, a) = (0, 0) does not define an L-module")
     alg, _ = build_group_algebra(GroupAlgebraSpec("Mrs", p, r=1, s=1), field)
+    F = alg.F
     dim = 2 * p
     parity = np.array([0] * p + [1] * p, dtype=np.int8)
     S = linalg.zeros(dim, dim)
-    S[1, 0] = (-(mu * mu)).index
+    S[1, 0] = F.neg[F.mul[mu, mu]]
     for i in range(1, p - 1):
         S[i + 1, i] = 1
     for i in range(p - 1):
         S[p + i + 1, p + i] = 1
     T = linalg.zeros(dim, dim)
-    T[2 * p - 1, 0] = (a**p).index
+    T[2 * p - 1, 0] = F.frob[a]
     for i in range(p - 1):
         T[i + 1, p + i] = 1
     out = SuperModule(alg, dim, parity, {"u0": S, "v": T})

@@ -14,6 +14,11 @@ sum C(i; i_0..i_{r-1}) a_0^{i_0} ... a_{r-1}^{i_{r-1}} gamma_i over
 weighted compositions i_0 + i_1 p + ... + i_{r-1} p^{r-1} = p^j, plus
 b u_{r-1}^{p^{s-1}} on the top generator when s >= 2.
 
+A point is a row of field indices in that order, and a set of points one
+(points, arity) index array: every computation on points is a lookup in
+the field's GFTables, on all rows at once.  Element texts appear only when
+a point set is rendered (render_points).
+
 The support set of a module M collects the points whose P_1-pullback of M
 has infinite projective dimension; psi_map is the coordinate form of the
 comparison map to the cohomological spectrum, and monoid_scale is the
@@ -22,7 +27,6 @@ dilation action making everything conical.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import reduce
 from math import comb
@@ -31,12 +35,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import BoundExceeded, ValidationError
-from .gfield import frobenius, inverse_frobenius
 from . import linalg
 from .superalg.algebra import GroupAlgebraSpec, build_group_algebra
 
 if TYPE_CHECKING:
-    from .gfield import FieldDescriptor, FieldElement
+    from .gfield import FieldDescriptor
     from .smod import P1ModuleView, SuperModule
     from .superalg.algebra import PresentedSuperalgebra
 
@@ -51,47 +54,44 @@ _CHUNK_CELLS = 2**14
 POINTS_CAP = 3**12
 
 
-@dataclass(frozen=True)
-class GroupPoint:
-    """A coordinate tuple in the family's declared order."""
+def _texts(field: FieldDescriptor) -> list:
+    """The text of every element of the field, in index order."""
+    return [field.from_index(i).encode() for i in range(field.q)]
 
-    coords: tuple  # FieldElements
 
-    def key(self):
-        return tuple(c.index for c in self.coords)
+def render_points(field: FieldDescriptor, pts: np.ndarray) -> str:
+    """One line per row: the coordinates' texts, comma-joined."""
+    texts = np.array(_texts(field), dtype=object)
+    return "\n".join(map(",".join, zip(*texts[pts].T)))
 
-    def sort_key(self):
-        """Lexicographic on the text encoding (the canonical output order)."""
-        return tuple(c.encode() for c in self.coords)
 
-    def encode(self) -> str:
-        return ",".join(c.encode() for c in self.coords)
+def _canonical(field: FieldDescriptor, pts: np.ndarray) -> np.ndarray:
+    """The rows in the canonical output order: lexicographic on the texts of
+    their coordinates, through each element's rank among the field's texts.
+    The rows are distinct: every enumeration starts from a grid of distinct
+    tuples."""
+    key = np.argsort(np.argsort(_texts(field))).astype(linalg.DT)[pts]
+    return pts[np.lexsort(key.T[::-1])]
 
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
+
+def _grid(q: int, k: int) -> np.ndarray:
+    """All k-tuples of field indices, one per row."""
+    return np.indices((q,) * k, dtype=linalg.DT).reshape(k, -1).T
+
+
+def _frob_power(F: linalg.GFTables, k: int) -> np.ndarray:
+    """The table of x -> x^(p^k); k may be negative, since x^(p^n) = x."""
+    out = np.arange(F.q, dtype=linalg.DT)
+    for _ in range(k % F.n):
+        out = F.frob[out]
+    return out
 
 
 @dataclass
 class PointSet:
     spec: GroupAlgebraSpec
     field: FieldDescriptor
-    points: tuple  # sorted GroupPoints
-
-    def __contains__(self, pt):
-        return pt in set(self.points)
-
-    def render(self):
-        return "\n".join(pt.encode() for pt in self.points)
-
-
-@dataclass
-class SupportSet(PointSet):
-    module: SuperModule | None = None
-
-
-def _sorted_points(pts):
-    uniq = {p.key(): p for p in pts}
-    return tuple(sorted(uniq.values(), key=lambda p: p.sort_key()))
+    points: np.ndarray  # (points, arity) field indices, in canonical order
 
 
 def _hom_height(spec: GroupAlgebraSpec) -> int:
@@ -100,6 +100,16 @@ def _hom_height(spec: GroupAlgebraSpec) -> int:
     if spec.family == "GaMinus":
         return 1
     raise ValidationError(f"no P_r height for family {spec.family}")
+
+
+def _has_b(spec: GroupAlgebraSpec) -> bool:
+    """Whether the points carry the coordinate b of u_{r-1}^{p^{s-1}}."""
+    return spec.family == "Mrs" and spec.eta == 0 and spec.s >= 2
+
+
+def _on_cone(spec: GroupAlgebraSpec) -> bool:
+    """Whether the family's points satisfy mu^2 = a_0^{p^r}."""
+    return spec.family == "Mrs" and (spec.s >= 2 or spec.eta != 0)
 
 
 def _arity(spec: GroupAlgebraSpec) -> int:
@@ -111,7 +121,7 @@ def _arity(spec: GroupAlgebraSpec) -> int:
     if spec.family == "Gar":
         return spec.r
     if spec.family in ("Mrs", "Mrf"):
-        return 1 + spec.r + (spec.family == "Mrs" and spec.eta == 0 and spec.s >= 2)
+        return 1 + spec.r + _has_b(spec)
     raise ValidationError(f"no points for family {spec.family}")
 
 
@@ -129,57 +139,43 @@ def _check_points_cap(spec: GroupAlgebraSpec, field: FieldDescriptor):
         raise BoundExceeded(f"{field.q}^{arity} candidate points exceed the cap {POINTS_CAP}")
 
 
-def family_points(spec: GroupAlgebraSpec, field: FieldDescriptor):
-    """Parametrized F_q points; raises for unsupported families and, before
-    enumerating, for more than POINTS_CAP candidate tuples."""
+def _cone_mask(spec: GroupAlgebraSpec, F: linalg.GFTables, pts: np.ndarray) -> np.ndarray:
+    """mu^2 = a_0^{p^r} on each row (mu, a_0, ...)."""
+    mu, a0 = pts[..., 0], pts[..., 1]
+    return F.mul[mu, mu] == _frob_power(F, spec.r)[a0]
+
+
+def _check_parametrized(spec: GroupAlgebraSpec, field: FieldDescriptor):
+    """The family has a parametrization, and its candidate tuples are
+    within POINTS_CAP."""
     _check_points_cap(spec, field)
-    els = field.elements()
-    p, r = spec.p, spec.r
-    pts = []
-    if spec.family == "Mrs" and spec.eta == 0:
-        for mu in els:
-            for avec in itertools.product(els, repeat=r):
-                if spec.s >= 2:
-                    if mu * mu != avec[0] ** (p**r):
-                        continue
-                    for b in els:
-                        pts.append(GroupPoint((mu,) + avec + (b,)))
-                else:
-                    pts.append(GroupPoint((mu,) + avec))
-        return _sorted_points(pts)
-    if spec.family == "Mrs" and spec.eta != 0:
-        if r < 2:
-            raise ValidationError(
-                "parametrized points for the eta-families need r >= 2"
-            )
-        for mu in els:
-            for avec in itertools.product(els, repeat=r):
-                if mu * mu == avec[0] ** (p**r):
-                    pts.append(GroupPoint((mu,) + avec))
-        return _sorted_points(pts)
-    if spec.family == "Gar":
-        return _sorted_points(
-            GroupPoint(avec) for avec in itertools.product(els, repeat=r)
-        )
-    if spec.family == "GaMinus":
-        return _sorted_points(GroupPoint((d,)) for d in els)
-    raise ValidationError(f"no parametrization for family {spec.family}")
+    if spec.family not in ("Mrs", "Gar", "GaMinus"):
+        raise ValidationError(f"no parametrization for family {spec.family}")
+    if spec.eta != 0 and spec.r < 2:
+        raise ValidationError("parametrized points for the eta-families need r >= 2")
 
 
-def check_point(spec: GroupAlgebraSpec, pt: GroupPoint):
+def family_points(spec: GroupAlgebraSpec, field: FieldDescriptor) -> np.ndarray:
+    """Parametrized F_q points, as a (points, arity) index array in canonical
+    order; raises for unsupported families and, before enumerating, for
+    more than POINTS_CAP candidate tuples."""
+    _check_parametrized(spec, field)
+    pts = _grid(field.q, _arity(spec))
+    if _on_cone(spec):
+        pts = pts[_cone_mask(spec, linalg.tables(field), pts)]
+    return _canonical(field, pts)
+
+
+def check_point(spec: GroupAlgebraSpec, field: FieldDescriptor, pt):
     """Coordinate count, the field's characteristic, and mu^2 = a_0^{p^r}
     where the family imposes it, for a point given from outside the
     program."""
     arity = _arity(spec)
-    if len(pt.coords) != arity:
-        raise ValidationError(
-            f"a point of {spec.label()} has {arity} coordinates, got {len(pt.coords)}"
-        )
-    _check_characteristic(spec, pt.coords[0].field)
-    if spec.family == "Mrs" and (spec.s >= 2 or spec.eta != 0):
-        mu, a0 = pt.coords[0], pt.coords[1]
-        if mu * mu != a0 ** (spec.p**spec.r):
-            raise ValidationError("point violates mu^2 = a_0^(p^r)")
+    if len(pt) != arity:
+        raise ValidationError(f"a point of {spec.label()} has {arity} coordinates, got {len(pt)}")
+    _check_characteristic(spec, field)
+    if _on_cone(spec) and not _cone_mask(spec, linalg.tables(field), np.asarray(pt)):
+        raise ValidationError("point violates mu^2 = a_0^(p^r)")
 
 
 def _weighted_compositions(total: int, weights):
@@ -209,7 +205,7 @@ def _images(spec: GroupAlgebraSpec, alg: PresentedSuperalgebra, pts):
     on the coordinate indices of all points at once."""
     F = alg.F
     p, r = spec.p, spec.r
-    C = np.array([pt.key() for pt in pts], dtype=linalg.DT)
+    C = np.asarray(pts, dtype=linalg.DT)
     zero = np.zeros((len(pts), alg.dim), dtype=linalg.DT)
     v = zero.copy()
     if spec.family == "GaMinus":
@@ -232,7 +228,7 @@ def _images(spec: GroupAlgebraSpec, alg: PresentedSuperalgebra, pts):
                     c = F.mul[c, avec[:, k]]
             vec[:, sum(parts)] = F.add[vec[:, sum(parts)], c]  # gamma_i has index i
         images[f"u{j}"] = vec
-    if spec.family == "Mrs" and spec.eta == 0 and spec.s >= 2:
+    if _has_b(spec):
         top, k = images[f"u{r-1}"], p ** (r + spec.s - 2)
         top[:, k] = F.add[top[:, k], C[:, 1 + r]]
     if lead:
@@ -241,7 +237,7 @@ def _images(spec: GroupAlgebraSpec, alg: PresentedSuperalgebra, pts):
     return images
 
 
-def point_images(spec: GroupAlgebraSpec, alg: PresentedSuperalgebra, pt: GroupPoint):
+def point_images(spec: GroupAlgebraSpec, alg: PresentedSuperalgebra, pt):
     """Generator images in kG of the morphism labeled by the point."""
     return {g: x[0] for g, x in _images(spec, alg, [pt]).items()}
 
@@ -272,36 +268,36 @@ def enumerate_points(spec: GroupAlgebraSpec, field: FieldDescriptor, method: str
 
     The solver enumerates even solutions of the Hom-scheme ideal and then
     matches them against the parametrization; a mismatch raises, so the two
-    methods cross-check each other.
+    methods cross-check each other.  Both bounds, on the candidate points
+    and on the solver's candidate assignments, are checked before any point
+    is listed or any ideal built.
     """
     if method not in ("param", "solve"):
         raise ValidationError("method must be 'param' or 'solve'")
-    param_pts = family_points(spec, field)
     if method == "param":
-        return PointSet(spec, field, param_pts)
+        return PointSet(spec, field, family_points(spec, field))
     from .superalg.homscheme import check_solver_cap, hom_scheme_ideal, solve_even_points
     from .superalg.pr import PrPresentation
 
+    _check_parametrized(spec, field)
     alg = build_group_algebra(spec, field)[0]
     pres = PrPresentation(spec.p, _hom_height(spec))
     check_solver_cap(pres, alg)
-    ideal = hom_scheme_ideal(pres, alg)
-    sols = solve_even_points(ideal)
+    param_pts = family_points(spec, field)
+    sols = solve_even_points(hom_scheme_ideal(pres, alg))
     # match solutions with parametrized points through their images
-    lookup = {}
-    for pt in param_pts:
-        images = point_images(spec, alg, pt)
-        key = tuple(tuple(int(x) for x in images[g]) for g in pres.gen_names)
-        lookup[key] = pt
-    pts = []
-    for images in sols:
-        key = tuple(tuple(int(x) for x in images[g]) for g in pres.gen_names)
+    images = _images(spec, alg, param_pts)
+    keys = np.hstack([images[g] for g in pres.gen_names]).tolist()
+    lookup = {tuple(key): i for i, key in enumerate(keys)}
+    found = []
+    for sol in sols:
+        key = tuple(np.concatenate([sol[g] for g in pres.gen_names]).tolist())
         if key not in lookup:
             raise ValidationError("solver found a morphism outside the parametrization")
-        pts.append(lookup[key])
-    if len(pts) != len(set(pts)) or len(pts) != len(lookup):
+        found.append(lookup[key])
+    if len(found) != len(set(found)) or len(found) != len(lookup):
         raise ValidationError("solver points do not biject with the parametrization")
-    return PointSet(spec, field, _sorted_points(pts))
+    return PointSet(spec, field, _canonical(field, param_pts[found]))
 
 
 def _p1_pair(spec: GroupAlgebraSpec, images):
@@ -332,23 +328,21 @@ def _orbit_keys(F, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     idx = np.arange(F.q)
     square = np.zeros(F.q, dtype=bool)
     square[F.mul[idx, idx]] = True
-    frob_inv = np.empty(F.q, dtype=linalg.DT)
-    frob_inv[F.frob] = idx
     b = np.where(cv != 0, F.inv[cv], 1)
-    a_v = frob_inv[F.mul[b, b]]
+    a_v = _frob_power(F, -1)[F.mul[b, b]]
     a_u = F.mul[np.where(square[cu], 1, square.argmin()), F.inv[cu]]
     a = np.where(cv != 0, a_v, np.where(cu != 0, a_u, 1))
     return np.hstack([F.mul[a[:, None], u], F.mul[b[:, None], v]])
 
 
-def point_to_p1(spec: GroupAlgebraSpec, pt: GroupPoint, field: FieldDescriptor):
+def point_to_p1(spec: GroupAlgebraSpec, pt, field: FieldDescriptor):
     """Images of u and v of P_1 under the point's morphism composed with
     the inclusion u -> u_{r-1}, v -> v.  Returns (algebra, u_img, v_img)."""
     alg = build_group_algebra(spec, field)[0]
     return (alg, *_p1_images(spec, alg, point_images(spec, alg, pt)))
 
 
-def point_pullback(spec: GroupAlgebraSpec, pt: GroupPoint, M: SuperModule) -> P1ModuleView:
+def point_pullback(spec: GroupAlgebraSpec, pt, M: SuperModule) -> P1ModuleView:
     """The P_1-structure of M pulled back at the point, with every check."""
     from .smod import p1_view_from_images
 
@@ -364,7 +358,7 @@ def support_set(
     field: FieldDescriptor,
     method: str = "param",
     check: bool = False,
-) -> SupportSet:
+) -> PointSet:
     """Points where the pulled-back module has infinite projective dimension.
 
     The module may be given over the prime field; it is scalar extended to
@@ -418,161 +412,115 @@ def support_set(
     per = max(1, _CHUNK_CELLS // alg.dim**2)
     orbit = np.empty(len(pts), dtype=np.int64)
     numbers = {}  # orbit key -> orbit number, in the order of first points
-    firsts = []  # the first point of each orbit
+    firsts = []  # the row of each orbit's first point
     for lo in range(0, len(pts), per):
-        chunk = pts[lo : lo + per]
-        u_imgs, v_imgs = _p1_images(spec, alg, _images(spec, alg, chunk))
+        u_imgs, v_imgs = _p1_images(spec, alg, _images(spec, alg, pts[lo : lo + per]))
         check_p1_images(alg, u_imgs, v_imgs)
-        for i, key in enumerate(_orbit_keys(alg.F, u_imgs, v_imgs)):
-            orbit[lo + i] = numbers.setdefault(key.tobytes(), len(numbers))
-            if orbit[lo + i] == len(firsts):
-                firsts.append(chunk[i])
+        for i, key in enumerate(_orbit_keys(alg.F, u_imgs, v_imgs), start=lo):
+            orbit[i] = numbers.setdefault(key.tobytes(), len(numbers))
+            if orbit[i] == len(firsts):
+                firsts.append(i)
+    firsts = pts[firsts]
     infinite = np.empty(len(firsts), dtype=bool)
     per = max(1, _CHUNK_CELLS // (4 * MF.dim**2 or 1))
     for lo in range(0, len(firsts), per):
         u_imgs, v_imgs = _p1_pair(spec, _images(spec, alg, firsts[lo : lo + per]))
         view = p1_view_from_images(MF, u_imgs, v_imgs, check=check)
         infinite[lo : lo + per] = pd_infinite(view, check=check)
-    return SupportSet(spec, field, tuple(itertools.compress(pts, infinite[orbit])), module=M)
+    return PointSet(spec, field, pts[infinite[orbit]])
 
 
-def psi_map(spec: GroupAlgebraSpec, pt: GroupPoint):
-    """Coordinates of the point's image in the cohomological spectrum."""
-    p = spec.p
+def psi_map(spec: GroupAlgebraSpec, field: FieldDescriptor, pts: np.ndarray) -> np.ndarray:
+    """Coordinates of the points' images in the cohomological spectrum: one
+    row per row of pts (a single point or a stack)."""
     if spec.family == "GaMinus":
-        return pt.coords
-    if spec.family == "Gar":
-        avec = pt.coords
-        return tuple(avec[spec.r - 1 - i] ** (p ** (i + 1)) for i in range(spec.r))
-    if spec.family != "Mrs":
+        return pts
+    if spec.family not in ("Gar", "Mrs"):
         raise ValidationError(f"psi is not implemented for family {spec.family}")
+    F = linalg.tables(field)
     r = spec.r
-    mu = pt.coords[0]
-    avec = pt.coords[1 : 1 + r]
-    if spec.eta == 0:
-        out = [mu]
-        out += [avec[r - 1 - i] ** (p ** (i + 1)) for i in range(r)]
-        if spec.s >= 2:
-            out.append(pt.coords[1 + r] ** p)
-        return tuple(out)
-    # eta family: (mu, a_{r-2}^{p^2}, ..., a_0^{p^r}, (-eta^{-1})^p a_{r-1}^p)
-    field = mu.field
-    out = [mu]
-    out += [avec[r - 1 - i] ** (p ** (i + 1)) for i in range(1, r)]
-    eta = field.element(spec.eta)
-    out.append(((-(eta.inverse())) ** p) * avec[r - 1] ** p)
-    return tuple(out)
+    lead = int(spec.family == "Mrs")  # mu leads, and is kept
+    a = pts[..., lead : lead + r]
+    cols = [pts[..., 0]] if lead else []
+    # a_{r-1-i}^{p^(i+1)}; the eta family ends in (-eta^{-1})^p a_{r-1}^p instead of a_{r-1}^p
+    cols += [_frob_power(F, i + 1)[a[..., r - 1 - i]] for i in range(int(spec.eta != 0), r)]
+    if spec.eta != 0:
+        cols.append(F.mul[F.frob[F.neg[F.inv[F.scalar(spec.eta)]]], F.frob[a[..., r - 1]]])
+    if _has_b(spec):
+        cols.append(F.frob[pts[..., 1 + r]])
+    return np.stack(cols, axis=-1)
 
 
-def psi_target_points(spec: GroupAlgebraSpec, field: FieldDescriptor):
-    """F_q points of the cohomological spectrum, in psi's coordinate order.
+def psi_target_points(spec: GroupAlgebraSpec, field: FieldDescriptor) -> np.ndarray:
+    """F_q points of the cohomological spectrum, in psi's coordinate order
+    and in canonical order.
 
     psi is a bijection onto them, so the same POINTS_CAP bound applies."""
     _check_points_cap(spec, field)
-    els = field.elements()
-    out = []
-    if spec.family == "GaMinus":
-        return _sorted_points(GroupPoint((d,)) for d in els)
-    if spec.family == "Gar":
-        return _sorted_points(GroupPoint(c) for c in itertools.product(els, repeat=spec.r))
-    if spec.family != "Mrs":
+    if spec.family not in ("Mrs", "Gar", "GaMinus"):
         raise ValidationError(f"no spectrum description for family {spec.family}")
-    r = spec.r
-    if spec.eta == 0 and spec.s == 1:
-        for d in els:
-            for cvec in itertools.product(els, repeat=r):
-                out.append(GroupPoint((d,) + cvec))
-        return _sorted_points(out)
-    if spec.eta != 0 and r < 2:
+    if spec.eta != 0 and spec.r < 2:
         raise ValidationError("the eta-family spectrum needs r >= 2")
-    # (d, c_1, ..., c_m, e) with the top c equal to d^2
-    for d in els:
-        for cvec in itertools.product(els, repeat=r if spec.eta == 0 else r - 1):
-            if cvec[-1] != d * d:
-                continue
-            for e in els:
-                out.append(GroupPoint((d,) + cvec + (e,)))
-    return _sorted_points(out)
+    pts = _grid(field.q, _arity(spec))
+    if _on_cone(spec):
+        # (d, c_1, ..., c_m, e) with the top c equal to d^2
+        F = linalg.tables(field)
+        pts = pts[pts[:, -2] == F.mul[pts[:, 0], pts[:, 0]]]
+    return _canonical(field, pts)
 
 
-def monoid_scale(spec: GroupAlgebraSpec, pt: GroupPoint, mu_t: FieldElement, a_t: FieldElement) -> GroupPoint:
-    """The dilation action: compose the point with the endomorphism
-    v -> mu_t v, u_i -> a_t^{p^i} u_i of P_r, then re-extract coordinates.
+def monoid_scale(spec: GroupAlgebraSpec, field: FieldDescriptor, pts: np.ndarray, mu_t, a_t) -> np.ndarray:
+    """The dilation action on a stack of points: compose each with the
+    endomorphism v -> mu_t v, u_i -> a_t^{p^i} u_i of P_r, then re-extract
+    coordinates.  mu_t and a_t are field indices.
 
     Requires a_t^{p^r} = mu_t^2; the result is verified by recomputing the
     scaled images from the returned coordinates.
     """
-    field = mu_t.field
+    F = linalg.tables(field)
     p = spec.p
     r = _hom_height(spec)
-    if a_t ** (p**r) != mu_t * mu_t:
+    if _frob_power(F, r)[a_t] != F.mul[mu_t, mu_t]:
         raise ValidationError("inadmissible scaling: a^(p^r) != mu^2")
     alg = build_group_algebra(spec, field)[0]
-    images = point_images(spec, alg, pt)
-    F = alg.F
-    scaled = {}
-    for j in range(r):
-        name = f"u{j}"
-        if name in images:
-            scaled[name] = linalg.scale_index(F, (a_t ** (p**j)).index, images[name])
-    scaled["v"] = linalg.scale_index(F, mu_t.index, images["v"])
+    images = _images(spec, alg, pts)
+    scaled = {f"u{j}": F.mul[_frob_power(F, j)[a_t], images[f"u{j}"]] for j in range(r)}
+    scaled["v"] = F.mul[mu_t, images["v"]]
 
-    # re-extract coordinates from the scaled images
-    if spec.family == "GaMinus":
-        d = field.from_index(int(scaled["v"][alg.generators["v"]]))
-        new_pt = GroupPoint((d,))
-    else:
-        coords = []
-        top = scaled[f"u{r-1}"]
-        if spec.family != "Gar":
-            mu = field.from_index(int(scaled["v"][alg.generators["v"]]))
-            coords.append(mu)
-        avec = []
-        for j in range(r):
-            c = field.from_index(int(top[p**j]))
-            for _ in range(j):
-                c = inverse_frobenius(c)
-            avec.append(c)
-        avec.reverse()  # coefficient of gamma_{p^j} is a_{r-1-j}^{p^j}
-        coords.extend(avec)
-        if spec.family == "Mrs" and spec.eta == 0 and spec.s >= 2:
-            coords.append(field.from_index(int(top[p ** (r + spec.s - 2)])))
-        new_pt = GroupPoint(tuple(coords))
+    # re-extract coordinates from the scaled images: the coefficient of
+    # gamma_{p^j} in the top image is a_{r-1-j}^{p^j}
+    top = scaled[f"u{r-1}"]
+    cols = [] if spec.family == "Gar" else [scaled["v"][:, alg.generators["v"]]]
+    if spec.family != "GaMinus":
+        cols += [_frob_power(F, -j)[top[:, p**j]] for j in reversed(range(r))]
+    if _has_b(spec):
+        cols.append(top[:, p ** (r + spec.s - 2)])
+    out = np.stack(cols, axis=1)
 
-    check = point_images(spec, alg, new_pt)
-    for g, vec in scaled.items():
-        if not np.array_equal(check[g], vec):
-            raise ValidationError("scaled morphism left the family parametrization")
-    return new_pt
-
-
-def admissible_scalings(field: FieldDescriptor, r: int):
-    """All (mu, a) in F_q^2 with a^{p^r} = mu^2 (the dilation monoid points)."""
-    out = []
-    p = field.p
-    for mu in field.elements():
-        for a in field.elements():
-            if a ** (p**r) == mu * mu:
-                out.append((mu, a))
+    check = _images(spec, alg, out)
+    if any(not np.array_equal(check[g], x) for g, x in scaled.items()):
+        raise ValidationError("scaled morphism left the family parametrization")
     return out
+
+
+def admissible_scalings(field: FieldDescriptor, r: int) -> np.ndarray:
+    """All (mu, a) in F_q^2 with a^{p^r} = mu^2 (the dilation monoid
+    points), as index rows, mu major."""
+    F = linalg.tables(field)
+    pairs = _grid(field.q, 2)
+    return pairs[_frob_power(F, r)[pairs[:, 1]] == F.mul[pairs[:, 0], pairs[:, 0]]]
 
 
 def m11_subgroup_embeddings(p: int):
     """The canonical multiparameter subgroups of M_{1;1} with their point
     embeddings and generator matchings, for naturality checks.
 
-    Returns (name, subgroup spec, embed point map, generator map).
+    Returns (name, subspec, embed, generator map); embed takes a stack of
+    the subgroup's points to the stack of their images in V_1(M_{1;1}).
     """
     gar1 = GroupAlgebraSpec("Gar", p, r=1)
     gam = GroupAlgebraSpec("GaMinus", p)
-
-    def embed_gar(pt, field):
-        return GroupPoint((field.element(0), pt.coords[0]))
-
-    def embed_gam(pt, field):
-        return GroupPoint((pt.coords[0], field.element(0)))
-
     return [
-        ("Ga(1)", gar1, embed_gar, {"u0": "u0"}),
-        ("Ga^-", gam, embed_gam, {"v": "v"}),
+        ("Ga(1)", gar1, lambda pts: np.insert(pts, 0, 0, axis=1), {"u0": "u0"}),
+        ("Ga^-", gam, lambda pts: np.insert(pts, 1, 0, axis=1), {"v": "v"}),
     ]

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from oracles.dual_oracle import km_r_dual_oracle
+from oracles.points_oracle import elements
 from supvar.gfield import make_field
 import supvar.linalg as la
 from supvar.smod import (
@@ -35,7 +36,6 @@ from supvar.homalg import (
     resolution_of_trivial,
 )
 from supvar.varieties import (
-    GroupPoint,
     admissible_scalings,
     enumerate_points,
     m11_subgroup_embeddings,
@@ -43,6 +43,7 @@ from supvar.varieties import (
     point_pullback,
     psi_map,
     psi_target_points,
+    render_points,
     support_set,
     family_points,
 )
@@ -67,15 +68,20 @@ def _L(mu_i, a_i):
 def _line_points(field, mu, a):
     """F_q points of the weighted affine line a^p x^2 = mu^2 y."""
     out = set()
-    for x in field.elements():
-        for y in field.elements():
-            if (a**3) * x * x == mu * mu * y:
+    for x in elements(field):
+        for y in elements(field):
+            if ((a**3) * x * x).index == (mu * mu * y).index:
                 out.add((x.index, y.index))
     return out
 
 
+def _rows(pts):
+    """The points of an index array, as a set of int tuples."""
+    return {tuple(pt) for pt in pts.tolist()}
+
+
 def _support_keys(spec, M, field):
-    return {p.key() for p in support_set(spec, M, field).points}
+    return _rows(support_set(spec, M, field).points)
 
 
 def test_criterion_01_ext_kk():
@@ -95,9 +101,9 @@ def test_criterion_02_l_module_supports():
             got = _support_keys(M11, L, field)
             want = {
                 (d.index, c.index)
-                for d in field.elements()
-                for c in field.elements()
-                if (a**3) * d * d == (c**3) * mu * mu
+                for d in elements(field)
+                for c in elements(field)
+                if ((a**3) * d * d).index == ((c**3) * mu * mu).index
             }
             assert got == want, (field.encode(), mu_i, a_i)
     _passed(2, "support(L_{(mu,a^p)}) = {a^p d^2 = c^p mu^2} over F_3 and F_9")
@@ -197,7 +203,7 @@ def test_criterion_07_solver_vs_parametrization():
         par = enumerate_points(spec, F3, method="param")
         sol = enumerate_points(spec, F3, method="solve")
         assert len(par.points) == count
-        assert [p.key() for p in par.points] == [p.key() for p in sol.points]
+        assert par.points.tolist() == sol.points.tolist()
     _passed(7, "brute-force Hom points match parametrization: M11 (9), Ga(1) (3), Ga^- (3)")
 
 
@@ -213,20 +219,20 @@ def test_criterion_09_psi_bijective_and_support_lines():
     for spec in (M11, M21, M12):
         for field in (F3, F9):
             pts = family_points(spec, field)
-            imgs = {GroupPoint(psi_map(spec, p)).key() for p in pts}
+            imgs = _rows(psi_map(spec, field, pts))
             assert len(imgs) == len(pts)
-            assert imgs == {p.key() for p in psi_target_points(spec, field)}
+            assert imgs == _rows(psi_target_points(spec, field))
     for field in (F3, F9):
         for mu_i, a_i in L_PARAMS:
             mu, a = field.element(mu_i), field.element(a_i)
             L = _L(mu_i, a_i)
             sup = support_set(M11, L, field)
-            img = {GroupPoint(psi_map(M11, p)).key() for p in sup.points}
+            img = _rows(psi_map(M11, field, sup.points))
             line = {
                 (x.index, y.index)
-                for x in field.elements()
-                for y in field.elements()
-                if (a**3) * x * x == mu * mu * y
+                for x in elements(field)
+                for y in elements(field)
+                if ((a**3) * x * x).index == (mu * mu * y).index
             }
             assert img == line, (field.encode(), mu_i, a_i)
     _passed(9, "psi bijective (3 families, F_3/F_9); psi(support) = affine line")
@@ -254,20 +260,20 @@ def test_criterion_10_second_radical():
 def test_criterion_11_naturality_and_decomposition():
     alg = build_group_algebra(M11, F3)[0]
     embs = m11_subgroup_embeddings(3)
-    all_pts = {p.key() for p in enumerate_points(M11, F3).points}
+    all_pts = _rows(enumerate_points(M11, F3).points)
     for seed in range(20):
         M = random_module(seed, alg, 6)
         amb = _support_keys(M11, M, F3)
         for name, subspec, embed, gmap in embs:
             subalg, _ = build_group_algebra(subspec)
             sub = restrict_module(M, subalg, gmap)
-            ssub = {embed(p, F3).key() for p in support_set(subspec, sub, F3).points}
-            line = {embed(p, F3).key() for p in enumerate_points(subspec, F3).points}
+            ssub = _rows(embed(support_set(subspec, sub, F3).points))
+            line = _rows(embed(enumerate_points(subspec, F3).points))
             assert ssub == (amb & line), (seed, name)
     union = set()
     for name, subspec, embed, gmap in embs:
-        union |= {embed(p, F3).key() for p in enumerate_points(subspec, F3).points}
-    union |= {p.key() for p in enumerate_points(M11, F3).points}  # M11 itself embeds
+        union |= _rows(embed(enumerate_points(subspec, F3).points))
+    union |= _rows(enumerate_points(M11, F3).points)  # M11 itself embeds
     assert union == all_pts
     _passed(11, "subgroup supports = support /\\ line (20 random); union covers V_1")
 
@@ -289,29 +295,29 @@ def test_criterion_12_conicality():
         modules.append(tensor_module(M, N))
     supports = [support_set(M11, M, F9) for M in modules]
     for sup in supports:
-        keys = {p.key() for p in sup.points}
-        for pt in sup.points:
-            for mt, at in scalings:
-                assert monoid_scale(M11, pt, mt, at).key() in keys
+        keys = _rows(sup.points)
+        for mt, at in scalings:
+            assert _rows(monoid_scale(M11, F9, sup.points, mt, at)) <= keys
     # support_set decides one point per dilation orbit, so the check above
     # holds by construction; the per-point oracle on sampled points and
     # their dilations does not rest on it.  Invertible dilations keep a
     # point outside the support outside.
     pts = enumerate_points(M11, F9).points
-    invertible = [(mt, at) for mt, at in scalings if mt != F9.element(0)]
+    scalings = scalings.tolist()
+    invertible = [(mt, at) for mt, at in scalings if mt != 0]
     checked = {True: 0, False: 0}
     for M, sup in zip(modules, supports):
         MF = extend_scalars(M, F9)
-        keys = {p.key() for p in sup.points}
-        inside = [pt for pt in sup.points if any(c != F9.element(0) for c in pt.coords)]
-        outside = [pt for pt in pts if pt.key() not in keys]
+        keys = _rows(sup.points)
+        inside = [pt for pt in sup.points if pt.any()]
+        outside = [pt for pt in pts if tuple(pt.tolist()) not in keys]
         for infinite, pool, dilations in ((True, inside, scalings), (False, outside, invertible)):
             if not pool:
                 continue
             pt = rng.choice(pool)
             assert (pd_class(point_pullback(M11, pt, MF)) == PD_INFINITE) == infinite
             for mt, at in rng.sample(dilations, 2):
-                scaled = point_pullback(M11, monoid_scale(M11, pt, mt, at), MF)
+                scaled = point_pullback(M11, monoid_scale(M11, F9, pt[None], mt, at)[0], MF)
                 assert (pd_class(scaled) == PD_INFINITE) == infinite
             checked[infinite] += 1
     assert checked[True] and checked[False]
@@ -365,15 +371,15 @@ def test_criterion_14_carlson_modules():
     # odd degree-1 classes realize the vertical line {(0, c)}
     for c in (1, 2):
         L = mods[(1, 1, (0, c))]
-        assert {p.encode() for p in support_set(M11, L, F3).points} == {"0,0", "0,1", "0,2"}
+        lines = render_points(F3, support_set(M11, L, F3).points).splitlines()
+        assert set(lines) == {"0,0", "0,1", "0,2"}
     # every Carlson support is conical (closed under the dilation monoid)
     scalings = admissible_scalings(F9, 1)
     for key, L in mods.items():
         sup = support_set(M11, L, F9)
-        keys9 = {p.key() for p in sup.points}
-        for pt in sup.points:
-            for mt, at in scalings:
-                assert monoid_scale(M11, pt, mt, at).key() in keys9, key
+        keys9 = _rows(sup.points)
+        for mt, at in scalings:
+            assert _rows(monoid_scale(M11, F9, sup.points, mt, at)) <= keys9, key
     # tensor property among a sample of Carlson modules
     keys = [
         (1, 1, (0, 1)),

@@ -64,6 +64,32 @@ def test_points_solve_matches(capsys, m11_file):
     assert a == b
 
 
+M21 = '{"family":"Mrs","p":3,"r":2,"s":1}'
+
+
+def test_points_m21_f81_digest(capsys):
+    # all 531,441 points of M_{2;1} over F_81, byte for byte as the
+    # FieldElement enumeration printed them
+    code, out, err = run(capsys, ["points", "-g", M21, "-F", "3^4"])
+    assert (code, err) == (0, "")
+    assert out.count("\n") == 81**3
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "007bb682d0d6045a1d003871c33eb6d82a4a2efdf3dd6acf5753454a5496f1d1"
+    )
+
+
+def test_solver_cap_checked_before_points_are_listed(capsys, monkeypatch):
+    from supvar import varieties
+
+    def no_points(spec, field):
+        raise AssertionError("parametrized points listed")
+
+    monkeypatch.setattr(varieties, "family_points", no_points)
+    code, out, err = run(capsys, ["points", "-g", M21, "-F", "3^4", "--method", "solve"])
+    assert (code, out) == (3, "")
+    assert err == f"error: {81**25} candidate assignments exceed the cap 6561\n"
+
+
 def test_support_golden(capsys, m11_file, l01_file):
     code, out, _ = run(capsys, ["support", "-g", m11_file, "-m", l01_file, "-F", "3^1"])
     assert code == 0
@@ -220,13 +246,13 @@ def test_bound_exceeded_exit_3(capsys, tmp_path):
 
 
 def test_point_enumeration_bounded(capsys, monkeypatch):
-    from supvar.gfield import FieldDescriptor
+    from supvar import varieties
 
-    # 2401^4 candidate tuples: refused before any field element is listed
-    def no_elements(self):
+    # 2401^4 candidate tuples: refused before any candidate is listed
+    def no_grid(q, k):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(FieldDescriptor, "elements", no_elements)
+    monkeypatch.setattr(varieties, "_grid", no_grid)
     m22p7 = '{"family":"Mrs","p":7,"r":2,"s":2}'
     for method in ("param", "solve"):
         code, out, err = run(capsys, ["points", "-g", m22p7, "-F", "7^4", "--method", method])
@@ -641,6 +667,27 @@ def test_closed_stdout_exits_2(argv, lines, unbuffered):
     assert proc.wait() == 2
     assert err == "error: standard output closed\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["points", "--help"]], ids=["main", "points"])
+def test_help_into_closed_stdout_exits_2(argv):
+    # the reader closes at once; the help text cannot be written
+    import subprocess
+    import sys
+
+    env = _subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "supvar.cli"] + argv,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err == "error: standard output closed\n"
 
 
 def test_import_cli_loads_no_numpy():

@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from supvar.gfield import (
-    FieldError,
-    embed,
-    frobenius,
-    inv,
-    inverse_frobenius,
-    make_field,
-    parse_element,
-    parse_field,
-)
+from oracles.points_oracle import elements, embed, frobenius, inv, inverse_frobenius
+from supvar.gfield import FieldError, make_field, parse_element, parse_field
 import supvar.linalg as la
 
 
@@ -38,30 +30,32 @@ def test_canonical_moduli_golden():
 
 def test_inverse_examples():
     F3 = make_field(3, 1)
-    assert inv(F3.element(2)) == F3.element(2)  # 2*2 = 4 = 1
+    assert inv(F3.element(2)).index == 2  # 2*2 = 4 = 1
     F9 = make_field(3, 2)
-    assert inv(F9.one()) == F9.one()
-    for x in F9.elements():
+    assert inv(F9.one()).index == 1
+    for x in elements(F9):
         if not x.is_zero():
-            assert x * inv(x) == F9.one()
+            assert (x * inv(x)).index == 1
+            assert la.tables(F9).inv[x.index] == inv(x).index  # the table the program uses
     with pytest.raises(FieldError):
-        inv(F9.zero())
+        inv(F9.from_index(0))
 
 
 def test_frobenius():
     F3 = make_field(3, 1)
-    for x in F3.elements():
-        assert frobenius(x) == x  # x^3 = x on F_3
+    for x in elements(F3):
+        assert frobenius(x).index == x.index  # x^3 = x on F_3
     F9 = make_field(3, 2)
     t = F9.from_index(3)  # the generator x
-    assert frobenius(t) == t**3
-    assert frobenius(frobenius(t)) == t
+    assert frobenius(t).index == (t**3).index
+    assert frobenius(frobenius(t)).index == t.index
     for F in (F3, F9, make_field(5, 1)):
-        images = {frobenius(x).index for x in F.elements()}
+        images = {frobenius(x).index for x in elements(F)}
         assert images == set(range(F.q))
-        for x in F.elements():
-            assert inverse_frobenius(frobenius(x)) == x
-            assert frobenius(x + F.one()) == frobenius(x) + F.one()
+        assert la.tables(F).frob.tolist() == [frobenius(x).index for x in elements(F)]
+        for x in elements(F):
+            assert inverse_frobenius(frobenius(x)).index == x.index
+            assert frobenius(x + F.one()).index == (frobenius(x) + F.one()).index
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2)])
@@ -88,9 +82,9 @@ def test_encodings():
     assert parse_field("5") is make_field(5, 1)
     x = F9.element([1, 2])
     assert x.encode() == "1:2"
-    assert parse_element(F9, "1:2") == x
+    assert parse_element(F9, "1:2").coeffs == x.coeffs
     assert parse_element(F3, "2").encode() == "2"
-    assert parse_element(F9, "2") == F9.element(2)  # prime subfield shorthand
+    assert parse_element(F9, "2").coeffs == (2, 0)  # prime subfield shorthand
     with pytest.raises(FieldError):
         parse_element(F9, "1:2:0")
 
@@ -98,5 +92,5 @@ def test_encodings():
 def test_embed_prime_subfield_preserves_index():
     F3 = make_field(3, 1)
     F9 = make_field(3, 2)
-    for x in F3.elements():
+    for x in elements(F3):
         assert embed(x, F9).index == x.index

@@ -67,10 +67,9 @@ def test_regular_pullback_exact_in_degree_two():
     # the free module pulled back at a free-direction point has H^2 = 0
     A = m11()
     R = regular_module(A)
-    from supvar.varieties import GroupPoint, point_pullback
+    from supvar.varieties import point_pullback
 
-    pt = GroupPoint((F3.element(1), F3.element(1)))
-    W = point_pullback(M11_SPEC, pt, R)
+    W = point_pullback(M11_SPEC, (1, 1), R)
     cx = p1_hom_complex(W, 3)
     e, o = cx.cohomology_dims()[2]
     assert e + o == 0
@@ -84,10 +83,10 @@ def test_ext_examples():
     t2 = ext_dims(tk, tpi, 6)
     assert t2.dims[0] == (0, 1) and all(t2.dims[i] == (1, 1) for i in range(1, 7))
     # pullback of L_{(0,1)} at (1,1) has Ext^2 = 0 (off the support line)
-    from supvar.varieties import GroupPoint, point_pullback
+    from supvar.varieties import point_pullback
 
     L = build_L(F3.element(0), F3.element(1))
-    V = point_pullback(M11_SPEC, GroupPoint((F3.element(1), F3.element(1))), L)
+    V = point_pullback(M11_SPEC, (1, 1), L)
     assert ext_dims(V, V, 3).total(2) == 0
 
 
@@ -98,9 +97,9 @@ def test_pd_class_examples():
     view = p1_view_from_module(R)  # u -> 0, v -> v
     assert pd_class(view) == PD_FINITE
     L = build_L(F3.element(0), F3.element(1))
-    from supvar.varieties import GroupPoint, point_pullback
+    from supvar.varieties import point_pullback
 
-    V = point_pullback(M11_SPEC, GroupPoint((F3.element(0), F3.element(1))), L)
+    V = point_pullback(M11_SPEC, (0, 1), L)
     assert pd_class(V) == PD_INFINITE
     with pytest.raises(ValidationError):
         pd_class(p1_view(F3, np.zeros(0, dtype=np.int8), la.zeros(0, 0), la.zeros(0, 0)))

@@ -87,7 +87,7 @@ def test_matmul_kron_agree_with_naive():
     C = la.matmul(F, A, B)
     for i in range(3):
         for j in range(2):
-            acc = field.zero()
+            acc = field.from_index(0)
             for k in range(4):
                 acc = acc + field.from_index(int(A[i, k])) * field.from_index(int(B[k, j]))
             assert acc.index == C[i, j]

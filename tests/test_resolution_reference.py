@@ -285,3 +285,16 @@ def test_dimension_cap(monkeypatch, capsys, tmp_path):
     out = capsys.readouterr()
     assert (code, out.out) == (3, "")
     assert out.err == "error: dim P_2 18 exceeds cap 12\n"
+
+
+def test_locality_checked_once_per_algebra(monkeypatch):
+    # the verdict of _check_local is kept on the algebra, like its resolution of k
+    A = build_group_algebra(M11)[0]
+    first = minimal_resolution(A, trivial_module(A), 2)
+
+    def again(alg):
+        raise AssertionError("locality checked again")
+
+    monkeypatch.setattr(homalg, "_check_local", again)
+    second = minimal_resolution(A, trivial_module(A), 2)
+    assert second.gen_parities == first.gen_parities

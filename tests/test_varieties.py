@@ -5,13 +5,15 @@ import random
 import numpy as np
 import pytest
 
+from oracles import points_oracle as oracle
+from oracles.points_oracle import elements
 from supvar.errors import BoundExceeded, ValidationError
 from supvar.gfield import make_field
+import supvar.linalg as la
 from supvar.smod import build_L, random_module, restrict_module, trivial_module, regular_module
 from supvar.superalg.algebra import GroupAlgebraSpec, build_group_algebra
 from supvar.varieties import (
     POINTS_CAP,
-    GroupPoint,
     _arity,
     admissible_scalings,
     enumerate_points,
@@ -22,6 +24,7 @@ from supvar.varieties import (
     point_to_p1,
     psi_map,
     psi_target_points,
+    render_points,
     support_set,
 )
 
@@ -31,6 +34,11 @@ M11 = GroupAlgebraSpec("Mrs", 3, r=1, s=1)
 M21 = GroupAlgebraSpec("Mrs", 3, r=2, s=1)
 M12 = GroupAlgebraSpec("Mrs", 3, r=1, s=2)
 M22 = GroupAlgebraSpec("Mrs", 3, r=2, s=2)
+
+
+def rows(pts):
+    """The points of an index array, as a set of int tuples."""
+    return {tuple(pt) for pt in np.asarray(pts).tolist()}
 
 
 def test_point_counts():
@@ -55,16 +63,16 @@ def test_point_enumeration_bounded():
 
 def test_points_sorted_and_rendered():
     pts = enumerate_points(M11, F3)
-    keys = [p.key() for p in pts.points]
+    keys = pts.points.tolist()
     assert keys == sorted(keys)
-    assert pts.points[0].encode() == "0,0"  # zero point first
-    lines = pts.render().splitlines()
+    lines = render_points(F3, pts.points).splitlines()
+    assert lines[0] == "0,0"  # zero point first
     assert lines == sorted(lines)
 
 
 def test_point_images_m11():
     alg = build_group_algebra(M11, F3)[0]
-    pt = GroupPoint((F3.element(2), F3.element(1)))  # (d, c)
+    pt = (2, 1)  # (d, c)
     im = point_images(M11, alg, pt)
     want_u = alg.el_zero()
     want_u[1] = 1  # c * gamma_1
@@ -77,14 +85,14 @@ def test_point_images_m11():
 def test_point_images_m21():
     # image of u_1 at (mu, a_0, a_1) is a_0^3 gamma_3 + a_1 gamma_1
     alg = build_group_algebra(M21, F3)[0]
-    pt = GroupPoint((F3.element(1), F3.element(2), F3.element(1)))
+    pt = (1, 2, 1)
     im = point_images(M21, alg, pt)
     want = alg.el_zero()
     want[3] = (F3.element(2) ** 3).index
     want[1] = 1
     assert np.array_equal(im["u1"], want)
     # zero point gives zero images
-    zero = GroupPoint((F3.element(0),) * 3)
+    zero = (0, 0, 0)
     imz = point_images(M21, alg, zero)
     assert all(not np.any(imz[g]) for g in ("u0", "u1", "v"))
 
@@ -100,7 +108,7 @@ def test_point_images_match_dual_oracle_comorphism():
     rng = random.Random(0)
     pts = family_points(M21, F3)
     for pt in [pts[i] for i in rng.sample(range(len(pts)), 6)]:
-        mu, a0, a1 = pt.coords
+        mu, a0, a1 = (F3.from_index(int(c)) for c in pt)
         # comorphism phi: K[M_{2;1}] -> K[M_2]: tau -> mu tau, theta -> a0 theta + a1 theta^3,
         # sigma_1 -> a0^{p} sigma_1 (+ nothing else inside the truncation)
         # rho(u_j)(m) = <u_j, phi(m)>; evaluate on the monomial basis directly
@@ -119,7 +127,7 @@ def test_point_images_match_dual_oracle_comorphism():
                         vals[m_idx] = (a0**p).index
                     continue
                 # phi(theta^i) = (a0 theta + a1 theta^p)^i; coefficient of theta^{p^j}
-                coeff = F3.zero()
+                coeff = F3.from_index(0)
                 for t in range(i + 1):
                     if t + (i - t) * p == p**j:
                         from math import comb
@@ -129,18 +137,18 @@ def test_point_images_match_dual_oracle_comorphism():
             # convert from the dual-of-monomial basis to the gamma basis
             Cinv = la.solve(F, orc.change_of_basis, la.identity(orc.dim))
             gamma_coords = la.matvec(F, Cinv, vals)
-            assert np.array_equal(gamma_coords, got), (pt.encode(), gen)
+            assert np.array_equal(gamma_coords, got), (pt.tolist(), gen)
 
 
 def test_point_relation_validation():
-    alg, u_img, v_img = point_to_p1(M11, GroupPoint((F3.element(1), F3.element(2))), F3)
+    alg, u_img, v_img = point_to_p1(M11, (1, 2), F3)
     rel = alg.el_add(alg.el_word(1, (("u", 3),), {"u": u_img}), alg.el_mul(v_img, v_img))
     assert not np.any(rel)
 
 
 def test_constraint_violation_rejected():
     # mu^2 = a_0^p fails for (1, 2) in the s = 2 family over F_3
-    bad = GroupPoint((F3.element(1), F3.element(2), F3.element(0)))
+    bad = (1, 2, 0)
     with pytest.raises(ValidationError):
         point_to_p1(M12, bad, F3)
 
@@ -187,14 +195,14 @@ def test_param_points_satisfy_hom_ideal_beyond_solver():
                 if par:
                     assert assignment[pos] == 0
             for P in polys:
-                assert P.evaluate(assignment) == 0, pt.encode()
+                assert P.evaluate(assignment) == 0, pt.tolist()
 
 
 def test_solver_matches_param():
     for spec in (M11, GroupAlgebraSpec("Gar", 3, r=1), GroupAlgebraSpec("GaMinus", 3)):
         a = enumerate_points(spec, F3, method="param")
         b = enumerate_points(spec, F3, method="solve")
-        assert [p.key() for p in a.points] == [p.key() for p in b.points]
+        assert a.points.tolist() == b.points.tolist()
 
 
 def test_support_lines():
@@ -205,11 +213,11 @@ def test_support_lines():
             sup = support_set(M11, L, field)
             want = {
                 (d.index, c.index)
-                for d in field.elements()
-                for c in field.elements()
-                if (a**3) * d * d == (c**3) * mu * mu
+                for d in elements(field)
+                for c in elements(field)
+                if ((a**3) * d * d).index == ((c**3) * mu * mu).index
             }
-            assert {p.key() for p in sup.points} == want
+            assert rows(sup.points) == want
 
 
 def test_support_trivial_and_regular():
@@ -219,76 +227,72 @@ def test_support_trivial_and_regular():
     assert len(sup.points) == 9  # every point
     R = regular_module(A)
     supR = support_set(M11, R, F3)
-    assert [p.encode() for p in supR.points] == ["0,0"]  # only the zero point
+    assert render_points(F3, supR.points) == "0,0"  # only the zero point
 
 
 def test_psi_examples_and_bijectivity():
-    pt = GroupPoint((F3.element(1), F3.element(2)))
-    assert tuple(c.encode() for c in psi_map(M11, pt)) == ("1", "2")
-    zero = GroupPoint((F3.element(0), F3.element(0)))
-    assert all(c.is_zero() for c in psi_map(M11, zero))
+    assert render_points(F3, psi_map(M11, F3, np.array([[1, 2]]))) == "1,2"
+    assert not psi_map(M11, F3, np.array([0, 0])).any()
     for spec in (M11, M21, M12, M22):
         for field in (F3, F9):
             pts = family_points(spec, field)
-            imgs = [GroupPoint(psi_map(spec, p)) for p in pts]
-            assert len({p.key() for p in imgs}) == len(pts)  # injective
-            assert {p.key() for p in imgs} == {
-                p.key() for p in psi_target_points(spec, field)
-            }  # onto the spectrum
+            imgs = rows(psi_map(spec, field, pts))
+            assert len(imgs) == len(pts)  # injective
+            assert imgs == rows(psi_target_points(spec, field))  # onto the spectrum
 
 
 def test_psi_eta_family():
     spec = GroupAlgebraSpec("Mrs", 3, r=2, s=1, eta=1)
     pts = family_points(spec, F3)
-    imgs = [GroupPoint(psi_map(spec, p)) for p in pts]
-    assert len({p.key() for p in imgs}) == len(pts)
-    assert {p.key() for p in imgs} == {p.key() for p in psi_target_points(spec, F3)}
+    imgs = rows(psi_map(spec, F3, pts))
+    assert len(imgs) == len(pts)
+    assert imgs == rows(psi_target_points(spec, F3))
 
 
 def test_monoid_scale_m11_formula_and_composition():
+    E = F9.from_index
+    F = la.tables(F9)
     scs = admissible_scalings(F9, 1)
     assert len(scs) == 9
     rng = random.Random(0)
     pts = family_points(M11, F9)
     for _ in range(30):
-        pt = rng.choice(pts)
+        pt = rng.choice(pts)[None]
         m1, a1 = rng.choice(scs)
         m2, a2 = rng.choice(scs)
-        s12 = monoid_scale(M11, monoid_scale(M11, pt, m1, a1), m2, a2)
-        direct = monoid_scale(M11, pt, m1 * m2, a1 * a2)
-        assert s12.key() == direct.key()
-        sc = monoid_scale(M11, pt, m1, a1)
-        assert sc.key() == ((m1 * pt.coords[0]).index, (a1 * pt.coords[1]).index)
-    one = F9.one()
-    assert monoid_scale(M11, pts[7], one, one).key() == pts[7].key()
+        s12 = monoid_scale(M11, F9, monoid_scale(M11, F9, pt, m1, a1), m2, a2)
+        direct = monoid_scale(M11, F9, pt, F.mul[m1, m2], F.mul[a1, a2])
+        assert s12.tolist() == direct.tolist()
+        sc = monoid_scale(M11, F9, pt, m1, a1)
+        mu, a = (E(int(c)) for c in pt[0])
+        assert sc.tolist() == [[(E(int(m1)) * mu).index, (E(int(a1)) * a).index]]
+    assert monoid_scale(M11, F9, pts[7:8], 1, 1).tolist() == pts[7:8].tolist()
 
 
 def test_monoid_scale_lambda_pairs():
     # (mu, a) = (lambda^p, lambda^2) is always admissible
-    pt = GroupPoint((F9.from_index(4), F9.from_index(7)))
-    for lam in F9.elements():
+    pt = np.array([[4, 7]])
+    for lam in elements(F9):
         if lam.is_zero():
             continue
-        out = monoid_scale(M11, pt, lam**3, lam * lam)
-        assert out.coords[0] == lam**3 * pt.coords[0]
+        out = monoid_scale(M11, F9, pt, (lam**3).index, (lam * lam).index)
+        assert out[0, 0] == (lam**3 * F9.from_index(4)).index
 
 
 def test_monoid_scale_inadmissible():
-    pt = GroupPoint((F3.element(1), F3.element(1)))
     with pytest.raises(ValidationError):
-        monoid_scale(M11, pt, F3.element(1), F3.element(2))  # 2^3 != 1
+        monoid_scale(M11, F3, np.array([[1, 1]]), 1, 2)  # 2^3 != 1
 
 
 def test_monoid_scale_verifies_on_higher_rank():
     pts = family_points(M21, F3)
-    for pt in pts[:9]:
-        for mt, at in admissible_scalings(F3, 2):
-            monoid_scale(M21, pt, mt, at)
+    for mt, at in admissible_scalings(F3, 2):
+        monoid_scale(M21, F3, pts[:9], mt, at)
     # the b-coordinate of the s >= 2 family scales and re-matches too
-    for pt in family_points(M22, F3):
-        for mt, at in admissible_scalings(F3, 2):
-            out = monoid_scale(M22, pt, mt, at)
-            assert out.coords[0] == mt * pt.coords[0]
+    pts = family_points(M22, F3)
+    for mt, at in admissible_scalings(F3, 2):
+        out = monoid_scale(M22, F3, pts, mt, at)
+        assert out[:, 0].tolist() == [(F3.from_index(int(mt)) * F3.from_index(m)).index for m in pts[:, 0].tolist()]
 
 
 def test_support_and_scaling_over_eta_family():
@@ -299,11 +303,10 @@ def test_support_and_scaling_over_eta_family():
     sup_triv = support_set(spec, trivial_module(alg), F3)
     assert len(sup_triv.points) == len(pts.points)
     sup_reg = support_set(spec, regular_module(alg), F3)
-    assert [p.encode() for p in sup_reg.points] == ["0,0,0"]
-    keys = {p.key() for p in pts.points}
-    for pt in pts.points:
-        for mt, at in admissible_scalings(F3, 2):
-            assert monoid_scale(spec, pt, mt, at).key() in keys
+    assert render_points(F3, sup_reg.points) == "0,0,0"
+    keys = rows(pts.points)
+    for mt, at in admissible_scalings(F3, 2):
+        assert rows(monoid_scale(spec, F3, pts.points, mt, at)) <= keys
 
 
 def test_supports_over_height_two_family():
@@ -314,14 +317,14 @@ def test_supports_over_height_two_family():
     sup_triv = support_set(M21, trivial_module(alg), F3)
     assert len(sup_triv.points) == npts
     sup_reg = support_set(M21, regular_module(alg), F3)
-    assert [p.encode() for p in sup_reg.points] == ["0,0,0"]
+    assert render_points(F3, sup_reg.points) == "0,0,0"
     for seed in (0, 1, 2):
         M = random_module(seed, alg, 6)
-        keys = {p.key() for p in support_set(M21, M, F3).points}
+        sup = support_set(M21, M, F3).points
+        keys = rows(sup)
         assert (0, 0, 0) in keys  # the zero point is always in the support
-        for pt in support_set(M21, M, F3).points:
-            for mt, at in admissible_scalings(F3, 2):
-                assert monoid_scale(M21, pt, mt, at).key() in keys  # conical
+        for mt, at in admissible_scalings(F3, 2):
+            assert rows(monoid_scale(M21, F3, sup, mt, at)) <= keys  # conical
 
 
 def test_naturality_via_embeddings():
@@ -329,12 +332,12 @@ def test_naturality_via_embeddings():
     embs = m11_subgroup_embeddings(3)
     for seed in range(6):
         M = random_module(seed, A, 6)
-        amb = {p.key() for p in support_set(M11, M, F3).points}
+        amb = rows(support_set(M11, M, F3).points)
         for name, subspec, embed, gmap in embs:
             subalg, _ = build_group_algebra(subspec)
             sub = restrict_module(M, subalg, gmap)
-            ssub = {embed(p, F3).key() for p in support_set(subspec, sub, F3).points}
-            line = {embed(p, F3).key() for p in enumerate_points(subspec, F3).points}
+            ssub = rows(embed(support_set(subspec, sub, F3).points))
+            line = rows(embed(enumerate_points(subspec, F3).points))
             assert ssub == (amb & line), (seed, name)
 
 
@@ -346,15 +349,15 @@ def test_naturality_across_heights():
     amb_alg = build_group_algebra(gar2, F3)[0]
     sub_alg = build_group_algebra(gar1, F3)[0]
 
-    def embed(pt):
-        return GroupPoint((F3.element(0), pt.coords[0]))
+    def embed(pts):
+        return rows(np.insert(pts, 0, 0, axis=1))
 
-    line = {embed(p).key() for p in enumerate_points(gar1, F3).points}
+    line = embed(enumerate_points(gar1, F3).points)
     for seed in range(5):
         M = random_module(seed, amb_alg, 6)
         sub = restrict_module(M, sub_alg, {"u0": "u0"})
-        amb_sup = {p.key() for p in support_set(gar2, M, F3).points}
-        sub_sup = {embed(p).key() for p in support_set(gar1, sub, F3).points}
+        amb_sup = rows(support_set(gar2, M, F3).points)
+        sub_sup = embed(support_set(gar1, sub, F3).points)
         assert sub_sup == (amb_sup & line), seed
 
 
@@ -371,8 +374,51 @@ def test_hom_ideal_golden_ga1():
 
 def test_decomposition_union():
     embs = m11_subgroup_embeddings(3)
-    union = {GroupPoint((F3.element(0), F3.element(0))).key()}
+    union = {(0, 0)}
     for name, subspec, embed, gmap in embs:
-        union |= {embed(p, F3).key() for p in enumerate_points(subspec, F3).points}
-    union |= {p.key() for p in enumerate_points(M11, F3).points}  # E = G itself
-    assert union == {p.key() for p in enumerate_points(M11, F3).points}
+        union |= rows(embed(enumerate_points(subspec, F3).points))
+    union |= rows(enumerate_points(M11, F3).points)  # E = G itself
+    assert union == rows(enumerate_points(M11, F3).points)
+
+
+def _spec(family, p, **kw):
+    return GroupAlgebraSpec(family, p, **kw)
+
+
+# (spec, field) pairs within POINTS_CAP: M_{r;s} with s >= 2 and eta != 0,
+# G_a(r) and G_a^-, over prime and extension fields of p = 3, 5 and 7
+ORACLE_CASES = [
+    (spec, make_field(p, n))
+    for (p, n), specs in {
+        (3, 1): [M11, M21, M12, M22, _spec("Mrs", 3, r=2, s=1, eta=1), _spec("Mrs", 3, r=3, s=1, eta=2),
+                 _spec("Mrs", 3, r=2, s=2, eta=1), _spec("Gar", 3, r=3), _spec("GaMinus", 3)],
+        (3, 2): [M11, M21, M12, M22, _spec("Mrs", 3, r=2, s=1, eta=2), _spec("Gar", 3, r=2),
+                 _spec("GaMinus", 3)],
+        (3, 3): [M11, M12, _spec("Mrs", 3, r=2, s=1, eta=1), _spec("Gar", 3, r=2), _spec("GaMinus", 3)],
+        (5, 2): [_spec("Mrs", 5, r=1, s=1), _spec("Mrs", 5, r=1, s=2), _spec("Mrs", 5, r=2, s=1, eta=3),
+                 _spec("Gar", 5, r=2), _spec("GaMinus", 5)],
+        (7, 2): [_spec("Mrs", 7, r=1, s=1), _spec("Mrs", 7, r=1, s=3), _spec("Gar", 7, r=2),
+                 _spec("GaMinus", 7)],
+    }.items()
+    for spec in specs
+]
+
+
+@pytest.mark.parametrize(
+    "spec,field", ORACLE_CASES, ids=[f"{s.label()}/{f.encode()}" for s, f in ORACLE_CASES]
+)
+def test_array_enumeration_matches_tuple_oracle(spec, field):
+    """The same points in the same order as the FieldElement enumeration,
+    and psi the same map, for the parametrization and the spectrum."""
+    pts = family_points(spec, field)
+    want = oracle.family_points(spec, field)
+    assert pts.tolist() == oracle.indices(want)
+    assert psi_target_points(spec, field).tolist() == oracle.indices(
+        oracle.psi_target_points(spec, field)
+    )
+    assert psi_map(spec, field, pts).tolist() == oracle.indices(
+        oracle.psi_map(spec, pt) for pt in want
+    )
+    assert render_points(field, pts).splitlines() == [
+        ",".join(c.encode() for c in pt) for pt in want
+    ]
