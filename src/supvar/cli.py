@@ -172,6 +172,8 @@ def cmd_resolve(args):
 
 
 def cmd_classify(args):
+    from itertools import chain
+
     from .gfield import parse_element, parse_field
     from .superalg.algebra import GroupAlgebraSpec, build_group_algebra
     from .superalg.morphisms import SuperalgebraMorphism, classify_quotient
@@ -191,9 +193,10 @@ def cmd_classify(args):
     if p != spec.p or r < 1:
         raise ValidationError(f"classify file needs r >= 1 and p = {spec.p}, the target's p")
     alg, _ = build_group_algebra(spec, field)
-    pres = PrPresentation(p, r)
     images = {}
-    for g in pres.gen_names:
+    # generators in presentation order, named lazily: the scan stops at the
+    # first missing image, so it is bounded by the images given, not by r
+    for g in chain((f"u{i}" for i in range(r)), ["v"]):
         if g not in data["images"]:
             raise ValidationError(f"missing image for generator {g}")
         vec = alg.el_zero()
@@ -203,7 +206,7 @@ def cmd_classify(args):
         for i, s in enumerate(entries):
             vec[i] = parse_element(field, str(s)).index
         images[g] = vec
-    phi = SuperalgebraMorphism(pres, alg, images)
+    phi = SuperalgebraMorphism(PrPresentation(p, r), alg, images)
     label = classify_quotient(phi)
     print(label.text(field))
     return 0

@@ -29,14 +29,7 @@ import numpy as np
 from ..errors import BoundExceeded, ValidationError, json_int
 from ..gfield import SUPPORTED_PRIMES, FieldDescriptor, make_field
 from .. import linalg
-from .pr import (
-    PrIndex,
-    PrPresentation,
-    gamma_coeff,
-    graded_commutator,
-    p_power,
-    pr_coproduct,
-)
+from .pr import PrPresentation, gamma_coeff, graded_commutator, p_power, pr_coproduct
 
 DIM_CAP = 200
 
@@ -382,8 +375,8 @@ def _build_pr_quotient(spec: GroupAlgebraSpec):
         [f"g{l}" for l in range(n_gamma)] + [f"v*g{l}" for l in range(n_gamma)]
     )
 
-    def bidx(ell, has_v):
-        return ell + (n_gamma if has_v else 0)
+    def bidx(x):  # the basis index of the P_r basis element x
+        return (x >> 1) + n_gamma * (x & 1)
 
     # gamma_a gamma_b = c gamma_{a+b}, so v gamma_a times gamma_b or v gamma_b
     # is c v gamma_{a+b}, and v gamma_a v gamma_b is -c c' gamma_{a+b+p^r},
@@ -403,24 +396,24 @@ def _build_pr_quotient(spec: GroupAlgebraSpec):
             for k, ck in normal_form(a + b + pr).items():
                 T[a + n_gamma, b + n_gamma, k] = c * vv[a + b] * ck % p
 
-    generators = {f"u{i}": bidx(p**i, False) for i in range(r)}
-    generators["v"] = bidx(0, True)
+    generators = {f"u{i}": bidx(2 * p**i) for i in range(r)}
+    generators["v"] = bidx(1)
     gen_parity = {f"u{i}": 0 for i in range(r)}
     gen_parity["v"] = 1
 
-    monomials = tuple(pres.gamma_monomial(i % n_gamma, i >= n_gamma) for i in range(dim))
+    xs = [2 * (i % n_gamma) + (i >= n_gamma) for i in range(dim)]  # inverse of bidx
+    monomials = tuple(map(pres.gamma_monomial, xs))
     f_terms = [(int(c), ((f"u{r-1}", p**i),)) for i, c in enumerate(fcoeffs, start=1) if c % p]
     if spec.eta % p:
         f_terms.append((spec.eta % p, (("u0", 1),)))
     relations = pres.relations() + (("f(u)+eta*u0", tuple(f_terms)),)
 
     cop = []
-    for i in range(dim):
-        xi = PrIndex(i % n_gamma, i >= n_gamma)
+    for x in xs:
         terms = {}
-        for le, ri, c in pr_coproduct(p, r, xi):
-            assert le.ell < n_gamma and ri.ell < n_gamma
-            key = (bidx(le.ell, le.has_v), bidx(ri.ell, ri.has_v))
+        for le, ri, c in pr_coproduct(p, r, x):
+            assert max(le, ri) < 2 * n_gamma
+            key = (bidx(le), bidx(ri))
             terms[key] = (terms.get(key, 0) + c) % p
         cop.append(tuple((j, k, int(v)) for (j, k), v in sorted(terms.items()) if v))
     signs = [(-1) ** (i % n_gamma + (i >= n_gamma)) for i in range(dim)]
@@ -439,16 +432,16 @@ def _build_gar(spec: GroupAlgebraSpec):
     generators = {f"u{i}": p**i for i in range(r)}
     gen_parity = {f"u{i}": 0 for i in range(r)}
     pres = PrPresentation(p, max(r, 1))
-    monomials = tuple(pres.gamma_monomial(l, False) for l in range(dim))
+    monomials = tuple(pres.gamma_monomial(2 * l) for l in range(dim))
     gnames = [f"u{i}" for i in range(r)]
     relations = [graded_commutator(a, 0, b, 0, p) for a, b in combinations(gnames, 2)]
     relations += [p_power(g, p) for g in gnames]
     cop = []
     for i in range(dim):
         terms = []
-        for le, ri, c in pr_coproduct(p, max(r, 1), PrIndex(i, False)):
-            if le.ell < dim and ri.ell < dim:
-                terms.append((le.ell, ri.ell, c))
+        for le, ri, c in pr_coproduct(p, max(r, 1), 2 * i):
+            if max(le, ri) < 2 * dim:
+                terms.append((le >> 1, ri >> 1, c))
         cop.append(tuple(terms))
     signs = [(-1) ** i for i in range(dim)]
     return _base_algebra(

@@ -52,10 +52,11 @@ class SuperalgebraMorphism:
         B = self.target
         return reduce(B.el_add, (self.image_of_monomial(c, mon) for c, mon in terms), B.el_zero())
 
-    def gamma_image(self, ell: int, has_v: bool = False):
+    def gamma_image(self, x: int):
+        """Image of the P_r basis element x = 2 ell + |x| (see pr)."""
         if not isinstance(self.source, PrPresentation):
             raise ValidationError("gamma images need a P_r source")
-        return self.image_of_monomial(*self.source.gamma_monomial(ell, has_v))
+        return self.image_of_monomial(*self.source.gamma_monomial(x))
 
     def matrix(self):
         """Full basis-to-basis matrix, derived lazily for finite sources.
@@ -110,8 +111,8 @@ class SuperalgebraMorphism:
             # (phi (x) phi)(Delta g)
             lhs = {}
             for le, ri, c in self.source.gen_coproduct(g):
-                vl = self.gamma_image(le.ell, le.has_v)
-                vr = self.gamma_image(ri.ell, ri.has_v)
+                vl = self.gamma_image(le)
+                vr = self.gamma_image(ri)
                 for a in np.nonzero(vl)[0]:
                     for b in np.nonzero(vr)[0]:
                         v = int(F.mul[F.mul[vl[a], vr[b]], F.scalar(c)])
@@ -241,7 +242,7 @@ def classify_quotient(phi: SuperalgebraMorphism) -> QuotientLabel:
         ell += 1
         if ell > 2 * B.dim + 2:
             raise ValidationError("no dependence found; target not finite-dimensional?")
-        vec = sub_phi.gamma_image(ell)
+        vec = sub_phi.gamma_image(2 * ell)
         if cols:
             M = np.stack(cols, axis=1)
             sol = linalg.solve(F, M, vec)
@@ -312,7 +313,7 @@ def _check_surjective(phi: SuperalgebraMorphism, label: QuotientLabel, imgs, v_i
             else {"u0": B.el_zero(), "v": v_img},
             is_algebra_verified=True,
         )
-        gammas = [sub.gamma_image(l) for l in range(bound)]
+        gammas = [sub.gamma_image(x) for x in range(0, 2 * bound, 2)]
     else:
         bound = p ** (label.r + len(label.f) - 1)
         sub = SuperalgebraMorphism(
@@ -321,8 +322,7 @@ def _check_surjective(phi: SuperalgebraMorphism, label: QuotientLabel, imgs, v_i
             {**{f"u{i}": imgs[i] for i in range(s)}, "v": v_img},
             is_algebra_verified=True,
         )
-        gammas = [sub.gamma_image(l) for l in range(bound)]
-        gammas += [sub.gamma_image(l, True) for l in range(bound)]
+        gammas = [sub.gamma_image(x) for x in range(2 * bound)]
     M = np.stack(gammas, axis=1)
     if linalg.rank(F, M) != B.dim:
         raise ValidationError("morphism is not surjective onto the target")

@@ -7,8 +7,10 @@ the divided-power basis
 
     gamma_l = prod_i u_i^{l_i} / l_i!     (l = sum l_i p^i in base p),
 
-and {gamma_l, v*gamma_l} is a homogeneous basis.  Products, coproducts and
-the antipode all have closed forms in this basis; coefficients live in the
+and {gamma_l, v*gamma_l} is a homogeneous basis.  A basis element is the
+int x = 2 l + |x|: gamma_l when x is even, v*gamma_l when x is odd.  So its
+parity is x & 1, and numeric order on x is order by (l, parity).  Products
+and coproducts have closed forms in this basis; coefficients live in the
 prime field and are kept as plain ints mod p.
 
 PrPresentation holds the presentation data (generators, defining
@@ -19,42 +21,9 @@ every commutator and p-power relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
-
-
-@dataclass(frozen=True)
-class PrIndex:
-    """Names the basis element gamma_ell (has_v False) or v*gamma_ell."""
-
-    ell: int
-    has_v: bool = False
-
-    def parity(self) -> int:
-        return 1 if self.has_v else 0
-
-
-@dataclass
-class PrElement:
-    """A finitely supported combination of distinguished basis elements."""
-
-    p: int
-    r: int
-    terms: dict = field(default_factory=dict)  # PrIndex -> int mod p
-
-    def __post_init__(self):
-        self.terms = {k: v % self.p for k, v in self.terms.items() if v % self.p}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PrElement)
-            and self.p == other.p
-            and self.r == other.r
-            and self.terms == other.terms
-        )
 
 
 def digits(n: int, p: int):
@@ -65,70 +34,40 @@ def digits(n: int, p: int):
     return out
 
 
+@lru_cache(maxsize=None)
 def _factorials(p: int):
     f = [1] * p
     for i in range(1, p):
         f[i] = f[i - 1] * i % p
-    return f
+    return tuple(f)
 
 
 def digit_factorial_product(n: int, p: int) -> int:
     """c_n = prod over base-p digits d of n of d!, a unit mod p."""
     fact = _factorials(p)
     out = 1
-    for d in digits(n, p):
+    while n:
+        n, d = divmod(n, p)
         out = out * fact[d] % p
     return out
-
-
-def _binom_small(a: int, b: int, p: int) -> int:
-    # binomial C(a+b, a) with a + b < p
-    fact = _factorials(p)
-    return fact[a + b] * pow(fact[a] * fact[b] % p, p - 2, p) % p
 
 
 def gamma_coeff(a: int, b: int, p: int, r: int) -> int:
     """Coefficient c with gamma_a * gamma_b = c * gamma_{a+b} in P_r (c may be 0).
 
-    Zero exactly when some base-p digit sum carries in a position < r-1;
-    in the u_{r-1} tower the coefficient is always a unit.
+    Zero exactly when some base-p digit sum carries in a position < r-1
+    (there u_i^p = 0); otherwise gamma_a gamma_b = c_{a+b} / (c_a c_b)
+    gamma_{a+b} with c = digit_factorial_product, a unit.
     """
-    coeff = 1
-    aa, bb = a, b
-    for _ in range(r - 1):
-        da, db = aa % p, bb % p
-        if da + db >= p:
+    low = p ** (r - 1)
+    aa, bb = a % low, b % low
+    while aa and bb:
+        if aa % p + bb % p >= p:
             return 0
-        coeff = coeff * _binom_small(da, db, p) % p
         aa //= p
         bb //= p
-    # remaining high parts multiply inside the u_{r-1} power tower
-    c_ab = digit_factorial_product(aa + bb, p)
-    c_a = digit_factorial_product(aa, p)
-    c_b = digit_factorial_product(bb, p)
-    coeff = coeff * c_ab % p * pow(c_a * c_b % p, p - 2, p) % p
-    return coeff
-
-
-def gamma_product(p: int, r: int, x: PrIndex, y: PrIndex) -> PrElement:
-    """Product of two distinguished basis elements of P_r.
-
-    At most one basis element appears in the result; both factors odd
-    contributes v^2 = -gamma_{p^r}.
-    """
-    coeff = gamma_coeff(x.ell, y.ell, p, r)
-    out = PrElement(p, r)
-    if coeff == 0:
-        return out
-    ell = x.ell + y.ell
-    has_v = x.has_v != y.has_v
-    if x.has_v and y.has_v:
-        coeff = coeff * gamma_coeff(ell, p**r, p, r) % p
-        coeff = (-coeff) % p
-        ell += p**r
-    if coeff:
-        out.terms[PrIndex(ell, has_v)] = coeff
-    return out
+    c = digit_factorial_product
+    return c(a + b, p) * pow(c(a, p) * c(b, p), p - 2, p) % p
 
 
 def _carry_free_splits(b: int, p: int):
@@ -141,8 +80,8 @@ def _carry_free_splits(b: int, p: int):
     return splits
 
 
-def pr_coproduct(p: int, r: int, x: PrIndex):
-    """Coproduct of a basis element, yielded as (left, right, coeff) terms.
+def pr_coproduct(p: int, r: int, x: int):
+    """Coproduct of the basis element x, yielded as (left, right, coeff) terms.
 
     For gamma_ell with ell = a + b p^r the terms are gamma_{i+s p^r} (x)
     gamma_{j+t p^r} over i + j = a and carry-free s + t = b, each with
@@ -151,29 +90,16 @@ def pr_coproduct(p: int, r: int, x: PrIndex):
     they are yielded one at a time rather than listed.
     """
     pr = p**r
-    a, b = x.ell % pr, x.ell // pr
+    a, b = (x >> 1) % pr, (x >> 1) // pr
     splits = _carry_free_splits(b, p)
     for i in range(a + 1):
         for s, t in splits:
-            le, ri = i + s * pr, (a - i) + t * pr
-            if x.has_v:
-                yield PrIndex(le, True), PrIndex(ri, False), 1
-                yield PrIndex(le, False), PrIndex(ri, True), 1
+            le, ri = 2 * (i + s * pr), 2 * (a - i + t * pr)
+            if x & 1:
+                yield le + 1, ri, 1
+                yield le, ri + 1, 1
             else:
-                yield PrIndex(le, False), PrIndex(ri, False), 1
-
-
-def pr_antipode_counit(p: int, r: int, x: PrIndex):
-    """Antipode image (a PrElement) and counit value of a basis element.
-
-    S(gamma_ell) = (-1)^ell gamma_ell for every ell (the tower generators
-    gamma_{p^i} all have odd index), and S(v gamma_ell) picks up one more
-    sign from S(v) = -v; the counit is 1 on gamma_0 only.
-    """
-    sign = (-1) ** (x.ell + (1 if x.has_v else 0))
-    el = PrElement(p, r, {x: sign % p})
-    counit = 1 if (x.ell == 0 and not x.has_v) else 0
-    return el, counit
+                yield le, ri, 1
 
 
 # -- presentation data ---------------------------------------------------
@@ -215,14 +141,12 @@ class PrPresentation:
         rels.append((f"u{r-1}^p+v^2", ((1, ((f"u{r-1}", p),)), (1, (("v", 2),)))))
         return tuple(rels)
 
-    def gamma_monomial(self, ell: int, has_v: bool):
-        """(coeff mod p, ((gen, exp), ...)) expressing a basis element."""
+    def gamma_monomial(self, x: int):
+        """(coeff mod p, ((gen, exp), ...)) expressing the basis element x."""
         p, r = self.p, self.r
-        coeff = pow(digit_factorial_product(ell, p), p - 2, p)
-        mon = []
-        if has_v:
-            mon.append(("v", 1))
-        rest = ell
+        rest = x >> 1
+        coeff = pow(digit_factorial_product(rest, p), p - 2, p)
+        mon = [("v", 1)] if x & 1 else []
         for i in range(r - 1):
             d = rest % p
             if d:
@@ -234,10 +158,6 @@ class PrPresentation:
 
     def gen_coproduct(self, name: str):
         """Coproduct of a generator, yielded as (left, right, coeff) terms, where
-        each side is a gamma index interpreted through gamma_monomial."""
-        if name == "v":
-            x = PrIndex(0, True)
-        else:
-            i = int(name[1:])
-            x = PrIndex(self.p**i, False)
+        each side is a basis element x, read through gamma_monomial."""
+        x = 1 if name == "v" else 2 * self.p ** int(name[1:])
         return pr_coproduct(self.p, self.r, x)

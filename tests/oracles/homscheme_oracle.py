@@ -89,14 +89,14 @@ def hom_scheme_generators(source, alg):
         return out if any(out.comps) else None
 
     powers = _Memo(lambda key: power(*key))  # (gen, exp) -> image of gen^exp
-    gammas = {}  # (ell, has_v) -> image of gamma_ell or v*gamma_ell, if nonzero
+    gammas = {}  # P_r basis element x -> its image, if nonzero
 
-    def gamma(ell, has_v):
-        image = gammas.get((ell, has_v))
+    def gamma(x):
+        image = gammas.get(x)
         if image is None:
-            image = eval_monomial(*source.gamma_monomial(ell, has_v))
+            image = eval_monomial(*source.gamma_monomial(x))
             if image:
-                gammas[(ell, has_v)] = image
+                gammas[x] = image
         return image
 
     out = []
@@ -118,12 +118,12 @@ def hom_scheme_generators(source, alg):
     for gi, g in enumerate(gens, start=1):
         acc = {}
         for le, ri, c in source.gen_coproduct(g):
-            if (ri.ell, ri.has_v) < (le.ell, le.has_v):
+            if ri < le:
                 continue
             # B is skipped when A is zero; zero images are not memoised, as for
             # a large source nearly all p^(r-1) gammas are zero and distinct
-            A = gamma(le.ell, le.has_v)
-            B = A and gamma(ri.ell, ri.has_v)
+            A = gamma(le)
+            B = A and gamma(ri)
             if B:
                 _tensor_components(A, B, F.scalar(c), acc, le != ri)
         for j in nonunit:

@@ -201,14 +201,25 @@ def test_the_fuzzed_inputs_reach_every_exit(capsys):
         lambda d: {**d, "r": -1},
         lambda d: {**d, "p": 0},
         lambda d: {**d, "p": 5},
+        lambda d: {**d, "r": 10**6, "images": {}},
     ],
-    ids=["null", "list", "field-int", "images-list", "image-int", "r-negative", "p-zero", "p-other"],
+    ids=["null", "list", "field-int", "images-list", "image-int", "r-negative", "p-zero", "p-other", "r-huge"],
 )
 def test_classify_file_shapes_exit_2(capsys, tmp_path, edit):
     # all but images-list and p-other ended in a traceback before the
-    # file's shape and its p and r were checked
+    # file's shape and its p and r were checked.  A huge r with no images
+    # named all r + 1 generators (about 65 MB at r = 10^6) before it looked
+    # for the first one missing; the bound leaves room for classify's imports
+    import tracemalloc
+
     path = tmp_path / "quot.json"
     path.write_text(json.dumps(edit(QUOT)))
-    code = main(["classify", "-f", str(path)])
+    tracemalloc.start()
+    try:
+        code = main(["classify", "-f", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     out, err = capsys.readouterr()
     assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+    assert peak < 8 * 2**20, peak

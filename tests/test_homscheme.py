@@ -9,7 +9,7 @@ import pytest
 
 from oracles import homscheme_oracle
 from supvar.errors import BoundExceeded, ValidationError
-from supvar.gfield import make_field
+from supvar.gfield import SUPPORTED_PRIMES, make_field
 from supvar.superalg.algebra import GroupAlgebraSpec, build_group_algebra, verify_algebra
 from supvar.superalg import homscheme
 from supvar.superalg.homscheme import (
@@ -24,7 +24,6 @@ from supvar.superalg.homscheme import (
     source_r_cap,
 )
 from supvar.superalg.morphisms import PrPresentation
-from supvar.superalg.pr import PrIndex
 
 F3 = make_field(3, 1)
 
@@ -451,16 +450,31 @@ def test_variable_names_keep_the_render_injective(names):
     PolyRing(F3, [("x_1_2", 0), ("_y", 1), ("w0", 0)])
 
 
-@pytest.mark.parametrize("p,r", [(3, 1), (3, 3), (5, 2)])
-def test_generator_coproducts_are_cocommutative(p, r):
-    # the ideal adds each coproduct term (le, ri, c) with its mirror
-    # (ri, le, c) from one product, so Delta(g) must hold both, with the
-    # same coefficient: no side is odd on both, so no Koszul sign
-    source = PrPresentation(p, r)
+def _cocommutativity_fault(source):
+    """What keeps the ideal's build from reading source's coproducts, or None.
+
+    The ideal adds each coproduct term (le, ri, c) with its mirror
+    (ri, le, c) from one product, and builds only the components a <= b.
+    So Delta(g) must hold both terms, with the same coefficient, and no
+    term may be odd on both sides, where a Koszul sign would enter."""
     for g in source.gen_names:
-        terms = [((le.ell, le.has_v), (ri.ell, ri.has_v), c) for le, ri, c in source.gen_coproduct(g)]
-        assert sorted(terms) == sorted((b, a, c) for a, b, c in terms)
-        assert not any(a[1] and b[1] for a, b, _ in terms)
+        weight = {}
+        for le, ri, c in source.gen_coproduct(g):
+            if le & ri & 1:
+                return f"the coproduct of {g} has a term odd on both sides"
+            weight[le, ri] = weight.get((le, ri), 0) + c
+        if any((weight.get((ri, le), 0) - c) % source.p for (le, ri), c in weight.items()):
+            return f"the coproduct of {g} is not super-cocommutative"
+    return None
+
+
+@pytest.mark.parametrize(
+    "p,r", [(p, r) for p in SUPPORTED_PRIMES for r in range(1, source_r_cap(p) + 1)]
+)
+def test_generator_coproducts_are_cocommutative(p, r):
+    # P_r's coproduct is a function of (p, r), so it is checked here, for
+    # every source that check_source accepts, instead of on every build
+    assert _cocommutativity_fault(PrPresentation(p, r)) is None
 
 
 @pytest.mark.parametrize("pa,pb", [(0, 0), (0, 1), (1, 0), (1, 1)])
@@ -570,14 +584,14 @@ class _Skewed(PrPresentation):
     [
         (lambda t: t[:-1], "not super-cocommutative"),
         (lambda t: [(le, ri, 2 if i == 1 else c) for i, (le, ri, c) in enumerate(t)], "not super-cocommutative"),
-        (lambda t: t + [(PrIndex(0, True), PrIndex(1, True), 1)], "odd on both sides"),
+        (lambda t: t + [(1, 3, 1)], "odd on both sides"),
     ],
 )
 def test_source_coproduct_checked_where_it_enters(edit, words):
-    ga2, _ = build_group_algebra(GroupAlgebraSpec("Gar", 3, r=2))
-    with pytest.raises(ValidationError, match=words):
-        hom_scheme_ideal(_Skewed(3, 2, edit), ga2)
-    hom_scheme_ideal(_Skewed(3, 2, lambda t: t[::-1]), ga2)  # order is free
+    # the check that test_generator_coproducts_are_cocommutative runs on
+    # every accepted (p, r) catches each skew of a source's coproduct
+    assert words in _cocommutativity_fault(_Skewed(3, 2, edit))
+    assert _cocommutativity_fault(_Skewed(3, 2, lambda t: t[::-1])) is None  # order is free
 
 
 def test_target_coproduct_checked_where_it_enters():
@@ -610,3 +624,20 @@ def test_streamed_render_memory_is_bounded():
     digest = dict((spec["family"], d) for r, spec, d in RENDER_SHA1 if r == 3)["Gar"]
     assert hashlib.sha1("\n".join(lines).encode()).hexdigest() == digest
     assert peak < 8 * 2**20, peak
+
+
+def test_large_source_memory_is_bounded():
+    # P_10 -> G_a(0) has no variables and an empty ideal, but Delta(u_9)
+    # alone has 3^9 + 1 terms; the stream reads them one at a time.  Checking
+    # the source on every build held all of them and peaked at 3 MB.
+    import tracemalloc
+
+    alg, _ = build_group_algebra(GroupAlgebraSpec("Gar", 3, r=0))
+    tracemalloc.start()
+    try:
+        lines = hom_scheme_ideal(PrPresentation(3, 10), alg).render()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lines == []
+    assert peak < 2**19, peak

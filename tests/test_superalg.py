@@ -21,6 +21,7 @@ from supvar.superalg.algebra import (
     verify_hopf,
 )
 from oracles.points_oracle import elements
+from oracles.pr_oracle import gamma_product
 from oracles.algebra_oracle import (
     _tensor_square_product,
     radical_layers,
@@ -351,18 +352,16 @@ QUOTIENT_SPECS = [
 def test_quotient_tensor_matches_gamma_product(spec):
     # the tensor of M_{r;f,eta} against all d^2 basis products formed one at
     # a time by gamma_product and reduced by the quotient's normal form
-    from supvar.superalg.pr import PrIndex, gamma_product
-
     p, r = spec.p, spec.r
     n_gamma, normal_form = algebra._quotient_reducer(p, r, spec.fcoeffs(), spec.eta)
     dim = 2 * n_gamma
+    xs = [2 * (i % n_gamma) + (i >= n_gamma) for i in range(dim)]  # P_r element of basis index i
     T = np.zeros((dim,) * 3, dtype=linalg.DT)
     for i in range(dim):
         for j in range(dim):
-            prod = gamma_product(p, r, PrIndex(i % n_gamma, i >= n_gamma), PrIndex(j % n_gamma, j >= n_gamma))
-            for idx, c in prod.terms.items():
-                for k, ck in normal_form(idx.ell).items():
-                    tgt = k + (n_gamma if idx.has_v else 0)
+            for x, c in gamma_product(p, r, xs[i], xs[j]).terms.items():
+                for k, ck in normal_form(x >> 1).items():
+                    tgt = k + n_gamma * (x & 1)
                     T[i, j, tgt] = (T[i, j, tgt] + c * ck) % p
     alg, _ = build_group_algebra(spec)
     assert alg.tensor.dtype == T.dtype and np.array_equal(alg.tensor, T)
