@@ -12,7 +12,7 @@ images of gamma_1, gamma_2, gamma_3, ...
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -30,8 +30,6 @@ class SuperalgebraMorphism:
     source: object  # PrPresentation or PresentedSuperalgebra
     target: PresentedSuperalgebra
     images: dict  # generator name -> (dim,) index vector over target basis
-    is_algebra_verified: bool = False
-    is_hopf_verified: bool = False
     _image_cache: dict = dfield(default_factory=dict)
 
     def _source_gen_names(self):
@@ -46,7 +44,7 @@ class SuperalgebraMorphism:
 
     def image_of_monomial(self, coeff, mon):
         """Image of coeff * prod gens^exp, multiplied in the target."""
-        return self.target.el_word(coeff, mon, self.images, self._image_cache)
+        return _word_image(self.target, coeff, mon, self.images, self._image_cache)
 
     def image_of_terms(self, terms):
         B = self.target
@@ -75,7 +73,8 @@ class SuperalgebraMorphism:
         return cached
 
     def verify_algebra(self):
-        """Generator parities and all source relations; sets the flag."""
+        """Generator parities and all source relations.  A relation whose
+        every term has a generator mapping to zero is zero, and skipped."""
         B = self.target
         for g in self._source_gen_names():
             if g not in self.images:
@@ -90,17 +89,18 @@ class SuperalgebraMorphism:
             if isinstance(self.source, PrPresentation)
             else self.source.relations
         )
+        dead = {g for g in self._source_gen_names() if not np.any(self.images[g])}
         for label, terms in rels:
-            val = self.image_of_terms(terms)
-            if np.any(val):
+            if all(dead.intersection(g for g, _ in mon) for _, mon in terms):
+                continue
+            if np.any(self.image_of_terms(terms)):
                 raise ValidationError(f"relation {label} not killed by the morphism")
-        self.is_algebra_verified = True
         return self
 
     def verify_hopf(self):
-        """Coproduct and antipode compatibility on generators; sets the flag."""
-        if not self.is_algebra_verified:
-            self.verify_algebra()
+        """verify_algebra, then coproduct and antipode compatibility on
+        generators."""
+        self.verify_algebra()
         if not isinstance(self.source, PrPresentation):
             raise ValidationError("hopf verification implemented for P_r sources")
         B = self.target
@@ -134,8 +134,15 @@ class SuperalgebraMorphism:
             got = linalg.matvec(F, B.hopf.antipode, img)
             if not np.array_equal(want, got):
                 raise ValidationError(f"antipode compatibility fails on {g}")
-        self.is_hopf_verified = True
         return self
+
+
+def _word_image(B: PresentedSuperalgebra, coeff, mon, images, memo):
+    """B.el_word of the images, or zero with no product when a letter of
+    mon maps to zero."""
+    if any(not np.any(images[g]) for g, _ in mon):
+        return B.el_zero()
+    return B.el_word(coeff, mon, images, memo)
 
 
 def canonical_quotient_morphism(alg: PresentedSuperalgebra) -> SuperalgebraMorphism:
@@ -143,7 +150,7 @@ def canonical_quotient_morphism(alg: PresentedSuperalgebra) -> SuperalgebraMorph
     spec = alg.spec
     if spec is None or spec.family not in ("Mrs", "Mrf", "Gar", "GaMinus"):
         raise ValidationError("no canonical P_r quotient map for this algebra")
-    r = spec.r if spec.family != "GaMinus" else 1
+    r = max(spec.r, 1)  # G_a(0) and G_a^- are quotients of P_1
     pres = PrPresentation(spec.p, r)
     images = {}
     for i in range(r):
@@ -196,16 +203,20 @@ class QuotientLabel:
 def classify_quotient(phi: SuperalgebraMorphism) -> QuotientLabel:
     """Classify a finite-dimensional Hopf superalgebra quotient of P_r.
 
-    Follows the dependence-relation procedure: strip generators mapping to
-    zero, then scan the images of gamma_1, gamma_2, ... for the first
-    linear dependence.  The dependence must occur at an index p^{r+e} and
-    may only involve gamma_1 and the tower indices p^r, ..., p^{r+e-1};
-    anything else means the input was not a Hopf morphism.
+    One pass over one set of images, after verify_hopf.  Strip the leading
+    u-generators with zero image (the descent P_r -> P_s) and read the
+    images of P_s's basis elements x through one memo.  The dim + 1 columns
+    gamma_1 .. gamma_{dim+1} are dependent, and the first dependence is at
+    the first non-pivot column c of their rref: gamma_{c+1} is R[:c, c]
+    against gamma_1 .. gamma_c.  It must occur at an index p^{s+e} and may
+    only involve gamma_1 and the tower indices p^s, ..., p^{s+e-1};
+    anything else means the input was not a Hopf morphism.  The map is onto
+    when the images of x < 2 bound have rank dim, with bound the dependence
+    index, or 1 when s = 0 (for G_a(s) the odd images are zero).
     """
     if not isinstance(phi.source, PrPresentation):
         raise ValidationError("classification needs a P_r presentation source")
-    if not phi.is_hopf_verified:
-        phi.verify_hopf()
+    phi.verify_hopf()
     B = phi.target
     F = B.F
     p = phi.source.p
@@ -216,113 +227,41 @@ def classify_quotient(phi: SuperalgebraMorphism) -> QuotientLabel:
     while imgs and not np.any(imgs[0]):
         imgs.pop(0)
     s = len(imgs)
+    # P_0 is read as P_1 with u0 -> 0: its basis images are 1 and v
+    sub, memo = PrPresentation(p, max(s, 1)), {}
+    images = {"u0": B.el_zero(), **{f"u{i}": g for i, g in enumerate(imgs)}, "v": v_img}
+    image = cache(lambda x: _word_image(B, *sub.gamma_monomial(x), images, memo))
 
-    if s == 0:
-        label = (
-            QuotientLabel("GaMinus") if np.any(v_img) else QuotientLabel("Gar", r=0)
-        )
-        _check_surjective(phi, label, imgs, v_img)
-        return label
-
-    sub = PrPresentation(p, s)
-    sub_phi = SuperalgebraMorphism(
-        sub,
-        B,
-        {**{f"u{i}": imgs[i] for i in range(s)}, "v": v_img},
-        is_algebra_verified=True,
-        is_hopf_verified=True,
-    )
-
-    # scan gamma images for the first dependence
-    cols = []
-    ell = 0
-    dep_index = None
-    dep_coeffs = None
-    while dep_index is None:
-        ell += 1
-        if ell > 2 * B.dim + 2:
-            raise ValidationError("no dependence found; target not finite-dimensional?")
-        vec = sub_phi.gamma_image(2 * ell)
-        if cols:
-            M = np.stack(cols, axis=1)
-            sol = linalg.solve(F, M, vec)
-        else:
-            sol = np.zeros(0, dtype=linalg.DT) if not np.any(vec) else None
-        if sol is not None:
-            dep_index = ell
-            dep_coeffs = sol
-        else:
-            cols.append(vec)
-
-    # the dependence index must be a power p^{s+e}
-    e = 0
-    n = dep_index
-    while n % p == 0:
-        n //= p
-        e += 1
-    if n != 1 or e < s:
-        raise ValidationError(
-            f"dependence at index {dep_index}, not of the form p^(r+e); not a Hopf quotient"
-        )
-    e -= s
-    allowed = {1} | {p ** (s + i) for i in range(e)}
-    coeffs = {}
-    for ldx, c in enumerate(dep_coeffs, start=1):
-        if int(c) == 0:
-            continue
-        if ldx not in allowed:
+    label, bound = QuotientLabel("GaMinus" if np.any(v_img) else "Gar"), 1
+    if s:
+        gammas = np.stack([image(2 * ell) for ell in range(1, B.dim + 2)], axis=1)
+        R, pivots = linalg.rref(F, gammas)
+        c = next((j for j, q in enumerate(pivots) if j != q), len(pivots))
+        bound = dep_index = c + 1
+        # the dependence index must be a power p^{s+e}
+        e = 0
+        n = dep_index
+        while n % p == 0:
+            n //= p
+            e += 1
+        if n != 1 or e < s:
             raise ValidationError(
-                f"dependence involves gamma_{ldx}; not a Hopf quotient"
+                f"dependence at index {dep_index}, not of the form p^(r+e); not a Hopf quotient"
             )
-        coeffs[ldx] = int(c)
+        e -= s
+        coeffs = {ldx: a for ldx, a in enumerate(R[:c, c].tolist(), start=1) if a}
+        stray = sorted(set(coeffs) - {1} - {p ** (s + i) for i in range(e)})
+        if stray:
+            raise ValidationError(f"dependence involves gamma_{stray[0]}; not a Hopf quotient")
+        if not np.any(v_img):
+            if e != 0 or coeffs:
+                raise ValidationError("purely even quotient with nontrivial dependence")
+            label = QuotientLabel("Gar", r=s)
+        else:
+            # f = T^{p^{e+1}} - sum a_{p^{s-1+i}} T^{p^i}, eta = -a_1
+            f = [int(F.neg[coeffs.get(p ** (s - 1 + i), 0)]) for i in range(1, e + 1)]
+            label = QuotientLabel("Mrf", r=s, f=(*f, 1), eta=int(F.neg[coeffs.get(1, 0)]))
 
-    if not np.any(v_img):
-        if e != 0 or coeffs:
-            raise ValidationError("purely even quotient with nontrivial dependence")
-        label = QuotientLabel("Gar", r=s)
-        _check_surjective(phi, label, imgs, v_img)
-        return label
-
-    # f = T^{p^{e+1}} - sum a_{p^{s-1+i}} T^{p^i}, eta = -a_1
-    fvec = [0] * (e + 1)
-    for i in range(1, e + 1):
-        a = coeffs.get(p ** (s - 1 + i), 0)
-        fvec[i - 1] = int(F.neg[a])
-    fvec[e] = 1
-    eta = int(F.neg[coeffs.get(1, 0)])
-    label = QuotientLabel("Mrf", r=s, f=tuple(fvec), eta=eta)
-    _check_surjective(phi, label, imgs, v_img)
-    return label
-
-
-def _check_surjective(phi: SuperalgebraMorphism, label: QuotientLabel, imgs, v_img):
-    """The spanned image must be all of the target."""
-    B = phi.target
-    F = B.F
-    p = phi.source.p
-    s = len(imgs)
-    if label.kind == "GaMinus":
-        gammas = [B.el_unit(), v_img]
-    elif label.kind == "Gar":
-        bound = p**label.r if label.r else 1
-        sub = SuperalgebraMorphism(
-            PrPresentation(p, max(s, 1)),
-            B,
-            {**{f"u{i}": imgs[i] for i in range(s)}, "v": v_img}
-            if s
-            else {"u0": B.el_zero(), "v": v_img},
-            is_algebra_verified=True,
-        )
-        gammas = [sub.gamma_image(x) for x in range(0, 2 * bound, 2)]
-    else:
-        bound = p ** (label.r + len(label.f) - 1)
-        sub = SuperalgebraMorphism(
-            PrPresentation(p, s),
-            B,
-            {**{f"u{i}": imgs[i] for i in range(s)}, "v": v_img},
-            is_algebra_verified=True,
-        )
-        gammas = [sub.gamma_image(x) for x in range(2 * bound)]
-    M = np.stack(gammas, axis=1)
-    if linalg.rank(F, M) != B.dim:
+    if linalg.rank(F, np.stack([image(x) for x in range(2 * bound)], axis=1)) != B.dim:
         raise ValidationError("morphism is not surjective onto the target")
+    return label

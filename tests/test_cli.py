@@ -196,6 +196,24 @@ def test_classify_golden(capsys, tmp_path):
     assert (code, out.strip()) == (0, "M_{1;1,2}")
 
 
+def test_classify_multiplies_no_zero_images(capsys, tmp_path, monkeypatch):
+    # u_i -> 0 for all 200 u's and v -> v: a term with a zero letter is zero
+    # with no product, so of the r(r+1)/2 relations only u199^p + v^2 is
+    # multiplied out (v^2 != 0, so classify rejects the map there)
+    from supvar.superalg.algebra import PresentedSuperalgebra
+
+    r, el_mul, calls = 200, PresentedSuperalgebra.el_mul, []
+    images = {**{f"u{i}": ["0"] * 6 for i in range(r)}, "v": QUOT["images"]["v"]}
+    path = write(tmp_path, "zero.json", json.dumps({**QUOT, "r": r, "images": images}))
+    monkeypatch.setattr(
+        PresentedSuperalgebra, "el_mul", lambda *args: calls.append(1) or el_mul(*args)
+    )
+    code, out, err = run(capsys, ["classify", "-f", path])
+    assert (code, out) == (2, "")
+    assert err == f"error: relation u{r - 1}^p+v^2 not killed by the morphism\n"
+    assert len(calls) <= 50, len(calls)
+
+
 def test_psi_golden(capsys, m11_file):
     code, out, _ = run(capsys, ["psi", "-g", m11_file, "-P", "1,2", "-F", "3^1"])
     assert (code, out.strip()) == (0, "1,2")
