@@ -50,66 +50,53 @@ def check_depth(what: str, n: int, low: int, cap: int) -> None:
 
 @dataclass
 class CochainComplex:
-    """Cochain spaces with parity vectors and differentials C^i -> C^{i+1}.
+    """Hom_{P_1}(P_bullet, W) for the 2-periodic resolution of P_1:
 
-    The differentials may carry leading stack axes, (..., dim_{i+1}, dim_i):
-    a stack of complexes on the same cochain spaces.  The checks below then
-    cover every slice, `d.d = 0` only with `check` (see p1_hom_complex);
-    `cohomology_dims` needs single matrices.
+        W --d_0--> W + Pi(W) --d_phi--> W + Pi(W) --d_psi--> W + Pi(W) --d_phi--> ...
 
-    A periodic complex repeats the same matrix and parity objects from
-    degree to degree.  The `d.d = 0` and parity checks run once per
-    distinct (d_{i+1}, d_i, parity_{i+1}, parity_i), and each parity block
-    of a differential is ranked once per distinct (d_i, parity_{i+1},
-    parity_i), both keyed on object identity: a repeated degree holds the
-    same matrices, so its check and its ranks are the same.  Differentials
-    that are equal but distinct objects are checked and ranked again.
+    It holds diffs = (d_0, d_phi, d_psi) and parities = (W's parity, the
+    parity of W + Pi(W)).  Every degree i >= 2 is the same space between
+    d_phi and d_psi, so H^i = H^2.  The differentials may carry leading
+    stack axes, (..., rows, cols): a stack of complexes on the same cochain
+    spaces.  The checks cover every slice, d.d = 0 only with `check` (see
+    p1_hom_complex); `cohomology_dims` needs single matrices.
     """
 
     field: object
-    parities: list  # per degree: (dim_i,) array of 0/1
-    diffs: list  # diffs[i]: matrix (dim_{i+1}, dim_i)
+    parities: tuple  # (W's parity, the parity of W + Pi(W)): arrays of 0/1
+    diffs: tuple  # (d_0, d_phi, d_psi)
     check: bool = True
 
     def __post_init__(self):
         F = linalg.tables(self.field)
-        checked = set()
-        for i in range(len(self.diffs) - 1):
-            d, d_next = self.diffs[i], self.diffs[i + 1]
-            src, tgt = self.parities[i], self.parities[i + 1]
-            key = (id(d_next), id(d), id(tgt), id(src))
-            if key in checked:
-                continue
-            checked.add(key)
+        d_0, d_phi, d_psi = self.diffs
+        par0, par = self.parities
+        # degree i: d_i preserves parity, and the next differential kills it
+        for i, (d, d_next, src) in enumerate(
+            ((d_0, d_phi, par0), (d_phi, d_psi, par), (d_psi, d_phi, par))
+        ):
             if self.check and np.any(linalg.bmatmul(F, d_next, d)):
                 raise ValidationError(f"differentials do not compose to zero at degree {i}")
-            # the differential preserves cochain parity
             rows, cols = linalg.stack_nonzero(d)
-            if np.any(tgt[rows] != src[cols]):
+            if np.any(par[rows] != src[cols]):
                 raise ValidationError(f"differential mixes parities at degree {i}")
 
-    def cohomology_dims(self):
-        """List of (even_dim, odd_dim) for degrees 0 .. len(diffs) - 1."""
+    def cohomology_dims(self, maxdeg: int):
+        """(even_dim, odd_dim) of H^0 .. H^maxdeg, maxdeg >= 1, from one rank
+        per parity block of each differential."""
         F = linalg.tables(self.field)
-        block_ranks = {}
-
-        def block_rank(d, par):
-            key = (id(self.diffs[d]), id(self.parities[d + 1]), id(self.parities[d]), par)
-            if key not in block_ranks:
-                rows = np.nonzero(self.parities[d + 1] == par)[0]
-                cols = np.nonzero(self.parities[d] == par)[0]
-                block = self.diffs[d][np.ix_(rows, cols)]
-                block_ranks[key] = linalg.rank(F, block) if block.size else 0
-            return block_ranks[key]
-
-        out = []
-        for d in range(len(self.diffs)):
-            dims = []
-            for par in (0, 1):
-                cols = int((self.parities[d] == par).sum())
-                dims.append(cols - block_rank(d, par) - (block_rank(d - 1, par) if d else 0))
-            out.append(tuple(dims))
-        return out
+        par0, par = self.parities
+        h0, h1, h2 = [], [], []
+        for b in (0, 1):
+            rows, cols0 = np.nonzero(par == b)[0], np.nonzero(par0 == b)[0]
+            r0, r_phi, r_psi = (
+                linalg.rank(F, d[np.ix_(rows, cols)]) if len(rows) and len(cols) else 0
+                for d, cols in zip(self.diffs, (cols0, rows, rows))
+            )
+            h0.append(len(cols0) - r0)
+            h1.append(len(rows) - r_phi - r0)
+            h2.append(len(rows) - r_psi - r_phi)
+        return [tuple(h0), tuple(h1)] + [tuple(h2)] * (maxdeg - 1)
 
 
 @dataclass
@@ -126,13 +113,15 @@ class ExtTable:
         return "\n".join(f"{i}: {e}|{o}" for i, (e, o) in enumerate(self.dims))
 
 
-def p1_hom_complex(W: P1ModuleView, maxdeg: int, check: bool = False) -> CochainComplex:
+def p1_hom_complex(W: P1ModuleView, check: bool = False) -> CochainComplex:
     """The complex Hom_{P_1}(P_bullet, W) for the 2-periodic resolution.
 
     Degree 0 is W; each higher degree is W + Pi(W), as pairs (w0, w1) of
-    values on the even and odd free generator.  Differentials precompose
-    with (u, v), phi, psi, psi, phi, ... and carry the sign (-1)^{|f|} on
-    the entries acted on through v, realized by V pi.
+    values on the even and odd free generator.  The three differentials
+    precompose with (u, v), phi and psi, and carry the sign (-1)^{|f|} on
+    the entries acted on through v, realized by V pi.  The resolution
+    continues phi, psi, phi, ..., so these three are all of the complex's
+    differentials, whatever the degree (see CochainComplex).
 
     W is assumed valid: views are validated when first constructed, and
     p1_dual and p1_tensor are closed on valid views.  From a valid view (U
@@ -142,7 +131,6 @@ def p1_hom_complex(W: P1ModuleView, maxdeg: int, check: bool = False) -> Cochain
     pd_class, cup_y_square and the tests pass; the parity check always
     runs.  A stacked W gives the stack of complexes.
     """
-    check_depth("maxdeg", maxdeg, 2, EXT_DEGREE_CAP)
     F = W.F
     p = W.field.p
     U = W.U
@@ -152,29 +140,27 @@ def p1_hom_complex(W: P1ModuleView, maxdeg: int, check: bool = False) -> Cochain
     oddcols = np.nonzero(W.parity == 1)[0]
     Vp[..., oddcols] = F.neg[Vp[..., oddcols]]
     nVp = F.neg[Vp]
-    nU = F.neg[U]
-    nUp = F.neg[Up]
 
-    # degrees >= 1 share one parity array, so the complex's checks and
-    # ranks see the repeated degrees as repeats
     shifted = np.concatenate([W.parity, (1 - W.parity).astype(np.int8)])
-    parities = [W.parity.copy()] + [shifted] * (maxdeg + 1)
-
-    diffs = [np.concatenate([U, Vp], axis=-2)]
-    d_phi = np.block([[Up, nVp], [Vp, nU]]).astype(linalg.DT)
-    d_psi = np.block([[U, nVp], [Vp, nUp]]).astype(linalg.DT)
-    for i in range(1, maxdeg + 1):
-        diffs.append(d_phi if i % 2 == 1 else d_psi)
-    return CochainComplex(W.field, parities, diffs, check)
+    d_0 = np.concatenate([U, Vp], axis=-2)
+    d_phi = np.block([[Up, nVp], [Vp, F.neg[U]]]).astype(linalg.DT)
+    d_psi = np.block([[U, nVp], [Vp, F.neg[Up]]]).astype(linalg.DT)
+    return CochainComplex(W.field, (W.parity, shifted), (d_0, d_phi, d_psi), check)
 
 
 def ext_dims(M: P1ModuleView, N: P1ModuleView, maxdeg: int) -> ExtTable:
-    """Ext_{P_1}(M, N) through maxdeg, via the coefficient module M^# (x) N."""
+    """Ext_{P_1}(M, N) through maxdeg, via the coefficient module M^# (x) N.
+
+    The depth is checked here, where a degree enters the library.  The
+    complex has three differentials, d_0, d_phi and d_psi, and every degree
+    i >= 2 is the same space between d_phi and d_psi, so Ext^i = Ext^2
+    there: the table costs six block ranks at any depth.
+    """
+    check_depth("maxdeg", maxdeg, 2, EXT_DEGREE_CAP)
     if M.field != N.field:
         raise ValidationError("Ext needs both modules over the same field")
     W = p1_tensor(p1_dual(M), N)
-    cx = p1_hom_complex(W, maxdeg, check=True)
-    return ExtTable(cx.cohomology_dims()[: maxdeg + 1])
+    return ExtTable(p1_hom_complex(W, check=True).cohomology_dims(maxdeg))
 
 
 def pd_infinite(M: P1ModuleView, check: bool = False) -> np.ndarray:
@@ -195,8 +181,8 @@ def pd_infinite(M: P1ModuleView, check: bool = False) -> np.ndarray:
     """
     if M.dim == 0:
         raise ValidationError("pd_class of the zero module")
-    cx = p1_hom_complex(p1_dual(M), 2, check)
-    ranks = linalg.ranks(M.F, np.stack([cx.diffs[1], cx.diffs[2]]))
+    cx = p1_hom_complex(p1_dual(M), check)
+    ranks = linalg.ranks(M.F, np.stack(cx.diffs[1:3]))
     return 2 * M.dim - ranks[0] - ranks[1] != 0
 
 
@@ -220,7 +206,8 @@ def cup_y_square(M: P1ModuleView):
         raise ValidationError("cup_y_square of the zero module")
     F = M.F
     W = p1_tensor(p1_dual(M), M)
-    cx = p1_hom_complex(W, 4, check=True)
+    cx = p1_hom_complex(W, check=True)
+    d = (*cx.diffs, cx.diffs[1])  # d_0 .. d_3: d_3 is d_phi again
     n = W.dim
 
     # coevaluation: the 0-cocycle corresponding to the identity map of M
@@ -228,34 +215,28 @@ def cup_y_square(M: P1ModuleView):
     for a in range(M.dim):
         idx = a * M.dim + a
         coev[idx] = 1 if M.parity[a] == 0 else F.neg[1]
-    if np.any(linalg.matvec(F, cx.diffs[0], coev)):
+    if np.any(linalg.matvec(F, d[0], coev)):
         raise ValidationError("identity class is not a cocycle; sign conventions broken")
 
     # swap operators realizing cup by y
-    T = []
-    T0 = np.concatenate([linalg.zeros(n, n), linalg.identity(n)], axis=0)
-    T.append(T0)
-    swap = np.block(
-        [[linalg.zeros(n, n), linalg.identity(n)], [linalg.identity(n), linalg.zeros(n, n)]]
-    ).astype(linalg.DT)
-    for i in range(1, 4):
-        T.append(swap if i % 2 == 0 else F.neg[swap])
+    Z, I = linalg.zeros(n, n), linalg.identity(n)
+    swap = np.block([[Z, I], [I, Z]]).astype(linalg.DT)
+    T = [np.concatenate([Z, I]), F.neg[swap], swap, F.neg[swap]]
 
     # the square of the swap operator must be a chain operator
     for i in (0, 1):
         S_i = linalg.matmul(F, T[i + 1], T[i])
         S_next = linalg.matmul(F, T[i + 2], T[i + 1])
-        lhs = linalg.matmul(F, cx.diffs[i + 2], S_i)
-        rhs = linalg.matmul(F, S_next, cx.diffs[i])
+        lhs = linalg.matmul(F, d[i + 2], S_i)
+        rhs = linalg.matmul(F, S_next, d[i])
         if not np.array_equal(lhs, rhs):
             raise ValidationError("cup-by-y square is not a chain operator; sign bug")
 
     c1 = linalg.matvec(F, T[0], coev)
     c2 = linalg.matvec(F, T[1], c1)
-    if np.any(linalg.matvec(F, cx.diffs[2], c2)):
+    if np.any(linalg.matvec(F, d[2], c2)):
         raise ValidationError("1 cup y^2 is not a cocycle; sign conventions broken")
-    sol = linalg.solve(F, cx.diffs[1], c2)
-    is_nonzero = sol is None
+    is_nonzero = linalg.solve(F, d[1], c2) is None
     return is_nonzero, {"cocycle": c2, "complex": cx, "operators": T}
 
 

@@ -90,11 +90,6 @@ def scale(F: GFTables, c, A: np.ndarray) -> np.ndarray:
     return F.mul[F.scalar(c), A]
 
 
-def scale_index(F: GFTables, cidx: int, A: np.ndarray) -> np.ndarray:
-    """Scale by the field element with the given index."""
-    return F.mul[int(cidx), A]
-
-
 def matmul(F: GFTables, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Product of two matrices (see `bmatmul`, which also takes stacks)."""
     assert A.ndim == 2 and B.ndim == 2, (A.shape, B.shape)

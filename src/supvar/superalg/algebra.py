@@ -247,14 +247,17 @@ class PresentedSuperalgebra:
         left-normed word ((g_1 g_1) ... g_2) ... of its letters, multiplied
         by el_mul.  A letter g stands for images[g] (default: its basis
         element).  memo keeps the value of every prefix of the word, keyed
-        by its letters, for later calls."""
-        word, out = tuple(g for g, e in mon for _ in range(e)), self.el_unit()
+        by its letters, for later calls; the product starts from the
+        longest prefix already there, found walking back from the word."""
+        word = tuple(g for g, e in mon for _ in range(e))
         gen = self.el_gen if images is None else images.__getitem__
         memo = {} if memo is None else memo
-        for t in range(1, len(word) + 1):
-            if word[:t] not in memo:
-                memo[word[:t]] = self.el_mul(out, gen(word[t - 1]))
-            out = memo[word[:t]]
+        t = len(word)
+        while t and word[:t] not in memo:
+            t -= 1
+        out = memo[word[:t]] if t else self.el_unit()
+        for t in range(t + 1, len(word) + 1):
+            out = memo[word[:t]] = self.el_mul(out, gen(word[t - 1]))
         return self.el_scale(coeff, out)
 
     @cached_property

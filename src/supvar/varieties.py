@@ -356,7 +356,6 @@ def support_set(
     spec: GroupAlgebraSpec,
     M: SuperModule,
     field: FieldDescriptor,
-    method: str = "param",
     check: bool = False,
 ) -> PointSet:
     """Points where the pulled-back module has infinite projective dimension.
@@ -408,7 +407,7 @@ def support_set(
     alg = MF.algebra
     if build_group_algebra(spec, field)[0] is not alg:
         raise ValidationError("module algebra does not match the point's group")
-    pts = enumerate_points(spec, field, method=method).points
+    pts = enumerate_points(spec, field).points
     per = max(1, _CHUNK_CELLS // alg.dim**2)
     orbit = np.empty(len(pts), dtype=np.int64)
     numbers = {}  # orbit key -> orbit number, in the order of first points

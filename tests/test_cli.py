@@ -214,6 +214,25 @@ def test_classify_multiplies_no_zero_images(capsys, tmp_path, monkeypatch):
     assert len(calls) <= 50, len(calls)
 
 
+def test_classify_builds_no_dead_coproduct_terms(capsys, tmp_path, monkeypatch):
+    # u_0 .. u_8 -> 0, u_9 -> u0, v -> v into kM_{1;1}: of the 3^9 + 1 terms
+    # of Delta(u_9) only the two with no digit on a dead u_i are built
+    from supvar.superalg.pr import PrPresentation
+
+    r, gamma_monomial, calls = 10, PrPresentation.gamma_monomial, []
+    images = {f"u{i}": ["0"] * 6 for i in range(r - 1)}
+    images |= {f"u{r - 1}": QUOT["images"]["u0"], "v": QUOT["images"]["v"]}
+    data = {**QUOT, "r": r, "target": {**QUOT["target"], "eta": "0"}, "images": images}
+    path = write(tmp_path, "dead.json", json.dumps(data))
+    monkeypatch.setattr(
+        PrPresentation,
+        "gamma_monomial",
+        lambda *args: calls.append(1) or gamma_monomial(*args),
+    )
+    assert run(capsys, ["classify", "-f", path]) == (0, "M_{1;1}\n", "")
+    assert len(calls) <= 100, len(calls)
+
+
 def test_psi_golden(capsys, m11_file):
     code, out, _ = run(capsys, ["psi", "-g", m11_file, "-P", "1,2", "-F", "3^1"])
     assert (code, out.strip()) == (0, "1,2")

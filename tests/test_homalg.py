@@ -27,8 +27,6 @@ from supvar.smod import (
     build_L,
     dual_module,
     extend_scalars,
-    p1_dual,
-    p1_tensor,
     p1_trivial,
     p1_view,
     p1_view_from_module,
@@ -50,17 +48,16 @@ def m11():
 def test_trivial_module_complex_dims():
     for p in (3, 5):
         k = p1_trivial(make_field(p, 1))
-        cx = p1_hom_complex(k, 10)
-        dims = cx.cohomology_dims()
-        assert dims[0] == (1, 0)
+        dims = p1_hom_complex(k).cohomology_dims(10)
+        assert len(dims) == 11 and dims[0] == (1, 0)
         assert all(dims[i] == (1, 1) for i in range(1, 11))
 
 
 def test_complex_differentials_compose_to_zero():
     L = build_L(F3.element(1), F3.element(1))
     W = p1_view_from_module(L)
-    cx = p1_hom_complex(W, 5, check=True)  # composition checked in the constructor
-    assert len(cx.diffs) == 6
+    cx = p1_hom_complex(W, check=True)  # compositions checked in the constructor
+    assert len(cx.diffs) == 3
 
 
 def test_regular_pullback_exact_in_degree_two():
@@ -70,8 +67,7 @@ def test_regular_pullback_exact_in_degree_two():
     from supvar.varieties import point_pullback
 
     W = point_pullback(M11_SPEC, (1, 1), R)
-    cx = p1_hom_complex(W, 3)
-    e, o = cx.cohomology_dims()[2]
+    e, o = p1_hom_complex(W).cohomology_dims(3)[2]
     assert e + o == 0
 
 
@@ -126,8 +122,8 @@ def test_trichotomy_and_periodicity_random():
 
 
 def test_untwisted_pipeline_cross_check():
-    # ext_dims_untwisted builds every degree's differential on its own, so
-    # through degree 6 it checks the twisted complex's repeated degrees too
+    # ext_dims_untwisted builds every degree's differential on its own, so it
+    # checks that ext_dims may read every degree i >= 2 from H^2
     F5 = make_field(5, 1)
     for spec, field in (
         (M11_SPEC, F3),
@@ -144,48 +140,48 @@ def test_untwisted_pipeline_cross_check():
     L = build_L(F3.element(0), F3.element(1))
     V = p1_view_from_module(L)
     assert ext_dims(V, V, 6).dims == ext_dims_untwisted(V, V, 6).dims
-
-
-def _fresh_copy(cx):
-    """The same complex with every differential and parity array its own object."""
-    return CochainComplex(
-        cx.field, [par.copy() for par in cx.parities], [d.copy() for d in cx.diffs]
-    )
-
-
-def _dedupe_views():
-    """L over F_3, a random M_{2;1} module and a random p = 5 M_{1;1} module."""
-    F5 = make_field(5, 1)
+    # L over F_3, a random M_{2;1} module and a random p = 5 M_{1;1} module,
+    # through degree 9
     m21, _ = build_group_algebra(GroupAlgebraSpec("Mrs", 3, r=2, s=1))
     m11p5, _ = build_group_algebra(GroupAlgebraSpec("Mrs", 5, r=1, s=1), F5)
-    return [
-        p1_view_from_module(build_L(F3.element(1), F3.element(2))),
-        p1_view_from_module(random_module(3, m21, 8)),
-        p1_view_from_module(random_module(4, m11p5, 8)),
-    ]
-
-
-def test_periodic_complex_dedupe_matches_fresh_copies():
-    for V in _dedupe_views():
-        W = p1_tensor(p1_dual(V), V)
-        cx = p1_hom_complex(W, 9)
-        assert cx.parities[1] is cx.parities[9] and cx.diffs[1] is cx.diffs[3]
-        assert cx.cohomology_dims() == _fresh_copy(cx).cohomology_dims()
+    for M in (
+        build_L(F3.element(1), F3.element(2)),
+        random_module(3, m21, 8),
+        random_module(4, m11p5, 8),
+    ):
+        V = p1_view_from_module(M)
+        assert ext_dims(V, V, 9).dims == ext_dims_untwisted(V, V, 9).dims
 
 
 def test_distinct_bad_differential_still_checked():
+    # each differential gets a parity-preserving corruption: 1 added on a
+    # diagonal entry (j, j) of d, where C^i and C^{i+1} agree in parity
     V = p1_view_from_module(build_L(F3.element(1), F3.element(2)))
-    cx = p1_hom_complex(V, 6)
+    cx = p1_hom_complex(V)
     F = la.tables(F3)
-    bad = cx.diffs[4].copy()
-    # adding 1 at (j, j) keeps parity and adds row j of d_3 to bad . d_3
-    j = int(np.nonzero(cx.diffs[3].any(axis=1))[0][0])
-    bad[j, j] = F.add[bad[j, j], 1]
-    # last in line, so only the pair (bad, d_3) can catch it; d_3 is the same
-    # object as d_1, whose pair with d_2 passed
-    with pytest.raises(ValidationError, match="compose to zero at degree 3"):
-        CochainComplex(F3, cx.parities[:6], cx.diffs[:4] + [bad])
-    CochainComplex(F3, cx.parities[:6], cx.diffs[:5])
+    d_0, d_phi, d_psi = cx.diffs
+
+    def cols(d):
+        return set(np.nonzero(d.any(axis=0))[0].tolist())
+
+    def rows(d):
+        return cols(d.T)
+
+    # d_0 + E_jj (j < dim V) adds column j of d_phi to d_phi d_0: degree 0
+    j0 = min(cols(d_phi) & set(range(V.dim)))
+    # d_phi + E_jj adds row j of d_0 to d_phi d_0 and column j of d_psi to
+    # d_psi d_phi: j with the row zero and the column not is caught at degree 1
+    j1 = min(cols(d_psi) - rows(d_0))
+    # d_psi + E_jj adds row j of d_phi to d_psi d_phi and column j of d_phi
+    # to d_phi d_psi: the row zero and the column not is caught at degree 2
+    j2 = min(cols(d_phi) - rows(d_phi))
+    for k, j in enumerate((j0, j1, j2)):
+        diffs = list(cx.diffs)
+        diffs[k] = diffs[k].copy()
+        diffs[k][j, j] = F.add[diffs[k][j, j], 1]
+        with pytest.raises(ValidationError, match=f"compose to zero at degree {k}$"):
+            CochainComplex(F3, cx.parities, tuple(diffs))
+    CochainComplex(F3, cx.parities, cx.diffs)
 
 
 def test_ext_call_count_independent_of_degree(monkeypatch):
@@ -278,9 +274,9 @@ def test_resolution_requires_local():
 
 def test_depth_caps_in_the_library():
     with pytest.raises(BoundExceeded):
-        p1_hom_complex(p1_trivial(F3), EXT_DEGREE_CAP + 1)
+        ext_dims(p1_trivial(F3), p1_trivial(F3), EXT_DEGREE_CAP + 1)
     with pytest.raises(ValidationError):
-        p1_hom_complex(p1_trivial(F3), 1)
+        ext_dims(p1_trivial(F3), p1_trivial(F3), 1)
     A = m11()
     with pytest.raises(BoundExceeded):
         minimal_resolution(A, trivial_module(A), RESOLVE_STEPS_CAP + 1)

@@ -472,8 +472,8 @@ def test_classify_eta_rescaling_under_dilation():
             base.source,
             alg,
             {
-                "u0": la.scale_index(F, a.index, base.images["u0"]),
-                "v": la.scale_index(F, mu.index, base.images["v"]),
+                "u0": F.mul[a.index, base.images["u0"]],
+                "v": F.mul[mu.index, base.images["v"]],
             },
         )
         label = classify_quotient(phi)
