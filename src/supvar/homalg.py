@@ -359,8 +359,8 @@ def minimal_resolution(A, M: SuperModule, steps: int) -> ResolutionData:
         check_depth(f"dim P_{len(res.gen_parities)}", len(gens) * A.dim, 0, RESOLVE_DIM_CAP)
         if res.omega:
             bnd = _block_act(F, T, K[:, comp]).transpose(1, 2, 3, 0)
-            # minimality: columns live in rad . P_{n-1}
-            if bnd[:, A.unit_index].any():
+            # minimality: columns live in rad . P_{n-1}, none at the unit (basis 0)
+            if bnd[:, 0].any():
                 res.minimal = False
         else:
             bnd = acts[:, :, comp].transpose(1, 2, 0)
@@ -389,7 +389,7 @@ def _check_local(A):
     """
     F = linalg.tables(A.field)
     d, rad = A.dim, A.radical_coords()
-    if A.augmentation[rad].any() or not A.augmentation[A.unit_index]:
+    if A.augmentation[rad].any() or not A.augmentation[0]:
         raise ValidationError("algebra augmentation is not the unit indicator")
     right = A.tensor[:, list(A.generators.values())].reshape(d, -1)  # b_m g at column (g, k)
     layer, dims = linalg.identity(d)[rad], []
@@ -443,7 +443,7 @@ def cocycle_from_values(res: ResolutionData, n: int, values, parity: int) -> Coc
         idx = F.scalar(val)
         if idx and gens[g] != parity:
             raise ValidationError("nonzero value on a generator of the wrong parity")
-        vec[g * A.dim + A.unit_index] = idx
+        vec[g * A.dim] = idx  # at the unit, basis 0, of free generator g
     return CocycleClass(n, vec, parity)
 
 

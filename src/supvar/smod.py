@@ -98,7 +98,7 @@ def validate_module(M: SuperModule) -> ValidationReport:
         if mat.shape != (M.dim, M.dim):
             issues.append(f"action of {g} has shape {mat.shape}, expected {(M.dim, M.dim)}")
             continue
-        gp = A.gen_parity[g]
+        gp = A.gen_parity(g)
         rows, cols = np.nonzero(mat)
         bad = (M.parity[rows] != (M.parity[cols] + gp) % 2).sum()
         if bad:
@@ -153,22 +153,20 @@ def tensor_module(M: SuperModule, N: SuperModule) -> SuperModule:
     A = M.algebra
     if N.algebra is not A:
         raise ValidationError("tensor factors must be modules over the same algebra")
-    if A.hopf is None:
-        raise ValidationError("tensor product needs the algebra's Hopf structure")
-    F = M.F
+    F, C = M.F, A.hopf.coproduct
     dim = M.dim * N.dim
     parity = (np.repeat(M.parity, N.dim) + np.tile(N.parity, M.dim)) % 2
     oddcols = np.nonzero(M.parity == 1)[0]
     action = {}
     for g, gi in A.generators.items():
         acc = linalg.zeros(dim, dim)
-        for j, k, c in A.hopf.coproduct[gi]:
+        for j, k in np.argwhere(C[gi]).tolist():
             X = M.basis_action(j)
             Y = N.basis_action(k)
             if A.parity[k]:
                 X = X.copy()
                 X[:, oddcols] = F.neg[X[:, oddcols]]
-            acc = linalg.madd(F, acc, linalg.scale(F, c, linalg.kron(F, X, Y)))
+            acc = linalg.madd(F, acc, linalg.scale(F, C[gi, j, k], linalg.kron(F, X, Y)))
         action[g] = acc
     out = SuperModule(A, dim, parity.astype(np.int8), action)
     validate_module(out).raise_if_invalid()
@@ -178,15 +176,13 @@ def tensor_module(M: SuperModule, N: SuperModule) -> SuperModule:
 def dual_module(M: SuperModule) -> SuperModule:
     """Contragredient module: (a.f)(m) = (-1)^{|a||f|} f(S(a).m)."""
     A = M.algebra
-    if A.hopf is None:
-        raise ValidationError("dual module needs the algebra's Hopf structure")
     F = M.F
     action = {}
     for g, gi in A.generators.items():
         s_img = A.hopf.antipode[:, gi].copy()
         T = M.element_action(s_img)
         D = T.T.copy()
-        if A.gen_parity[g]:
+        if A.gen_parity(g):
             neg = F.neg[D]
             oddcols = np.nonzero(M.parity == 1)[0]
             D[:, oddcols] = neg[:, oddcols]
@@ -205,7 +201,7 @@ def parity_shift(M: SuperModule, which: str = "Pi") -> SuperModule:
     action = {}
     for g in A.generators:
         mat = M.action[g]
-        if which == "boldPi" and A.gen_parity[g]:
+        if which == "boldPi" and A.gen_parity(g):
             mat = F.neg[mat]
         action[g] = mat.copy()
     out = SuperModule(A, M.dim, (1 - M.parity).astype(np.int8), action)
@@ -322,8 +318,6 @@ def extend_scalars(M: SuperModule, field: FieldDescriptor) -> SuperModule:
         return M
     if M.algebra.field.n != 1 or M.algebra.field.p != field.p:
         raise ValidationError("scalar extension only from the prime field")
-    if M.algebra.spec is None:
-        raise ValidationError("scalar extension needs a group algebra spec")
     alg, _ = build_group_algebra(M.algebra.spec, field)
     return SuperModule(alg, M.dim, M.parity.copy(), {g: m.copy() for g, m in M.action.items()})
 
@@ -392,8 +386,6 @@ def p1_view(field: FieldDescriptor, parity, U, V) -> P1ModuleView:
 def p1_view_from_module(M: SuperModule) -> P1ModuleView:
     """Canonical P_1-structure via u -> u_{r-1}, v -> v on quotient families."""
     spec = M.algebra.spec
-    if spec is None:
-        raise ValidationError("no canonical P_1 restriction for this algebra")
     if spec.family in ("Mrs", "Mrf"):
         U = M.action[f"u{spec.r - 1}"]
         V = M.action["v"]

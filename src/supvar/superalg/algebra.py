@@ -1,11 +1,14 @@
 """Finite-dimensional presented Hopf superalgebras and their constructors.
 
-An algebra is given by a basis, a parity vector, a dense structure tensor
-(b_i b_j = sum_k T[i, j, k] b_k), named generators, and an expression of
-every basis element as a scalar times a monomial in the generators (so
-modules only ever need one action matrix per generator).  The tensor holds
-prime-field element indices in the sense of supvar.linalg, which name the
-same elements in every extension field.
+An algebra is given by a parity vector, two dense structure tensors, named
+generators, and an expression of every basis element as a scalar times a
+monomial in the generators (so modules only ever need one action matrix per
+generator).  The product is tensor[i, j, k] (b_i b_j = sum_k T[i, j, k] b_k,
+dtype linalg.DT) and the coproduct hopf.coproduct[i, j, k] (Delta b_i = sum
+C[i, j, k] b_j (x) b_k, dtype int8), in the same layout.  Both hold
+prime-field values, which are also their field indices in every extension
+field (see supvar.linalg).  Basis 0 is the unit, and the augmentation is the
+counit.
 
 Constructors cover the group algebras of the multiparameter supergroups
 (quotients of P_r), the purely even truncated polynomial Hopf algebra, and
@@ -13,7 +16,7 @@ tensor products with the Koszul sign rule.  Every constructor takes the spec
 alone and builds over F_p: the structure constants lie in the prime field,
 whose elements keep their index in every extension.  build_group_algebra
 builds and verifies each spec once and serves every field from that build,
-with the one tensor shared by all of them.
+with the two tensors shared by all of them.
 The P_r relations and gamma monomials come from pr.PrPresentation.
 """
 
@@ -45,10 +48,15 @@ def _power(p: int, e: int) -> int:
 
 @dataclass
 class HopfStructure:
-    """Coproduct, counit and antipode tables in the algebra's basis."""
+    """Coproduct and antipode tables in the algebra's basis; the counit is
+    the algebra's augmentation.
 
-    coproduct: tuple  # per basis index i: tuple of (j, k, coeff_index)
-    counit: np.ndarray  # (dim,) indices
+    coproduct[i, j, k] = C[i, j, k] with Delta b_i = sum C[i, j, k] b_j (x) b_k,
+    int8 prime-field values, the layout of the product tensor.  Column j of
+    the antipode is S(b_j).
+    """
+
+    coproduct: np.ndarray  # (dim, dim, dim) int8
     antipode: np.ndarray  # (dim, dim) indices
 
 
@@ -188,21 +196,19 @@ class GroupAlgebraSpec:
 
 @dataclass
 class PresentedSuperalgebra:
-    """Basis, parities, structure constants, generators, relations."""
+    """Parities, structure constants, generators, relations; basis 0 is
+    the unit."""
 
     field: FieldDescriptor
     dim: int
     parity: np.ndarray  # (dim,) of 0/1
-    basis_names: tuple
-    unit_index: int
     tensor: np.ndarray  # (dim, dim, dim): b_i b_j = sum_k tensor[i, j, k] b_k
     generators: dict  # name -> basis index
-    gen_parity: dict  # name -> 0/1
     monomials: tuple  # per basis index: (coeff_index, ((gen, exp), ...))
     relations: tuple  # (label, terms) with terms ((coeff_index, ((gen, exp), ...)), ...)
-    augmentation: np.ndarray  # (dim,) indices
-    hopf: HopfStructure | None = None
-    spec: GroupAlgebraSpec | None = None
+    augmentation: np.ndarray  # (dim,) indices, the counit
+    hopf: HopfStructure
+    spec: GroupAlgebraSpec
 
     # -- element helpers (elements are (dim,) index vectors) ------------
 
@@ -210,11 +216,18 @@ class PresentedSuperalgebra:
     def F(self):
         return linalg.tables(self.field)
 
+    @property
+    def gen_names(self):
+        return tuple(self.generators)
+
+    def gen_parity(self, name: str) -> int:
+        return int(self.parity[self.generators[name]])
+
     def el_zero(self):
         return np.zeros(self.dim, dtype=linalg.DT)
 
     def el_unit(self):
-        return self.el_basis(self.unit_index)
+        return self.el_basis(0)
 
     def el_basis(self, i: int):
         e = self.el_zero()
@@ -277,7 +290,7 @@ class PresentedSuperalgebra:
 
     def radical_coords(self):
         """Coordinates spanning the augmentation ideal (all non-unit basis)."""
-        return [i for i in range(self.dim) if i != self.unit_index]
+        return list(range(1, self.dim))
 
 
 # -- quotient families of P_r ------------------------------------------
@@ -339,12 +352,10 @@ def _truncated_tensor(m, coeff=lambda i, j: 1):
     return T
 
 
-def _base_algebra(
-    spec, names, parity, tensor, generators, gen_parity, monomials, relations, cop, signs
-):
+def _base_algebra(spec, parity, tensor, generators, monomials, relations, cop, signs):
     """A base family's algebra over F_p: basis 0 is the unit and carries
     the counit, and the antipode is the diagonal of the given signs."""
-    dim = len(names)
+    dim = len(parity)
     augmentation = np.zeros(dim, dtype=linalg.DT)
     augmentation[0] = 1
     antipode = np.diag([sgn % spec.p for sgn in signs]).astype(linalg.DT)
@@ -352,15 +363,12 @@ def _base_algebra(
         field=make_field(spec.p, 1),
         dim=dim,
         parity=np.asarray(parity, dtype=np.int8),
-        basis_names=tuple(names),
-        unit_index=0,
         tensor=tensor,
         generators=generators,
-        gen_parity=gen_parity,
         monomials=tuple(monomials),
         relations=tuple(relations),
         augmentation=augmentation,
-        hopf=HopfStructure(tuple(cop), augmentation.copy(), antipode),
+        hopf=HopfStructure(np.ascontiguousarray(cop, dtype=np.int8), antipode),
         spec=spec,
     )
 
@@ -374,9 +382,6 @@ def _build_pr_quotient(spec: GroupAlgebraSpec):
     pres = PrPresentation(p, r)
 
     parity = np.array([0] * n_gamma + [1] * n_gamma, dtype=np.int8)
-    names = tuple(
-        [f"g{l}" for l in range(n_gamma)] + [f"v*g{l}" for l in range(n_gamma)]
-    )
 
     def bidx(x):  # the basis index of the P_r basis element x
         return (x >> 1) + n_gamma * (x & 1)
@@ -401,8 +406,6 @@ def _build_pr_quotient(spec: GroupAlgebraSpec):
 
     generators = {f"u{i}": bidx(2 * p**i) for i in range(r)}
     generators["v"] = bidx(1)
-    gen_parity = {f"u{i}": 0 for i in range(r)}
-    gen_parity["v"] = 1
 
     xs = [2 * (i % n_gamma) + (i >= n_gamma) for i in range(dim)]  # inverse of bidx
     monomials = tuple(map(pres.gamma_monomial, xs))
@@ -411,59 +414,44 @@ def _build_pr_quotient(spec: GroupAlgebraSpec):
         f_terms.append((spec.eta % p, (("u0", 1),)))
     relations = pres.relations() + (("f(u)+eta*u0", tuple(f_terms)),)
 
-    cop = []
-    for x in xs:
-        terms = {}
-        for le, ri, c in pr_coproduct(p, r, x):
-            assert max(le, ri) < 2 * n_gamma
-            key = (bidx(le), bidx(ri))
-            terms[key] = (terms.get(key, 0) + c) % p
-        cop.append(tuple((j, k, int(v)) for (j, k), v in sorted(terms.items()) if v))
+    # every term of pr_coproduct has coefficient 1, and bidx is one-to-one
+    i, le, ri = np.array(
+        [(i, le, ri) for i, x in enumerate(xs) for le, ri, _ in pr_coproduct(p, r, x)]
+    ).T
+    assert max(le.max(), ri.max()) < dim
+    cop = np.zeros((dim,) * 3, dtype=np.int8)
+    cop[i, bidx(le), bidx(ri)] = 1
     signs = [(-1) ** (i % n_gamma + (i >= n_gamma)) for i in range(dim)]
-    return _base_algebra(
-        spec, names, parity, T, generators, gen_parity, monomials, relations, cop, signs
-    )
+    return _base_algebra(spec, parity, T, generators, monomials, relations, cop, signs)
 
 
 def _build_gar(spec: GroupAlgebraSpec):
     """kG_{a(r)} = P_r/(v): truncated divided powers gamma_0..gamma_{p^r-1}."""
     p, r = spec.p, spec.r
     dim = p**r
-    parity = np.zeros(dim, dtype=np.int8)
-    names = tuple(f"g{l}" for l in range(dim))
     T = _truncated_tensor(dim, lambda i, j: gamma_coeff(i, j, p, max(r, 1)))
     generators = {f"u{i}": p**i for i in range(r)}
-    gen_parity = {f"u{i}": 0 for i in range(r)}
     pres = PrPresentation(p, max(r, 1))
     monomials = tuple(pres.gamma_monomial(2 * l) for l in range(dim))
     gnames = [f"u{i}" for i in range(r)]
     relations = [graded_commutator(a, 0, b, 0, p) for a, b in combinations(gnames, 2)]
     relations += [p_power(g, p) for g in gnames]
-    cop = []
-    for i in range(dim):
-        terms = []
-        for le, ri, c in pr_coproduct(p, max(r, 1), 2 * i):
-            if max(le, ri) < 2 * dim:
-                terms.append((le >> 1, ri >> 1, c))
-        cop.append(tuple(terms))
+    # Delta gamma_l = sum_{i + j = l} gamma_i (x) gamma_j
+    cop = _truncated_tensor(dim).transpose(2, 0, 1)
     signs = [(-1) ** i for i in range(dim)]
-    return _base_algebra(
-        spec, names, parity, T, generators, gen_parity, monomials, relations, cop, signs
-    )
+    return _base_algebra(spec, [0] * dim, T, generators, monomials, relations, cop, signs)
 
 
 def _build_gaminus(spec: GroupAlgebraSpec):
     """kG_a^- = k[v]/(v^2) with v odd and primitive."""
     return _base_algebra(
         spec,
-        names=("1", "v"),
         parity=(0, 1),
         tensor=_truncated_tensor(2),
         generators={"v": 1},
-        gen_parity={"v": 1},
         monomials=((1, ()), (1, (("v", 1),))),
         relations=(("v^2", ((1, (("v", 2),)),)),),
-        cop=(((0, 0, 1),), ((1, 0, 1), (0, 1, 1))),
+        cop=_truncated_tensor(2).transpose(2, 0, 1),
         signs=(1, -1),
     )
 
@@ -472,24 +460,15 @@ def _build_trunc_even(spec: GroupAlgebraSpec):
     """k[g]/(g^{p^t}) with g even and primitive (binomial coproduct)."""
     p, t = spec.p, spec.t
     m = p**t
-    cop = []
-    for j in range(m):
-        terms = []
-        for i in range(j + 1):
-            c = comb(j, i) % p
-            if c:
-                terms.append((i, j - i, c))
-        cop.append(tuple(terms))
     return _base_algebra(
         spec,
-        names=[f"g^{j}" for j in range(m)],
         parity=[0] * m,
         tensor=_truncated_tensor(m),
         generators={"g": 1},
-        gen_parity={"g": 0},
         monomials=[(1, ()) if j == 0 else (1, (("g", j),)) for j in range(m)],
         relations=[(f"g^{m}", ((1, (("g", m),)),))],
-        cop=cop,
+        # Delta g^l = sum_{i + j = l} binom(l, i) g^i (x) g^j
+        cop=_truncated_tensor(m, lambda i, j: comb(i + j, i) % p).transpose(2, 0, 1),
         signs=[(-1) ** j for j in range(m)],
     )
 
@@ -501,100 +480,67 @@ def rename_generators(alg: PresentedSuperalgebra, mapping: dict) -> PresentedSup
         return mapping.get(name, name)
 
     gens = {m(k): v for k, v in alg.generators.items()}
-    genp = {m(k): v for k, v in alg.gen_parity.items()}
     mons = tuple((c, tuple((m(g), e) for g, e in mon)) for c, mon in alg.monomials)
     rels = tuple(
         (lbl, tuple((c, tuple((m(g), e) for g, e in mon)) for c, mon in terms))
         for lbl, terms in alg.relations
     )
-    return replace(alg, generators=gens, gen_parity=genp, monomials=mons, relations=rels)
+    return replace(alg, generators=gens, monomials=mons, relations=rels)
+
+
+def _koszul_outer(X, Y, parX, parY, axis, p):
+    """The structure tensor of a tensor product from the factors' tensors X
+    and Y (either the product or the coproduct): Z[(i1, j1), (i2, j2),
+    (i3, j3)] = s X[i1, i2, i3] Y[j1, j2, j3] mod p, with s = -1 when Y's
+    index on tensor axis `axis` and X's on the next are both odd.  That is
+    the Koszul sign of moving the one past the other: axes 0-1 for the
+    product, axes 1-2 for the coproduct."""
+    shape = [1] * 6  # axes i1, j1, i2, j2, i3, j3
+    shape[2 * axis + 1], shape[2 * axis + 2] = len(parY), len(parX)
+    sign = np.where(np.outer(parY, parX), -1, 1).astype(X.dtype).reshape(shape)
+    Z = X[:, None, :, None, :, None] * (Y[None, :, None, :, None, :] * sign)
+    return np.remainder(Z, p, out=Z).reshape((len(parX) * len(parY),) * 3)
 
 
 def tensor_algebra(A: PresentedSuperalgebra, B: PresentedSuperalgebra):
-    """Tensor product with the Koszul rule (a(x)b)(c(x)d) = (-1)^{|b||c|} ac(x)bd."""
+    """Tensor product with the Koszul rule (a(x)b)(c(x)d) = (-1)^{|b||c|} ac(x)bd,
+    and Delta(a(x)b) = sum (-1)^{|a2||b1|} (a1(x)b1) (x) (a2(x)b2)."""
     if A.field != B.field:
         raise AlgebraError("tensor factors must share the field")
     if set(A.generators) & set(B.generators):
         raise AlgebraError("generator names collide; rename before tensoring")
-    F = A.F
-    dim = A.dim * B.dim
-
-    def idx(i, j):
-        return i * B.dim + j
-
-    def outer(a, b):  # a_i b_j at idx(i, j)
-        return F.mul[a[:, None], b[None, :]].ravel()
-
-    parity = (A.parity[:, None] ^ B.parity[None, :]).ravel()
-    names = tuple(f"{a}|{b}" for a in A.basis_names for b in B.basis_names)
-    monomials = tuple(
-        (int(F.mul[F.scalar(ca), F.scalar(cb)]), ma + mb)
-        for ca, ma in A.monomials
-        for cb, mb in B.monomials
-    )
-
-    # T[(i1, j1), (i2, j2), (ka, kb)] = (-1)^{|b_j1||a_i2|} TA[i1, i2, ka] TB[j1, j2, kb]:
-    # one outer product of prime-field entries, reduced mod p
-    sign = np.where(np.outer(B.parity, A.parity), -1, 1).astype(linalg.DT)
-    TB = B.tensor[:, None, :, None, :] * sign[:, :, None, None, None]
-    T = A.tensor[:, None, :, None, :, None] * TB[None]
-    T = np.remainder(T, A.field.p, out=T).reshape(dim, dim, dim)
-
-    generators = {g: idx(i, B.unit_index) for g, i in A.generators.items()}
-    generators.update((g, idx(A.unit_index, j)) for g, j in B.generators.items())
-    gen_parity = {**A.gen_parity, **B.gen_parity}
-
-    relations = list(A.relations) + list(B.relations)
-    relations += [
-        graded_commutator(ga, pa, gb, pb, A.field.p)
-        for ga, pa in A.gen_parity.items()
-        for gb, pb in B.gen_parity.items()
-    ]
-
-    augmentation = outer(A.augmentation, B.augmentation)
-
-    hopf = None
-    if A.hopf is not None and B.hopf is not None:
-        cop = []
-        for i in range(A.dim):
-            for j in range(B.dim):
-                terms = {}
-                for (a1, a2, ca) in A.hopf.coproduct[i]:
-                    for (b1, b2, cb) in B.hopf.coproduct[j]:
-                        c = int(F.mul[F.scalar(ca), F.scalar(cb)])
-                        if A.parity[a2] and B.parity[b1]:
-                            c = int(F.neg[c])
-                        key = (idx(a1, b1), idx(a2, b2))
-                        terms[key] = int(F.add[terms.get(key, 0), c])
-                cop.append(tuple((a, b, v) for (a, b), v in sorted(terms.items()) if v))
-        counit = outer(A.hopf.counit, B.hopf.counit)
-        # S_{A(x)B} = S_A (x) S_B; both antipodes are even maps, so the
-        # Koszul rule adds no signs here (the convolution axiom pins this).
-        antipode = linalg.kron(F, A.hopf.antipode, B.hopf.antipode)
-        hopf = HopfStructure(tuple(cop), counit, antipode)
-
-    spec = None
-    if A.spec is not None and B.spec is not None:
-        fa = A.spec.factors if A.spec.family == "Tensor" else (A.spec,)
-        fb = B.spec.factors if B.spec.family == "Tensor" else (B.spec,)
-        spec = GroupAlgebraSpec("Tensor", A.field.p, factors=fa + fb)
-
-    alg = PresentedSuperalgebra(
+    F, p = A.F, A.field.p
+    generators = {g: i * B.dim for g, i in A.generators.items()}
+    generators.update(B.generators)  # a (x) 1 at index i B.dim, 1 (x) b at j
+    fa = A.spec.factors if A.spec.family == "Tensor" else (A.spec,)
+    fb = B.spec.factors if B.spec.family == "Tensor" else (B.spec,)
+    return PresentedSuperalgebra(
         field=A.field,
-        dim=dim,
-        parity=parity,
-        basis_names=names,
-        unit_index=idx(A.unit_index, B.unit_index),
-        tensor=T,
+        dim=A.dim * B.dim,
+        parity=(A.parity[:, None] ^ B.parity[None, :]).ravel(),
+        tensor=_koszul_outer(A.tensor, B.tensor, A.parity, B.parity, 0, p),
         generators=generators,
-        gen_parity=gen_parity,
-        monomials=monomials,
-        relations=tuple(relations),
-        augmentation=augmentation,
-        hopf=hopf,
-        spec=spec,
+        monomials=tuple(
+            (int(F.mul[F.scalar(ca), F.scalar(cb)]), ma + mb)
+            for ca, ma in A.monomials
+            for cb, mb in B.monomials
+        ),
+        relations=A.relations
+        + B.relations
+        + tuple(
+            graded_commutator(ga, A.gen_parity(ga), gb, B.gen_parity(gb), p)
+            for ga in A.generators
+            for gb in B.generators
+        ),
+        augmentation=F.mul[A.augmentation[:, None], B.augmentation[None, :]].ravel(),
+        hopf=HopfStructure(
+            _koszul_outer(A.hopf.coproduct, B.hopf.coproduct, A.parity, B.parity, 1, p),
+            # S_{A(x)B} = S_A (x) S_B; both antipodes are even maps, so the
+            # Koszul rule adds no signs here (the convolution axiom pins this)
+            linalg.kron(F, A.hopf.antipode, B.hopf.antipode),
+        ),
+        spec=GroupAlgebraSpec("Tensor", p, factors=fa + fb),
     )
-    return alg
 
 
 @lru_cache(maxsize=None)
@@ -624,7 +570,8 @@ def _build_cached(spec: GroupAlgebraSpec, field: FieldDescriptor):
             alg = tensor_algebra(alg, b)
         alg.spec = spec
     verify_algebra(alg)
-    alg.tensor.flags.writeable = False  # shared by the algebra over every field
+    # shared by the algebra over every field
+    alg.tensor.flags.writeable = alg.hopf.coproduct.flags.writeable = False
     return alg
 
 
@@ -635,7 +582,7 @@ def build_group_algebra(spec: GroupAlgebraSpec, field: FieldDescriptor | None = 
     algebra.  The spec's dimension is checked against DIM_CAP before any
     work.  Each spec is built and verified once, over F_p; over an extension
     field the algebra is that build with its field replaced, sharing every
-    table, the structure tensor included.  Results are cached per (spec,
+    table, the two structure tensors included.  Results are cached per (spec,
     field), so a repeated build returns the identical object.
     """
     if field is None:
@@ -647,8 +594,8 @@ def build_group_algebra(spec: GroupAlgebraSpec, field: FieldDescriptor | None = 
 
 
 def verify_algebra(alg: PresentedSuperalgebra):
-    """Unit, generation, associativity, the augmentation and parity, and
-    with Hopf data the counit and super-cocommutativity of each Delta(b_i).
+    """Unit, generation, associativity, the augmentation and parity, and the
+    counit axiom and super-cocommutativity of the coproduct.
 
     Every check is exhaustive at every dimension.  They rest on one premise,
     checked right after the unit axiom: each basis element b_i equals its
@@ -662,9 +609,9 @@ def verify_algebra(alg: PresentedSuperalgebra):
     every basis x and g a generator or the unit.  A failure names the
     first bad basis index, triple (x, y, g) or pair in lexicographic order.
     """
-    d, F, aug, T, u, par = alg.dim, alg.F, alg.augmentation, alg.tensor, alg.unit_index, alg.parity
+    d, F, aug, T, par = alg.dim, alg.F, alg.augmentation, alg.tensor, alg.parity
     E = np.eye(d, dtype=linalg.DT)
-    bad = np.flatnonzero((T[u] != E).any(axis=1) | (T[:, u] != E).any(axis=1))
+    bad = np.flatnonzero((T[0] != E).any(axis=1) | (T[:, 0] != E).any(axis=1))
     if bad.size:
         raise AlgebraError(f"unit axiom fails at basis {bad[0]}")
     words = {}
@@ -672,9 +619,12 @@ def verify_algebra(alg: PresentedSuperalgebra):
         if not np.array_equal(alg.el_word(c, mon, memo=words), E[i]):
             raise AlgebraError(f"basis {i} is not its monomial")
     gens = sorted(alg.generators.values())
-    i, j, k = np.unravel_index(np.flatnonzero(T), T.shape)  # T's nonzero entries
-    _check_associative(alg, gens, i, j, k)
-    gu = sorted({*gens, u})
+    i, j, k = _entries(T)
+    bad = _associator_keys(T, (i, j, k), gens, alg.field.p)
+    if bad.size:
+        xy, pos = divmod(int(bad[0]) // d, len(gens))
+        raise AlgebraError(f"associativity fails at ({xy // d},{xy % d},{gens[pos]})")
+    gu = sorted({*gens, 0})
     counits = linalg.matmul(F, T[:, gu].reshape(-1, d), aug[:, None]).reshape(d, -1)  # of b_x b_g
     bad = np.argwhere(counits != F.mul[aug[:, None], aug[gu]])
     if bad.size:
@@ -682,19 +632,26 @@ def verify_algebra(alg: PresentedSuperalgebra):
     bad = np.flatnonzero(par[k] != (par[i] + par[j]) % 2)
     if bad.size:
         raise AlgebraError(f"parity not multiplicative at ({i[bad[0]]},{j[bad[0]]})->{k[bad[0]]}")
-    if alg.hopf is None:
+    C, a = alg.hopf.coproduct, np.flatnonzero(aug)
+    # (counit (x) id) o coproduct = id, summed over the counit's support a
+    counit = (linalg.bmatmul(F, aug[None, a], C[:, a]) != E[:, None]).any(axis=(1, 2))
+    # kG is dual to the supercommutative k[G], so Delta(b_i) is
+    # super-cocommutative; the Hom-scheme ideal builds on this
+    i, j, k = _entries(C)
+    c = C[i, j, k]
+    twist = np.flatnonzero(C[i, k, j] != np.where(par[j] & par[k], F.neg[c], c))
+    first = min([*np.flatnonzero(counit)[:1], *i[twist[:1]]], default=None)
+    if first is None:
         return
-    for i, cop in enumerate(_coproducts(alg)):
-        # (counit (x) id) o coproduct = id
-        if _collect(F, ((k, F.mul[c, alg.hopf.counit[j]]) for (j, k), c in cop.items())) != {i: 1}:
-            raise AlgebraError(f"counit axiom fails at basis {i}")
-        # kG is dual to the supercommutative k[G], so Delta(b_i) is
-        # super-cocommutative; the Hom-scheme ideal builds on this
-        for (j, k), c in cop.items():
-            if cop.get((k, j), 0) != (int(F.neg[c]) if par[j] and par[k] else c):
-                raise AlgebraError(
-                    f"coproduct of basis {i} is not super-cocommutative at ({j},{k})"
-                )
+    if counit[first]:  # at one b_i the counit axiom is checked first
+        raise AlgebraError(f"counit axiom fails at basis {first}")
+    t = twist[0]
+    raise AlgebraError(f"coproduct of basis {i[t]} is not super-cocommutative at ({j[t]},{k[t]})")
+
+
+def _entries(X):
+    """The indices of X's nonzero entries, in C order."""
+    return np.unravel_index(np.flatnonzero(X), X.shape)
 
 
 def _matches(left, right, n):
@@ -705,12 +662,15 @@ def _matches(left, right, n):
     return i, np.arange(i.size) - np.repeat(np.cumsum(reps), reps) + np.cumsum(count)[left[i]]
 
 
-def _check_associative(alg: PresentedSuperalgebra, gens, x, y, m):
-    """(xy)g = x(yg) for all basis x, y and each generator g in gens, from
-    the tensor's nonzero entries T[x, y, m] (in C order): (b_x b_y) b_g sums
-    T[x, y, m] T[m, g, k] and b_x (b_y b_g) sums T[y, g, n] T[x, n, k] at
-    (x, y, g, k), mod p, as the entries are prime-field elements."""
-    T, d = alg.tensor, alg.dim
+def _associator_keys(T, entries, gens, p):
+    """The keys ((x d + y) G + pos) d + k, increasing, at which (b_x b_y) b_g
+    and b_x (b_y b_g) differ in b_k, for all basis x, y and each g =
+    gens[pos] of the G in gens, under the product T (d x d x d).  Built
+    from T's nonzero entries T[x, y, m], (x, y, m) = entries (_entries(T)):
+    (b_x b_y) b_g sums T[x, y, m] T[m, g, k] and b_x (b_y b_g) sums
+    T[y, g, n] T[x, n, k] at (x, y, g, k), mod p, as the entries are
+    prime-field values."""
+    d, (x, y, m) = T.shape[0], entries
     c = T[x, y, m].astype(np.int64)
     by_y = np.argsort(y, kind="stable")
     keys, vals = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
@@ -728,36 +688,7 @@ def _check_associative(alg: PresentedSuperalgebra, gens, x, y, m):
     order = np.argsort(keys, kind="stable")
     keys, vals = keys[order], vals[order]
     start = np.flatnonzero(np.diff(keys, prepend=-1))  # the first entry of each key
-    bad = keys[start][np.add.reduceat(vals, start) % alg.field.p != 0]
-    if bad.size:
-        xy, pos = divmod(int(bad[0]) // d, len(gens))
-        raise AlgebraError(f"associativity fails at ({xy // d},{xy % d},{gens[pos]})")
-
-
-def _collect(F, terms):
-    """The sum per key of (key, value) pairs of field indices, zeros dropped."""
-    out = {}
-    for key, v in terms:
-        out[key] = int(F.add[out.get(key, 0), v])
-    return {key: v for key, v in out.items() if v}
-
-
-def _coproducts(alg: PresentedSuperalgebra):
-    """Delta(b_i) as {(j, k): coefficient index} for every basis index i."""
-    F = alg.F
-    return [_collect(F, (((j, k), F.scalar(c)) for j, k, c in t)) for t in alg.hopf.coproduct]
-
-
-def _koszul_terms(alg: PresentedSuperalgebra, t1, t2):
-    """The terms ((m1, m2), c) of the product of t1 and t2, given as
-    {(j, k): c}, in alg (x) alg with the Koszul sign rule."""
-    F, par = alg.F, alg.parity
-    for (j1, k1), c1 in t1.items():
-        for (j2, k2), c2 in t2.items():
-            c = F.neg[F.mul[c1, c2]] if par[k1] and par[j2] else F.mul[c1, c2]
-            for m1, cm1 in alg.products.get((j1, j2), ()):
-                for m2, cm2 in alg.products.get((k1, k2), ()):
-                    yield (m1, m2), F.mul[c, F.mul[cm1, cm2]]
+    return keys[start][np.add.reduceat(vals, start) % p != 0]
 
 
 def verify_hopf(alg: PresentedSuperalgebra):
@@ -765,34 +696,42 @@ def verify_hopf(alg: PresentedSuperalgebra):
     and the antipode as convolution inverse of the identity, each
     exhaustive (verify_algebra checks the counit).
 
-    Multiplicativity is checked as Delta(xg) = Delta(x) Delta(g) for every
-    basis x and g a generator or the unit.  By verify_algebra's premise
-    every basis element is a scalar times a word in the generators, and A
-    and A (x) A are associative, so by induction on the length of w,
+    Coassociativity of C is associativity of the dual algebra, whose
+    product b^j b^k = sum_i C[i, j, k] b^i is C read with its first axis
+    last; a failure names the first b_i it fails at.  Multiplicativity is
+    checked as Delta(xg) = Delta(x) Delta(g) for every basis x and g a
+    generator or the unit.  By verify_algebra's premise every basis element
+    is a scalar times a word in the generators, and A and A (x) A are
+    associative, so by induction on the length of w,
     Delta(x(wg)) = Delta((xw)g) = Delta(xw) Delta(g)
     = Delta(x) Delta(w) Delta(g) = Delta(x) Delta(wg): every pair follows.
     """
-    if alg.hopf is None:
-        raise AlgebraError("no Hopf structure")
-    F, H, d = alg.F, alg.hopf, alg.dim
-    cop = _coproducts(alg)
-    for i, ci in enumerate(cop):
-        # (Delta (x) id) Delta = (id (x) Delta) Delta, as {(j1, j2, j3): c}
-        lhs = (((*a, k), F.mul[c, c2]) for (j, k), c in ci.items() for a, c2 in cop[j].items())
-        rhs = (((j, *a), F.mul[c, c2]) for (j, k), c in ci.items() for a, c2 in cop[k].items())
-        if _collect(F, lhs) != _collect(F, rhs):
-            raise AlgebraError(f"coassociativity fails at basis {i}")
-    for i in range(d):
-        for g in sorted({*alg.generators.values(), alg.unit_index}):
-            ig = alg.products.get((i, g), ())
-            want = ((a, F.mul[c, c2]) for k, c in ig for a, c2 in cop[k].items())
-            if _collect(F, _koszul_terms(alg, cop[i], cop[g])) != _collect(F, want):
-                raise AlgebraError(f"coproduct not multiplicative at ({i},{g})")
-    E, S = np.eye(d, dtype=linalg.DT), H.antipode.T  # S[j] is the antipode of b_j
-    for i in range(d):
-        # both sides of the antipode axiom: sum_c c S(b_j) b_k, sum_c c b_j S(b_k)
-        j, k, c = np.array(H.coproduct[i], dtype=linalg.DT).reshape(-1, 3).T
-        want = F.mul[H.counit[i], E[alg.unit_index]]
-        for terms in (alg.el_mul(S[j], E[k]), alg.el_mul(E[j], S[k])):
-            if not np.array_equal(linalg.matmul(F, c[None], terms)[0], want):
-                raise AlgebraError(f"antipode axiom fails at basis {i}")
+    F, d, T, C, S = alg.F, alg.dim, alg.tensor, alg.hopf.coproduct, alg.hopf.antipode
+    dual = C.transpose(1, 2, 0)
+    bad = _associator_keys(dual, _entries(dual), range(d), alg.field.p)
+    if bad.size:
+        raise AlgebraError(f"coassociativity fails at basis {(bad % d).min()}")
+    signed = np.where(alg.parity.astype(bool), F.neg[C], C)  # C[x, a, b] (-1)^|b|
+    fails = []  # the first bad x for each g
+    for g in sorted({*alg.generators.values(), 0}):
+        want = linalg.bmatmul(F, T[:, g], C.reshape(d, -1)).reshape(d, d, d)  # Delta(b_x b_g)
+        got = np.zeros((d, d, d), dtype=linalg.DT)
+        for j, k in np.argwhere(C[g]).tolist():
+            # Delta(b_x) (b_j (x) b_k) = sum C[x, a, b] (-1)^{|b||j|} b_a b_j (x) b_b b_k
+            X = signed if alg.parity[j] else C
+            term = linalg.bmatmul(F, T[:, j].T, linalg.bmatmul(F, X, T[:, k]))
+            got = F.add[got, F.mul[C[g, j, k], term]]
+        bad = np.flatnonzero((want != got).any(axis=(1, 2)))
+        if bad.size:
+            fails.append((int(bad[0]), g))
+    if fails:
+        raise AlgebraError("coproduct not multiplicative at ({},{})".format(*min(fails)))
+    # both sides of the antipode axiom, sum C[i, j, k] S(b_j) b_k and
+    # sum C[i, j, k] b_j S(b_k), against counit(b_i) 1
+    want = np.zeros((d, d), dtype=linalg.DT)
+    want[:, 0] = alg.augmentation
+    sides = [linalg.bmatmul(F, S, C), linalg.bmatmul(F, C, S.T)]
+    sides = [linalg.matmul(F, X.reshape(d, -1), T.reshape(-1, d)) != want for X in sides]
+    bad = np.flatnonzero((sides[0] | sides[1]).any(axis=1))
+    if bad.size:
+        raise AlgebraError(f"antipode axiom fails at basis {bad[0]}")

@@ -371,21 +371,17 @@ def source_r_cap(p: int) -> int:
 def hom_scheme_ideal(source: PrPresentation, alg: PresentedSuperalgebra) -> PolynomialIdeal:
     """Ideal presenting Hom_{Hopf}(P_r, kG) in the variables x_{i}_{j}.
 
-    The target algebra must carry its Hopf data; its coproduct is checked
-    super-cocommutative when it is built.  Variables are
+    The target's coproduct is checked super-cocommutative when it is
+    built.  Variables are
     ordered generator-major then by basis index; x_{i}_{j} carries parity
     |r_i| + |s_j|.  Only the checks and the ring are made here: the
     generators are built as the ideal's stream is read (_generators).
     """
-    if alg.hopf is None:
-        raise ValidationError("target needs Hopf structure")
     check_source(source, alg.field.p)
-
-    nonunit = [j for j in range(alg.dim) if j != alg.unit_index]
     variables = [
         (f"x_{gi}_{j}", (source.gen_parity(g) + int(alg.parity[j])) % 2)
         for gi, g in enumerate(source.gen_names, start=1)
-        for j in nonunit
+        for j in range(1, alg.dim)
     ]
     ring = PolyRing(alg.field, variables)
     return PolynomialIdeal(ring, partial(_generators, source, alg, ring), source, alg)
@@ -404,7 +400,7 @@ def _generators(source: PrPresentation, alg: PresentedSuperalgebra, ring: PolyRi
     its negation, kept until then, when it is odd.
     """
     gens = source.gen_names
-    nonunit = [j for j in range(alg.dim) if j != alg.unit_index]
+    nonunit = range(1, alg.dim)
     F, par, neg = alg.F, alg.parity.tolist(), ring.neg
     neg1 = neg[1]
 
@@ -420,7 +416,7 @@ def _generators(source: PrPresentation, alg: PresentedSuperalgebra, ring: PolyRi
 
     def scalar(c):
         comps = [{} for _ in range(alg.dim)]
-        comps[alg.unit_index] = {0: c}
+        comps[0] = {0: c}
         return _SVec(alg, ring, comps, 0)
 
     def power(g, e):
@@ -463,10 +459,10 @@ def _generators(source: PrPresentation, alg: PresentedSuperalgebra, ring: PolyRi
     # s_a (x) s_b of (rho (x) rho)(Delta g) - Delta(rho(g)), a <= b.
     # Delta(s_j) at s_a (x) s_b, a <= b, as [(j, c), ...]:
     cop = {}
-    for j in nonunit:
-        for a, b, c in alg.hopf.coproduct[j]:
-            if a <= b:
-                cop.setdefault((a, b), []).append((j, F.scalar(c)))
+    C = alg.hopf.coproduct
+    for a, b, j in np.argwhere(C[1:].transpose(1, 2, 0)).tolist():
+        if a <= b:
+            cop.setdefault((a, b), []).append((j + 1, int(C[j + 1, a, b])))
     for gi, g in enumerate(gens, start=1):
         # one term of each cocommuting pair, ri < le in P_r's basis order;
         # B is skipped when A is zero, and zero images are not memoised, as

@@ -132,13 +132,21 @@ class PrPresentation:
 
     def relations(self):
         """Defining relations as (label, ((coeff mod p, monomial), ...))."""
+        return self.relations_among(self.gen_names)
+
+    def relations_among(self, live):
+        """The defining relations, in relations' order, that keep a term
+        with every letter in live: those not killed by sending the other
+        generators to zero."""
         p, r = self.p, self.r
+        names = [g for g in self.gen_names if g in live]
         rels = [
             graded_commutator(a, self.gen_parity(a), b, self.gen_parity(b), p)
-            for a, b in combinations(self.gen_names, 2)
+            for a, b in combinations(names, 2)
         ]
-        rels += [p_power(f"u{i}", p) for i in range(r - 1)]
-        rels.append((f"u{r-1}^p+v^2", ((1, ((f"u{r-1}", p),)), (1, (("v", 2),)))))
+        rels += [p_power(f"u{i}", p) for i in range(r - 1) if f"u{i}" in live]
+        if f"u{r-1}" in live or "v" in live:
+            rels.append((f"u{r-1}^p+v^2", ((1, ((f"u{r-1}", p),)), (1, (("v", 2),)))))
         return tuple(rels)
 
     def gamma_monomial(self, x: int):
@@ -161,3 +169,22 @@ class PrPresentation:
         each side is a basis element x, read through gamma_monomial."""
         x = 1 if name == "v" else 2 * self.p ** int(name[1:])
         return pr_coproduct(self.p, self.r, x)
+
+    def live_coproduct(self, name: str, live):
+        """The terms of gen_coproduct(name), in its order, whose two sides
+        have every letter in live, yielded without walking the others.
+
+        Delta(u_j) is the sum of gamma_i (x) gamma_{p^j - i} over i <= p^j.
+        For 0 < i < p^j, with e the position of the lowest nonzero digit of
+        i, the letters of the two sides are u_e, ..., u_{j-1}: below e both
+        have digit 0, at e they have d and p - d, and above it one of i_k and
+        p - 1 - i_k is nonzero.  So both sides are live exactly when i is a
+        multiple of p^m, m one above the highest dead u_k with k < j; the
+        two end terms hold u_j itself."""
+        if name == "v":
+            return ((1, 0, 1), (0, 1, 1)) if "v" in live else ()
+        j = int(name[1:])
+        m = next((k + 1 for k in reversed(range(j)) if f"u{k}" not in live), 0)
+        ends = name in live
+        steps = range(0 if ends else self.p**m, self.p**j + ends, self.p**m)
+        return ((2 * i, 2 * (self.p**j - i), 1) for i in steps)

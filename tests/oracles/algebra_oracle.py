@@ -6,6 +6,11 @@ homalg._check_local builds each layer I^{n+1} from the generators.  Here
 are the loops they replaced, unchanged: every basis triple and pair, and
 layers built from the whole radical.  Each raises the error the library
 raised, naming the first failure in lexicographic order.
+
+tensor_algebra builds the coproduct of A (x) B as one Koszul-signed outer
+product of the factors' tensors; tensor_coproduct is the loop over pairs of
+coproduct terms that it replaced.  The oracles read the coproduct tensor
+C[i, j, k] as lists of terms (j, k, c) through coproduct_triples.
 """
 
 import numpy as np
@@ -41,6 +46,39 @@ def verify_augmentation_pairs(alg):
         raise AlgebraError(f"augmentation not multiplicative at ({i},{j})")
 
 
+def coproduct_triples(alg):
+    """Delta(b_i) for every basis index i, as the tuple of terms (j, k, c)
+    of C[i]'s nonzero entries in increasing (j, k)."""
+    C = alg.hopf.coproduct
+    return tuple(
+        tuple((j, k, int(C[i, j, k])) for j, k in np.argwhere(C[i]).tolist())
+        for i in range(alg.dim)
+    )
+
+
+def tensor_coproduct(F, factors):
+    """coproduct_triples of the tensor product of the algebras `factors`,
+    folded left: Delta(a (x) b) = sum (-1)^{|a2||b1|} (a1 (x) b1) (x)
+    (a2 (x) b2) over the terms of Delta(a) and Delta(b), with a (x) b at
+    index i * dim B + j."""
+    cop, par = coproduct_triples(factors[0]), factors[0].parity
+    for B in factors[1:]:
+        cop_b, out = coproduct_triples(B), []
+        for i in range(len(cop)):
+            for j in range(B.dim):
+                terms = {}
+                for a1, a2, ca in cop[i]:
+                    for b1, b2, cb in cop_b[j]:
+                        c = int(F.mul[F.scalar(ca), F.scalar(cb)])
+                        if par[a2] and B.parity[b1]:
+                            c = int(F.neg[c])
+                        key = (a1 * B.dim + b1, a2 * B.dim + b2)
+                        terms[key] = int(F.add[terms.get(key, 0), c])
+                out.append(tuple((a, b, v) for (a, b), v in sorted(terms.items()) if v))
+        cop, par = tuple(out), (par[:, None] ^ B.parity[None, :]).ravel()
+    return cop
+
+
 def _tensor_square_product(alg, t1, t2):
     """Product of two sparse tensors {(j,k): c} in alg (x) alg, Koszul signs."""
     F = alg.F
@@ -61,16 +99,16 @@ def verify_coproduct_pairs(alg):
     """The coproduct is an algebra map into the super tensor square, on
     every pair of basis elements."""
     F = alg.F
-    H = alg.hopf
+    cop = coproduct_triples(alg)
     d = alg.dim
     pairs = [(i, j) for i in range(d) for j in range(d)]
     for i, j in pairs:
-        t1 = {(a, b): F.scalar(c) for a, b, c in H.coproduct[i]}
-        t2 = {(a, b): F.scalar(c) for a, b, c in H.coproduct[j]}
+        t1 = {(a, b): F.scalar(c) for a, b, c in cop[i]}
+        t2 = {(a, b): F.scalar(c) for a, b, c in cop[j]}
         got = _tensor_square_product(alg, t1, t2)
         want = {}
         for k, c in alg.products.get((i, j), ()):
-            for a, b, c2 in H.coproduct[k]:
+            for a, b, c2 in cop[k]:
                 key = (a, b)
                 want[key] = int(F.add[want.get(key, 0), F.mul[F.scalar(c), F.scalar(c2)]])
         want = {k: v for k, v in want.items() if v}
@@ -89,7 +127,7 @@ def radical_layers(A):
     """
     F = linalg.tables(A.field)
     d, rad, T = A.dim, np.array(A.radical_coords(), dtype=int), A.tensor
-    if A.augmentation[rad].any() or not A.augmentation[A.unit_index]:
+    if A.augmentation[rad].any() or not A.augmentation[0]:
         raise ValidationError("algebra augmentation is not the unit indicator")
     layer, dims = linalg.identity(d)[rad], []
     for _ in range(d + 1):

@@ -7,8 +7,9 @@ components a <= b only and took the others from super-cocommutativity.
 
 import numpy as np
 
-from supvar.errors import ValidationError
 from supvar.superalg.homscheme import PolyRing, _Memo, _SVec
+
+from oracles.algebra_oracle import coproduct_triples
 
 
 def _tensor_components(A: _SVec, B: _SVec, c: int, out: dict, mirror: bool):
@@ -45,11 +46,8 @@ def hom_scheme_generators(source, alg):
     """((label, SuperPoly), ...) of the Hom-scheme ideal, every coproduct
     component (a, b) and (b, a) built in one accumulator dict per generator
     (the full computation that the stream replaced)."""
-    if alg.hopf is None:
-        raise ValidationError("target needs Hopf structure")
-
     gens = source.gen_names
-    nonunit = [j for j in range(alg.dim) if j != alg.unit_index]
+    nonunit = range(1, alg.dim)
     variables = [
         (f"x_{gi}_{j}", (source.gen_parity(g) + int(alg.parity[j])) % 2)
         for gi, g in enumerate(gens, start=1)
@@ -71,7 +69,7 @@ def hom_scheme_generators(source, alg):
 
     def scalar(c):
         comps = [{} for _ in range(alg.dim)]
-        comps[alg.unit_index] = {0: c}
+        comps[0] = {0: c}
         return _SVec(alg, ring, comps, 0)
 
     def power(g, e):
@@ -112,6 +110,8 @@ def hom_scheme_generators(source, alg):
             if P.terms:
                 out.append((f"rel:{label}[{j}]", P))
 
+    cop = coproduct_triples(alg)
+
     # coproduct compatibility on each generator: lhs - rhs accumulated in place.
     # Delta(g) is cocommutative: with (le, ri, c) it has (ri, le, c), and no
     # Koszul sign as one side is even; so each pair is added from one term.
@@ -127,7 +127,7 @@ def hom_scheme_generators(source, alg):
             if B:
                 _tensor_components(A, B, F.scalar(c), acc, le != ri)
         for j in nonunit:
-            for a, b, c in alg.hopf.coproduct[j]:
+            for a, b, c in cop[j]:
                 ring.accumulate(acc.setdefault((a, b), {}), {x(gi, j): F.scalar(c)}, neg1)
         for cc, dd in sorted(acc):
             P = ring.poly(acc[(cc, dd)])

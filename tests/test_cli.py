@@ -7,7 +7,7 @@ import pytest
 
 from supvar.cli import main, parse_spec
 from supvar.gfield import make_field
-from supvar.superalg.algebra import build_group_algebra
+from supvar.superalg.algebra import GroupAlgebraSpec, build_group_algebra
 
 M11 = '{"family":"Mrs","p":3,"r":1,"s":1,"eta":"0"}'
 
@@ -231,6 +231,44 @@ def test_classify_builds_no_dead_coproduct_terms(capsys, tmp_path, monkeypatch):
     )
     assert run(capsys, ["classify", "-f", path]) == (0, "M_{1;1}\n", "")
     assert len(calls) <= 100, len(calls)
+
+
+def test_classify_visits_no_dead_coproduct_terms(capsys, tmp_path, monkeypatch):
+    # every u_i -> 0 and v -> v into kM_{1;1} at r = 1000: Delta(u_999)
+    # alone has 3^999 + 1 terms, and no term of any Delta(u_i) is live
+    from supvar.superalg.pr import PrPresentation
+
+    r, live_coproduct, terms = 1000, PrPresentation.live_coproduct, []
+
+    def counted(*args):
+        out = tuple(live_coproduct(*args))
+        terms.extend(out)
+        return out
+
+    images = {**{f"u{i}": ["0"] * 6 for i in range(r)}, "v": QUOT["images"]["v"]}
+    data = {**QUOT, "r": r, "target": {**QUOT["target"], "eta": "0"}, "images": images}
+    path = write(tmp_path, "dead.json", json.dumps(data))
+    monkeypatch.setattr(PrPresentation, "live_coproduct", counted)
+    err = "error: morphism is not surjective onto the target\n"
+    assert run(capsys, ["classify", "-f", path]) == (2, "", err)
+    assert len(terms) <= 10, len(terms)
+
+
+def test_classify_builds_no_dead_relation(capsys, tmp_path, monkeypatch):
+    # u_i -> 0 for all 1000 u's and v -> v into kM_{1;1,2}: no commutator of
+    # P_1000 has a live term, so none is built; u999^p + v^2 fails on v^2
+    from supvar.superalg import pr
+
+    r, graded_commutator, calls = 1000, pr.graded_commutator, []
+    build_group_algebra(GroupAlgebraSpec.from_json(QUOT["target"]))  # its own relations
+    images = {**{f"u{i}": ["0"] * 6 for i in range(r)}, "v": QUOT["images"]["v"]}
+    path = write(tmp_path, "zero.json", json.dumps({**QUOT, "r": r, "images": images}))
+    monkeypatch.setattr(
+        pr, "graded_commutator", lambda *a: calls.append(a) or graded_commutator(*a)
+    )
+    err = f"error: relation u{r - 1}^p+v^2 not killed by the morphism\n"
+    assert run(capsys, ["classify", "-f", path]) == (2, "", err)
+    assert calls == []
 
 
 def test_psi_golden(capsys, m11_file):

@@ -600,12 +600,11 @@ def test_target_coproduct_checked_where_it_enters():
 
     alg, hopf = build_group_algebra(GroupAlgebraSpec("Gar", 3, r=2))
     verify_algebra(alg)
-    cop = list(hopf.coproduct)
-    i = next(i for i, terms in enumerate(cop) if any(j != k and j and k for j, k, _ in terms))
-    j0, k0 = next((j, k) for j, k, _ in cop[i] if j != k and j and k)
-    cop[i] = tuple((j, k, c + 1 if (j, k) == (j0, k0) else c) for j, k, c in cop[i])
+    C = hopf.coproduct.copy()
+    i, j, k = next((i, j, k) for i, j, k in np.argwhere(C) if j != k and j and k)
+    C[i, j, k] += 1
     with pytest.raises(ValidationError, match="super-cocommutative"):
-        verify_algebra(replace(alg, hopf=replace(hopf, coproduct=tuple(cop))))
+        verify_algebra(replace(alg, hopf=replace(hopf, coproduct=C)))
 
 
 def test_streamed_render_memory_is_bounded():

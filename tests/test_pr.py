@@ -104,6 +104,31 @@ def test_coproduct_terms_are_yielded_not_listed():
     assert peak < 4 * 2**20, peak
 
 
+@pytest.mark.parametrize("p,r", [(3, 4), (5, 3), (7, 2)])
+def test_live_parts_are_the_terms_with_live_letters(p, r):
+    # for every set of live generators: the relations and generator
+    # coproduct terms that keep a term, or both sides, on live letters only,
+    # filtered from the full lists in their order
+    from supvar.superalg.pr import PrPresentation
+
+    pres = PrPresentation(p, r)
+
+    def letters(x):
+        return {g for g, _ in pres.gamma_monomial(x)[1]}
+
+    for mask in range(2 ** (r + 1)):
+        live = {g for b, g in enumerate(pres.gen_names) if mask >> b & 1}
+        rels = tuple(
+            (label, terms)
+            for label, terms in pres.relations()
+            if any(live.issuperset(g for g, _ in mon) for _, mon in terms)
+        )
+        assert pres.relations_among(live) == rels, live
+        for g in pres.gen_names:
+            want = tuple(t for t in pres.gen_coproduct(g) if live >= letters(t[0]) | letters(t[1]))
+            assert tuple(pres.live_coproduct(g, live)) == want, (live, g)
+
+
 @pytest.mark.parametrize("p,r", [(3, 1), (3, 2), (5, 2), (7, 1)])
 def test_coproduct_coassociative_and_counital(p, r):
     n = 2 * p ** (r + 2)

@@ -111,7 +111,7 @@ def dense_resolution(A, M, steps):
         modules.append(_free_module(A, gens))
         bnd = la.matmul(F, K, dmat) if K.size else la.zeros(modules[-2].dim, 0)
         boundaries.append(bnd)
-        unit_rows = [g * A.dim + A.unit_index for g in range(len(gen_parities[-2]))]
+        unit_rows = [g * A.dim for g in range(len(gen_parities[-2]))]
         if bnd.size and np.any(bnd[unit_rows, :]):
             minimal = False
         omega.append(_graded_kernel(F, bnd, modules[-1].parity, modules[-2].parity))

@@ -147,7 +147,7 @@ def test_parity_shift():
     assert np.array_equal(BR.action["v"], R.F.neg[R.action["v"]])
     # v -> pi v is an odd isomorphism M ~ boldPi(M): the actions differ by (-1)^{|a|}
     for g in L.action:
-        sign = -1 if L.algebra.gen_parity[g] else 1
+        sign = -1 if L.algebra.gen_parity(g) else 1
         want = L.action[g] if sign == 1 else L.F.neg[L.action[g]]
         assert np.array_equal(parity_shift(L, "boldPi").action[g], want)
 

@@ -1,6 +1,7 @@
 """Group algebra constructors, Hopf axioms, tensor products, classification."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +25,9 @@ from oracles.points_oracle import elements
 from oracles.pr_oracle import gamma_product
 from oracles.algebra_oracle import (
     _tensor_square_product,
+    coproduct_triples,
     radical_layers,
+    tensor_coproduct,
     verify_associative_d3,
     verify_augmentation_pairs,
     verify_coproduct_pairs,
@@ -93,31 +96,107 @@ def test_verify_hopf_rejects_a_wrong_antipode():
             verify_hopf(replace(alg, hopf=replace(hopf, antipode=S)))
 
 
-def test_verify_algebra_rejects_a_wrong_counit():
-    # (counit (x) id) o coproduct = id; the loop below names the first basis it fails at
+def test_verify_hopf_reads_the_antipode_by_columns():
+    # G_a(2) moved along the basis change b_2 -> b_2 + b_1 (b_2 is no
+    # generator, so the generators still generate): its antipode gains the
+    # entry S[1, 2] = s_1 - s_2 = 1 and is no longer symmetric
+    alg, hopf = build_group_algebra(GroupAlgebraSpec("Gar", 3, r=2))
+    P = np.eye(alg.dim, dtype=np.int64)
+    P[1, 2] = 1  # column j is the image of the new b_j
+    Q = np.linalg.inv(P).round().astype(np.int64)
+    T = np.einsum("ai,bj,abc,mc->ijm", P, P, alg.tensor, Q) % 3
+    C = np.einsum("ai,abc,jb,kc->ijk", P, hopf.coproduct, Q, Q) % 3
+    S = Q @ hopf.antipode @ P % 3
+    moved = replace(
+        alg,
+        tensor=T.astype(linalg.DT),
+        augmentation=(alg.augmentation @ P % 3).astype(linalg.DT),
+        hopf=replace(hopf, coproduct=C.astype(np.int8), antipode=S.astype(linalg.DT)),
+    )
+    assert not np.array_equal(S, S.T)
+    assert _message(verify_hopf, moved) is None
+    bad = replace(moved, hopf=replace(moved.hopf, antipode=S.T.astype(linalg.DT)))
+    assert _message(verify_hopf, bad).startswith("antipode axiom fails")
+
+
+def _first_coassociativity_fault(alg):
+    """The first basis i, by the loop over the coproduct's terms, at which
+    (Delta (x) id) Delta(b_i) != (id (x) Delta) Delta(b_i), or None."""
+    cop, p = coproduct_triples(alg), alg.field.p
+    for i, terms in enumerate(cop):
+        lhs, rhs = Counter(), Counter()
+        for j, k, c in terms:
+            for a, b, c2 in cop[j]:
+                lhs[a, b, k] += c * c2
+            for a, b, c2 in cop[k]:
+                rhs[j, a, b] += c * c2
+        if {t: v % p for t, v in lhs.items() if v % p} != {t: v % p for t, v in rhs.items() if v % p}:
+            return i
+    return None
+
+
+def test_verify_hopf_names_the_first_coassociativity_fault():
+    # single entries of C changed: verify_hopf names the first b_i that the
+    # loop over the coproduct's terms finds not coassociative
+    alg, hopf = build_group_algebra(GroupAlgebraSpec("Mrs", 3, r=1, s=2))
+    d, rng, seen = alg.dim, random.Random(4), 0
+    for _ in range(40):
+        key = tuple(rng.randrange(d) for _ in range(3))
+        C = hopf.coproduct.copy()
+        C[key] = (C[key] + 1) % 3
+        bad = replace(alg, hopf=replace(hopf, coproduct=C))
+        i, got = _first_coassociativity_fault(bad), _message(verify_hopf, bad)
+        if i is None:
+            assert got is None or not got.startswith("coassociativity"), key
+        else:
+            assert got == f"coassociativity fails at basis {i}", key
+            seen += 1
+    assert seen >= 10, seen
+
+
+def _first_coproduct_fault(alg):
+    """The message of the first basis i, by the loop over Delta(b_i)'s terms,
+    at which (counit (x) id) o coproduct = id fails, or else Delta(b_i) is
+    not super-cocommutative; None when both hold."""
+    F, par = alg.F, alg.parity
+    for i, terms in enumerate(coproduct_triples(alg)):
+        acc = alg.el_zero()
+        for j, k, c in terms:
+            acc[k] = F.add[acc[k], F.mul[F.scalar(c), alg.augmentation[j]]]
+        if not np.array_equal(acc, alg.el_basis(i)):
+            return f"counit axiom fails at basis {i}"
+        cop = {(j, k): c for j, k, c in terms}
+        for (j, k), c in cop.items():
+            if cop.get((k, j), 0) != (int(F.neg[c]) if par[j] and par[k] else c):
+                return f"coproduct of basis {i} is not super-cocommutative at ({j},{k})"
+    return None
+
+
+def test_verify_algebra_rejects_a_wrong_coproduct():
+    # one entry of C changed: at C[b, 0, b], which the counit axiom reads,
+    # and at 40 random places; verify_algebra names the fault that the loop
+    # over the coproduct's terms finds first, or passes where it finds none
     alg, hopf = build_group_algebra(TENSOR_SPEC)
-    F = alg.F
-    for b in range(alg.dim):
-        counit = hopf.counit.copy()
-        counit[b] = (counit[b] + 1) % 3
-        first = None
-        for i in range(alg.dim):
-            acc = alg.el_zero()
-            for j, k, c in hopf.coproduct[i]:
-                acc[k] = F.add[acc[k], F.mul[F.scalar(c), counit[j]]]
-            if first is None and not np.array_equal(acc, alg.el_basis(i)):
-                first = i
-        with pytest.raises(AlgebraError) as err:
-            verify_algebra(replace(alg, hopf=replace(hopf, counit=counit)))
-        assert str(err.value) == f"counit axiom fails at basis {first}"
+    assert _first_coproduct_fault(alg) is None and _message(verify_algebra, alg) is None
+    d, rng = alg.dim, random.Random(3)
+    keys = [(b, 0, b) for b in range(d)]
+    keys += [tuple(rng.randrange(d) for _ in range(3)) for _ in range(40)]
+    seen = set()
+    for key in keys:
+        C = hopf.coproduct.copy()
+        C[key] = (C[key] + 1) % 3
+        bad = replace(alg, hopf=replace(hopf, coproduct=C))
+        want = _first_coproduct_fault(bad)
+        assert _message(verify_algebra, bad) == want, key
+        seen.add(want and want.split(" ")[0])
+    assert seen == {"counit", "coproduct", None}
 
 
 def _tables(alg):
     H = alg.hopf
     return (
-        alg.dim, alg.parity.tolist(), alg.basis_names, alg.unit_index, alg.tensor.tolist(),
-        alg.generators, alg.gen_parity, alg.monomials, alg.relations,
-        alg.augmentation.tolist(), H.coproduct, H.counit.tolist(), H.antipode.tolist(),
+        alg.dim, alg.parity.tolist(), alg.tensor.tolist(), alg.generators, alg.monomials,
+        alg.relations, alg.augmentation.tolist(), H.coproduct.tolist(), H.antipode.tolist(),
         alg.spec,
     )
 
@@ -317,6 +396,34 @@ def test_tensor_ga1_gaminus_is_m11_as_algebra():
             tmap[i * 2 + e] = e * 3 + i
     perm = [t for t, _ in sorted(tmap.items(), key=lambda item: item[1])]
     assert T.tensor[np.ix_(perm, perm, perm)].tolist() == m11.tensor.tolist()
+
+
+M11, GA1, GAM = ALL_SPECS[0], ALL_SPECS[6], ALL_SPECS[8]
+TENSOR_SPECS = [
+    TENSOR_SPEC,
+    GroupAlgebraSpec("Tensor", 3, factors=(GAM, GA1)),
+    GroupAlgebraSpec("Tensor", 3, factors=(GA1, GA1)),
+    GroupAlgebraSpec("Tensor", 5, factors=(GroupAlgebraSpec("Gar", 5, r=1),) * 2),
+    GroupAlgebraSpec("Tensor", 3, factors=(GAM, GAM)),
+    GroupAlgebraSpec("Tensor", 3, factors=(M11, GroupAlgebraSpec("TruncEven", 3, t=1))),
+    GroupAlgebraSpec("Tensor", 3, factors=(M11, GAM)),
+    GroupAlgebraSpec("Tensor", 3, factors=(M11, GA1, GroupAlgebraSpec("TruncEven", 3, t=1))),
+    # three factors with odd basis elements in two, and p = 5 with odd ones in both
+    GroupAlgebraSpec("Tensor", 3, factors=(M11, GAM, GA1)),
+    GroupAlgebraSpec("Tensor", 5, factors=(GroupAlgebraSpec("Mrs", 5, r=1, s=1),) * 2),
+    GroupAlgebraSpec("Tensor", 5, factors=(GroupAlgebraSpec("GaMinus", 5),) * 3),
+]
+
+
+@pytest.mark.parametrize("spec", TENSOR_SPECS, ids=lambda s: f"{s.label()}-p{s.p}")
+def test_tensor_coproduct_matches_the_term_loop(spec):
+    # the Koszul outer product against the loop over pairs of terms that it
+    # replaced, folded over the factors
+    alg, hopf = build_group_algebra(spec)
+    C = hopf.coproduct
+    assert C.shape == (alg.dim,) * 3 and C.dtype == np.int8 and not C.flags.writeable
+    factors = [build_group_algebra(f)[0] for f in spec.factors]
+    assert coproduct_triples(alg) == tensor_coproduct(alg.F, factors)
 
 
 def test_tensor_field_mismatch():
@@ -553,7 +660,7 @@ def test_verify_algebra_matches_el_mul_oracle(spec):
     # names the first failing (x, y, g).
     base, _ = build_group_algebra(spec)
     assert _old_verify_algebra(base) is None and _message(verify_algebra, base) is None
-    d, u = base.dim, base.unit_index
+    d, u = base.dim, 0
     rng = random.Random(7)
     edits = [(tuple(k), (base.tensor[tuple(k)] + 1) % 3) for k in np.argwhere(base.tensor)]
     edits += [(tuple(rng.randrange(d) for _ in range(3)), 1) for _ in range(300)]
@@ -601,21 +708,12 @@ def _twisted_coproduct(alg, k, l):
     the other basis elements.  With b_k, b_l in the radical and of equal
     parity it is coassociative, counital and super-cocommutative, but
     multiplicative only if phi is an algebra map."""
-    F = alg.F
-    phi = {i: {i: 1} for i in range(alg.dim)}
-    phi[k] = {k: 1, l: 1}
-    cop = []
-    for i in range(alg.dim):
-        terms = [(j, k2, c) for j, k2, c in alg.hopf.coproduct[i]]
-        if i == k:  # phi^{-1}(b_k) = b_k - b_l
-            terms += [(j, k2, int(F.neg[F.scalar(c)])) for j, k2, c in alg.hopf.coproduct[l]]
-        out = {}
-        for j, k2, c in terms:
-            for a, ca in phi[j].items():
-                for b, cb in phi[k2].items():
-                    out[a, b] = int(F.add[out.get((a, b), 0), F.mul[F.scalar(c), ca * cb]])
-        cop.append(tuple((a, b, c) for (a, b), c in sorted(out.items()) if c))
-    return replace(alg, hopf=replace(alg.hopf, coproduct=tuple(cop)))
+    p, C = alg.field.p, alg.hopf.coproduct.astype(np.int64)
+    phi = np.eye(alg.dim, dtype=np.int64)
+    phi[l, k] = 1  # column k is phi(b_k) = b_k + b_l
+    C[k] -= C[l]  # phi^{-1}(b_k) = b_k - b_l
+    cop = np.einsum("aj,ijk,bk->iab", phi, C, phi) % p
+    return replace(alg, hopf=replace(alg.hopf, coproduct=cop.astype(np.int8)))
 
 
 @pytest.mark.parametrize(
@@ -641,8 +739,8 @@ def test_verify_hopf_matches_all_pairs_oracle(spec):
     # the pair it names is broken: Delta(b_x b_g) != Delta(b_x) Delta(b_g),
     # with b_g a generator or the unit
     x, g = map(int, got[got.index("(") + 1 : -1].split(","))
-    assert g in {*base.generators.values(), base.unit_index}
-    F, cop = bad.F, bad.hopf.coproduct
+    assert g in {*base.generators.values(), 0}
+    F, cop = bad.F, coproduct_triples(bad)
     want = {}
     for m, c in bad.products.get((x, g), ()):
         for a, b, c2 in cop[m]:

@@ -227,7 +227,7 @@ def test_bad_point_images_rejected(case, message, tmp_path, capsys, monkeypatch)
     alg, _ = build_group_algebra(M11)
     u, v = alg.el_zero(), alg.el_zero()
     if case == "counit":
-        u[alg.unit_index], v[alg.unit_index] = alg.F.neg[1], 1
+        u[0], v[0] = alg.F.neg[1], 1  # basis 0 is the unit
     else:
         u[alg.generators["v"]] = 1
     M = build_L(F3.element(1), F3.element(1))
