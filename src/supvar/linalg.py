@@ -64,6 +64,12 @@ def tables(field: FieldDescriptor) -> GFTables:
     return field._tables
 
 
+def grid(q: int, k: int) -> np.ndarray:
+    """All k-tuples of field indices, one per row, in lexicographic order;
+    for k = 0, one empty row."""
+    return np.indices((q,) * k, dtype=DT).reshape(k, q**k).T
+
+
 def zeros(m: int, n: int) -> np.ndarray:
     return np.zeros((m, n), dtype=DT)
 

@@ -5,8 +5,10 @@ x_{i,j} with rho(r_i) = sum_j s_j (x) x_{i,j} over the non-unit basis s_j of
 kG, where x_{i,j} has parity |r_i| + |s_j|.  The conditions "rho kills the
 relations of P_r", "rho commutes with the coproducts", and "rho commutes
 with the antipodes" are polynomial in the x_{i,j}; this module emits those
-polynomials and enumerates their even points over the base field by brute
-force (odd variables are set to zero).
+polynomials.  Their even points over the base field (odd variables set to
+zero) are found without the polynomials, from the target's structure
+tensors: rho(g) solves a linear system, one generator at a time
+(solve_even_points).
 
 kG is dual to the supercommutative k[G], so its coproduct is
 super-cocommutative, and so is that of P_r.  The target's is checked when
@@ -21,7 +23,7 @@ a chunk at a time, so the whole ideal is never held.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 from operator import or_
 from typing import Callable
 
@@ -94,7 +96,6 @@ class PolyRing:
 
     def __init__(self, field, variables):
         self.field = field
-        self.F = F = linalg.tables(field)
         self.variables = tuple(variables)  # ((name, parity), ...)
         names = [name for name, _ in self.variables]
         if len(set(names)) < len(names) or not all(name.isidentifier() for name in names):
@@ -106,29 +107,20 @@ class PolyRing:
         self.guard = sum(1 << (s + SLOT_BITS - 1) for s in self.shift)
         self.high = sum(3 << (s + SLOT_BITS - 2) for s in self.shift)
         self.oddmask = sum(1 << s for s, par in zip(self.shift, self.parity) if par)
-        self.add_rows = _Memo(lambda c: F.add[c].tolist())
-        self.mul_rows = _Memo(lambda c: F.mul[c].tolist())
-        self.neg = F.neg.tolist()
-        self.coeff_text = _Memo(lambda c: F.to_element(c).encode())
+        self.add_rows = _Memo(lambda c: self.F.add[c].tolist())
+        self.mul_rows = _Memo(lambda c: self.F.mul[c].tolist())
+        self.coeff_text = _Memo(lambda c: self.F.to_element(c).encode())
         self.factor_text = _Memo(self._factor_text)
+
+    # built when the ring first computes, so a caller can check its own cap first
+    F = cached_property(lambda self: linalg.tables(self.field))
+    neg = cached_property(lambda self: self.F.neg.tolist())
 
     def poly(self, terms):
         """A SuperPoly of terms, its parity read off a monomial; zero
         coefficients are dropped."""
         par = (next(iter(terms)) & self.oddmask).bit_count() % 2 if terms else 0
         return SuperPoly(self, terms, par)
-
-    def factors(self, m: int):
-        """((variable, exponent), ...) of a monomial, in variable order; only
-        the nonzero slots are visited."""
-        out = []
-        top = len(self.variables) - 1
-        while m:
-            slot = (m.bit_length() - 1) // SLOT_BITS
-            low = slot * SLOT_BITS
-            out.append((top - slot, m >> low))
-            m &= (1 << low) - 1
-        return out
 
     def _factor_text(self, key: int):
         """"*name" or "*name^e" of key = (variable << SLOT_BITS) | e, e >= 1;
@@ -251,20 +243,6 @@ class SuperPoly:
         self.ring.addmul([(out, 1)], self.terms, other.terms)
         return SuperPoly(self.ring, out, (self.parity + other.parity) % 2)
 
-    def evaluate(self, assignment):
-        """Value at a point, through the field tables; odd variables evaluate
-        to the assigned value too (pass zeros for even points).  Entries may
-        be index arrays of one shape, giving the values at many points."""
-        F = self.ring.F
-        total = 0
-        for m, c in self.terms.items():
-            val = c
-            for v, e in self.ring.factors(m):
-                for _ in range(e):
-                    val = F.mul[val, assignment[v]]
-            total = F.add[total, val]
-        return total
-
     def render(self):
         """Deterministic text (PolyRing.render), "0" for zero."""
         return self.ring.render([self.terms])[0] if self.terms else "0"
@@ -277,8 +255,8 @@ class PolynomialIdeal:
     The ideal is a stream: `items()` returns a fresh iterator over its
     generators, in order, as (label, P).  P is a SuperPoly, or the label of
     an earlier generator that this one equals.  Nothing is held between
-    calls: `render` and the solver each read a fresh stream, skip the
-    repeats, and never hold the whole ideal.
+    calls: `render` reads a fresh stream, skips the repeats, and never holds
+    the whole ideal.
     """
 
     ring: PolyRing
@@ -508,49 +486,80 @@ def _generators(source: PrPresentation, alg: PresentedSuperalgebra, ring: PolyRi
 
 
 def check_solver_cap(source: PrPresentation, alg: PresentedSuperalgebra) -> int:
-    """The solver's candidate count q^(number of even variables), read from
-    the presentation and the algebra's parities before any ideal is built;
-    raises BoundExceeded above SOLVE_ASSIGNMENT_CAP."""
+    """q^(number of even variables), read from the presentation and the
+    algebra's parities before any ideal is built.  It bounds the even points,
+    so what `points --method solve` may print, not the solver's work; above
+    SOLVE_ASSIGNMENT_CAP it raises BoundExceeded (exit 3) before any work."""
     odd = int(alg.parity.sum())  # odd basis elements; the unit is even
     n_even = sum(odd if source.gen_parity(g) else alg.dim - 1 - odd for g in source.gen_names)
     count = alg.field.q**n_even
     if count > SOLVE_ASSIGNMENT_CAP:
-        raise BoundExceeded(
-            f"{count} candidate assignments exceed the cap {SOLVE_ASSIGNMENT_CAP}"
-        )
+        raise BoundExceeded(f"{count} candidate assignments exceed the cap {SOLVE_ASSIGNMENT_CAP}")
     return count
 
 
-def solve_even_points(ideal: PolynomialIdeal, field=None):
-    """All even F_q points by brute force (odd variables forced to zero).
+def solve_even_points(ideal: PolynomialIdeal):
+    """All even F_q points of the ideal (odd variables zero), as a list of
+    morphism image dictionaries {generator: vector}: _solve, after
+    check_solver_cap.  Only the ideal's source and target are read."""
+    check_solver_cap(ideal.source, ideal.target)
+    return _solve(ideal.source, ideal.target)
 
-    Every candidate assignment is evaluated at once, as index arrays.
-    Returns a list of morphism image dictionaries {generator: vector}.
-    """
-    alg = ideal.target
-    field = field or alg.field
-    if field != alg.field:
-        raise ValidationError("solver field must match the target algebra field")
-    count = check_solver_cap(ideal.source, alg)
-    ring = ideal.ring
-    even = [i for i, par in enumerate(ring.parity) if par == 0]
-    grid = np.indices((field.q,) * len(even), dtype=linalg.DT).reshape(len(even), count)
-    columns = [0] * len(ring.parity)
-    for pos, col in zip(even, grid):
-        columns[pos] = col
-    ok = np.ones(count, dtype=bool)
-    for _, P in ideal.items():
-        if not isinstance(P, str):  # a repeat vanishes where its original does
-            ok &= P.evaluate(columns) == 0
 
-    solutions = []
-    for combo in grid.T[ok]:
-        assignment = dict(zip(even, combo))
-        images = {}
-        for gi, g in enumerate(ideal.source.gen_names, start=1):
-            images[g] = vec = alg.el_zero()
-            for j in range(alg.dim):
-                pos = ring.name_index.get(f"x_{gi}_{j}")  # None at the unit
-                vec[j] = assignment.get(pos, 0)
-        solutions.append(images)
-    return solutions
+def _solve(source: PrPresentation, alg: PresentedSuperalgebra):
+    """The even Hopf maps rho: P_r -> kG, one generator g at a time.
+
+    On a stack of partial solutions, rho(g) = x solves A x = b
+    (_layer_system): its reduced coproduct is the sum b of the terms
+    c rho(s) (x) rho(t) of (rho (x) rho)(Delta g) with s, t not the unit,
+    words in earlier generators, and S x = -x.  A row with no solution is dropped, the others
+    spread over their cosets x + ker A, and the leaves are kept where the
+    relations of P_r vanish."""
+    F, d = alg.F, alg.dim
+    systems = [_layer_system(alg, parity) for parity in (0, 1)]
+    images, n = {}, 1  # generator -> (n, d) images, a row per partial solution
+    for g in source.gen_names:
+        cols, live, A, indep, E, pivots, coset = systems[source.gen_parity(g)]
+        b, memo = linalg.zeros(n, len(live)), {}
+        for s, t, c in source.gen_coproduct(g):
+            if s and t:
+                x, y = (alg.el_word(*source.gamma_monomial(e), images, memo)[:, 1:] for e in (s, t))
+                outer = F.mul[F.mul[F.scalar(c), x[:, :, None]], y[:, None, :]]
+                b[:, d:] = F.add[b[:, d:], outer.reshape(n, -1)]  # n >= 1: rho = 0 is a row
+        X = linalg.zeros(n, len(cols))
+        X[:, pivots] = linalg.bmatmul(F, b[:, live][:, indep], E.T)
+        ok = (linalg.bmatmul(F, X, A.T) == b[:, live]).all(axis=1) & ~b[:, ~live].any(axis=1)
+        n = int(ok.sum()) * len(coset)
+        images = {h: np.repeat(y[ok], len(coset), axis=0) for h, y in images.items()}
+        images[g] = linalg.zeros(n, d)
+        images[g][:, cols] = F.add[X[ok, None], coset].reshape(n, len(cols))
+    ok, memo = np.ones(n, dtype=bool), {}
+    for _, terms in source.relations():
+        total = 0
+        for coeff, mon in terms:
+            total = F.add[total, alg.el_word(coeff, mon, images, memo)]
+        ok &= ~total.any(axis=1)
+    return [{g: y[i] for g, y in images.items()} for i in np.flatnonzero(ok)]
+
+
+def _layer_system(alg: PresentedSuperalgebra, parity: int):
+    """(cols, live, A, indep, E, pivots, coset) for a generator of the parity.
+
+    cols are the non-unit basis elements of the parity.  On their span, x ->
+    (S x + x, Delta x - x (x) 1 - 1 (x) x) is a (d + (d-1)^2) x len(cols)
+    matrix; by the counit axiom, its second part is C[x, a, b] at a, b > 0.
+    A holds its nonzero rows, marked in live.  The rows indep of A span its
+    row space, and E A[indep] is reduced echelon with pivot columns pivots,
+    so x[pivots] = E b[indep] solves A x = b if anything does.  The rows of
+    coset are ker A."""
+    F, d = alg.F, alg.dim
+    cols = np.flatnonzero(alg.parity[1:] == parity) + 1
+    C, S = alg.hopf.coproduct[cols, 1:, 1:], F.add[alg.hopf.antipode, linalg.identity(d)]
+    A = np.vstack([S[:, cols], C.reshape(len(cols), (d - 1) ** 2).T])
+    live = A.any(axis=1)
+    A = A[live]
+    indep = linalg.rref(F, A.T)[1]
+    R, pivots = linalg.rref(F, np.hstack([A[indep], linalg.identity(len(indep))]))
+    K = linalg.right_kernel(F, A[indep])
+    coset = linalg.bmatmul(F, linalg.grid(alg.field.q, K.shape[1]), K.T)
+    return cols, live, A, indep, R[:, len(cols) :], pivots, coset

@@ -74,11 +74,6 @@ def _canonical(field: FieldDescriptor, pts: np.ndarray) -> np.ndarray:
     return pts[np.lexsort(key.T[::-1])]
 
 
-def _grid(q: int, k: int) -> np.ndarray:
-    """All k-tuples of field indices, one per row."""
-    return np.indices((q,) * k, dtype=linalg.DT).reshape(k, -1).T
-
-
 def _frob_power(F: linalg.GFTables, k: int) -> np.ndarray:
     """The table of x -> x^(p^k); k may be negative, since x^(p^n) = x."""
     out = np.arange(F.q, dtype=linalg.DT)
@@ -119,6 +114,8 @@ def _arity(spec: GroupAlgebraSpec) -> int:
     if spec.family == "GaMinus":
         return 1
     if spec.family == "Gar":
+        if spec.r == 0:
+            raise ValidationError("no point coordinates for G_a(0): Gar needs r >= 1")
         return spec.r
     if spec.family in ("Mrs", "Mrf"):
         return 1 + spec.r + _has_b(spec)
@@ -130,15 +127,6 @@ def _check_characteristic(spec: GroupAlgebraSpec, field: FieldDescriptor):
         raise ValidationError(f"field characteristic {field.p} != spec p {spec.p}")
 
 
-def _check_points_cap(spec: GroupAlgebraSpec, field: FieldDescriptor):
-    """The spec's p is the field's characteristic, and q^arity is within
-    POINTS_CAP."""
-    arity = _arity(spec)
-    _check_characteristic(spec, field)
-    if field.q**arity > POINTS_CAP:
-        raise BoundExceeded(f"{field.q}^{arity} candidate points exceed the cap {POINTS_CAP}")
-
-
 def _cone_mask(spec: GroupAlgebraSpec, F: linalg.GFTables, pts: np.ndarray) -> np.ndarray:
     """mu^2 = a_0^{p^r} on each row (mu, a_0, ...)."""
     mu, a0 = pts[..., 0], pts[..., 1]
@@ -146,9 +134,12 @@ def _cone_mask(spec: GroupAlgebraSpec, F: linalg.GFTables, pts: np.ndarray) -> n
 
 
 def _check_parametrized(spec: GroupAlgebraSpec, field: FieldDescriptor):
-    """The family has a parametrization, and its candidate tuples are
-    within POINTS_CAP."""
-    _check_points_cap(spec, field)
+    """The spec's p is the field's characteristic, its q^arity candidate
+    tuples are within POINTS_CAP, and the family has a parametrization."""
+    arity = _arity(spec)
+    _check_characteristic(spec, field)
+    if field.q ** min(arity, POINTS_CAP.bit_length()) > POINTS_CAP:  # a huge arity, no huge power
+        raise BoundExceeded(f"{field.q}^{arity} candidate points exceed the cap {POINTS_CAP}")
     if spec.family not in ("Mrs", "Gar", "GaMinus"):
         raise ValidationError(f"no parametrization for family {spec.family}")
     if spec.eta != 0 and spec.r < 2:
@@ -160,7 +151,7 @@ def family_points(spec: GroupAlgebraSpec, field: FieldDescriptor) -> np.ndarray:
     order; raises for unsupported families and, before enumerating, for
     more than POINTS_CAP candidate tuples."""
     _check_parametrized(spec, field)
-    pts = _grid(field.q, _arity(spec))
+    pts = linalg.grid(field.q, _arity(spec))
     if _on_cone(spec):
         pts = pts[_cone_mask(spec, linalg.tables(field), pts)]
     return _canonical(field, pts)
@@ -264,40 +255,36 @@ def validate_point_images(spec, alg, images):
 
 
 def enumerate_points(spec: GroupAlgebraSpec, field: FieldDescriptor, method: str = "param") -> PointSet:
-    """All F_q points, by parametrization or by the brute-force solver.
+    """All F_q points, by parametrization or by the Hom-scheme solver.
 
-    The solver enumerates even solutions of the Hom-scheme ideal and then
-    matches them against the parametrization; a mismatch raises, so the two
+    The solver finds the even Hopf maps P_r -> kG from kG's structure
+    tensors (homscheme.solve_even_points), and they are matched against the
+    parametrization through their images; a mismatch raises, so the two
     methods cross-check each other.  Both bounds, on the candidate points
-    and on the solver's candidate assignments, are checked before any point
-    is listed or any ideal built.
+    and on the solver's count (check_solver_cap), are checked before any
+    point is listed.
     """
     if method not in ("param", "solve"):
         raise ValidationError("method must be 'param' or 'solve'")
     if method == "param":
         return PointSet(spec, field, family_points(spec, field))
-    from .superalg.homscheme import check_solver_cap, hom_scheme_ideal, solve_even_points
+    from .superalg.homscheme import hom_scheme_ideal, solve_even_points
     from .superalg.pr import PrPresentation
 
     _check_parametrized(spec, field)
     alg = build_group_algebra(spec, field)[0]
     pres = PrPresentation(spec.p, _hom_height(spec))
-    check_solver_cap(pres, alg)
-    param_pts = family_points(spec, field)
     sols = solve_even_points(hom_scheme_ideal(pres, alg))
+    pts = family_points(spec, field)
     # match solutions with parametrized points through their images
-    images = _images(spec, alg, param_pts)
-    keys = np.hstack([images[g] for g in pres.gen_names]).tolist()
-    lookup = {tuple(key): i for i, key in enumerate(keys)}
-    found = []
-    for sol in sols:
-        key = tuple(np.concatenate([sol[g] for g in pres.gen_names]).tolist())
-        if key not in lookup:
-            raise ValidationError("solver found a morphism outside the parametrization")
-        found.append(lookup[key])
-    if len(found) != len(set(found)) or len(found) != len(lookup):
+    images = _images(spec, alg, pts)
+    lookup = {row.tobytes(): i for i, row in enumerate(np.hstack([images[g] for g in pres.gen_names]))}
+    found = [lookup.get(np.concatenate([sol[g] for g in pres.gen_names]).tobytes()) for sol in sols]
+    if None in found:
+        raise ValidationError("solver found a morphism outside the parametrization")
+    if sorted(found) != list(range(len(pts))):
         raise ValidationError("solver points do not biject with the parametrization")
-    return PointSet(spec, field, _canonical(field, param_pts[found]))
+    return PointSet(spec, field, pts)
 
 
 def _p1_pair(spec: GroupAlgebraSpec, images):
@@ -454,13 +441,10 @@ def psi_target_points(spec: GroupAlgebraSpec, field: FieldDescriptor) -> np.ndar
     """F_q points of the cohomological spectrum, in psi's coordinate order
     and in canonical order.
 
-    psi is a bijection onto them, so the same POINTS_CAP bound applies."""
-    _check_points_cap(spec, field)
-    if spec.family not in ("Mrs", "Gar", "GaMinus"):
-        raise ValidationError(f"no spectrum description for family {spec.family}")
-    if spec.eta != 0 and spec.r < 2:
-        raise ValidationError("the eta-family spectrum needs r >= 2")
-    pts = _grid(field.q, _arity(spec))
+    psi is a bijection onto them from the parametrized points, so the same
+    checks and POINTS_CAP bound apply."""
+    _check_parametrized(spec, field)
+    pts = linalg.grid(field.q, _arity(spec))
     if _on_cone(spec):
         # (d, c_1, ..., c_m, e) with the top c equal to d^2
         F = linalg.tables(field)
@@ -506,7 +490,7 @@ def admissible_scalings(field: FieldDescriptor, r: int) -> np.ndarray:
     """All (mu, a) in F_q^2 with a^{p^r} = mu^2 (the dilation monoid
     points), as index rows, mu major."""
     F = linalg.tables(field)
-    pairs = _grid(field.q, 2)
+    pairs = linalg.grid(field.q, 2)
     return pairs[_frob_power(F, r)[pairs[:, 1]] == F.mul[pairs[:, 0], pairs[:, 0]]]
 
 

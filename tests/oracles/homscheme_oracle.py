@@ -5,9 +5,11 @@ mirror (b, a) from each product, as the library did before it built the
 components a <= b only and took the others from super-cocommutativity.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from supvar.superalg.homscheme import PolyRing, _Memo, _SVec
+from supvar.superalg.homscheme import SLOT_MASK, PolyRing, _Memo, _SVec
 
 from oracles.algebra_oracle import coproduct_triples
 
@@ -146,3 +148,45 @@ def hom_scheme_generators(source, alg):
                 out.append((f"ant:{g}[{m}]", P))
 
     return tuple(out)
+
+
+# -- polynomials with tuple monomials, read and evaluated term by term ------
+
+
+@dataclass(frozen=True)
+class Monomial:
+    """even: sorted ((var, exp), ...); odd: strictly increasing var tuple."""
+
+    even: tuple
+    odd: tuple
+
+    def degree(self):
+        return sum(e for _, e in self.even) + len(self.odd)
+
+
+def as_monomials(ring, P):
+    """The terms of a SuperPoly as {Monomial: coefficient}, each packed
+    monomial read one variable slot at a time."""
+    out = {}
+    for m, c in P.terms.items():
+        exps = [(m >> s) & SLOT_MASK for s in ring.shift]
+        out[Monomial(
+            tuple((v, e) for v, e in enumerate(exps) if e and not ring.parity[v]),
+            tuple(v for v, e in enumerate(exps) if e and ring.parity[v]),
+        )] = c
+    return out
+
+
+def oracle_evaluate(F, P, assignment):
+    """The value of {Monomial: coefficient} at a point, given as one field
+    index per variable, one product of scalars at a time."""
+    total = 0
+    for m, c in P.items():
+        val = c
+        for v, e in m.even:
+            for _ in range(e):
+                val = int(F.mul[val, assignment[v]])
+        for v in m.odd:
+            val = int(F.mul[val, assignment[v]])
+        total = int(F.add[total, val])
+    return total

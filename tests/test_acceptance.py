@@ -205,7 +205,7 @@ def test_criterion_07_solver_vs_parametrization():
         sol = enumerate_points(spec, F3, method="solve")
         assert len(par.points) == count
         assert par.points.tolist() == sol.points.tolist()
-    _passed(7, "brute-force Hom points match parametrization: M11 (9), Ga(1) (3), Ga^- (3)")
+    _passed(7, "Hom points solved from kG's coproduct match parametrization: M11 (9), Ga(1) (3), Ga^- (3)")
 
 
 def test_criterion_08_resolution_ranks():

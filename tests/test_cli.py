@@ -327,7 +327,7 @@ def test_point_enumeration_bounded(capsys, monkeypatch):
     def no_grid(q, k):
         raise AssertionError("enumeration started")
 
-    monkeypatch.setattr(varieties, "_grid", no_grid)
+    monkeypatch.setattr(varieties.linalg, "grid", no_grid)
     m22p7 = '{"family":"Mrs","p":7,"r":2,"s":2}'
     for method in ("param", "solve"):
         code, out, err = run(capsys, ["points", "-g", m22p7, "-F", "7^4", "--method", method])
@@ -336,6 +336,22 @@ def test_point_enumeration_bounded(capsys, monkeypatch):
     for method in ("param", "solve"):
         code, out, err = run(capsys, ["points", "-g", "p1", "-F", "3", "--method", method])
         assert (code, out) == (2, "") and err.count("\n") == 1, method
+
+
+def test_trivial_group_points_refused(capsys, tmp_path):
+    # G_a(0)'s one point has no coordinates: exit 2 naming it, not a traceback
+    g0 = '{"family":"Gar","p":3,"r":0}'
+    module = {"group": json.loads(g0), "field": "3^1", "dim": 1, "parity": [0], "action": {}}
+    k = write(tmp_path, "k.json", json.dumps(module))
+    for argv in (
+        ["points", "-g", g0, "-F", "3"],
+        ["points", "-g", g0, "-F", "3", "--method", "solve"],
+        ["support", "-g", g0, "-m", k, "-F", "3"],
+        ["psi", "-g", g0, "-F", "3", "-P", ""],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: no point coordinates for G_a(0): Gar needs r >= 1\n", argv
 
 
 @pytest.mark.parametrize(
@@ -421,6 +437,11 @@ def test_absurd_spec_parameters_refused_at_once(capsys):
         code, out, err = run(capsys, ["resolve", "-g", spec, "-n", "1"])
         assert time.perf_counter() - start < 0.5, spec
         assert (code, out) == (3, "") and err.count("\n") == 1 and "cap 200" in err
+    # the points bound is checked without taking 3^(10^9)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["points", "-g", spec, "-F", "3"])
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (3, "", "error: 3^1000000000 candidate points exceed the cap 531441\n")
 
 
 def test_degree_arguments_bounded(capsys, m11_file, l01_file, tmp_path):

@@ -1,13 +1,13 @@
-"""The Hom-scheme ideal and its brute-force even-point solver."""
+"""The Hom-scheme ideal and its layered even-point solver."""
 
 import hashlib
 import random
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from oracles import homscheme_oracle
+from oracles.homscheme_oracle import Monomial, as_monomials, oracle_evaluate
 from supvar.errors import BoundExceeded, ValidationError
 from supvar.gfield import SUPPORTED_PRIMES, make_field
 from supvar.superalg.algebra import GroupAlgebraSpec, build_group_algebra, verify_algebra
@@ -47,7 +47,7 @@ def test_superpoly_arithmetic():
     ba = b * a
     assert _add(ab, ba).is_zero()  # anticommute
     two_x = _add(x, x)
-    assert two_x.evaluate([2, 0, 0]) == F3.element(4).index
+    assert oracle_evaluate(ring.F, as_monomials(ring, two_x), [2, 0, 0]) == F3.element(4).index
     assert (x * x).render() == "1*x^2"
     assert ab.render() == "1*a*b"
 
@@ -128,17 +128,6 @@ def test_solver_bound():
 # -- the packed-monomial core against the tuple-monomial product ---------
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """even: sorted ((var, exp), ...); odd: strictly increasing var tuple."""
-
-    even: tuple
-    odd: tuple
-
-    def degree(self):
-        return sum(e for _, e in self.even) + len(self.odd)
-
-
 def _merge_odd(a: tuple, b: tuple):
     """Concatenate odd variable lists; Koszul sign, or None if a square appears."""
     if set(a) & set(b):
@@ -182,19 +171,6 @@ def oracle_add(F, P, Q):
     for m, c in Q.items():
         out[m] = int(F.add[out.get(m, 0), c])
     return {m: c for m, c in out.items() if c}
-
-
-def oracle_evaluate(F, P, assignment):
-    total = 0
-    for m, c in P.items():
-        val = c
-        for v, e in m.even:
-            for _ in range(e):
-                val = int(F.mul[val, assignment[v]])
-        for v in m.odd:
-            val = int(F.mul[val, assignment[v]])
-        total = int(F.add[total, val])
-    return total
 
 
 def oracle_render(F, names, P):
@@ -243,17 +219,6 @@ def _random_pair(rng, ring, q, parity):
     return SuperPoly(ring, new, parity), {m: c for m, c in old.items() if c}
 
 
-def _as_oracle(ring, P):
-    out = {}
-    for m, c in P.terms.items():
-        fs = ring.factors(m)
-        out[Monomial(
-            tuple((v, e) for v, e in fs if not ring.parity[v]),
-            tuple(v for v, _ in fs if ring.parity[v]),
-        )] = c
-    return out
-
-
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 2)])
 def test_packed_core_matches_tuple_monomials(p, n):
     field = make_field(p, n)
@@ -266,14 +231,15 @@ def test_packed_core_matches_tuple_monomials(p, n):
         P, oP = _random_pair(rng, ring, field.q, pa)
         Q, oQ = _random_pair(rng, ring, field.q, pb)
         R, oR = _random_pair(rng, ring, field.q, pa)
-        assert _as_oracle(ring, P * Q) == oracle_mul(F, oP, oQ)
-        assert _as_oracle(ring, Q * P) == oracle_mul(F, oQ, oP)
-        assert _as_oracle(ring, _add(P, R)) == oracle_add(F, oP, oR)
+        assert as_monomials(ring, P * Q) == oracle_mul(F, oP, oQ)
+        assert as_monomials(ring, Q * P) == oracle_mul(F, oQ, oP)
+        assert as_monomials(ring, _add(P, R)) == oracle_add(F, oP, oR)
         assert (P * Q).render() == oracle_render(F, names, oracle_mul(F, oP, oQ))
         assert _add(P, R).render() == oracle_render(F, names, oracle_add(F, oP, oR))
         point = [rng.randrange(field.q) for _ in VARS]
-        assert P.evaluate(point) == oracle_evaluate(F, oP, point)
-        assert (P * Q).evaluate(point) == oracle_evaluate(F, oracle_mul(F, oP, oQ), point)
+        assert oracle_evaluate(F, as_monomials(ring, P), point) == oracle_evaluate(F, oP, point)
+        PQ = as_monomials(ring, P * Q)
+        assert oracle_evaluate(F, PQ, point) == oracle_evaluate(F, oracle_mul(F, oP, oQ), point)
 
 
 def test_exponent_overflow_raises():
@@ -365,7 +331,7 @@ def _text(ideal):
 
 def _oracle_lines(ring, polys):
     names = [name for name, _ in ring.variables]
-    texts = (oracle_render(ring.F, names, _as_oracle(ring, P)) for P in polys if P.terms)
+    texts = (oracle_render(ring.F, names, as_monomials(ring, P)) for P in polys if P.terms)
     return "\n".join(dict.fromkeys(texts))
 
 

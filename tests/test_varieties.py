@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import points_oracle as oracle
+from oracles.homscheme_oracle import as_monomials, oracle_evaluate
 from oracles.points_oracle import elements
 from supvar.errors import BoundExceeded, ValidationError
 from supvar.gfield import make_field
@@ -172,8 +173,9 @@ def test_point_images_are_hopf_morphisms():
 
 
 def test_param_points_satisfy_hom_ideal_beyond_solver():
-    """Where brute force is out of reach, the parametrized points still
-    satisfy every generator of the Hom-scheme ideal."""
+    """The parametrized points satisfy every generator of the Hom-scheme
+    ideal, evaluated term by term: the one check that ties the ideal to the
+    points, as the solver reads kG's structure tensors, not the ideal."""
     from supvar.superalg.homscheme import hom_scheme_ideal
     from supvar.superalg.morphisms import PrPresentation
 
@@ -182,6 +184,7 @@ def test_param_points_satisfy_hom_ideal_beyond_solver():
         pres = PrPresentation(3, spec.r)
         ideal = hom_scheme_ideal(pres, alg)
         polys = [g for _, g in ideal.items() if not isinstance(g, str) and not g.is_zero()]
+        polys = [as_monomials(ideal.ring, P) for P in polys]
         nonunit = range(1, alg.dim)
         for pt in family_points(spec, F3):
             images = point_images(spec, alg, pt)
@@ -195,7 +198,7 @@ def test_param_points_satisfy_hom_ideal_beyond_solver():
                 if par:
                     assert assignment[pos] == 0
             for P in polys:
-                assert P.evaluate(assignment) == 0, pt.tolist()
+                assert oracle_evaluate(alg.F, P, assignment) == 0, pt.tolist()
 
 
 def test_solver_matches_param():
@@ -203,6 +206,66 @@ def test_solver_matches_param():
         a = enumerate_points(spec, F3, method="param")
         b = enumerate_points(spec, F3, method="solve")
         assert a.points.tolist() == b.points.tolist()
+
+
+@pytest.mark.parametrize(
+    "spec,degrees",
+    [
+        (GroupAlgebraSpec("Gar", 3, r=2), (1, 2)),
+        (GroupAlgebraSpec("Gar", 3, r=3), (1, 2)),
+        (M12, (1, 2)),
+        (M21, (1, 2)),
+        (GroupAlgebraSpec("Mrs", 3, r=2, s=1, eta=1), (1, 2)),
+        (M22, (1, 2)),
+        (GroupAlgebraSpec("Mrs", 5, r=1, s=1), (1, 2)),
+        (GroupAlgebraSpec("Mrs", 7, r=1, s=1), (1, 2)),
+        (GroupAlgebraSpec("Mrs", 3, r=1, s=4), (1,)),
+    ],
+    ids=lambda x: x.label() if isinstance(x, GroupAlgebraSpec) else "n" + "".join(map(str, x)),
+)
+def test_solver_core_matches_param_past_the_cap(spec, degrees):
+    # the uncapped solver against the parametrization, as sets of image rows
+    from supvar.superalg.homscheme import _solve
+    from supvar.superalg.morphisms import PrPresentation
+    from supvar.varieties import _hom_height, _images
+
+    pres = PrPresentation(spec.p, _hom_height(spec))
+    for n in degrees:
+        field = make_field(spec.p, n)
+        alg = build_group_algebra(spec, field)[0]
+        got = [np.concatenate([sol[g] for g in pres.gen_names]).tolist() for sol in _solve(pres, alg)]
+        images = _images(spec, alg, family_points(spec, field))
+        want = np.hstack([images[g] for g in pres.gen_names]).tolist()
+        assert len(set(map(tuple, got))) == len(got)  # no repeats
+        assert set(map(tuple, got)) == set(map(tuple, want)), field.q
+
+
+@pytest.mark.parametrize(
+    "edit,words",
+    [
+        ("drop", "do not biject"),
+        ("repeat", "do not biject"),
+        ("stray", "outside the parametrization"),
+    ],
+)
+def test_solver_mismatch_raises(monkeypatch, edit, words):
+    from supvar.superalg import homscheme
+
+    real = homscheme.solve_even_points
+
+    def edited(ideal):
+        sols = real(ideal)
+        if edit == "drop":
+            return sols[1:]
+        if edit == "repeat":
+            return sols + sols[:1]
+        stray = {g: x.copy() for g, x in sols[0].items()}
+        stray["u0"][2] = 1  # an s^2 term, which no parametrized image has
+        return sols + [stray]
+
+    monkeypatch.setattr(homscheme, "solve_even_points", edited)
+    with pytest.raises(ValidationError, match=words):
+        enumerate_points(M11, F3, method="solve")
 
 
 def test_support_lines():
