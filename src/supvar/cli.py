@@ -79,7 +79,7 @@ def _print_points(pts):
         print(render_points(pts.field, pts.points[lo : lo + step]))
 
 
-def _module_as_p1(mod, grp):
+def _module_as_p1(mod):
     from .smod import P1ModuleView, p1_view_from_module
 
     if isinstance(mod, P1ModuleView):
@@ -118,11 +118,11 @@ def cmd_ext(args):
     from .smod import module_from_json
 
     check_depth("-d", args.degree, 2, EXT_DEGREE_CAP)
-    grp = parse_spec(args.group)
+    parse_spec(args.group)  # checked, though Ext reads only the modules
     mod = module_from_json(_load_json(args.module))
-    M = _module_as_p1(mod, grp)
+    M = _module_as_p1(mod)
     if args.module2:
-        N = _module_as_p1(module_from_json(_load_json(args.module2)), grp)
+        N = _module_as_p1(module_from_json(_load_json(args.module2)))
     else:
         N = M
     table = ext_dims(M, N, args.degree)
@@ -137,7 +137,7 @@ def cmd_pd(args):
     spec = parse_spec(args.group)
     mod = module_from_json(_load_json(args.module))
     if spec == "P1":
-        view = _module_as_p1(mod, spec)
+        view = _module_as_p1(mod)
     else:
         from .varieties import point_pullback
 

@@ -23,7 +23,7 @@ The P_r relations and gamma monomials come from pr.PrPresentation.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations
 from math import comb, prod
 
@@ -44,6 +44,27 @@ class AlgebraError(ValidationError):
 def _power(p: int, e: int) -> int:
     """p**e, or DIM_CAP + 1 once e > log_2(DIM_CAP) >= log_p(DIM_CAP)."""
     return p**e if e <= DIM_CAP.bit_length() else DIM_CAP + 1
+
+
+def walk_word(mon, letter, mul, memo):
+    """The left-normed word ((g_1 g_1) ... g_2) ... of the letters of a
+    nonempty mon = ((g_1, e_1), ...), a letter g standing for letter(g)
+    and products taken by mul.  memo keeps the value of every prefix of the
+    word, keyed by its letters, for later calls; the product starts from
+    the longest prefix there, found walking back from the word, or else
+    from the first letter.  mul may return None for a zero product: the
+    word is then None, and no zero prefix is memoised."""
+    word = tuple(g for g, e in mon for _ in range(e))
+    t = len(word)
+    while t > 1 and word[:t] not in memo:
+        t -= 1
+    out = memo[word[:t]] if t > 1 else letter(word[0])
+    for t in range(t + 1, len(word) + 1):
+        out = mul(out, letter(word[t - 1]))
+        if out is None:
+            break
+        memo[word[:t]] = out
+    return out
 
 
 @dataclass
@@ -256,22 +277,23 @@ class PresentedSuperalgebra:
         return out.reshape(shape)
 
     def el_word(self, coeff, mon, images=None, memo=None):
-        """coeff g_1^e_1 g_2^e_2 ... for mon = ((g_1, e_1), ...), as the
-        left-normed word ((g_1 g_1) ... g_2) ... of its letters, multiplied
-        by el_mul.  A letter g stands for images[g] (default: its basis
-        element).  memo keeps the value of every prefix of the word, keyed
-        by its letters, for later calls; the product starts from the
-        longest prefix already there, found walking back from the word."""
-        word = tuple(g for g, e in mon for _ in range(e))
+        """coeff g_1^e_1 g_2^e_2 ... for mon = ((g_1, e_1), ...), its letters
+        multiplied by el_mul as walk_word walks them, with memo (default:
+        none kept).  A letter g stands for images[g], an element or a stack
+        of them (default: its basis element).  A letter whose image is zero
+        makes the word zero, shaped like that image, with no product."""
         gen = self.el_gen if images is None else images.__getitem__
+        if not mon:
+            return self.el_scale(coeff, self.el_unit())
+        for g, _ in mon:
+            if not gen(g).any():
+                return np.zeros_like(gen(g))
+        return self.el_scale(coeff, walk_word(mon, gen, self.el_mul, {} if memo is None else memo))
+
+    def el_terms(self, terms, images=None, memo=None):
+        """The sum of el_word over terms = ((coeff, mon), ...), one memo for all."""
         memo = {} if memo is None else memo
-        t = len(word)
-        while t and word[:t] not in memo:
-            t -= 1
-        out = memo[word[:t]] if t else self.el_unit()
-        for t in range(t + 1, len(word) + 1):
-            out = memo[word[:t]] = self.el_mul(out, gen(word[t - 1]))
-        return self.el_scale(coeff, out)
+        return reduce(self.el_add, (self.el_word(c, mon, images, memo) for c, mon in terms))
 
     @cached_property
     def products(self):
@@ -705,8 +727,11 @@ def verify_hopf(alg: PresentedSuperalgebra):
     associative, so by induction on the length of w,
     Delta(x(wg)) = Delta((xw)g) = Delta(xw) Delta(g)
     = Delta(x) Delta(w) Delta(g) = Delta(x) Delta(wg): every pair follows.
+    The tables hold prime-field values, so every product is taken in F_p,
+    over any field.
     """
-    F, d, T, C, S = alg.F, alg.dim, alg.tensor, alg.hopf.coproduct, alg.hopf.antipode
+    F = linalg.tables(make_field(alg.field.p, 1))
+    d, T, C, S = alg.dim, alg.tensor, alg.hopf.coproduct, alg.hopf.antipode
     dual = C.transpose(1, 2, 0)
     bad = _associator_keys(dual, _entries(dual), range(d), alg.field.p)
     if bad.size:

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import BoundExceeded, ValidationError
 from .. import linalg
-from .algebra import PresentedSuperalgebra
+from .algebra import PresentedSuperalgebra, walk_word
 from .pr import PrPresentation
 
 SOLVE_ASSIGNMENT_CAP = 3**8
@@ -370,7 +370,10 @@ def _generators(source: PrPresentation, alg: PresentedSuperalgebra, ring: PolyRi
     yields them: the relations of the source, the coproduct compatibility of
     each generator, then the antipode compatibility.
 
-    Each power rho(g)^e and each nonzero gamma image is built once.  For
+    Each nonzero image of a word is built once, from its longest prefix
+    built before (walk_word); zero images are not kept, as for a large
+    source nearly all p^(r-1) gammas are zero and distinct.  A word's
+    coefficient enters where its products are accumulated.  For
     each generator, the products behind every coproduct component (a, b)
     with a <= b are listed first (_tensor_products); then each component is
     accumulated into its own term dict and yielded at its place.  At (b, a)
@@ -392,43 +395,28 @@ def _generators(source: PrPresentation, alg: PresentedSuperalgebra, ring: PolyRi
             comps[j] = {x(gi, j): 1}
         rho[g] = _SVec(alg, ring, comps, source.gen_parity(g))
 
-    def scalar(c):
-        comps = [{} for _ in range(alg.dim)]
-        comps[0] = {0: c}
-        return _SVec(alg, ring, comps, 0)
+    unit = _SVec(alg, ring, [{0: 1}] + [{} for _ in nonunit], 0)
+    live = {g for g in gens if any(rho[g].comps)}
+    words = {}  # word -> its nonzero image, for every prefix walked
 
-    def power(g, e):
-        return scalar(1) if e == 0 else powers[(g, e - 1)].mul(rho[g])
-
-    def eval_monomial(coeff, mon):
-        """The image of coeff * mon, or None when it is zero; a zero factor
-        makes it zero before any product."""
-        factors = [powers[(g, e)] for g, e in mon]
-        if not all(any(f.comps) for f in factors):
-            return None
-        out = scalar(F.scalar(coeff))
-        for f in factors:
-            out = out.mul(f)
+    def times(A, B):
+        out = A.mul(B)
         return out if any(out.comps) else None
 
-    powers = _Memo(lambda key: power(*key))  # (gen, exp) -> image of gen^exp
-    gammas = {}  # P_r basis element x -> its image, if nonzero
-
-    def gamma(x):
-        image = gammas.get(x)
-        if image is None:
-            image = eval_monomial(*source.gamma_monomial(x))
-            if image:
-                gammas[x] = image
-        return image
+    def image(mon):
+        """The image of the monomial mon, or None when it is zero: a zero
+        letter makes it zero before any product (walk_word, as el_word)."""
+        if not live.issuperset(g for g, _ in mon):
+            return None
+        return walk_word(mon, rho.__getitem__, times, words) if mon else unit
 
     # algebra relations of the source
     for label, terms in source.relations():
         acc = [{} for _ in range(alg.dim)]
         for coeff, mon in terms:
-            image = eval_monomial(coeff, mon)
-            for a, P in zip(acc, image.comps if image else ()):
-                ring.accumulate(a, P)
+            A = image(mon)
+            for a, P in zip(acc, A.comps if A else ()):
+                ring.accumulate(a, P, F.scalar(coeff))
         for j, P in enumerate(map(ring.poly, acc)):
             if P.terms:
                 yield f"rel:{label}[{j}]", P
@@ -442,17 +430,17 @@ def _generators(source: PrPresentation, alg: PresentedSuperalgebra, ring: PolyRi
         if a <= b:
             cop.setdefault((a, b), []).append((j + 1, int(C[j + 1, a, b])))
     for gi, g in enumerate(gens, start=1):
-        # one term of each cocommuting pair, ri < le in P_r's basis order;
-        # B is skipped when A is zero, and zero images are not memoised, as
-        # for a large source nearly all p^(r-1) gammas are zero and distinct
+        # one term of each cocommuting pair, ri < le in P_r's basis order,
+        # of those with no zero letter; B is skipped when A is zero
         products = {}  # (a, b), a <= b -> [(P, Q, coefficients), ...]
-        for le, ri, c in source.gen_coproduct(g):
+        for le, ri, c in source.gen_coproduct(g, live):
             if ri < le:
                 continue
-            A = gamma(le)
-            B = A and gamma(ri)
+            (cl, ml), (cr, mr) = source.gamma_monomial(le), source.gamma_monomial(ri)
+            A = image(ml)
+            B = A and image(mr)
             if B:
-                _tensor_products(A, B, F.scalar(c), le != ri, products)
+                _tensor_products(A, B, F.scalar(c * cl * cr), le != ri, products)
         upper = products.keys() | cop.keys()
         lower = {}  # (b, a) -> the label of (a, b), or its negation
         for a, b in sorted(upper | {(b, a) for a, b in upper}):
@@ -535,10 +523,7 @@ def _solve(source: PrPresentation, alg: PresentedSuperalgebra):
         images[g][:, cols] = F.add[X[ok, None], coset].reshape(n, len(cols))
     ok, memo = np.ones(n, dtype=bool), {}
     for _, terms in source.relations():
-        total = 0
-        for coeff, mon in terms:
-            total = F.add[total, alg.el_word(coeff, mon, images, memo)]
-        ok &= ~total.any(axis=1)
+        ok &= ~alg.el_terms(terms, images, memo).any(axis=1)
     return [{g: y[i] for g, y in images.items()} for i in np.flatnonzero(ok)]
 
 

@@ -12,7 +12,7 @@ images of gamma_1, gamma_2, gamma_3, ...
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from functools import cache, reduce
+from functools import cache
 
 import numpy as np
 
@@ -37,12 +37,8 @@ class SuperalgebraMorphism:
         return {g for g in self.source.gen_names if np.any(self.images[g])}
 
     def image_of_monomial(self, coeff, mon):
-        """Image of coeff * prod gens^exp, multiplied in the target."""
-        return _word_image(self.target, coeff, mon, self.images, self._image_cache)
-
-    def image_of_terms(self, terms):
-        B = self.target
-        return reduce(B.el_add, (self.image_of_monomial(c, mon) for c, mon in terms), B.el_zero())
+        """Image of coeff * prod gens^exp, multiplied in the target (el_word)."""
+        return self.target.el_word(coeff, mon, self.images, self._image_cache)
 
     def gamma_image(self, x: int):
         """Image of the P_r basis element x = 2 ell + |x| (see pr)."""
@@ -67,9 +63,9 @@ class SuperalgebraMorphism:
         return cached
 
     def verify_algebra(self):
-        """Generator parities and all source relations.  A relation whose
-        every term has a generator mapping to zero is zero: it is skipped,
-        and for a P_r source never built."""
+        """Generator parities and all source relations.  A term with a
+        generator mapping to zero is zero with no product (el_word), and a
+        P_r relation with only such terms is never built."""
         B = self.target
         for g in self.source.gen_names:
             if g not in self.images:
@@ -84,16 +80,14 @@ class SuperalgebraMorphism:
             else self.source.relations
         )
         for label, terms in rels:
-            if not any(live.issuperset(g for g, _ in mon) for _, mon in terms):
-                continue
-            if np.any(self.image_of_terms(terms)):
+            if np.any(B.el_terms(terms, self.images, self._image_cache)):
                 raise ValidationError(f"relation {label} not killed by the morphism")
         return self
 
     def verify_hopf(self):
         """verify_algebra, then coproduct and antipode compatibility on
         generators.  Of Delta(g) only the terms whose sides have no letter
-        mapping to zero are visited (PrPresentation.live_coproduct), and a
+        mapping to zero are visited (PrPresentation.gen_coproduct), and a
         right side is not built when the left image is zero."""
         self.verify_algebra()
         if not isinstance(self.source, PrPresentation):
@@ -103,7 +97,7 @@ class SuperalgebraMorphism:
         for g in self.source.gen_names:
             # (phi (x) phi)(Delta g), the sum of c phi(left) (x) phi(right)
             lhs = np.zeros((d, d), dtype=linalg.DT)
-            for le, ri, c in self.source.live_coproduct(g, live):
+            for le, ri, c in self.source.gen_coproduct(g, live):
                 vl = self.gamma_image(le)
                 if np.any(vl):
                     lhs = F.add[lhs, F.mul[B.el_scale(c, vl)[:, None], self.gamma_image(ri)]]
@@ -119,14 +113,6 @@ class SuperalgebraMorphism:
             if not np.array_equal(want, got):
                 raise ValidationError(f"antipode compatibility fails on {g}")
         return self
-
-
-def _word_image(B: PresentedSuperalgebra, coeff, mon, images, memo):
-    """B.el_word of the images, or zero with no product when a letter of
-    mon maps to zero."""
-    if any(not np.any(images[g]) for g, _ in mon):
-        return B.el_zero()
-    return B.el_word(coeff, mon, images, memo)
 
 
 def canonical_quotient_morphism(alg: PresentedSuperalgebra) -> SuperalgebraMorphism:
@@ -214,7 +200,7 @@ def classify_quotient(phi: SuperalgebraMorphism) -> QuotientLabel:
     # P_0 is read as P_1 with u0 -> 0: its basis images are 1 and v
     sub, memo = PrPresentation(p, max(s, 1)), {}
     images = {"u0": B.el_zero(), **{f"u{i}": g for i, g in enumerate(imgs)}, "v": v_img}
-    image = cache(lambda x: _word_image(B, *sub.gamma_monomial(x), images, memo))
+    image = cache(lambda x: B.el_word(*sub.gamma_monomial(x), images, memo))
 
     label, bound = QuotientLabel("GaMinus" if np.any(v_img) else "Gar"), 1
     if s:

@@ -164,15 +164,11 @@ class PrPresentation:
             mon.append((f"u{r-1}", rest))
         return coeff, tuple(mon)
 
-    def gen_coproduct(self, name: str):
+    def gen_coproduct(self, name: str, live=None):
         """Coproduct of a generator, yielded as (left, right, coeff) terms, where
-        each side is a basis element x, read through gamma_monomial."""
-        x = 1 if name == "v" else 2 * self.p ** int(name[1:])
-        return pr_coproduct(self.p, self.r, x)
-
-    def live_coproduct(self, name: str, live):
-        """The terms of gen_coproduct(name), in its order, whose two sides
-        have every letter in live, yielded without walking the others.
+        each side is a basis element x, read through gamma_monomial.  With
+        live, only the terms whose two sides have every letter in live, in
+        the same order, without walking the others (default: every letter).
 
         Delta(u_j) is the sum of gamma_i (x) gamma_{p^j - i} over i <= p^j.
         For 0 < i < p^j, with e the position of the lowest nonzero digit of
@@ -181,6 +177,7 @@ class PrPresentation:
         p - 1 - i_k is nonzero.  So both sides are live exactly when i is a
         multiple of p^m, m one above the highest dead u_k with k < j; the
         two end terms hold u_j itself."""
+        live = set(self.gen_names) if live is None else live
         if name == "v":
             return ((1, 0, 1), (0, 1, 1)) if "v" in live else ()
         j = int(name[1:])

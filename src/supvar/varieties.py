@@ -28,7 +28,6 @@ dilation action making everything conical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from math import comb
 from typing import TYPE_CHECKING
 
@@ -234,23 +233,18 @@ def point_images(spec: GroupAlgebraSpec, alg: PresentedSuperalgebra, pt):
 
 
 def validate_point_images(spec, alg, images):
-    """The P_r relations must hold on the images.
+    """The P_r relations other than commutators must hold on the images:
+    u_i^p for i < r - 1, and u_{r-1}^p + v^2.
 
     Images may be stacked, (..., algebra dim) per generator; the products
     then run over the whole stack through the algebra's dense structure
-    tensor."""
-    p = spec.p
-    r = _hom_height(spec)
-
-    def power(x):
-        return reduce(alg.el_mul, [x] * p)
-
+    tensor (el_word, el_terms)."""
+    p, r = spec.p, _hom_height(spec)
+    images = {f"u{r - 1}": np.zeros_like(images["v"]), **images}  # G_a(0) has no u
     for i in range(r - 1):
-        if np.any(power(images[f"u{i}"])):
+        if np.any(alg.el_word(1, ((f"u{i}", p),), images)):
             raise ValidationError(f"image of u{i} is not p-nilpotent")
-    v = images["v"]
-    top = images.get(f"u{r-1}", np.zeros_like(v))
-    if np.any(alg.F.add[power(top), alg.el_mul(v, v)]):
+    if np.any(alg.el_terms(((1, ((f"u{r - 1}", p),)), (1, (("v", 2),))), images)):
         raise ValidationError("images violate u^p + v^2 = 0")
 
 

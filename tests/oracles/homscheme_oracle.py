@@ -3,6 +3,8 @@
 Every coproduct component (a, b) of a generator is accumulated beside its
 mirror (b, a) from each product, as the library did before it built the
 components a <= b only and took the others from super-cocommutativity.
+A generator's coproduct is read from pr_coproduct of its basis element,
+not from the walk the library uses, and images are products of powers.
 """
 
 from dataclasses import dataclass
@@ -10,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from supvar.superalg.homscheme import SLOT_MASK, PolyRing, _Memo, _SVec
+from supvar.superalg.pr import pr_coproduct
 
 from oracles.algebra_oracle import coproduct_triples
 
@@ -119,7 +122,8 @@ def hom_scheme_generators(source, alg):
     # Koszul sign as one side is even; so each pair is added from one term.
     for gi, g in enumerate(gens, start=1):
         acc = {}
-        for le, ri, c in source.gen_coproduct(g):
+        x_g = 1 if g == "v" else 2 * source.p ** int(g[1:])  # g's basis element
+        for le, ri, c in pr_coproduct(source.p, source.r, x_g):
             if ri < le:
                 continue
             # B is skipped when A is zero; zero images are not memoised, as for

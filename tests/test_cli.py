@@ -238,17 +238,17 @@ def test_classify_visits_no_dead_coproduct_terms(capsys, tmp_path, monkeypatch):
     # alone has 3^999 + 1 terms, and no term of any Delta(u_i) is live
     from supvar.superalg.pr import PrPresentation
 
-    r, live_coproduct, terms = 1000, PrPresentation.live_coproduct, []
+    r, gen_coproduct, terms = 1000, PrPresentation.gen_coproduct, []
 
     def counted(*args):
-        out = tuple(live_coproduct(*args))
+        out = tuple(gen_coproduct(*args))
         terms.extend(out)
         return out
 
     images = {**{f"u{i}": ["0"] * 6 for i in range(r)}, "v": QUOT["images"]["v"]}
     data = {**QUOT, "r": r, "target": {**QUOT["target"], "eta": "0"}, "images": images}
     path = write(tmp_path, "dead.json", json.dumps(data))
-    monkeypatch.setattr(PrPresentation, "live_coproduct", counted)
+    monkeypatch.setattr(PrPresentation, "gen_coproduct", counted)
     err = "error: morphism is not surjective onto the target\n"
     assert run(capsys, ["classify", "-f", path]) == (2, "", err)
     assert len(terms) <= 10, len(terms)

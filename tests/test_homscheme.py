@@ -61,8 +61,8 @@ def test_trivial_target_forces_zero():
 
 
 def test_zero_images_skip_products(monkeypatch):
-    # into the trivial algebra every image is zero: only the powers g^e,
-    # e < p, of the generators are multiplied, never a gamma monomial
+    # into the trivial algebra every image is zero, and so is every word
+    # with a letter, before any product
     from supvar.superalg import homscheme
 
     calls = []

@@ -4,10 +4,13 @@ element is the int x = 2 ell + |x|: gamma_ell when x is even, v*gamma_ell
 when x is odd."""
 
 from collections import Counter
+from itertools import zip_longest
 
 import numpy as np
 import pytest
 
+from supvar.gfield import SUPPORTED_PRIMES
+from supvar.superalg.homscheme import source_r_cap
 from supvar.superalg.pr import digit_factorial_product, digits, pr_coproduct
 
 from oracles.pr_oracle import gamma_product, pr_antipode_counit
@@ -104,6 +107,26 @@ def test_coproduct_terms_are_yielded_not_listed():
     assert peak < 4 * 2**20, peak
 
 
+def _gen_basis(pres, g):
+    """The P_r basis element of the generator g: v is 1, u_j is gamma_{p^j}."""
+    return 1 if g == "v" else 2 * pres.p ** int(g[1:])
+
+
+@pytest.mark.parametrize(
+    "p,r", [(p, r) for p in SUPPORTED_PRIMES for r in range(1, source_r_cap(p) + 1)]
+)
+def test_gen_coproduct_is_the_basis_coproduct(p, r):
+    # with every letter live, the walk over a generator's coproduct yields
+    # pr_coproduct of its basis element, term for term, for every (p, r)
+    # that the Hom-scheme accepts
+    from supvar.superalg.pr import PrPresentation
+
+    pres = PrPresentation(p, r)
+    for g in pres.gen_names:
+        want = pr_coproduct(p, r, _gen_basis(pres, g))
+        assert all(a == b for a, b in zip_longest(pres.gen_coproduct(g), want)), g
+
+
 @pytest.mark.parametrize("p,r", [(3, 4), (5, 3), (7, 2)])
 def test_live_parts_are_the_terms_with_live_letters(p, r):
     # for every set of live generators: the relations and generator
@@ -125,8 +148,9 @@ def test_live_parts_are_the_terms_with_live_letters(p, r):
         )
         assert pres.relations_among(live) == rels, live
         for g in pres.gen_names:
-            want = tuple(t for t in pres.gen_coproduct(g) if live >= letters(t[0]) | letters(t[1]))
-            assert tuple(pres.live_coproduct(g, live)) == want, (live, g)
+            terms = pr_coproduct(p, r, _gen_basis(pres, g))
+            want = tuple(t for t in terms if live >= letters(t[0]) | letters(t[1]))
+            assert tuple(pres.gen_coproduct(g, live)) == want, (live, g)
 
 
 @pytest.mark.parametrize("p,r", [(3, 1), (3, 2), (5, 2), (7, 1)])

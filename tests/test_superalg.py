@@ -60,6 +60,25 @@ TENSOR_SPEC = GroupAlgebraSpec(
 )
 
 
+def test_el_word_multiplies_no_zero_letter(monkeypatch):
+    # a letter mapping to zero makes the word zero, shaped like the images
+    # (single or stacked), before any product; one letter needs no product
+    alg, _ = build_group_algebra(GroupAlgebraSpec("Mrs", 3, r=1, s=1))
+    calls, el_mul = [], algebra.PresentedSuperalgebra.el_mul
+    monkeypatch.setattr(
+        algebra.PresentedSuperalgebra, "el_mul", lambda *args: calls.append(1) or el_mul(*args)
+    )
+    u, v = alg.el_gen("u0"), alg.el_gen("v")
+    stacked = {"u0": np.stack([u, 2 * u, u]), "v": np.zeros((3, alg.dim), dtype=linalg.DT)}
+    for images in ({"u0": u, "v": alg.el_zero()}, stacked):
+        got = alg.el_word(2, (("u0", 2), ("v", 1)), images)
+        assert got.shape == images["u0"].shape and not got.any()
+        assert np.array_equal(alg.el_word(2, (("u0", 1),), images), alg.el_scale(2, images["u0"]))
+    assert not calls
+    assert np.array_equal(alg.el_word(1, (("u0", 2), ("v", 1))), el_mul(alg, el_mul(alg, u, u), v))
+    assert len(calls) == 2
+
+
 def test_dimensions():
     assert build_group_algebra(GroupAlgebraSpec("Mrs", 3, r=1, s=1))[0].dim == 6
     assert build_group_algebra(GroupAlgebraSpec("Mrs", 3, r=2, s=1))[0].dim == 18
@@ -735,6 +754,8 @@ def test_verify_hopf_matches_all_pairs_oracle(spec):
     assert _message(verify_algebra, bad) is None  # counit and cocommutativity hold
     got = _message(verify_hopf, bad)
     assert got is not None and got.startswith("coproduct not multiplicative at (")
+    # the same tables over F_{p^3}: the same refusal
+    assert _message(verify_hopf, replace(bad, field=make_field(spec.p, 3))) == got
     assert _message(verify_coproduct_pairs, bad) is not None
     # the pair it names is broken: Delta(b_x b_g) != Delta(b_x) Delta(b_g),
     # with b_g a generator or the unit
