@@ -115,18 +115,17 @@ def cmd_support(args):
 
 def cmd_ext(args):
     from .homalg import EXT_DEGREE_CAP, check_depth, ext_dims
-    from .smod import module_from_json
+    from .smod import SuperModule, module_from_json
 
     check_depth("-d", args.degree, 2, EXT_DEGREE_CAP)
-    parse_spec(args.group)  # checked, though Ext reads only the modules
-    mod = module_from_json(_load_json(args.module))
-    M = _module_as_p1(mod)
-    if args.module2:
-        N = _module_as_p1(module_from_json(_load_json(args.module2)))
-    else:
-        N = M
-    table = ext_dims(M, N, args.degree)
-    print(table.render())
+    spec = parse_spec(args.group)
+    views = []
+    for path in filter(None, (args.module, args.module2)):
+        mod = module_from_json(_load_json(path))
+        if spec != "P1" and not (isinstance(mod, SuperModule) and mod.algebra.spec == spec):
+            raise ValidationError("module file group does not match -g")
+        views.append(_module_as_p1(mod))
+    print(ext_dims(views[0], views[-1], args.degree).render())
     return 0
 
 

@@ -334,7 +334,7 @@ def minimal_resolution(A, M: SuperModule, steps: int) -> ResolutionData:
     check_depth("steps", steps, 0, RESOLVE_STEPS_CAP)
     if getattr(A, "_local_layers", None) is None:  # kept on the algebra, as its resolution of k
         A._local_layers = _check_local(A)
-    validate_module(M).raise_if_invalid()
+    validate_module(M)
     F = linalg.tables(A.field)
     gidx = list(A.generators.values())
     T = A.tensor
@@ -383,23 +383,18 @@ def _check_local(A):
 
     Every basis element is a scalar times a word in the generators
     (verify_algebra's premise), so I^n is spanned by the words of length at
-    least n, and I^{n+1} = sum_g I^n g.  Each layer is thus one product
-    x T[:, g] of a basis x of I^n with every generator g at once, and one
-    rref keeps a basis.
+    least n, and I^{n+1} = sum_g I^n g: the descent of I under the right
+    actions x -> x g, T[:, g]^T on coordinate columns (linalg.descent).
     """
     F = linalg.tables(A.field)
     d, rad = A.dim, A.radical_coords()
     if A.augmentation[rad].any() or not A.augmentation[0]:
         raise ValidationError("algebra augmentation is not the unit indicator")
-    right = A.tensor[:, list(A.generators.values())].reshape(d, -1)  # b_m g at column (g, k)
-    layer, dims = linalg.identity(d)[rad], []
-    for _ in range(d + 1):
-        dims.append(len(layer))
-        if not layer.size:
-            return dims
-        R, pivots = linalg.rref(F, linalg.matmul(F, layer, right).reshape(-1, d))
-        layer = R[: len(pivots)]
-    raise ValidationError("augmentation ideal is not nilpotent; algebra not local")
+    right = A.tensor[:, list(A.generators.values())].transpose(1, 2, 0)
+    dims = linalg.descent(F, right, linalg.identity(d)[:, rad], d)
+    if dims is None:
+        raise ValidationError("augmentation ideal is not nilpotent; algebra not local")
+    return dims
 
 
 def resolution_of_trivial(A, steps: int) -> ResolutionData:
@@ -492,7 +487,7 @@ def carlson_module(A, n: int, zeta: CocycleClass) -> SuperModule:
         if action[g] is None:
             raise ValidationError("kernel of zeta is not a submodule")
     out = SuperModule(A, Lcols.shape[1], np.array(Lpar, dtype=np.int8), action)
-    validate_module(out).raise_if_invalid()
+    validate_module(out)
     if out.dim != Kcols.shape[1] - 1:
         raise ValidationError("Carlson module has unexpected dimension")
     return out

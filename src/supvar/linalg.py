@@ -272,6 +272,25 @@ def column_space(F: GFTables, A: np.ndarray) -> np.ndarray:
     return A[:, pivots]
 
 
+def descent(F: GFTables, X: np.ndarray, W: np.ndarray, steps: int):
+    """Dimensions of W, sum_g X_g W, sum_g X_g (sum_g X_g W), ... down to
+    the first that is 0, for a stack X of operators (g, m, m) and W given
+    by independent columns (m, n); None if none of the first steps + 1 is 0.
+
+    Each span is kept as the rows of an rref of its transpose, so a step is
+    one stacked product with the X_g^T and one rref, on m columns.
+    """
+    B, dims = W.T, [W.shape[1]]
+    Xt = np.swapaxes(X, -1, -2)
+    for _ in range(steps):
+        if not dims[-1]:
+            break
+        R, pivots = rref(F, bmatmul(F, B, Xt).reshape(-1, B.shape[1]))
+        B = R[: len(pivots)]
+        dims.append(len(pivots))
+    return None if dims[-1] else dims
+
+
 def complement_coords(F: GFTables, S: np.ndarray):
     """Coordinate indices extending col(S) to the full space.
 

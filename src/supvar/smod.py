@@ -18,7 +18,12 @@ import numpy as np
 from .errors import ValidationError, json_int
 from .gfield import FieldDescriptor, parse_element, parse_field
 from . import linalg
-from .superalg.algebra import GroupAlgebraSpec, PresentedSuperalgebra, build_group_algebra
+from .superalg.algebra import (
+    GroupAlgebraSpec,
+    PresentedSuperalgebra,
+    build_group_algebra,
+    canonical_images,
+)
 
 if TYPE_CHECKING:
     from .superalg.morphisms import SuperalgebraMorphism
@@ -72,24 +77,13 @@ class SuperModule:
         return flat.reshape(lead + (self.dim, self.dim))
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    issues: list
-
-    def raise_if_invalid(self):
-        if not self.ok:
-            raise ValidationError("; ".join(self.issues))
-        return self
-
-
-def validate_module(M: SuperModule) -> ValidationReport:
-    """Check parity compatibility of the actions and all algebra relations."""
+def validate_module(M: SuperModule) -> None:
+    """Check parity compatibility of the actions and all algebra relations;
+    raises ValidationError naming every failure."""
     issues = []
     A = M.algebra
     if M.parity.shape != (M.dim,) or not np.all((M.parity == 0) | (M.parity == 1)):
-        issues.append("parity vector malformed (entries must be 0/1)")
-        return ValidationReport(False, issues)
+        raise ValidationError("parity vector malformed (entries must be 0/1)")
     for g, gi in A.generators.items():
         mat = M.action.get(g)
         if mat is None:
@@ -111,7 +105,8 @@ def validate_module(M: SuperModule) -> ValidationReport:
                 acc = linalg.madd(F, acc, M.word_action(coeff, mon))
             if np.any(acc):
                 issues.append(f"relation {label} does not annihilate the module")
-    return ValidationReport(not issues, issues)
+    if issues:
+        raise ValidationError("; ".join(issues))
 
 
 def trivial_module(A: PresentedSuperalgebra, odd: bool = False) -> SuperModule:
@@ -143,7 +138,7 @@ def pullback(M: SuperModule, phi: SuperalgebraMorphism) -> SuperModule:
         raise ValidationError("module is not over the morphism's target")
     action = {g: M.element_action(phi.images[g]) for g in phi.source.generators}
     out = SuperModule(phi.source, M.dim, M.parity.copy(), action)
-    validate_module(out).raise_if_invalid()
+    validate_module(out)
     return out
 
 
@@ -169,7 +164,7 @@ def tensor_module(M: SuperModule, N: SuperModule) -> SuperModule:
             acc = linalg.madd(F, acc, linalg.scale(F, C[gi, j, k], linalg.kron(F, X, Y)))
         action[g] = acc
     out = SuperModule(A, dim, parity.astype(np.int8), action)
-    validate_module(out).raise_if_invalid()
+    validate_module(out)
     return out
 
 
@@ -188,7 +183,7 @@ def dual_module(M: SuperModule) -> SuperModule:
             D[:, oddcols] = neg[:, oddcols]
         action[g] = D
     out = SuperModule(A, M.dim, M.parity.copy(), action)
-    validate_module(out).raise_if_invalid()
+    validate_module(out)
     return out
 
 
@@ -205,7 +200,7 @@ def parity_shift(M: SuperModule, which: str = "Pi") -> SuperModule:
             mat = F.neg[mat]
         action[g] = mat.copy()
     out = SuperModule(A, M.dim, (1 - M.parity).astype(np.int8), action)
-    validate_module(out).raise_if_invalid()
+    validate_module(out)
     return out
 
 
@@ -221,7 +216,7 @@ def free_over_cyclic(M: SuperModule, X: np.ndarray, m: int) -> bool:
     return M.dim == m * linalg.rank(F, linalg.matpow(F, X, m - 1))
 
 
-def build_L(mu, a, p: int | None = None) -> SuperModule:
+def build_L(mu, a) -> SuperModule:
     """The 2p-dimensional kM_{1;1}-supermodule L_{(mu,a)}.
 
     Basis x_0..x_{p-1} even and y_0..y_{p-1} odd, with
@@ -231,9 +226,7 @@ def build_L(mu, a, p: int | None = None) -> SuperModule:
     field = mu.field
     if a.field != field:
         raise ValidationError("mu and a must lie in the same field")
-    p = p or field.p
-    if p != field.p:
-        raise ValidationError("p must match the field characteristic")
+    p = field.p
     mu, a = mu.index, a.index
     if mu == 0 and a == 0:
         raise ValidationError("(mu, a) = (0, 0) does not define an L-module")
@@ -252,7 +245,7 @@ def build_L(mu, a, p: int | None = None) -> SuperModule:
     for i in range(p - 1):
         T[i + 1, p + i] = 1
     out = SuperModule(alg, dim, parity, {"u0": S, "v": T})
-    validate_module(out).raise_if_invalid()
+    validate_module(out)
     return out
 
 
@@ -301,7 +294,7 @@ def random_module(seed: int, algebra: PresentedSuperalgebra, dim_bound: int) -> 
         }
         parity = A.parity[comp].astype(np.int8)
         out = SuperModule(A, qdim, parity, action)
-        validate_module(out).raise_if_invalid()
+        validate_module(out)
         return out
     raise ValidationError("random module generation failed within the attempt budget")
 
@@ -326,7 +319,7 @@ def restrict_module(M: SuperModule, sub: PresentedSuperalgebra, gen_map: dict) -
     """Restriction along a subalgebra inclusion given by generator matching."""
     action = {sg: M.action[ag].copy() for sg, ag in gen_map.items()}
     out = SuperModule(sub, M.dim, M.parity.copy(), action)
-    validate_module(out).raise_if_invalid()
+    validate_module(out)
     return out
 
 
@@ -355,9 +348,10 @@ class P1ModuleView:
     def F(self):
         return linalg.tables(self.field)
 
-    def validate(self, nilpotent: bool = True) -> ValidationReport:
+    def validate(self, nilpotent: bool = True) -> None:
         """Parity, UV = VU, V^2 = -U^p and, with `nilpotent`, U^dim = 0, on
-        every slice.  Only p1_view_from_images leaves the last one out."""
+        every slice; raises ValidationError naming every failure.  Only
+        p1_view_from_images leaves the last one out."""
         issues = []
         F = self.F
         p = self.field.p
@@ -374,32 +368,25 @@ class P1ModuleView:
             issues.append("V^2 != -U^p")
         if nilpotent and np.any(linalg.matpow(F, self.U, max(self.dim, 1))):
             issues.append("U is not nilpotent (module is not torsion)")
-        return ValidationReport(not issues, issues)
+        if issues:
+            raise ValidationError("; ".join(issues))
 
 
 def p1_view(field: FieldDescriptor, parity, U, V) -> P1ModuleView:
     out = P1ModuleView(field, len(parity), np.asarray(parity, dtype=np.int8), U, V)
-    out.validate().raise_if_invalid()
+    out.validate()
     return out
 
 
 def p1_view_from_module(M: SuperModule) -> P1ModuleView:
-    """Canonical P_1-structure via u -> u_{r-1}, v -> v on quotient families."""
+    """The canonical P_1-view: the pullback along u -> u_{r-1}, v -> v and
+    the canonical map P_r -> kG (superalg.algebra.canonical_images), with
+    every check of p1_view_from_images."""
     spec = M.algebra.spec
-    if spec.family in ("Mrs", "Mrf"):
-        U = M.action[f"u{spec.r - 1}"]
-        V = M.action["v"]
-    elif spec.family == "Gar":
-        if spec.r < 1:
-            raise ValidationError("trivial group has no canonical P_1 restriction")
-        U = M.action[f"u{spec.r - 1}"]
-        V = linalg.zeros(M.dim, M.dim)
-    elif spec.family == "GaMinus":
-        U = linalg.zeros(M.dim, M.dim)
-        V = M.action["v"]
-    else:
-        raise ValidationError(f"no canonical P_1 restriction for family {spec.family}")
-    return p1_view(M.algebra.field, M.parity.copy(), U.copy(), V.copy())
+    if spec.family == "Gar" and spec.r == 0:
+        raise ValidationError("trivial group has no canonical P_1 restriction")
+    pres, images = canonical_images(M.algebra)
+    return p1_view_from_images(M, images[f"u{pres.r - 1}"], images["v"], check=True)
 
 
 def check_p1_images(A: PresentedSuperalgebra, u_img: np.ndarray, v_img: np.ndarray) -> None:
@@ -432,16 +419,12 @@ def p1_view_from_images(
     out = P1ModuleView(
         A.field, M.dim, M.parity.copy(), M.element_action(u_img), M.element_action(v_img)
     )
-    out.validate(nilpotent=check).raise_if_invalid()
+    out.validate(nilpotent=check)
     if "rad_nilpotent" not in M._cache:
-        # W <- sum_g g.W takes rad^k M to rad^{k+1} M
-        W = linalg.identity(M.dim)
-        for _ in range(M.dim):
-            if not W.shape[1]:  # rad^k M = 0 for this k and all larger ones
-                break
-            parts = [linalg.matmul(M.F, M.action[g], W) for g in A.generators]
-            W = linalg.column_space(M.F, np.hstack([W[:, :0]] + parts))
-        if W.shape[1]:
+        # rad^{k+1} M = sum_g g.rad^k M, which must reach 0 by k = dim M
+        acts = np.array([M.action[g] for g in A.generators], dtype=linalg.DT)
+        acts = acts.reshape(len(A.generators), M.dim, M.dim)
+        if linalg.descent(M.F, acts, linalg.identity(M.dim), M.dim) is None:
             raise ValidationError("the radical of the algebra does not act nilpotently")
         M._cache["rad_nilpotent"] = True
     return out
@@ -568,5 +551,5 @@ def module_from_json(d: dict):
     if missing:
         raise ValidationError(f"missing action matrices for {sorted(missing)}")
     out = SuperModule(alg, dim, parity, action)
-    validate_module(out).raise_if_invalid()
+    validate_module(out)
     return out

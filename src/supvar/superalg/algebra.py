@@ -157,6 +157,15 @@ class GroupAlgebraSpec:
             return prod(f.dim() for f in self.factors)
         raise ValidationError(f"unknown family {self.family!r}")
 
+    def height(self) -> int:
+        """The r of the P_r that the family is a quotient of: G_a(0) and
+        G_a^- are quotients of P_1."""
+        if self.family in ("Mrs", "Mrf", "Gar"):
+            return max(self.r, 1)
+        if self.family == "GaMinus":
+            return 1
+        raise ValidationError(f"no P_r height for family {self.family}")
+
     @staticmethod
     def from_json(d):
         """Parse a spec, applying the builders' parameter rules (`check`)."""
@@ -316,6 +325,15 @@ class PresentedSuperalgebra:
 
 
 # -- quotient families of P_r ------------------------------------------
+
+
+def canonical_images(alg: PresentedSuperalgebra):
+    """The canonical map P_r -> kG of a quotient family, r = spec.height():
+    (the P_r presentation, generator images), each generator of P_r sent to
+    kG's generator of the same name, or to zero."""
+    pres = PrPresentation(alg.spec.p, alg.spec.height())
+    images = {g: alg.el_gen(g) if g in alg.generators else alg.el_zero() for g in pres.gen_names}
+    return pres, images
 
 
 def _quotient_reducer(p, r, fcoeffs, eta):

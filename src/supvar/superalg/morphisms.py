@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import ValidationError
 from .. import linalg
-from .algebra import GroupAlgebraSpec, PresentedSuperalgebra
+from .algebra import GroupAlgebraSpec, PresentedSuperalgebra, canonical_images
 from .pr import PrPresentation
 
 
@@ -117,18 +117,7 @@ class SuperalgebraMorphism:
 
 def canonical_quotient_morphism(alg: PresentedSuperalgebra) -> SuperalgebraMorphism:
     """The canonical P_r -> kG map for a quotient-family group algebra."""
-    spec = alg.spec
-    if spec.family not in ("Mrs", "Mrf", "Gar", "GaMinus"):
-        raise ValidationError("no canonical P_r quotient map for this algebra")
-    r = max(spec.r, 1)  # G_a(0) and G_a^- are quotients of P_1
-    pres = PrPresentation(spec.p, r)
-    images = {}
-    for i in range(r):
-        name = f"u{i}"
-        images[name] = (
-            alg.el_gen(name) if name in alg.generators else alg.el_zero()
-        )
-    images["v"] = alg.el_gen("v") if "v" in alg.generators else alg.el_zero()
+    pres, images = canonical_images(alg)
     return SuperalgebraMorphism(pres, alg, images)
 
 

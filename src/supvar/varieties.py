@@ -88,14 +88,6 @@ class PointSet:
     points: np.ndarray  # (points, arity) field indices, in canonical order
 
 
-def _hom_height(spec: GroupAlgebraSpec) -> int:
-    if spec.family in ("Mrs", "Mrf", "Gar"):
-        return max(spec.r, 1)
-    if spec.family == "GaMinus":
-        return 1
-    raise ValidationError(f"no P_r height for family {spec.family}")
-
-
 def _has_b(spec: GroupAlgebraSpec) -> bool:
     """Whether the points carry the coordinate b of u_{r-1}^{p^{s-1}}."""
     return spec.family == "Mrs" and spec.eta == 0 and spec.s >= 2
@@ -239,7 +231,7 @@ def validate_point_images(spec, alg, images):
     Images may be stacked, (..., algebra dim) per generator; the products
     then run over the whole stack through the algebra's dense structure
     tensor (el_word, el_terms)."""
-    p, r = spec.p, _hom_height(spec)
+    p, r = spec.p, spec.height()
     images = {f"u{r - 1}": np.zeros_like(images["v"]), **images}  # G_a(0) has no u
     for i in range(r - 1):
         if np.any(alg.el_word(1, ((f"u{i}", p),), images)):
@@ -267,7 +259,7 @@ def enumerate_points(spec: GroupAlgebraSpec, field: FieldDescriptor, method: str
 
     _check_parametrized(spec, field)
     alg = build_group_algebra(spec, field)[0]
-    pres = PrPresentation(spec.p, _hom_height(spec))
+    pres = PrPresentation(spec.p, spec.height())
     sols = solve_even_points(hom_scheme_ideal(pres, alg))
     pts = family_points(spec, field)
     # match solutions with parametrized points through their images
@@ -283,8 +275,7 @@ def enumerate_points(spec: GroupAlgebraSpec, field: FieldDescriptor, method: str
 
 def _p1_pair(spec: GroupAlgebraSpec, images):
     """The images of u = u_{r-1} and v, stacked or single."""
-    r = _hom_height(spec)
-    return images.get(f"u{r-1}", np.zeros_like(images["v"])), images["v"]
+    return images.get(f"u{spec.height() - 1}", np.zeros_like(images["v"])), images["v"]
 
 
 def _p1_images(spec: GroupAlgebraSpec, alg: PresentedSuperalgebra, images):
@@ -456,7 +447,7 @@ def monoid_scale(spec: GroupAlgebraSpec, field: FieldDescriptor, pts: np.ndarray
     """
     F = linalg.tables(field)
     p = spec.p
-    r = _hom_height(spec)
+    r = spec.height()
     if _frob_power(F, r)[a_t] != F.mul[mu_t, mu_t]:
         raise ValidationError("inadmissible scaling: a^(p^r) != mu^2")
     alg = build_group_algebra(spec, field)[0]

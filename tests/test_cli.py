@@ -482,6 +482,45 @@ def test_ext_two_modules(capsys, tmp_path):
     assert out.splitlines() == ["0: 0|1", "1: 1|1", "2: 1|1", "3: 1|1"]
 
 
+def test_ext_group_must_match_the_module_files(capsys, tmp_path, m11_file, l01_file):
+    # -g p1 takes any module file; a group spec only files over that group
+    code, table, _ = run(capsys, ["ext", "-g", "p1", "-m", l01_file, "-d", "3"])
+    assert code == 0 and len(table.splitlines()) == 4
+    for argv in (["-m", l01_file], ["-m", l01_file, "-m2", l01_file]):
+        assert run(capsys, ["ext", "-g", m11_file, *argv, "-d", "3"]) == (0, table, "")
+    k = {"group": {"family": "P1", "p": 3}, "field": "3^1", "dim": 1, "parity": [0]}
+    pk = write(tmp_path, "k.json", json.dumps(dict(k, action={"u": [["0"]], "v": [["0"]]})))
+    mismatch = (2, "", "error: module file group does not match -g\n")
+    for argv in (
+        ["-g", '{"family":"Mrs","p":5,"r":1,"s":1}', "-m", l01_file],
+        ["-g", '{"family":"Mrs","p":3,"r":1,"s":2}', "-m", l01_file],
+        ["-g", m11_file, "-m", l01_file, "-m2", pk],
+        ["-g", m11_file, "-m", pk],
+    ):
+        assert run(capsys, ["ext", *argv, "-d", "3"]) == mismatch, argv
+
+
+@pytest.mark.parametrize(
+    "group,error",
+    [
+        ({"family": "Gar", "p": 3, "r": 0}, "trivial group has no canonical P_1 restriction"),
+        ({"family": "TruncEven", "p": 3, "t": 1}, "no P_r height for family TruncEven"),
+        (
+            {"family": "Tensor", "p": 3, "factors": [{"family": "GaMinus", "p": 3}] * 2},
+            "no P_r height for family Tensor",
+        ),
+    ],
+    ids=["Ga0", "TruncEven", "Tensor"],
+)
+def test_ext_refuses_groups_with_no_canonical_p1_view(capsys, tmp_path, group, error):
+    from supvar.smod import module_to_json, trivial_module
+
+    alg = build_group_algebra(GroupAlgebraSpec.from_json(group))[0]
+    k = write(tmp_path, "k.json", json.dumps(module_to_json(trivial_module(alg))))
+    for g in ("p1", json.dumps(group)):
+        assert run(capsys, ["ext", "-g", g, "-m", k, "-d", "3"]) == (2, "", f"error: {error}\n")
+
+
 def test_bad_inputs_exit_2(capsys, m11_file, tmp_path):
     code, _, err = run(capsys, ["points", "-g", m11_file, "-F", "6^1"])
     assert code == 2

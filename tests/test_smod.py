@@ -1,5 +1,7 @@
 """Supermodules: validation, functors, the L-family, random generation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -40,20 +42,21 @@ def m11():
 def test_validate_trivial_and_parity_flip():
     A = m11()
     k = trivial_module(A)
-    assert validate_module(k).ok
+    validate_module(k)
     L = build_L(F3.element(0), F3.element(1))
     # a global parity reversal is just Pi(L) and stays valid
     flipped = SuperModule(A, L.dim, (1 - L.parity).astype(np.int8), L.action)
-    assert validate_module(flipped).ok
+    validate_module(flipped)
     # an all-even parity vector breaks the odd generator's action
     bad = SuperModule(A, L.dim, np.zeros(L.dim, dtype=np.int8), L.action)
-    rep = validate_module(bad)
-    assert not rep.ok and any("parity" in s for s in rep.issues)
+    with pytest.raises(ValidationError, match="parity mismatch"):
+        validate_module(bad)
 
 
 def test_build_L_formulas():
     L = build_L(F3.element(0), F3.element(1))
-    assert L.dim == 6 and validate_module(L).ok
+    validate_module(L)
+    assert L.dim == 6
     assert L.action["v"][5, 0] == 1  # t.x_0 = y_2
     assert not np.any(L.action["u0"][:, 0])  # s.x_0 = 0
     L = build_L(F3.element(1), F3.element(0))
@@ -101,24 +104,26 @@ def test_tensor_relation_symbolic():
     L = build_L(F3.element(1), F3.element(2))
     V = p1_view_from_module(L)
     T = p1_tensor(V, V)
-    assert T.validate().ok
+    T.validate()
 
 
 def test_tensor_dims_and_validity():
     L1 = build_L(F3.element(0), F3.element(1))
     L2 = build_L(F3.element(1), F3.element(0))
     T = tensor_module(L1, L2)
-    assert T.dim == 36 and validate_module(T).ok
+    validate_module(T)
+    assert T.dim == 36
 
 
 def test_dual_module_and_evaluation():
     A = m11()
     k = trivial_module(A)
     D = dual_module(k)
-    assert D.dim == 1 and validate_module(D).ok
+    validate_module(D)
+    assert D.dim == 1
     M = random_module(5, A, 4)
     DM = dual_module(M)
-    assert validate_module(DM).ok
+    validate_module(DM)
     # evaluation M^# (x) M -> k is a module map: it kills the augmentation
     # ideal action on the coevaluation-dual pairing
     T = tensor_module(DM, M)
@@ -190,7 +195,7 @@ def test_random_module_deterministic_and_valid():
     mods = [random_module(seed, A, 6) for seed in range(100)]
     for M in mods:
         assert 1 <= M.dim <= 6
-        assert validate_module(M).ok
+        validate_module(M)
     again = random_module(42, A, 6)
     ref = mods[42]
     assert again.dim == ref.dim
@@ -209,7 +214,7 @@ def test_extend_scalars():
     L = build_L(F3.element(0), F3.element(1))
     L9 = extend_scalars(L, F9)
     assert L9.algebra.field is F9
-    assert validate_module(L9).ok
+    validate_module(L9)
     assert np.array_equal(L9.action["u0"], L.action["u0"])
 
 
@@ -218,7 +223,8 @@ def test_restrict_module():
     L = build_L(F3.element(1), F3.element(1))
     ga1, _ = build_group_algebra(GroupAlgebraSpec("Gar", 3, r=1))
     sub = restrict_module(L, ga1, {"u0": "u0"})
-    assert validate_module(sub).ok and sub.dim == L.dim
+    validate_module(sub)
+    assert sub.dim == L.dim
 
 
 def test_pullback_tensor_functoriality():
@@ -294,7 +300,8 @@ def test_p1_module_json():
         "action": {"u": [["0"]], "v": [["0"]]},
     }
     view = module_from_json(data)
-    assert view.dim == 1 and view.validate().ok
+    view.validate()
+    assert view.dim == 1
 
 
 def test_p1_view_invariants():
@@ -306,3 +313,47 @@ def test_p1_view_invariants():
             la.from_int_matrix(la.tables(F3), [[0, 0], [0, 1]]),
             la.from_int_matrix(la.tables(F3), [[0, 1], [0, 0]]),
         )
+
+
+def _per_family_view(M):
+    """The canonical P_1-view picked family by family: U is the action of
+    u_{r-1} (zero for G_a^-), V the action of v (zero for G_a(r))."""
+    spec, zero = M.algebra.spec, la.zeros(M.dim, M.dim)
+    U = zero if spec.family == "GaMinus" else M.action[f"u{spec.r - 1}"]
+    V = zero if spec.family == "Gar" else M.action["v"]
+    return p1_view(M.field, M.parity.copy(), U.copy(), V.copy())
+
+
+CANONICAL_VIEW_SPECS = [
+    M11_SPEC,
+    GroupAlgebraSpec("Mrs", 3, r=1, s=2),
+    GroupAlgebraSpec("Mrs", 3, r=2, s=1),
+    GroupAlgebraSpec("Mrs", 3, r=1, s=1, eta=1),
+    GroupAlgebraSpec("Mrs", 3, r=2, s=1, eta=2),
+    GroupAlgebraSpec("Mrf", 3, r=1, eta=1, f=(2, 1)),  # not local: some u0 are not nilpotent
+    GroupAlgebraSpec("Gar", 3, r=1),
+    GroupAlgebraSpec("Gar", 3, r=2),
+    GroupAlgebraSpec("Gar", 3, r=3),
+    GroupAlgebraSpec("GaMinus", 3),
+    GroupAlgebraSpec("Mrs", 5, r=1, s=1),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("spec", CANONICAL_VIEW_SPECS, ids=lambda s: s.label())
+def test_canonical_view_is_the_per_family_pick(spec, n):
+    # the pullback at the canonical images, against the actions read off by
+    # family: the same view, or the same refusal
+    alg = build_group_algebra(spec, make_field(spec.p, n))[0]
+    for seed in range(6):
+        M = random_module(seed, alg, 6)
+        try:
+            want = _per_family_view(M)
+        except ValidationError as e:
+            with pytest.raises(ValidationError, match=f"^{re.escape(str(e))}$"):
+                p1_view_from_module(M)
+            continue
+        got = p1_view_from_module(M)
+        assert (got.field, got.dim) == (want.field, want.dim)
+        for attr in ("parity", "U", "V"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), (seed, attr)

@@ -157,14 +157,13 @@ def test_constraint_violation_rejected():
 def test_point_images_are_hopf_morphisms():
     """The coordinate formulas define honest Hopf superalgebra maps."""
     from supvar.superalg.morphisms import PrPresentation, SuperalgebraMorphism
-    from supvar.varieties import _hom_height
 
     specs = [M11, M21, M12, M22, GroupAlgebraSpec("Gar", 3, r=2),
              GroupAlgebraSpec("Mrs", 3, r=2, s=1, eta=1)]
     rng = random.Random(5)
     for spec in specs:
         alg = build_group_algebra(spec, F3)[0]
-        pres = PrPresentation(3, _hom_height(spec))
+        pres = PrPresentation(3, spec.height())
         pts = family_points(spec, F3)
         for pt in [pts[i] for i in rng.sample(range(len(pts)), min(4, len(pts)))]:
             images = point_images(spec, alg, pt)
@@ -227,9 +226,9 @@ def test_solver_core_matches_param_past_the_cap(spec, degrees):
     # the uncapped solver against the parametrization, as sets of image rows
     from supvar.superalg.homscheme import _solve
     from supvar.superalg.morphisms import PrPresentation
-    from supvar.varieties import _hom_height, _images
+    from supvar.varieties import _images
 
-    pres = PrPresentation(spec.p, _hom_height(spec))
+    pres = PrPresentation(spec.p, spec.height())
     for n in degrees:
         field = make_field(spec.p, n)
         alg = build_group_algebra(spec, field)[0]
