@@ -46,22 +46,6 @@ class SuperalgebraMorphism:
             raise ValidationError("gamma images need a P_r source")
         return self.image_of_monomial(*self.source.gamma_monomial(x))
 
-    def matrix(self):
-        """Full basis-to-basis matrix, derived lazily for finite sources.
-
-        Column j holds the image of the j-th source basis element; P_r
-        sources are infinite-dimensional, so only generator data exists
-        for them and this raises.
-        """
-        if isinstance(self.source, PrPresentation):
-            raise ValidationError("P_r sources have no finite matrix; use gamma_image")
-        cached = self._image_cache.get("matrix")
-        if cached is None:
-            mons = self.source.monomials
-            cached = np.stack([self.image_of_monomial(c, mon) for c, mon in mons], axis=1)
-            self._image_cache["matrix"] = cached
-        return cached
-
     def verify_algebra(self):
         """Generator parities and all source relations.  A term with a
         generator mapping to zero is zero with no product (el_word), and a

@@ -869,3 +869,63 @@ def test_main_defaults_to_one_blas_thread(caller, expect):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == repr(expect)
+
+
+def test_exit_hook_registered_once_and_idle_in_process(capsys):
+    # main registers gc.freeze for exit only: nothing is frozen while an
+    # in-process caller runs, and a second call adds no second handler
+    import atexit
+    import gc
+
+    enabled = gc.isenabled()
+    assert main(["resolve", "-g", M11, "-n", "2"]) == 0
+    handlers = atexit._ncallbacks()
+    assert main(["resolve", "-g", M11, "-n", "2"]) == 0
+    capsys.readouterr()
+    assert atexit._ncallbacks() == handlers
+    assert gc.get_freeze_count() == 0
+    assert gc.isenabled() == enabled
+
+
+def test_exit_hook_runs_before_earlier_handlers():
+    # a handler registered before main runs after the freeze, and its output
+    # is still flushed
+    import subprocess
+    import sys
+
+    script = (
+        "import atexit, gc, sys\n"
+        "from supvar.cli import main\n"
+        "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > 0))\n"
+        "code = main(sys.argv[1:])\n"
+        "print('frozen after main:', gc.get_freeze_count() > 0)\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "resolve", "-g", M11, "-n", "1"],
+        capture_output=True,
+        text=True,
+        env=_subprocess_env(),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "0: 1|0", "1: 1|1", "frozen after main: False", "frozen at exit: True",
+    ]
+
+
+def test_homscheme_output_through_a_pipe():
+    # the 1.7 MB ideal of P_3 -> G_a(3), read whole through a pipe from a
+    # process that skips the final collection
+    import subprocess
+    import sys
+
+    from test_homscheme import RENDER_SHA1
+
+    digest = dict((spec["family"], d) for r, spec, d in RENDER_SHA1 if r == 3)["Gar"]
+    argv = ["homscheme", "--source", '{"p":3,"r":3}', "--target", '{"family":"Gar","p":3,"r":3}']
+    proc = subprocess.run(
+        [sys.executable, "-m", "supvar.cli"] + argv, capture_output=True, env=_subprocess_env()
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.endswith(b"\n") and len(proc.stdout) > 1_500_000
+    assert hashlib.sha1(proc.stdout[:-1]).hexdigest() == digest

@@ -11,7 +11,14 @@ from oracles.points_oracle import elements
 from supvar.errors import BoundExceeded, ValidationError
 from supvar.gfield import make_field
 import supvar.linalg as la
-from supvar.smod import build_L, random_module, restrict_module, trivial_module, regular_module
+from supvar.smod import (
+    build_L,
+    random_module,
+    regular_module,
+    restrict_module,
+    tensor_module,
+    trivial_module,
+)
 from supvar.superalg.algebra import GroupAlgebraSpec, build_group_algebra
 from supvar.varieties import (
     POINTS_CAP,
@@ -387,6 +394,30 @@ def test_supports_over_height_two_family():
         assert (0, 0, 0) in keys  # the zero point is always in the support
         for mt, at in admissible_scalings(F3, 2):
             assert rows(monoid_scale(M21, F3, sup, mt, at)) <= keys  # conical
+
+
+@pytest.mark.parametrize(
+    "spec,field",
+    [
+        (M21, F9),
+        (M12, F9),
+        (GroupAlgebraSpec("Mrs", 5, r=1, s=1), make_field(5, 2)),
+        (GroupAlgebraSpec("Gar", 3, r=2), F9),
+    ],
+    ids=["M21-F9", "M12-F9", "M11p5-F25", "Ga2-F9"],
+)
+def test_tensor_property_beyond_m11(spec, field):
+    # support(M (x) N) = support(M) /\ support(N), on random modules whose
+    # coefficients lie in the extension field itself
+    alg = build_group_algebra(spec, field)[0]
+    npts = len(enumerate_points(spec, field).points)
+    proper = 0
+    for seed in range(0, 8, 2):
+        M, N = random_module(seed, alg, 4), random_module(seed + 1, alg, 4)
+        both = rows(support_set(spec, M, field).points) & rows(support_set(spec, N, field).points)
+        assert rows(support_set(spec, tensor_module(M, N), field).points) == both, seed
+        proper += len(both) < npts
+    assert proper  # some pair meets in fewer than all points (always in 0)
 
 
 def test_naturality_via_embeddings():
