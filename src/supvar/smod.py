@@ -3,15 +3,14 @@
 A module stores one action matrix per named algebra generator; matrices act
 on column coordinate vectors and their entries are field element indices.
 Even generators act by parity-preserving matrices, odd generators by
-parity-reversing ones, and all defining relations of the algebra must
-annihilate the module.
+parity-reversing ones, and the actions must respect the algebra's product
+tensor (validate_module).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dfield
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,9 +23,6 @@ from .superalg.algebra import (
     build_group_algebra,
     canonical_images,
 )
-
-if TYPE_CHECKING:
-    from .superalg.morphisms import SuperalgebraMorphism
 
 
 @dataclass
@@ -50,20 +46,19 @@ class SuperModule:
         return self.basis_actions()[i].reshape(self.dim, self.dim)
 
     def basis_actions(self) -> np.ndarray:
-        """Every basis action matrix, flattened: shape (algebra dim, dim * dim)."""
+        """Every basis action matrix, flattened: shape (algebra dim, dim * dim).
+        That of b_i is the action of its stored monomial coeff g_1^e_1
+        g_2^e_2 ..., the generators' matrix powers multiplied left to right."""
         cached = self._cache.get("basis_flat")
         if cached is None:
-            mons = self.algebra.monomials
-            cached = np.stack([self.word_action(c, mon).ravel() for c, mon in mons])
-            self._cache["basis_flat"] = cached
+            F, rows = self.F, []
+            for coeff, mon in self.algebra.monomials:
+                out = linalg.identity(self.dim)
+                for g, e in mon:
+                    out = linalg.matmul(F, out, linalg.matpow(F, self.action[g], e))
+                rows.append(linalg.scale(F, coeff, out).ravel())
+            cached = self._cache["basis_flat"] = np.stack(rows)
         return cached
-
-    def word_action(self, coeff, mon) -> np.ndarray:
-        """Action matrix of coeff g_1^e_1 g_2^e_2 ... for mon = ((g_1, e_1), ...)."""
-        F, out = self.F, linalg.identity(self.dim)
-        for g, e in mon:
-            out = linalg.matmul(F, out, linalg.matpow(F, self.action[g], e))
-        return linalg.scale(F, coeff, out)
 
     def element_action(self, vec: np.ndarray) -> np.ndarray:
         """Action matrix of an algebra element (index vector), or the stack of
@@ -78,8 +73,14 @@ class SuperModule:
 
 
 def validate_module(M: SuperModule) -> None:
-    """Check parity compatibility of the actions and all algebra relations;
-    raises ValidationError naming every failure."""
+    """Check the shapes and parities of the actions, then the actions against
+    kG's product T, one generator at a time as two 2-D products:
+    X_g rho(b_j) = sum_k T[g, j, k] rho(b_k) for each generator g and basis
+    element b_j, rho(b_j) the action of b_j's monomial (basis_actions).  As
+    verify_algebra checks that each b_i is its monomial and that T is
+    associative, the induction in its docstring makes rho multiplicative:
+    this accepts exactly the kG-modules.  Raises ValidationError naming
+    every failure."""
     issues = []
     A = M.algebra
     if M.parity.shape != (M.dim,) or not np.all((M.parity == 0) | (M.parity == 1)):
@@ -98,13 +99,15 @@ def validate_module(M: SuperModule) -> None:
         if bad:
             issues.append(f"parity mismatch in the action of {g} ({bad} entries)")
     if not issues:
-        F = M.F
-        for label, terms in A.relations:
-            acc = linalg.zeros(M.dim, M.dim)
-            for coeff, mon in terms:
-                acc = linalg.madd(F, acc, M.word_action(coeff, mon))
-            if np.any(acc):
-                issues.append(f"relation {label} does not annihilate the module")
+        F, d, n = M.F, A.dim, M.dim
+        R = M.basis_actions()
+        side = R.reshape(d, n, n).transpose(1, 0, 2).reshape(n, d * n)  # rho(b_0) | rho(b_1) | ...
+        for g, gi in A.generators.items():
+            lhs = linalg.matmul(F, M.action[g], side).reshape(n, d, n).transpose(1, 0, 2)
+            rhs = linalg.matmul(F, A.tensor[gi], R).reshape(d, n, n)
+            bad = np.flatnonzero((lhs != rhs).any(axis=(1, 2)))
+            if bad.size:
+                issues.append(f"the action of {g} is not multiplicative at b_{bad[0]}")
     if issues:
         raise ValidationError("; ".join(issues))
 
@@ -126,18 +129,13 @@ def regular_module(A: PresentedSuperalgebra) -> SuperModule:
     return cached
 
 
-def pullback(M: SuperModule, phi: SuperalgebraMorphism) -> SuperModule:
-    """Pull a module back along an algebra morphism into its algebra.
-
-    phi need not respect the Hopf structures; the result is re-validated,
-    and a relation failure means phi was not an algebra map.
-    """
-    if not isinstance(phi.source, PresentedSuperalgebra):
-        raise ValidationError("pullback target presentation must be finite-dimensional")
-    if phi.target is not M.algebra:
-        raise ValidationError("module is not over the morphism's target")
-    action = {g: M.element_action(phi.images[g]) for g in phi.source.generators}
-    out = SuperModule(phi.source, M.dim, M.parity.copy(), action)
+def pullback(M: SuperModule, source: PresentedSuperalgebra, images: dict) -> SuperModule:
+    """Pull a module back into `source` along g -> images[g], elements of
+    M's algebra.  The result is validated: a failure means the map is not an
+    algebra map, and on a faithful M, such as regular_module, a pass means
+    it is one."""
+    action = {g: M.element_action(images[g]) for g in source.generators}
+    out = SuperModule(source, M.dim, M.parity.copy(), action)
     validate_module(out)
     return out
 
@@ -253,7 +251,7 @@ def random_module(seed: int, algebra: PresentedSuperalgebra, dim_bound: int) -> 
     """Deterministic random module: a graded quotient of the rank-1 free
     module by the submodule generated by a few random homogeneous elements.
 
-    Quotients of frees always satisfy the relations, so no rejection on
+    A quotient of a free module is always a module, so no rejection on
     validity is needed, only on the dimension bound.
     """
     if dim_bound < 1:
@@ -533,6 +531,8 @@ def module_from_json(d: dict):
         acts = {}
         for name, rows in d["action"].items():
             canon = {"s": "u", "t": "v", "u0": "u"}.get(name, name)
+            if canon in acts:
+                raise ValidationError(f"generator {canon!r} is named twice in the module file")
             acts[canon] = parse_mat(rows)
         if set(acts) != {"u", "v"}:
             raise ValidationError("P1 module needs exactly the actions of u and v")
@@ -546,6 +546,8 @@ def module_from_json(d: dict):
         canon = parse_alias.get(name, name)
         if canon not in alg.generators:
             raise ValidationError(f"unknown generator {name!r} for {spec.label()}")
+        if canon in action:
+            raise ValidationError(f"generator {canon!r} is named twice in the module file")
         action[canon] = parse_mat(rows)
     missing = set(alg.generators) - set(action)
     if missing:

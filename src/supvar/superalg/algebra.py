@@ -8,7 +8,8 @@ dtype linalg.DT) and the coproduct hopf.coproduct[i, j, k] (Delta b_i = sum
 C[i, j, k] b_j (x) b_k, dtype int8), in the same layout.  Both hold
 prime-field values, which are also their field indices in every extension
 field (see supvar.linalg).  Basis 0 is the unit, and the augmentation is the
-counit.
+counit.  No defining relations are kept: a module is checked against the
+product (smod.validate_module).
 
 Constructors cover the group algebras of the multiparameter supergroups
 (quotients of P_r), the purely even truncated polynomial Hopf algebra, and
@@ -17,14 +18,13 @@ alone and builds over F_p: the structure constants lie in the prime field,
 whose elements keep their index in every extension.  build_group_algebra
 builds and verifies each spec once and serves every field from that build,
 with the two tensors shared by all of them.
-The P_r relations and gamma monomials come from pr.PrPresentation.
+The gamma monomials come from pr.PrPresentation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations
 from math import comb, prod
 
 import numpy as np
@@ -32,7 +32,7 @@ import numpy as np
 from ..errors import BoundExceeded, ValidationError, json_int
 from ..gfield import SUPPORTED_PRIMES, FieldDescriptor, make_field
 from .. import linalg
-from .pr import PrPresentation, gamma_coeff, graded_commutator, p_power, pr_coproduct
+from .pr import PrPresentation, gamma_coeff, pr_coproduct
 
 DIM_CAP = 200
 
@@ -226,8 +226,8 @@ class GroupAlgebraSpec:
 
 @dataclass
 class PresentedSuperalgebra:
-    """Parities, structure constants, generators, relations; basis 0 is
-    the unit."""
+    """Parities, structure constants, generators and their monomials; basis
+    0 is the unit."""
 
     field: FieldDescriptor
     dim: int
@@ -235,7 +235,6 @@ class PresentedSuperalgebra:
     tensor: np.ndarray  # (dim, dim, dim): b_i b_j = sum_k tensor[i, j, k] b_k
     generators: dict  # name -> basis index
     monomials: tuple  # per basis index: (coeff_index, ((gen, exp), ...))
-    relations: tuple  # (label, terms) with terms ((coeff_index, ((gen, exp), ...)), ...)
     augmentation: np.ndarray  # (dim,) indices, the counit
     hopf: HopfStructure
     spec: GroupAlgebraSpec
@@ -392,7 +391,7 @@ def _truncated_tensor(m, coeff=lambda i, j: 1):
     return T
 
 
-def _base_algebra(spec, parity, tensor, generators, monomials, relations, cop, signs):
+def _base_algebra(spec, parity, tensor, generators, monomials, cop, signs):
     """A base family's algebra over F_p: basis 0 is the unit and carries
     the counit, and the antipode is the diagonal of the given signs."""
     dim = len(parity)
@@ -406,7 +405,6 @@ def _base_algebra(spec, parity, tensor, generators, monomials, relations, cop, s
         tensor=tensor,
         generators=generators,
         monomials=tuple(monomials),
-        relations=tuple(relations),
         augmentation=augmentation,
         hopf=HopfStructure(np.ascontiguousarray(cop, dtype=np.int8), antipode),
         spec=spec,
@@ -419,8 +417,6 @@ def _build_pr_quotient(spec: GroupAlgebraSpec):
     fcoeffs = spec.fcoeffs()
     n_gamma, normal_form = _quotient_reducer(p, r, fcoeffs, spec.eta)
     dim = 2 * n_gamma
-    pres = PrPresentation(p, r)
-
     parity = np.array([0] * n_gamma + [1] * n_gamma, dtype=np.int8)
 
     def bidx(x):  # the basis index of the P_r basis element x
@@ -448,11 +444,7 @@ def _build_pr_quotient(spec: GroupAlgebraSpec):
     generators["v"] = bidx(1)
 
     xs = [2 * (i % n_gamma) + (i >= n_gamma) for i in range(dim)]  # inverse of bidx
-    monomials = tuple(map(pres.gamma_monomial, xs))
-    f_terms = [(int(c), ((f"u{r-1}", p**i),)) for i, c in enumerate(fcoeffs, start=1) if c % p]
-    if spec.eta % p:
-        f_terms.append((spec.eta % p, (("u0", 1),)))
-    relations = pres.relations() + (("f(u)+eta*u0", tuple(f_terms)),)
+    monomials = tuple(map(PrPresentation(p, r).gamma_monomial, xs))
 
     # every term of pr_coproduct has coefficient 1, and bidx is one-to-one
     i, le, ri = np.array(
@@ -462,7 +454,7 @@ def _build_pr_quotient(spec: GroupAlgebraSpec):
     cop = np.zeros((dim,) * 3, dtype=np.int8)
     cop[i, bidx(le), bidx(ri)] = 1
     signs = [(-1) ** (i % n_gamma + (i >= n_gamma)) for i in range(dim)]
-    return _base_algebra(spec, parity, T, generators, monomials, relations, cop, signs)
+    return _base_algebra(spec, parity, T, generators, monomials, cop, signs)
 
 
 def _build_gar(spec: GroupAlgebraSpec):
@@ -473,13 +465,10 @@ def _build_gar(spec: GroupAlgebraSpec):
     generators = {f"u{i}": p**i for i in range(r)}
     pres = PrPresentation(p, max(r, 1))
     monomials = tuple(pres.gamma_monomial(2 * l) for l in range(dim))
-    gnames = [f"u{i}" for i in range(r)]
-    relations = [graded_commutator(a, 0, b, 0, p) for a, b in combinations(gnames, 2)]
-    relations += [p_power(g, p) for g in gnames]
     # Delta gamma_l = sum_{i + j = l} gamma_i (x) gamma_j
     cop = _truncated_tensor(dim).transpose(2, 0, 1)
     signs = [(-1) ** i for i in range(dim)]
-    return _base_algebra(spec, [0] * dim, T, generators, monomials, relations, cop, signs)
+    return _base_algebra(spec, [0] * dim, T, generators, monomials, cop, signs)
 
 
 def _build_gaminus(spec: GroupAlgebraSpec):
@@ -490,7 +479,6 @@ def _build_gaminus(spec: GroupAlgebraSpec):
         tensor=_truncated_tensor(2),
         generators={"v": 1},
         monomials=((1, ()), (1, (("v", 1),))),
-        relations=(("v^2", ((1, (("v", 2),)),)),),
         cop=_truncated_tensor(2).transpose(2, 0, 1),
         signs=(1, -1),
     )
@@ -506,7 +494,6 @@ def _build_trunc_even(spec: GroupAlgebraSpec):
         tensor=_truncated_tensor(m),
         generators={"g": 1},
         monomials=[(1, ()) if j == 0 else (1, (("g", j),)) for j in range(m)],
-        relations=[(f"g^{m}", ((1, (("g", m),)),))],
         # Delta g^l = sum_{i + j = l} binom(l, i) g^i (x) g^j
         cop=_truncated_tensor(m, lambda i, j: comb(i + j, i) % p).transpose(2, 0, 1),
         signs=[(-1) ** j for j in range(m)],
@@ -514,18 +501,10 @@ def _build_trunc_even(spec: GroupAlgebraSpec):
 
 
 def rename_generators(alg: PresentedSuperalgebra, mapping: dict) -> PresentedSuperalgebra:
-    """New algebra object with generators (and all references) renamed."""
-
-    def m(name):
-        return mapping.get(name, name)
-
-    gens = {m(k): v for k, v in alg.generators.items()}
-    mons = tuple((c, tuple((m(g), e) for g, e in mon)) for c, mon in alg.monomials)
-    rels = tuple(
-        (lbl, tuple((c, tuple((m(g), e) for g, e in mon)) for c, mon in terms))
-        for lbl, terms in alg.relations
-    )
-    return replace(alg, generators=gens, monomials=mons, relations=rels)
+    """New algebra object with generators renamed, in the monomials too."""
+    gens = {mapping.get(g, g): i for g, i in alg.generators.items()}
+    mons = tuple((c, tuple((mapping.get(g, g), e) for g, e in mon)) for c, mon in alg.monomials)
+    return replace(alg, generators=gens, monomials=mons)
 
 
 def _koszul_outer(X, Y, parX, parY, axis, p):
@@ -564,13 +543,6 @@ def tensor_algebra(A: PresentedSuperalgebra, B: PresentedSuperalgebra):
             (int(F.mul[F.scalar(ca), F.scalar(cb)]), ma + mb)
             for ca, ma in A.monomials
             for cb, mb in B.monomials
-        ),
-        relations=A.relations
-        + B.relations
-        + tuple(
-            graded_commutator(ga, A.gen_parity(ga), gb, B.gen_parity(gb), p)
-            for ga in A.generators
-            for gb in B.generators
         ),
         augmentation=F.mul[A.augmentation[:, None], B.augmentation[None, :]].ravel(),
         hopf=HopfStructure(

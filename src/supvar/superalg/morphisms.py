@@ -24,10 +24,10 @@ from .pr import PrPresentation
 
 @dataclass
 class SuperalgebraMorphism:
-    """Generator images of a map from a P_r presentation (or a finite
-    presented algebra) into a finite presented superalgebra."""
+    """Generator images of a map from a P_r presentation into a finite
+    presented superalgebra."""
 
-    source: object  # PrPresentation or PresentedSuperalgebra
+    source: PrPresentation
     target: PresentedSuperalgebra
     images: dict  # generator name -> (dim,) index vector over target basis
     _image_cache: dict = dfield(default_factory=dict)
@@ -42,14 +42,12 @@ class SuperalgebraMorphism:
 
     def gamma_image(self, x: int):
         """Image of the P_r basis element x = 2 ell + |x| (see pr)."""
-        if not isinstance(self.source, PrPresentation):
-            raise ValidationError("gamma images need a P_r source")
         return self.image_of_monomial(*self.source.gamma_monomial(x))
 
     def verify_algebra(self):
-        """Generator parities and all source relations.  A term with a
+        """Generator parities and the relations of P_r.  A term with a
         generator mapping to zero is zero with no product (el_word), and a
-        P_r relation with only such terms is never built."""
+        relation with only such terms is never built."""
         B = self.target
         for g in self.source.gen_names:
             if g not in self.images:
@@ -57,13 +55,7 @@ class SuperalgebraMorphism:
             par = B.element_parity(self.images[g])
             if par is None or (par != self.source.gen_parity(g) and np.any(self.images[g])):
                 raise ValidationError(f"image of {g} has wrong parity")
-        live = self.live()
-        rels = (
-            self.source.relations_among(live)
-            if isinstance(self.source, PrPresentation)
-            else self.source.relations
-        )
-        for label, terms in rels:
+        for label, terms in self.source.relations_among(self.live()):
             if np.any(B.el_terms(terms, self.images, self._image_cache)):
                 raise ValidationError(f"relation {label} not killed by the morphism")
         return self
@@ -74,8 +66,6 @@ class SuperalgebraMorphism:
         mapping to zero are visited (PrPresentation.gen_coproduct), and a
         right side is not built when the left image is zero."""
         self.verify_algebra()
-        if not isinstance(self.source, PrPresentation):
-            raise ValidationError("hopf verification implemented for P_r sources")
         B, live = self.target, self.live()
         F, C, d = B.F, B.hopf.coproduct, B.dim
         for g in self.source.gen_names:
@@ -157,8 +147,6 @@ def classify_quotient(phi: SuperalgebraMorphism) -> QuotientLabel:
     when the images of x < 2 bound have rank dim, with bound the dependence
     index, or 1 when s = 0 (for G_a(s) the odd images are zero).
     """
-    if not isinstance(phi.source, PrPresentation):
-        raise ValidationError("classification needs a P_r presentation source")
     phi.verify_hopf()
     B = phi.target
     F = B.F

@@ -260,7 +260,6 @@ def test_classify_builds_no_dead_relation(capsys, tmp_path, monkeypatch):
     from supvar.superalg import pr
 
     r, graded_commutator, calls = 1000, pr.graded_commutator, []
-    build_group_algebra(GroupAlgebraSpec.from_json(QUOT["target"]))  # its own relations
     images = {**{f"u{i}": ["0"] * 6 for i in range(r)}, "v": QUOT["images"]["v"]}
     path = write(tmp_path, "zero.json", json.dumps({**QUOT, "r": r, "images": images}))
     monkeypatch.setattr(
@@ -292,6 +291,27 @@ def test_lmodule_roundtrip(capsys, tmp_path, m11_file, l01_file):
     # emitted file parses back and produces the same support
     code, out, _ = run(capsys, ["support", "-g", m11_file, "-m", l01_file, "-F", "3^1"])
     assert code == 0
+
+
+def test_generator_named_twice_exits_2(capsys, tmp_path, m11_file):
+    # once by its alias and once by its name, in either order, a generator
+    # has no single action; so in a P1 file, where s, u0 and u all name u
+    path = str(tmp_path / "L12.json")
+    assert main(["lmodule", "--mu", "1", "--a", "2", "-F", "3^1", "-o", path]) == 0
+    capsys.readouterr()
+    with open(path) as fh:
+        data = json.load(fh)
+    zero = [["0"] * data["dim"]] * data["dim"]
+    err = "error: generator 'u0' is named twice in the module file\n"
+    for action in ({"u0": zero, **data["action"]}, {**data["action"], "u0": zero}):
+        dup = write(tmp_path, "dup.json", json.dumps(dict(data, action=action)))
+        assert run(capsys, ["support", "-g", m11_file, "-m", dup, "-F", "3"]) == (2, "", err)
+    k = {"group": {"family": "P1", "p": 3}, "field": "3^1", "dim": 1, "parity": [0]}
+    for names in (("u", "s"), ("u0", "u")):
+        action = {names[0]: [["0"]], "v": [["0"]], names[1]: [["0"]]}
+        pk = write(tmp_path, "pk.json", json.dumps(dict(k, action=action)))
+        err = "error: generator 'u' is named twice in the module file\n"
+        assert run(capsys, ["ext", "-g", "p1", "-m", pk, "-d", "2"]) == (2, "", err)
 
 
 def test_validation_errors_exit_2(capsys, m11_file, tmp_path):

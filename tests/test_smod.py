@@ -1,11 +1,13 @@
 """Supermodules: validation, functors, the L-family, random generation."""
 
+import random
 import re
 
 import numpy as np
 import pytest
 
 from supvar.errors import ValidationError
+from oracles.module_oracle import is_module_dense
 from oracles.points_oracle import elements
 from supvar.gfield import make_field
 import supvar.linalg as la
@@ -29,7 +31,6 @@ from supvar.smod import (
     validate_module,
 )
 from supvar.superalg.algebra import GroupAlgebraSpec, build_group_algebra
-from supvar.superalg.morphisms import SuperalgebraMorphism
 
 F3 = make_field(3, 1)
 M11_SPEC = GroupAlgebraSpec("Mrs", 3, r=1, s=1)
@@ -69,21 +70,23 @@ def test_build_L_formulas():
 def test_pullback_identity_and_relation_failure():
     A = m11()
     L = build_L(F3.element(0), F3.element(1))
-    ident = SuperalgebraMorphism(A, A, {g: A.el_gen(g) for g in A.generators})
-    same = pullback(L, ident)
+    same = pullback(L, A, {g: A.el_gen(g) for g in A.generators})
     assert all(np.array_equal(same.action[g], L.action[g]) for g in A.generators)
     # u -> t is not an algebra map image assignment (parity mismatch)
-    badmap = SuperalgebraMorphism(A, A, {"u0": A.el_gen("v"), "v": A.el_gen("v")})
-    with pytest.raises(ValidationError):
-        pullback(L, badmap)
+    with pytest.raises(ValidationError, match="parity mismatch"):
+        pullback(L, A, {"u0": A.el_gen("v"), "v": A.el_gen("v")})
+    # u -> u + 1 keeps the parity but not u^3 = 0: the regular module,
+    # which is faithful, rejects it
+    with pytest.raises(ValidationError, match="the action of u0"):
+        u_plus_1 = A.el_add(A.el_unit(), A.el_gen("u0"))
+        pullback(regular_module(A), A, {"u0": u_plus_1, "v": A.el_gen("v")})
 
 
 def test_pullback_point_morphism():
     # L_{(0,1)} pulled to M11 itself along u -> c s, v -> d t at (d,c) = (0,1)
     A = m11()
     L = build_L(F3.element(0), F3.element(1))
-    phi = SuperalgebraMorphism(A, A, {"u0": A.el_gen("u0"), "v": A.el_zero()})
-    out = pullback(L, phi)
+    out = pullback(L, A, {"u0": A.el_gen("u0"), "v": A.el_zero()})
     assert np.array_equal(out.action["u0"], L.action["u0"])
     assert not np.any(out.action["v"])
 
@@ -231,12 +234,12 @@ def test_pullback_tensor_functoriality():
     # pulling back along a Hopf map commutes with tensor products
     A = m11()
     m12, _ = build_group_algebra(GroupAlgebraSpec("Mrs", 3, r=1, s=2))
-    phi = SuperalgebraMorphism(m12, A, {"u0": A.el_gen("u0"), "v": A.el_gen("v")})
-    phi.verify_algebra()
+    images = {"u0": A.el_gen("u0"), "v": A.el_gen("v")}
+    pullback(regular_module(A), m12, images)  # faithful: an algebra map
     for s1, s2 in ((1, 2), (3, 4), (5, 8)):
         M, N = random_module(s1, A, 4), random_module(s2, A, 4)
-        lhs = pullback(tensor_module(M, N), phi)
-        rhs = tensor_module(pullback(M, phi), pullback(N, phi))
+        lhs = pullback(tensor_module(M, N), m12, images)
+        rhs = tensor_module(pullback(M, m12, images), pullback(N, m12, images))
         assert all(np.array_equal(lhs.action[g], rhs.action[g]) for g in m12.generators)
 
 
@@ -357,3 +360,67 @@ def test_canonical_view_is_the_per_family_pick(spec, n):
         assert (got.field, got.dim) == (want.field, want.dim)
         for attr in ("parity", "U", "V"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr)), (seed, attr)
+
+
+GS = GroupAlgebraSpec
+GA1, GAM, GAM5 = GS("Gar", 3, r=1), GS("GaMinus", 3), GS("GaMinus", 5)
+MODULE_CHECK_SPECS = [
+    (M11_SPEC, 1),
+    (M11_SPEC, 2),
+    (GS("Mrs", 3, r=1, s=2), 2),
+    (GS("Mrs", 3, r=2, s=1), 1),
+    (GS("Mrs", 3, r=1, s=1, eta=2), 2),
+    (GS("Mrs", 3, r=2, s=1, eta=1), 1),
+    (GS("Mrf", 3, r=1, eta=1, f=(2, 1)), 1),  # not local
+    (GS("Mrf", 3, r=1, f=(1, 1)), 2),
+    (GA1, 2),
+    (GS("Gar", 3, r=2), 1),
+    (GAM, 2),
+    (GS("TruncEven", 3, t=1), 1),
+    (GS("TruncEven", 3, t=2), 2),
+    (GS("Mrs", 5, r=1, s=1), 1),
+    (GS("Mrs", 5, r=1, s=1, eta=2), 2),
+    (GAM5, 2),
+    (GS("Tensor", 3, factors=(M11_SPEC, GAM)), 1),
+    (GS("Tensor", 3, factors=(GA1, GA1)), 2),
+    (GS("Tensor", 5, factors=(GAM5,) * 3), 1),
+]
+
+
+def _single_entry_edits(M, rng, count):
+    """Copies of M with one action entry changed, each at a place where the
+    generator's parity allows a nonzero entry."""
+    A, q = M.algebra, M.field.q
+    gens = list(A.generators)
+    for _ in range(count if gens else 0):
+        g = gens[rng.randrange(len(gens))]
+        rows, cols = np.nonzero(M.parity[:, None] == (M.parity[None, :] + A.gen_parity(g)) % 2)
+        if not rows.size:
+            continue
+        at = rng.randrange(rows.size)
+        i, j = rows[at], cols[at]
+        X = M.action[g].copy()
+        X[i, j] = (X[i, j] + rng.randrange(1, q)) % q
+        yield SuperModule(A, M.dim, M.parity.copy(), {**M.action, g: X})
+
+
+@pytest.mark.parametrize(
+    "spec, n", MODULE_CHECK_SPECS, ids=[f"{s.label()}-F{s.p}^{n}" for s, n in MODULE_CHECK_SPECS]
+)
+def test_validate_module_matches_the_dense_oracle(spec, n):
+    # seeded random modules, the regular module, and single-entry edits of
+    # them that keep the parity: the check against kG's product accepts
+    # exactly the modules that the dense pairwise check accepts
+    alg = build_group_algebra(spec, make_field(spec.p, n))[0]
+    rng, seen = random.Random(f"{spec}-{n}"), set()
+    for M in [*(random_module(seed, alg, 5) for seed in range(4)), regular_module(alg)]:
+        for N in [M, *_single_entry_edits(M, rng, 16)]:
+            want = is_module_dense(N)
+            try:
+                validate_module(N)
+                got = True
+            except ValidationError:
+                got = False
+            assert got == want, {g: X.tolist() for g, X in N.action.items()}
+            seen.add(got)
+    assert seen == {True, False}

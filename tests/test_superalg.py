@@ -10,6 +10,7 @@ import pytest
 from supvar import linalg
 from supvar.errors import BoundExceeded, ValidationError
 from supvar.gfield import make_field
+from supvar.smod import pullback, regular_module
 from supvar.superalg import algebra
 from supvar.superalg.algebra import (
     DIM_CAP,
@@ -215,8 +216,7 @@ def _tables(alg):
     H = alg.hopf
     return (
         alg.dim, alg.parity.tolist(), alg.tensor.tolist(), alg.generators, alg.monomials,
-        alg.relations, alg.augmentation.tolist(), H.coproduct.tolist(), H.antipode.tolist(),
-        alg.spec,
+        alg.augmentation.tolist(), H.coproduct.tolist(), H.antipode.tolist(), alg.spec,
     )
 
 
@@ -324,36 +324,6 @@ def test_tensor_cap_checked_before_factors(monkeypatch):
         with pytest.raises(BoundExceeded):
             build_group_algebra(spec, field)
         assert all(a[0] is spec for a in calls)
-
-
-def test_relation_labels():
-    def labels(spec):
-        return [lbl for lbl, _ in build_group_algebra(spec)[0].relations]
-
-    assert labels(GroupAlgebraSpec("Mrs", 3, r=2, s=1)) == [
-        "[u0,u1]", "[u0,v]", "[u1,v]", "u0^p", "u1^p+v^2", "f(u)+eta*u0",
-    ]
-    assert labels(GroupAlgebraSpec("Mrf", 3, r=1, f=(2, 1), eta=2)) == [
-        "[u0,v]", "u0^p+v^2", "f(u)+eta*u0",
-    ]
-    assert labels(GroupAlgebraSpec("Gar", 3, r=3)) == [
-        "[u0,u1]", "[u0,u2]", "[u1,u2]", "u0^p", "u1^p", "u2^p",
-    ]
-    assert labels(GroupAlgebraSpec("Gar", 3, r=0)) == []
-    assert labels(GroupAlgebraSpec("GaMinus", 3)) == ["v^2"]
-    assert labels(GroupAlgebraSpec("TruncEven", 3, t=2)) == ["g^9"]
-    # a factor's own relations keep its generator names
-    assert labels(TENSOR_SPEC) == ["u0^p", "v^2", "[t0_u0,t1_v]"]
-    assert labels(GroupAlgebraSpec("Tensor", 3, factors=(GroupAlgebraSpec("GaMinus", 3),) * 2)) == [
-        "v^2", "v^2", "[t0_v,t1_v]",
-    ]
-    # the commutator of two odd generators is their anticommutator
-    m11 = build_group_algebra(GroupAlgebraSpec("Mrs", 3, r=1, s=1))[0]
-    assert dict(m11.relations)["[u0,v]"] == ((1, (("u0", 1), ("v", 1))), (2, (("v", 1), ("u0", 1))))
-    gg = build_group_algebra(GroupAlgebraSpec("Tensor", 3, factors=(GroupAlgebraSpec("GaMinus", 3),) * 2))
-    assert dict(gg[0].relations)["[t0_v,t1_v]"] == (
-        (1, (("t0_v", 1), ("t1_v", 1))), (1, (("t1_v", 1), ("t0_v", 1))),
-    )
 
 
 def test_augmentation_ideal_nilpotent():
@@ -553,12 +523,16 @@ def test_classify_rejects_non_surjective():
 
 
 def test_morphism_full_matrix():
-    # the canonical quotient kM_{1;2} ->> kM_{1;1}, u0 -> u0 and v -> v,
-    # kills every relation of its finite source (u^3 = 0 in the target)
+    # the canonical quotient kM_{1;2} ->> kM_{1;1}, u0 -> u0 and v -> v, is
+    # an algebra map: the pullback of kM_{1;1}'s regular module is a
+    # kM_{1;2}-module, and as that module is faithful the test is exact.
+    # The same assignment the other way is not (u^3 = 0 only in kM_{1;1})
     m12, _ = build_group_algebra(GroupAlgebraSpec("Mrs", 3, r=1, s=2))
     m11, _ = build_group_algebra(GroupAlgebraSpec("Mrs", 3, r=1, s=1))
-    phi = SuperalgebraMorphism(m12, m11, {"u0": m11.el_gen("u0"), "v": m11.el_gen("v")})
-    phi.verify_algebra()
+    out = pullback(regular_module(m11), m12, {g: m11.el_gen(g) for g in m12.generators})
+    assert out.algebra is m12 and out.dim == m11.dim
+    with pytest.raises(ValidationError, match="the action of u0"):
+        pullback(regular_module(m12), m11, {g: m12.el_gen(g) for g in m11.generators})
 
 
 def test_classify_eta_rescaling_under_dilation():

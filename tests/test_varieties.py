@@ -403,8 +403,9 @@ def test_supports_over_height_two_family():
         (M12, F9),
         (GroupAlgebraSpec("Mrs", 5, r=1, s=1), make_field(5, 2)),
         (GroupAlgebraSpec("Gar", 3, r=2), F9),
+        (GroupAlgebraSpec("Mrs", 3, r=2, s=1, eta=1), F9),
     ],
-    ids=["M21-F9", "M12-F9", "M11p5-F25", "Ga2-F9"],
+    ids=["M21-F9", "M12-F9", "M11p5-F25", "Ga2-F9", "M211-F9"],
 )
 def test_tensor_property_beyond_m11(spec, field):
     # support(M (x) N) = support(M) /\ support(N), on random modules whose
