@@ -57,7 +57,7 @@ def _load_json(arg: str):
 
 
 def parse_spec(arg: str):
-    """Group spec from a path, inline JSON, or the shorthand 'p1'/'p<r>'."""
+    """Group spec from a path, inline JSON, or the shorthand 'p1' (any case)."""
     if arg.strip().lower() == "p1":
         return "P1"
     from .superalg.algebra import GroupAlgebraSpec

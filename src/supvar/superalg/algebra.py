@@ -305,12 +305,9 @@ class PresentedSuperalgebra:
 
     @cached_property
     def products(self):
-        """The tensor's nonzero entries for sparse loops:
-        (i, j) -> [(k, tensor[i, j, k]), ...] in increasing k."""
-        out = {}
-        for i, j, k in np.argwhere(self.tensor).tolist():
-            out.setdefault((i, j), []).append((k, int(self.tensor[i, j, k])))
-        return out
+        """The tensor's nonzero entries as arrays (i, j, k, tensor[i, j, k])."""
+        i, j, k = np.nonzero(self.tensor)
+        return i, j, k, self.tensor[i, j, k].astype(np.int64)
 
     def element_parity(self, x):
         pars = set(int(self.parity[i]) for i in np.nonzero(x)[0])

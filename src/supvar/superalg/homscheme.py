@@ -10,6 +10,10 @@ zero) are found without the polynomials, from the target's structure
 tensors: rho(g) solves a linear system, one generator at a time
 (solve_even_points).
 
+Polynomials are numpy term tables (PolyRing), and every generator is a sum
+of products of tables, formed a batch of RENDER_CHUNK rows at a time; a
+batch grows past that only to hold the terms of one component.
+
 kG is dual to the supercommutative k[G], so its coproduct is
 super-cocommutative, and so is that of P_r.  The target's is checked when
 its algebra is built.  The source's is a function of (p, r) alone, and the
@@ -23,8 +27,8 @@ a chunk at a time, so the whole ideal is never held.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial, reduce
-from operator import or_
+from functools import cached_property, partial
+from heapq import heappop, heappush
 from typing import Callable
 
 import numpy as np
@@ -38,60 +42,22 @@ SOLVE_ASSIGNMENT_CAP = 3**8
 # P_r sources are refused before any work once the coproduct of u_{r-1}, with
 # p^{r-1} + 1 terms, outgrows this: r <= 12 at p = 3, 8 at p = 5, 7 at p = 7.
 SOURCE_TERM_CAP = 3**11
-SLOT_BITS = 8  # per variable of a packed monomial: the top bit is a guard
-MAX_EXPONENT = (1 << (SLOT_BITS - 1)) - 1
-SLOT_MASK = (1 << SLOT_BITS) - 1
-RENDER_CHUNK = 4096  # monomials per chunk of generators that PolyRing.render formats together
-
-
-class _Memo(dict):
-    """A dict that fills a missing key with fn(key)."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        val = self[key] = self.fn(key)
-        return val
-
-
-def _odd_below(a: int, odd: int) -> int:
-    """The bits of odd at which a has an odd number of bits at or below.
-
-    For b disjoint from a, (b & _odd_below(a, odd)).bit_count() is then
-    odd exactly when an odd number of pairs (bit of b, lower bit of a)
-    exist.  With a and b the odd variables of two monomials, those pairs
-    are the transpositions that bring the odd variables of a*b into order,
-    as a lower slot holds a later variable."""
-    flip = 0
-    while a:
-        low = a & -a
-        flip ^= -low  # every bit from low up
-        a ^= low
-    return flip & odd
+MAX_EXPONENT = 127  # exponents are uint8, so a sum of two cannot wrap
+RENDER_CHUNK = 2048  # rows per batch of products, and per chunk of the render
 
 
 class PolyRing:
     """Supercommutative polynomials over F_q in named graded variables.
 
-    A monomial is one int with a SLOT_BITS-wide slot per variable, variable 0
-    in the highest slot; the slot of an odd variable holds 0 or 1.  So a
-    product of monomials is one addition, an odd square shows as
-    `m1 & m2 & oddmask`, and comparing two monomials compares their exponent
-    vectors lexicographically.  The top bit of every slot is a guard: an
-    exponent above MAX_EXPONENT sets it and raises ValidationError instead of
-    carrying into the next slot.  A sum of two slots below half the guard
-    value cannot reach it, so `addmul` tests every product only when a slot
-    of a factor reaches that half (`high` masks those bits).
+    A polynomial is a term table: a uint8 matrix E with one exponent row per
+    monomial, the entries of odd variables 0 or 1, and an array c of nonzero
+    field element indices.  Tables are canonical: distinct monomials, by
+    (degree, exponent row) descending, the order of `render`.  An element of
+    kG (x) T is a table with a basis index per row, ordered by it first.
 
-    Coefficients are field element indices.  The ring keeps, as lists, the
-    rows of the field's add and mul tables for the coefficients that occur
-    (never a whole q x q table), and the text of every coefficient and
-    factor x^e it renders.  Monomial texts are not kept: `render` names the
-    monomials of each chunk in a table of its own.  Variable names are
-    distinct identifiers, so that the text of a polynomial determines it
-    (see `render`).
+    `_sums` forms sums of products a batch of rows at a time; `_combine`
+    sums like terms in one sort.  Variable names are distinct identifiers,
+    so that the text of a polynomial determines it (see `render`).
     """
 
     def __init__(self, field, variables):
@@ -102,150 +68,190 @@ class PolyRing:
             raise ValidationError("variable names must be distinct identifiers")
         self.name_index = {name: i for i, (name, _) in enumerate(self.variables)}
         self.parity = tuple(par for _, par in self.variables)
-        n = len(self.variables)
-        self.shift = tuple(SLOT_BITS * (n - 1 - i) for i in range(n))
-        self.guard = sum(1 << (s + SLOT_BITS - 1) for s in self.shift)
-        self.high = sum(3 << (s + SLOT_BITS - 2) for s in self.shift)
-        self.oddmask = sum(1 << s for s, par in zip(self.shift, self.parity) if par)
-        self.add_rows = _Memo(lambda c: self.F.add[c].tolist())
-        self.mul_rows = _Memo(lambda c: self.F.mul[c].tolist())
-        self.coeff_text = _Memo(lambda c: self.F.to_element(c).encode())
-        self.factor_text = _Memo(self._factor_text)
+        self.odd = np.flatnonzero(self.parity)  # the columns of odd variables
 
     # built when the ring first computes, so a caller can check its own cap first
     F = cached_property(lambda self: linalg.tables(self.field))
-    neg = cached_property(lambda self: self.F.neg.tolist())
 
-    def poly(self, terms):
-        """A SuperPoly of terms, its parity read off a monomial; zero
-        coefficients are dropped."""
-        par = (next(iter(terms)) & self.oddmask).bit_count() % 2 if terms else 0
-        return SuperPoly(self, terms, par)
+    @cached_property
+    def _texts(self):
+        """(texts, known) of the render's tokens: 3 c + s the coefficient c
+        after the separator s ("", a newline or " + "), and 3 q + 128 v + e
+        the factor "*x^e" of variable v; known marks those filled in."""
+        size = 3 * self.field.q + (MAX_EXPONENT + 1) * len(self.variables)
+        return np.empty(size, dtype=object), np.zeros(size, dtype=bool)
 
-    def _factor_text(self, key: int):
-        """"*name" or "*name^e" of key = (variable << SLOT_BITS) | e, e >= 1;
-        key 0 is the separator, a newline."""
-        if not key:
-            return "\n"
-        name, e = self.variables[key >> SLOT_BITS][0], key & SLOT_MASK
-        return f"*{name}" if e == 1 else f"*{name}^{e}"
+    def _combine(self, k, E, c, deg=None):
+        """The terms (k, E, c) sorted by k, then canonically, with like terms
+        summed digitwise mod p and zeros dropped: the one sort of every sum.
+        deg holds the row sums of E, if known.  A row's sort key is its bytes:
+        k and the degree's complement, big-endian, then 255 - E."""
+        t, n = E.shape
+        if not t:
+            return k, E, c
+        deg = E.sum(axis=1, dtype=np.uint32) if deg is None else deg
+        words = np.zeros((t, (n + 15) // 8), dtype=np.uint64)
+        words[:, 0] = (k.astype(np.uint64) << 32 | ~deg.astype(np.uint32)).astype(">u8").view(np.uint64)
+        np.subtract(255, E, out=words.view(np.uint8)[:, 8 : 8 + n])
+        order = np.argsort(words.view(np.dtype((np.void, 8 * words.shape[1]))).ravel())
+        words = words[order]
+        first = np.ones(t, dtype=bool)
+        np.any(words[1:] != words[:-1], axis=1, out=first[1:])
+        starts = np.flatnonzero(first)
+        F = self.F
+        c = (np.add.reduceat(F.digits[c[order]], starts) % F.p @ F.powers).astype(np.int64)
+        rows = order[starts[c != 0]]
+        return k[rows], E[rows], c[c != 0]
 
-    def _monomial_table(self, mons: list):
-        """(degree array, ["*x*y^2", ...]) of the monomials, "" for 1.
+    def _sums(self, ops):
+        """Yield blocks (k, E, c) of a sum of products, whole keys in
+        increasing order: at each key, the sum of coef * A_a B_b over the jobs
+        (a, b, key, coef) of every op (A, B, a, b, key, coef), where A_a is
+        component a of the table A = (k, E, c), on the left (Koszul signs).
 
-        A monomial's bytes are its exponent vector (SLOT_BITS is 8), so the
-        monomials are one uint8 matrix: a row sum is a degree, and its
-        nonzero entries in row-major order are the factors in variable
-        order.  All factor texts, with a separator after each row, are
-        joined and split in one pass.
-        """
-        n = len(self.variables)
-        E = np.frombuffer(b"".join([m.to_bytes(n, "big") for m in mons]), dtype=np.uint8)
-        E = E.reshape(len(mons), n)
-        rows, cols = np.divmod(np.flatnonzero(E), n)
-        ends = np.cumsum(np.bincount(rows, minlength=len(mons)))
-        keys = np.insert((cols << SLOT_BITS) | E[rows, cols], ends, 0)
-        texts = "".join(map(self.factor_text.__getitem__, keys.tolist())).split("\n")[:-1]
-        return E.sum(axis=1, dtype=np.int64), texts
+        The products are one range of rows, ordered by key, formed a batch
+        of max(RENDER_CHUNK, carried rows) at a time: the rows of a key that
+        runs on into the next batch are carried there and merged.  An odd
+        square drops its row; an exponent above MAX_EXPONENT raises."""
+        if not ops:
+            return
+        F, odd = self.F, self.odd
+        jobs, offA, offB = [], 0, 0
+        for (kA, _, cA), (kB, _, cB), a, b, key, coef in ops:
+            sa, sb = np.searchsorted(kA, a), np.searchsorted(kB, b)
+            la, lb = np.searchsorted(kA, a, "right") - sa, np.searchsorted(kB, b, "right") - sb
+            jobs.append((sa + offA, sb + offB, lb, la * lb, key, coef))
+            offA, offB = offA + len(cA), offB + len(cB)
+        order = np.argsort(np.concatenate([job[4] for job in jobs]), kind="stable")
+        a0, b0, lb, size, key, coef = (np.concatenate(x)[order] for x in zip(*jobs))
+        EA, cA, EB, cB = (np.concatenate([op[i][j] for op in ops]) for i in (0, 1) for j in (1, 2))
+        dA, dB = (X.sum(axis=1, dtype=np.uint32) for X in (EA, EB))
+        # bits of A's and B's odd variables, and for A's rows the parity of
+        # their odd variables after each odd variable
+        OA, OB = EA[:, odd], EB[:, odd]
+        SA = (np.cumsum(OA[:, ::-1], axis=1, dtype=np.uint8)[:, ::-1] - OA) & 1
+        OA, OB, SA = map(_bits, (OA, OB, SA))
+        end = np.cumsum(size)
+        total, lo = int(size.sum()), 0
+        carry = np.zeros(0, np.int64), EA[:0], cA[:0]
+        while lo < total:
+            hi = min(total, lo + max(RENDER_CHUNK, len(carry[0])))
+            row = np.arange(lo, hi)
+            j = np.searchsorted(end, row, side="right")
+            ia, ib = np.divmod(row - (end - size)[j], lb[j])
+            ia, ib = ia + a0[j], ib + b0[j]
+            live = ~np.any(OA[ia] & OB[ib], axis=1)
+            ia, ib, j = ia[live], ib[live], j[live]
+            E = np.take(EA, ia, axis=0)
+            E += np.take(EB, ib, axis=0)
+            if E.size and E.max() > MAX_EXPONENT:
+                raise ValidationError(f"a monomial exponent exceeds {MAX_EXPONENT}")
+            c = F.mul[F.mul[cA[ia], cB[ib]], coef[j]]
+            c = np.where(np.bitwise_count(SA[ia] & OB[ib]).sum(axis=1) & 1, F.neg[c], c)
+            deg = np.concatenate([carry[1].sum(axis=1, dtype=np.uint32), dA[ia] + dB[ib]])
+            k, E, c = self._combine(*(np.concatenate(x) for x in zip(carry, (key[j], E, c))), deg)
+            cut = len(k)
+            if hi < total and cut and k[-1] == key[np.searchsorted(end, hi, side="right")]:
+                cut = np.searchsorted(k, k[-1])
+            carry = k[cut:], E[cut:], c[cut:]
+            if cut:
+                yield k[:cut], E[:cut], c[:cut]
+            lo = hi
 
     def render(self, polys):
-        """One line per distinct nonzero term dict of polys, first occurrence
-        first: "c*x*y^2 + ...", monomials by (degree, exponent vector)
-        descending.
+        """One line per distinct nonzero polynomial of polys, first occurrence
+        first: "c*x*y^2 + ...", monomials in table order, by (degree,
+        exponent row) descending.
 
-        polys is read once, and may be a generator.  Consecutive dicts are
-        formatted together, a chunk of about RENDER_CHUNK monomials at a
-        time, so only one chunk's dicts and tables are alive beside the
-        lines.  Repeats are dropped by their line: a line determines its
-        dict, since variable names are distinct identifiers and coefficient
-        texts hold no "*", "^" or " ".  All lines are returned together, so
-        an error raised by polys leaves none.
+        polys is read once, and may be a generator.  Consecutive polynomials
+        are formatted together, a chunk of about RENDER_CHUNK terms at a time,
+        so only one chunk's tables are alive beside the lines.  Repeats are
+        dropped by their line: a line determines its polynomial, since
+        variable names are distinct identifiers and coefficient texts hold no
+        "*", "^" or " ".  All lines are returned together, so an error raised
+        by polys leaves none.
         """
         lines = {}  # line -> None, in first-occurrence order
         chunk, size = [], 0
-        for terms in polys:
-            if terms:
-                chunk.append(terms)
-                size += len(terms)
+        for P in polys:
+            if len(P.c):
+                chunk.append(P)
+                size += len(P.c)
                 if size >= RENDER_CHUNK:
-                    self._render_chunk(chunk, lines)
+                    self._render_chunk(chunk, size, lines)
                     chunk, size = [], 0
-        self._render_chunk(chunk, lines)
+        self._render_chunk(chunk, size, lines)
         return list(lines)
 
-    def _render_chunk(self, chunk: list, lines: dict):
-        """Add the line of each dict of chunk to lines.  One table ranks and
-        names every monomial of the chunk, so a dict sorts by small ints."""
+    def _render_chunk(self, chunk: list, t: int, lines: dict):
+        """Add the line of each polynomial of chunk, t terms, to lines.  The
+        chunk is one token sequence, joined once: per term its coefficient
+        with the separator before it, then its factors in variable order.
+        Those are the nonzero entries of its row in row-major order, found
+        a word of 8 exponents at a time."""
         if not chunk:
             return
-        mons = sorted(set().union(*chunk), reverse=True)
-        deg, texts = self._monomial_table(mons)
-        # a stable sort by degree keeps equal degrees in exponent-vector order
-        order = np.argsort(-deg, kind="stable").tolist()
-        rank = dict(zip([mons[i] for i in order], range(len(order))))
-        text = [texts[i] for i in order]
-        coeff = self.coeff_text
-        for terms in chunk:
-            ranked = sorted(zip(map(rank.__getitem__, terms), terms.values()))
-            lines.setdefault(" + ".join([coeff[c] + text[k] for k, c in ranked]))
-
-    def accumulate(self, acc: dict, terms: dict, c: int = 1):
-        """acc += c * terms, in place (cancelled terms stay as zeros)."""
-        add, row = self.add_rows, self.mul_rows[c]
-        for m, v in terms.items():
-            acc[m] = add[acc.get(m, 0)][row[v]]
-
-    def addmul(self, targets, A: dict, B: dict):
-        """For each (acc, c) of targets, acc += c * A * B, in place, with A's
-        monomials on the left (Koszul signs).  Products are tested against
-        the exponent guard only when a slot of A or B reaches half of it."""
-        guard, odd, neg = self.guard, self.oddmask, self.neg
-        check = (reduce(or_, A, 0) | reduce(or_, B, 0)) & self.high
-        add, mul = self.add_rows, self.mul_rows
-        targets = [(acc, mul[c]) for acc, c in targets]
-        for m1, c1 in A.items():
-            o1 = m1 & odd
-            below = _odd_below(o1, odd)
-            row = mul[c1]
-            for m2, c2 in B.items():
-                if o1 & m2:
-                    continue
-                m = m1 + m2
-                if check and m & guard:
-                    raise ValidationError(f"a monomial exponent exceeds {MAX_EXPONENT}")
-                v = row[c2]
-                if below and (m2 & below).bit_count() & 1:
-                    v = neg[v]
-                for acc, crow in targets:
-                    acc[m] = add[acc.get(m, 0)][crow[v]]
+        n = len(self.variables)
+        E, c = np.zeros((t, (n + 7) // 8 * 8), dtype=np.uint8), np.concatenate([P.c for P in chunk])
+        np.concatenate([P.E for P in chunk], out=E[:, :n])
+        sep = np.full(t, 2)  # " + ", a newline before each polynomial but the first
+        sep[np.cumsum([0] + [len(P.c) for P in chunk[:-1]])] = 1
+        sep[0] = 0
+        words = np.flatnonzero(E.view(np.uint64))
+        ones = np.flatnonzero(E.view(np.uint64).ravel()[words].view(np.uint8))
+        rows, cols = np.divmod(words[ones >> 3] * 8 + (ones & 7), E.shape[1])
+        factors = np.bincount(rows, minlength=t).cumsum()
+        seq = np.empty(len(rows) + t, dtype=np.int64)
+        seq[factors - np.diff(factors, prepend=0) + np.arange(t)] = 3 * c + sep
+        seq[np.arange(len(rows)) + rows + 1] = 3 * self.field.q + (MAX_EXPONENT + 1) * cols + E[rows, cols]
+        texts, known = self._texts
+        for tok in np.flatnonzero(np.bincount(seq[~known[seq]], minlength=len(known))).tolist():
+            v, e = divmod(tok - 3 * self.field.q, MAX_EXPONENT + 1)
+            if v < 0:
+                texts[tok] = ("", "\n", " + ")[tok % 3] + self.F.to_element(tok // 3).encode()
+            else:
+                texts[tok] = f"*{self.variables[v][0]}" + (f"^{e}" if e > 1 else "")
+            known[tok] = True
+        lines.update(dict.fromkeys("".join(texts[seq].tolist()).split("\n")))
 
 
-def _nonzero(terms: dict) -> dict:
-    return {m: c for m, c in terms.items() if c}
+def _bits(M):
+    """The rows of the 0/1 matrix M as uint64 words of bits."""
+    out = np.zeros((len(M), (M.shape[1] + 63) // 64 * 8), dtype=np.uint8)
+    out[:, : (M.shape[1] + 7) // 8] = np.packbits(M, axis=1)
+    return out.view(np.uint64)
+
+
+def _gather(blocks, n: int):
+    """One table (k, E, c) of the blocks of PolyRing._sums."""
+    blocks = list(blocks) or [(np.zeros(0, np.int64), np.zeros((0, n), np.uint8), np.zeros(0, np.int64))]
+    return tuple(np.concatenate(x) for x in zip(*blocks))
 
 
 class SuperPoly:
-    """Parity-homogeneous polynomial: dict packed monomial (see PolyRing) ->
-    nonzero field element index."""
+    """Parity-homogeneous polynomial: a canonical term table (see PolyRing),
+    exponent rows E and nonzero field element indices c."""
 
-    __slots__ = ("ring", "terms", "parity")
+    __slots__ = ("ring", "E", "c")
 
-    def __init__(self, ring, terms, parity):
-        self.ring = ring
-        self.terms = _nonzero(terms)
-        self.parity = parity
+    def __init__(self, ring, E, c):
+        self.ring, self.E, self.c = ring, E, c
+
+    @property
+    def table(self):
+        return np.zeros(len(self.c), np.int64), self.E, self.c
 
     def is_zero(self):
-        return not self.terms
+        return not len(self.c)
 
     def __mul__(self, other):
-        out = {}
-        self.ring.addmul([(out, 1)], self.terms, other.terms)
-        return SuperPoly(self.ring, out, (self.parity + other.parity) % 2)
+        ring, zero = self.ring, np.zeros(1, np.int64)
+        ops = [(self.table, other.table, zero, zero, zero, zero + 1)]
+        return SuperPoly(ring, *_gather(ring._sums(ops), len(ring.variables))[1:])
 
     def render(self):
         """Deterministic text (PolyRing.render), "0" for zero."""
-        return self.ring.render([self.terms])[0] if self.terms else "0"
+        return self.ring.render([self])[0] if len(self.c) else "0"
 
 
 @dataclass
@@ -270,7 +276,7 @@ class PolynomialIdeal:
         repeats an earlier one is skipped unformatted.  The stream is built
         as it is formatted, so an error in either raises before any line is
         returned."""
-        return self.ring.render(P.terms for _, P in self.items() if not isinstance(P, str))
+        return self.ring.render(P for _, P in self.items() if not isinstance(P, str))
 
     def even_variable_names(self):
         return [n for n, par in self.ring.variables if par == 0]
@@ -278,52 +284,43 @@ class PolynomialIdeal:
 
 @dataclass(slots=True)
 class _SVec:
-    """Element of kG (x) T: one term dict per kG basis index, fixed parity."""
+    """Element of kG (x) T of fixed parity: a table (k, E, c), k the kG basis
+    index of a row."""
 
     alg: PresentedSuperalgebra
     ring: PolyRing
-    comps: list  # nonzero-term dicts, one per basis index
+    table: tuple
     parity: int
 
     def mul(self, other):
+        """The product in kG (x) T, s_j P s_k Q = (-1)^{|P||s_k|} s_j s_k PQ,
+        over the nonzero entries of kG's product tensor."""
         alg, ring = self.alg, self.ring
-        par, neg = alg.parity.tolist(), ring.neg
-        out = [{} for _ in range(alg.dim)]
-        for j, P in enumerate(self.comps):
-            if not P:
-                continue
-            pj = (self.parity + par[j]) % 2  # parity of the coefficient poly
-            for k, Q in enumerate(other.comps):
-                ent = alg.products.get((j, k))
-                if Q and ent:
-                    ring.addmul([(out[m], neg[c] if pj and par[k] else c) for m, c in ent], P, Q)
-        return _SVec(alg, ring, [_nonzero(d) for d in out], (self.parity + other.parity) % 2)
+        j, k, m, c = alg.products
+        c = np.where((self.parity + alg.parity[j]) % 2 & alg.parity[k], ring.F.neg[c], c)
+        table = _gather(ring._sums([(self.table, other.table, j, k, m, c)]), len(ring.variables))
+        return _SVec(alg, ring, table, (self.parity + other.parity) % 2)
 
 
-def _tensor_products(A: _SVec, B: _SVec, c: int, mirror: bool, out: dict):
-    """List the products whose sum is c * (A (x) B), and with mirror also
-    c * (B (x) A), at each s_a (x) s_b with a <= b: out[(a, b)] gains
-    (P, Q, coefficients), the product P Q taken once per coefficient, with
-    the Koszul reordering signs.
+def _tensor_jobs(A: _SVec, B: _SVec, c: int, mirror: bool):
+    """The op of PolyRing._sums whose sum is c * (A (x) B), and with mirror
+    also c * (B (x) A), at each s_a (x) s_b with a <= b, keyed a * dim + b:
+    the product P Q of components A_i, B_j with the Koszul reordering signs.
 
     The component of B (x) A at (a, b) is B_a A_b = (-1)^{|A_b||B_a|}
     A_b B_a, moved past s_a, which leaves the sign (-1)^{|B_a||A|}.  So
     each product A_i B_j is listed once: at (i, j) for A (x) B if i <= j,
     at (j, i) for B (x) A if j <= i, and with both coefficients at i = j."""
-    par, neg = A.alg.parity.tolist(), A.ring.neg
-    for i, P in enumerate(A.comps):
-        if not P:
-            continue
-        for j, Q in enumerate(B.comps):
-            if not Q:
-                continue
-            coefs = []
-            if i <= j:
-                coefs.append(neg[c] if (A.parity + par[i]) % 2 and par[j] else c)
-            if mirror and j <= i:
-                coefs.append(neg[c] if (B.parity + par[j]) % 2 and A.parity else c)
-            if coefs:
-                out.setdefault((min(i, j), max(i, j)), []).append((P, Q, coefs))
+    par, neg, add = A.alg.parity, A.ring.F.neg, A.ring.F.add
+    present = (np.flatnonzero(np.bincount(X.table[0], minlength=A.alg.dim)) for X in (A, B))
+    i, j = (x.ravel() for x in np.meshgrid(*present, indexing="ij"))
+    coef = np.where((A.parity + par[i]) % 2 & par[j], neg[c], c)
+    if mirror:
+        back = np.where((B.parity + par[j]) % 2 & A.parity, neg[c], c)
+        coef = np.where(i < j, coef, np.where(i > j, back, add[coef, back]))
+    keep = (i <= j) | mirror
+    key = np.minimum(i, j) * A.alg.dim + np.maximum(i, j)
+    return A.table, B.table, i[keep], j[keep], key[keep], coef[keep]
 
 
 def check_source(source: PrPresentation, p: int):
@@ -349,11 +346,11 @@ def source_r_cap(p: int) -> int:
 def hom_scheme_ideal(source: PrPresentation, alg: PresentedSuperalgebra) -> PolynomialIdeal:
     """Ideal presenting Hom_{Hopf}(P_r, kG) in the variables x_{i}_{j}.
 
-    The target's coproduct is checked super-cocommutative when it is
-    built.  Variables are
-    ordered generator-major then by basis index; x_{i}_{j} carries parity
-    |r_i| + |s_j|.  Only the checks and the ring are made here: the
-    generators are built as the ideal's stream is read (_generators).
+    The target's coproduct is checked super-cocommutative when it is built.
+    Variables are ordered generator-major then by basis index; x_{i}_{j}
+    carries parity |r_i| + |s_j|.  Only the checks and the ring are made
+    here: the generators are built as the ideal's stream is read
+    (_generators).
     """
     check_source(source, alg.field.p)
     variables = [
@@ -365,43 +362,45 @@ def hom_scheme_ideal(source: PrPresentation, alg: PresentedSuperalgebra) -> Poly
     return PolynomialIdeal(ring, partial(_generators, source, alg, ring), source, alg)
 
 
+def _polys(ring: PolyRing, ops):
+    """(key, SuperPoly) of each nonzero key of the sums of ops (PolyRing._sums)."""
+    for k, E, c in ring._sums(ops):
+        cuts = [0, *(np.flatnonzero(k[1:] != k[:-1]) + 1).tolist(), len(k)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            yield int(k[lo]), SuperPoly(ring, E[lo:hi], c[lo:hi])
+
+
 def _generators(source: PrPresentation, alg: PresentedSuperalgebra, ring: PolyRing):
     """The generators of hom_scheme_ideal, in order, as PolynomialIdeal.items
     yields them: the relations of the source, the coproduct compatibility of
-    each generator, then the antipode compatibility.
+    each generator, then the antipode compatibility.  Each is a sum of
+    products that PolyRing._sums builds a batch at a time: a sum of words,
+    of a generator's image times the unit, or of tensor products.
 
     Each nonzero image of a word is built once, from its longest prefix
     built before (walk_word); zero images are not kept, as for a large
-    source nearly all p^(r-1) gammas are zero and distinct.  A word's
-    coefficient enters where its products are accumulated.  For
-    each generator, the products behind every coproduct component (a, b)
-    with a <= b are listed first (_tensor_products); then each component is
-    accumulated into its own term dict and yielded at its place.  At (b, a)
-    the stream repeats it, by label, when |s_a||s_b| is even, and yields
-    its negation, kept until then, when it is odd.
+    source nearly all p^(r-1) gammas are zero and distinct.  The coproduct
+    components of a generator come out of one sum, in order (_tensor_jobs):
+    (a, b) with a <= b, and (b, a) when |s_a||s_b| is odd, as the negation
+    of (a, b), from the same products.  When it is even, the stream repeats
+    (a, b) at (b, a), by label.
     """
-    gens = source.gen_names
-    nonunit = range(1, alg.dim)
-    F, par, neg = alg.F, alg.parity.tolist(), ring.neg
-    neg1 = neg[1]
+    gens, d, n = source.gen_names, alg.dim, len(ring.variables)
+    F, par, neg, odd = alg.F, alg.parity.tolist(), ring.F.neg, alg.parity.astype(bool)
+    nonunit = np.arange(1, d)
 
-    def x(gi, j):
-        return 1 << ring.shift[ring.name_index[f"x_{gi}_{j}"]]
-
-    rho = {}
-    for gi, g in enumerate(gens, start=1):
-        comps = [{} for _ in range(alg.dim)]
-        for j in nonunit:
-            comps[j] = {x(gi, j): 1}
-        rho[g] = _SVec(alg, ring, comps, source.gen_parity(g))
-
-    unit = _SVec(alg, ring, [{0: 1}] + [{} for _ in nonunit], 0)
-    live = {g for g in gens if any(rho[g].comps)}
+    X, ones = np.eye(n, dtype=np.uint8), np.ones(d - 1, np.int64)  # X[v]: the variable v
+    rho = {
+        g: _SVec(alg, ring, (nonunit, X[gi * (d - 1) : (gi + 1) * (d - 1)], ones), source.gen_parity(g))
+        for gi, g in enumerate(gens)
+    }
+    unit = _SVec(alg, ring, (np.zeros(1, np.int64), np.zeros((1, n), np.uint8), np.ones(1, np.int64)), 0)
+    live = {g for g in gens if d > 1}
     words = {}  # word -> its nonzero image, for every prefix walked
 
     def times(A, B):
         out = A.mul(B)
-        return out if any(out.comps) else None
+        return out if len(out.table[2]) else None
 
     def image(mon):
         """The image of the monomial mon, or None when it is zero: a zero
@@ -410,29 +409,34 @@ def _generators(source: PrPresentation, alg: PresentedSuperalgebra, ring: PolyRi
             return None
         return walk_word(mon, rho.__getitem__, times, words) if mon else unit
 
+    def by_unit(A, a, key, coef):
+        return A.table, unit.table, a, np.zeros(len(a), np.int64), key, coef
+
+    def negated_below(A, B, a, b, key, coef):
+        """The op with its jobs at each odd x odd (a, b), a < b, again at
+        (b, a), negated: that component's sum, in key order."""
+        x, y = np.divmod(key, d)
+        m = (x < y) & odd[x] & odd[y]
+        pairs = (a, a[m]), (b, b[m]), (key, y[m] * d + x[m]), (coef, neg[coef[m]])
+        return A, B, *(np.concatenate(v) for v in pairs)
+
     # algebra relations of the source
+    every = np.arange(d)
     for label, terms in source.relations():
-        acc = [{} for _ in range(alg.dim)]
-        for coeff, mon in terms:
-            A = image(mon)
-            for a, P in zip(acc, A.comps if A else ()):
-                ring.accumulate(a, P, F.scalar(coeff))
-        for j, P in enumerate(map(ring.poly, acc)):
-            if P.terms:
-                yield f"rel:{label}[{j}]", P
+        images = [(image(mon), F.scalar(coeff)) for coeff, mon in terms]
+        ops = [by_unit(A, every, every, np.full(d, c)) for A, c in images if A]
+        for j, P in _polys(ring, ops):
+            yield f"rel:{label}[{j}]", P
 
     # coproduct compatibility on each generator: the component at
-    # s_a (x) s_b of (rho (x) rho)(Delta g) - Delta(rho(g)), a <= b.
-    # Delta(s_j) at s_a (x) s_b, a <= b, as [(j, c), ...]:
-    cop = {}
+    # s_a (x) s_b of (rho (x) rho)(Delta g) - Delta(rho(g)), a <= b, with
+    # Delta(s_j) = sum C[j, a, b] s_a (x) s_b
     C = alg.hopf.coproduct
-    for a, b, j in np.argwhere(C[1:].transpose(1, 2, 0)).tolist():
-        if a <= b:
-            cop.setdefault((a, b), []).append((j + 1, int(C[j + 1, a, b])))
-    for gi, g in enumerate(gens, start=1):
+    cj, ca, cb = np.nonzero(C[1:] * np.triu(np.ones((d, d), dtype=C.dtype)))
+    for g in gens:
+        ops = [by_unit(rho[g], cj + 1, ca * d + cb, neg[C[cj + 1, ca, cb]])]
         # one term of each cocommuting pair, ri < le in P_r's basis order,
         # of those with no zero letter; B is skipped when A is zero
-        products = {}  # (a, b), a <= b -> [(P, Q, coefficients), ...]
         for le, ri, c in source.gen_coproduct(g, live):
             if ri < le:
                 continue
@@ -440,37 +444,26 @@ def _generators(source: PrPresentation, alg: PresentedSuperalgebra, ring: PolyRi
             A = image(ml)
             B = A and image(mr)
             if B:
-                _tensor_products(A, B, F.scalar(c * cl * cr), le != ri, products)
-        upper = products.keys() | cop.keys()
-        lower = {}  # (b, a) -> the label of (a, b), or its negation
-        for a, b in sorted(upper | {(b, a) for a, b in upper}):
-            label = f"cop:{g}[{a},{b}]"
-            if a > b:
-                if (a, b) in lower:
-                    yield label, lower.pop((a, b))
-                continue
-            acc = {}
-            for P, Q, coefs in products.get((a, b), ()):
-                ring.addmul([(acc, k) for k in coefs], P, Q)
-            for j, c in cop.get((a, b), ()):
-                ring.accumulate(acc, {x(gi, j): c}, neg1)
-            P = ring.poly(acc)
-            if P.terms:
-                yield label, P
-                if a < b:
-                    odd = par[a] and par[b]
-                    lower[(b, a)] = ring.poly({m: neg[c] for m, c in P.terms.items()}) if odd else label
+                ops.append(_tensor_jobs(A, B, F.scalar(c * cl * cr), le != ri))
+        repeats = []  # heap of (the key of (b, a), its label, the label of (a, b))
+        for key, P in _polys(ring, [negated_below(*op) for op in ops]):
+            while repeats and repeats[0][0] < key:
+                yield heappop(repeats)[1:]
+            a, b = divmod(key, d)
+            yield f"cop:{g}[{a},{b}]", P
+            if a < b and not (par[a] and par[b]):
+                heappush(repeats, (b * d + a, f"cop:{g}[{b},{a}]", f"cop:{g}[{a},{b}]"))
+        while repeats:
+            yield heappop(repeats)[1:]
 
     # antipode compatibility: rho(S g) = S(rho(g)), with S g = -g
-    for gi, g in enumerate(gens, start=1):
-        acc = [{} for _ in range(alg.dim)]
-        for j in nonunit:
-            ring.accumulate(acc[j], {x(gi, j): neg1})
-            for m in np.nonzero(alg.hopf.antipode[:, j])[0]:
-                ring.accumulate(acc[m], {x(gi, j): int(alg.hopf.antipode[m, j])}, neg1)
-        for m, P in enumerate(map(ring.poly, acc)):
-            if P.terms:
-                yield f"ant:{g}[{m}]", P
+    S = alg.hopf.antipode
+    sm, sj = np.nonzero(S[:, 1:])
+    a, key = np.concatenate([nonunit, sj + 1]), np.concatenate([nonunit, sm])
+    coef = np.concatenate([np.full(d - 1, neg[1]), neg[S[sm, sj + 1]]])
+    for g in gens:
+        for m, P in _polys(ring, [by_unit(rho[g], a, key, coef)]):
+            yield f"ant:{g}[{m}]", P
 
 
 def check_solver_cap(source: PrPresentation, alg: PresentedSuperalgebra) -> int:

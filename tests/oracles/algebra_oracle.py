@@ -20,6 +20,16 @@ from supvar.errors import ValidationError
 from supvar.superalg.algebra import AlgebraError
 
 
+def products(alg) -> dict:
+    """The nonzero entries of alg's product tensor for sparse loops:
+    (i, j) -> [(k, tensor[i, j, k]), ...] in increasing k, read from the
+    tensor itself, not from the library's PresentedSuperalgebra.products."""
+    out, at = {}, np.argwhere(alg.tensor)
+    for (i, j, k), c in zip(at.tolist(), alg.tensor[tuple(at.T)].tolist()):
+        out.setdefault((i, j), []).append((k, c))
+    return out
+
+
 def verify_associative_d3(alg):
     """Associativity on every basis triple through the dense structure
     tensor T (b_i b_j = sum_k T[i, j, k] b_k): for each i, (b_i b_j) b_k and
@@ -81,15 +91,15 @@ def tensor_coproduct(F, factors):
 
 def _tensor_square_product(alg, t1, t2):
     """Product of two sparse tensors {(j,k): c} in alg (x) alg, Koszul signs."""
-    F = alg.F
+    F, table = alg.F, products(alg)
     out = {}
     for (j1, k1), c1 in t1.items():
         for (j2, k2), c2 in t2.items():
             c = int(F.mul[c1, c2])
             if alg.parity[k1] and alg.parity[j2]:
                 c = int(F.neg[c])
-            for m1, cm1 in alg.products.get((j1, j2), ()):
-                for m2, cm2 in alg.products.get((k1, k2), ()):
+            for m1, cm1 in table.get((j1, j2), ()):
+                for m2, cm2 in table.get((k1, k2), ()):
                     v = int(F.mul[c, int(F.mul[cm1, cm2])])
                     out[m1, m2] = int(F.add[out.get((m1, m2), 0), v])
     return {k: v for k, v in out.items() if v}
@@ -98,7 +108,7 @@ def _tensor_square_product(alg, t1, t2):
 def verify_coproduct_pairs(alg):
     """The coproduct is an algebra map into the super tensor square, on
     every pair of basis elements."""
-    F = alg.F
+    F, table = alg.F, products(alg)
     cop = coproduct_triples(alg)
     d = alg.dim
     pairs = [(i, j) for i in range(d) for j in range(d)]
@@ -107,7 +117,7 @@ def verify_coproduct_pairs(alg):
         t2 = {(a, b): F.scalar(c) for a, b, c in cop[j]}
         got = _tensor_square_product(alg, t1, t2)
         want = {}
-        for k, c in alg.products.get((i, j), ()):
+        for k, c in table.get((i, j), ()):
             for a, b, c2 in cop[k]:
                 key = (a, b)
                 want[key] = int(F.add[want.get(key, 0), F.mul[F.scalar(c), F.scalar(c2)]])

@@ -10,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles.algebra_oracle import coproduct_triples
+from oracles.algebra_oracle import coproduct_triples, products
 from oracles.dual_oracle import km_r_dual_oracle
 from oracles.points_oracle import elements
 from supvar.gfield import make_field
@@ -338,7 +338,7 @@ def test_criterion_13_coproduct_oracle():
                 alg
             ), (r, s)
             assert {k: tuple(v) for k, v in orc.gamma_mult.items()} == {
-                k: tuple(v) for k, v in alg.products.items()
+                k: tuple(v) for k, v in products(alg).items()
             }, (r, s)
     _passed(13, "coproduct/multiplication equal the dualized k[M_{r;s}] tables, (r,s) in {1,2}^2")
 

@@ -407,22 +407,27 @@ def test_homscheme_error_mid_stream_prints_nothing(capsys, monkeypatch, m11_file
     # leaves stdout empty
     from supvar.superalg import homscheme
 
+    import numpy as np
+
     monkeypatch.setattr(homscheme, "RENDER_CHUNK", 8)
     chunks = []
-    real_chunk, real_addmul = homscheme.PolyRing._render_chunk, homscheme.PolyRing.addmul
+    real_chunk, real_sums = homscheme.PolyRing._render_chunk, homscheme.PolyRing._sums
 
     def render_chunk(ring, *args):
         chunks.append(1)
         real_chunk(ring, *args)
 
-    def addmul(ring, targets, A, B):
+    def sums(ring, ops):
         if chunks:  # x^127 * x^127 for the first even variable
-            top = {homscheme.MAX_EXPONENT << ring.shift[ring.parity.index(0)]: 1}
-            A = B = top
-        real_addmul(ring, targets, A, B)
+            top = np.zeros((1, len(ring.variables)), dtype=np.uint8)
+            top[0, ring.parity.index(0)] = homscheme.MAX_EXPONENT
+            zero = np.zeros(1, dtype=np.int64)
+            table = zero, top, zero + 1
+            ops = [(table, table, zero, zero, zero, zero + 1)]
+        return real_sums(ring, ops)
 
     monkeypatch.setattr(homscheme.PolyRing, "_render_chunk", render_chunk)
-    monkeypatch.setattr(homscheme.PolyRing, "addmul", addmul)
+    monkeypatch.setattr(homscheme.PolyRing, "_sums", sums)
     code, out, err = run(capsys, ["homscheme", "--source", '{"p": 3, "r": 2}', "--target", m11_file])
     assert chunks and (code, out) == (2, "")
     assert err == f"error: a monomial exponent exceeds {homscheme.MAX_EXPONENT}\n"

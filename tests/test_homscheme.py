@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import homscheme_oracle
-from oracles.homscheme_oracle import Monomial, as_monomials, oracle_evaluate
+from oracles.homscheme_oracle import Monomial, as_monomials, oracle_evaluate, terms
 from supvar.errors import BoundExceeded, ValidationError
 from supvar.gfield import SUPPORTED_PRIMES, make_field
 from supvar.superalg.algebra import GroupAlgebraSpec, build_group_algebra, verify_algebra
@@ -28,15 +28,24 @@ from supvar.superalg.morphisms import PrPresentation
 F3 = make_field(3, 1)
 
 
+def _poly(ring, E, c):
+    """The SuperPoly of exponent rows E and coefficients c, like terms summed."""
+    return SuperPoly(ring, *ring._combine(np.zeros(len(c), np.int64), E, c)[1:])
+
+
+def _table(ring, terms):
+    """The SuperPoly of {exponent vector: coefficient}."""
+    E = np.array(list(terms), dtype=np.uint8).reshape(len(terms), len(ring.variables))
+    return _poly(ring, E, np.array(list(terms.values()), dtype=np.int64))
+
+
 def _var(ring, name):
-    return ring.poly({1 << ring.shift[ring.name_index[name]]: 1})
+    return _table(ring, {tuple(int(v == ring.name_index[name]) for v in range(len(ring.variables))): 1})
 
 
 def _add(P, Q):
-    # the sum the ideal builds, accumulated in place
-    acc = dict(P.terms)
-    P.ring.accumulate(acc, Q.terms)
-    return SuperPoly(P.ring, acc, P.parity)
+    # a sum as the ideal builds one: like terms combined in one sort
+    return _poly(P.ring, np.vstack([P.E, Q.E]), np.concatenate([P.c, Q.c]))
 
 
 def test_superpoly_arithmetic():
@@ -125,7 +134,7 @@ def test_solver_bound():
         solve_even_points(ideal)
 
 
-# -- the packed-monomial core against the tuple-monomial product ---------
+# -- the term tables against the tuple-monomial product -------------------
 
 
 def _merge_odd(a: tuple, b: tuple):
@@ -202,21 +211,21 @@ VARS = [("x", 0), ("a", 1), ("y", 0), ("b", 1), ("z", 0), ("c", 1)]
 def _random_pair(rng, ring, q, parity):
     """One random polynomial of the given parity, as (SuperPoly, oracle dict)."""
     F = ring.F
-    new, old = {}, {}
+    new, old = {}, {}  # exponent vector -> coefficient, Monomial -> coefficient
     for _ in range(rng.randrange(1, 6)):
         while True:
             exps = [rng.randrange(2) if par else rng.randrange(4) for _, par in VARS]
             if sum(e for e, (_, par) in zip(exps, VARS) if par) % 2 == parity:
                 break
         c = rng.randrange(1, q)
-        key = sum(e << ring.shift[v] for v, e in enumerate(exps))
+        key = tuple(exps)
         mon = Monomial(
             tuple((v, e) for v, e in enumerate(exps) if e and not VARS[v][1]),
             tuple(v for v, e in enumerate(exps) if e and VARS[v][1]),
         )
         new[key] = int(F.add[new.get(key, 0), c])
         old[mon] = int(F.add[old.get(mon, 0), c])
-    return SuperPoly(ring, new, parity), {m: c for m, c in old.items() if c}
+    return _table(ring, new), {m: c for m, c in old.items() if c}
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 2)])
@@ -245,22 +254,84 @@ def test_packed_core_matches_tuple_monomials(p, n):
 def test_exponent_overflow_raises():
     ring = PolyRing(F3, [("a", 1), ("x", 0), ("y", 0)])
     x, y = _var(ring, "x"), _var(ring, "y")
-    big = SuperPoly(ring, {MAX_EXPONENT << ring.shift[1]: 1}, 0)
+    big = _table(ring, {(0, MAX_EXPONENT, 0): 1})
     assert (big * y).render() == f"1*x^{MAX_EXPONENT}*y"  # the neighbours are untouched
-    half = SuperPoly(ring, {(MAX_EXPONENT // 2 + 1) << ring.shift[1]: 1}, 0)
+    half = _table(ring, {(0, MAX_EXPONENT // 2 + 1, 0): 1})
     for P, Q in ((big, x), (half, half), (x * y, big)):
         with pytest.raises(ValidationError):
             P * Q
-    # slots above 63 make addmul test every product; these all fit
-    x64, y64 = (SuperPoly(ring, {64 << ring.shift[v]: 2}, 0) for v in (1, 2))
-    below = SuperPoly(ring, {(MAX_EXPONENT - 64) << ring.shift[1]: 1}, 0)
+    # exponents above 63 make a batch test every product; these all fit
+    x64, y64 = _table(ring, {(0, 64, 0): 2}), _table(ring, {(0, 0, 64): 2})
+    below = _table(ring, {(0, MAX_EXPONENT - 64, 0): 1})
     assert (x64 * y64).render() == "1*x^64*y^64"
     assert (x64 * below).render() == f"2*x^{MAX_EXPONENT}"
     # only the last product overflows, in either order of the factors
-    mixed = SuperPoly(ring, {1 << ring.shift[2]: 1, 64 << ring.shift[1]: 1}, 0)
+    mixed = _table(ring, {(0, 0, 1): 1, (0, 64, 0): 1})
     for P, Q in ((mixed, x64), (x64, mixed)):
         with pytest.raises(ValidationError, match=f"exceeds {MAX_EXPONENT}$"):
             P * Q
+
+
+M11 = GroupAlgebraSpec("Mrs", 3, r=1, s=1)
+
+
+def _unit_vec(alg, ring, terms, parity=0):
+    """The element s_0 (x) P of kG (x) T, P given as {exponent vector: c}."""
+    P = _table(ring, terms)
+    return homscheme._SVec(alg, ring, P.table, parity)
+
+
+def _coproduct_batch(A, B):
+    """The table of A (x) B at the components a <= b, from one batch op."""
+    ring = A.ring
+    return homscheme._gather(ring._sums([homscheme._tensor_jobs(A, B, 1, False)]), len(ring.variables))
+
+
+@pytest.mark.parametrize("product", ["word", "coproduct"])
+def test_exponent_guard_in_batches(product):
+    # x^126 * x = x^127 is kept and x^127 * x raises, in a word product of
+    # kG (x) T and in a coproduct batch, each at s_0 (x) s_0
+    m11, _ = build_group_algebra(M11)
+    ring = PolyRing(F3, VARS)  # x is variable 0, even; a is odd
+    mul = (lambda A, B: A.mul(B).table) if product == "word" else _coproduct_batch
+    x = _unit_vec(m11, ring, {(1, 0, 0, 0, 0, 0): 1})
+    k, E, c = mul(_unit_vec(m11, ring, {(MAX_EXPONENT - 1, 0, 0, 0, 0, 0): 1}), x)
+    assert (k.tolist(), E.tolist(), c.tolist()) == ([0], [[MAX_EXPONENT, 0, 0, 0, 0, 0]], [1])
+    with pytest.raises(ValidationError, match=f"exceeds {MAX_EXPONENT}$"):
+        mul(_unit_vec(m11, ring, {(MAX_EXPONENT, 0, 0, 0, 0, 0): 1}), x)
+
+
+@pytest.mark.parametrize("product", ["word", "coproduct"])
+def test_odd_square_drops_its_row(product):
+    # (a + x) * a = x*a: the row of a*a is dropped, not kept as a zero
+    m11, _ = build_group_algebra(M11)
+    ring = PolyRing(F3, VARS)
+    mul = (lambda A, B: A.mul(B).table) if product == "word" else _coproduct_batch
+    a = _unit_vec(m11, ring, {(0, 1, 0, 0, 0, 0): 1}, 1)
+    a_x = _unit_vec(m11, ring, {(0, 1, 0, 0, 0, 0): 1, (1, 0, 0, 0, 0, 0): 2}, 1)
+    assert len(mul(a, a)[2]) == 0
+    k, E, c = mul(a_x, a)
+    assert (k.tolist(), E.tolist(), c.tolist()) == ([0], [[1, 1, 0, 0, 0, 0]], [2])
+
+
+def test_sums_match_tuple_monomials_over_f25(monkeypatch):
+    # a sum of 16 products over F_25 in batches of 7 rows: 8 random
+    # products, then the same 8 with other coefficients, so that like terms
+    # meet across batches and coefficients add digitwise mod 5
+    field = make_field(5, 2)
+    ring = PolyRing(field, VARS)
+    F = ring.F
+    rng = random.Random(25)
+    pairs = [[_random_pair(rng, ring, field.q, rng.randrange(2)) for _ in range(2)] for _ in range(8)]
+    ops, want, zero = [], {}, np.zeros(1, np.int64)
+    for (P, oP), (Q, oQ) in pairs + pairs:
+        c = rng.randrange(1, field.q)
+        ops.append((P.table, Q.table, zero, zero, zero, zero + c))
+        want = oracle_add(F, want, {m: int(F.mul[c, v]) for m, v in oracle_mul(F, oP, oQ).items()})
+    monkeypatch.setattr(homscheme, "RENDER_CHUNK", 7)
+    k, E, c = homscheme._gather(ring._sums(ops), len(VARS))
+    assert set(k.tolist()) <= {0} and len(want) > 7
+    assert as_monomials(ring, SuperPoly(ring, E, c)) == want and len(c) == len(want)  # one row each
 
 
 def test_source_checks():
@@ -331,23 +402,22 @@ def _text(ideal):
 
 def _oracle_lines(ring, polys):
     names = [name for name, _ in ring.variables]
-    texts = (oracle_render(ring.F, names, as_monomials(ring, P)) for P in polys if P.terms)
+    texts = (oracle_render(ring.F, names, as_monomials(ring, P)) for P in polys if len(P.c))
     return "\n".join(dict.fromkeys(texts))
 
 
 def test_render_degree_above_255():
     # degrees 381, 256, 255, 1 and 0: no byte-wide degree
     ring = PolyRing(F3, [("x", 0), ("a", 1), ("y", 0), ("z", 0)])
-    x, y, z = (ring.shift[ring.name_index[n]] for n in "xyz")
     top = MAX_EXPONENT
-    P = SuperPoly(ring, {
-        top << x | top << y | top << z: 1,
-        top << x | top << y | 2 << z: 2,
-        top << x | top << y | 1 << z: 1,
-        top << x | 1 << y | 1 << z: 2,
-        1 << z: 1,
-        0: 2,
-    }, 0)
+    P = _table(ring, {
+        (top, 0, top, top): 1,
+        (top, 0, top, 2): 2,
+        (top, 0, top, 1): 1,
+        (top, 0, 1, 1): 2,
+        (0, 0, 0, 1): 1,
+        (0, 0, 0, 0): 2,
+    })
     assert P.render() == _oracle_lines(ring, [P])
     assert P.render().startswith(f"1*x^{top}*y^{top}*z^{top} + 2*x^{top}*y^{top}*z^2 + ")
     assert P.render().endswith(" + 1*z + 2")
@@ -366,11 +436,10 @@ def test_render_many_variables(p, n):
         terms = {}
         for _ in range(rng.randrange(1, 160)):
             exps = [rng.randrange(2) if par else rng.choice((0, 0, 0, 1, 2, 9)) for _, par in variables]
-            m = sum(e << ring.shift[v] for v, e in enumerate(exps))
-            terms[m] = rng.randrange(1, field.q)
-        polys.append(SuperPoly(ring, terms, 0))
+            terms[tuple(exps)] = rng.randrange(1, field.q)
+        polys.append(_table(ring, terms))
     polys += polys[::7]  # repeats under other labels
-    assert len(set().union(*(P.terms for P in polys))) > homscheme.RENDER_CHUNK
+    assert len({row for P in polys for row in map(tuple, P.E.tolist())}) > homscheme.RENDER_CHUNK
     assert _text(_ideal(ring, polys)) == _oracle_lines(ring, polys)
     for P in polys[:5]:
         assert P.render() == _oracle_lines(ring, [P])
@@ -379,21 +448,22 @@ def test_render_many_variables(p, n):
 def test_render_empty_and_zero():
     ring = PolyRing(F3, [("x", 0)])
     assert _ideal(ring, []).render() == []
-    assert _ideal(ring, [SuperPoly(ring, {1: 0}, 0)] * 3).render() == []
-    assert SuperPoly(ring, {}, 0).render() == "0"
-    assert SuperPoly(ring, {0: 2}, 0).render() == "2"
+    assert _ideal(ring, [_table(ring, {(1,): 0})] * 3).render() == []
+    assert _table(ring, {}).render() == "0"
+    assert _table(ring, {(0,): 2}).render() == "2"
     bare = PolyRing(F3, [])
-    assert _ideal(bare, [SuperPoly(bare, {0: 1}, 0)]).render() == ["1"]
+    assert _ideal(bare, [_table(bare, {(): 1})]).render() == ["1"]
+    assert (_table(bare, {(): 2}) * _table(bare, {(): 2})).render() == "1"
 
 
 def test_render_prints_equal_generators_once():
     ring = PolyRing(F3, [("x", 0), ("y", 0)])
-    x, y = (1 << ring.shift[ring.name_index[n]] for n in "xy")
-    xy_1 = SuperPoly(ring, {x + y: 1, 0: 1}, 0)
-    x_y = SuperPoly(ring, {x: 1, y: 1}, 0)  # same length and monomial sum
-    x_2y = SuperPoly(ring, {x: 1, y: 2}, 0)  # same monomials
-    again = SuperPoly(ring, {0: 1, x + y: 1}, 0)  # equal to xy_1, other order
-    zero = SuperPoly(ring, {x: 0}, 0)
+    x, y, xy, one = (1, 0), (0, 1), (1, 1), (0, 0)
+    xy_1 = _table(ring, {xy: 1, one: 1})
+    x_y = _table(ring, {x: 1, y: 1})  # same length and monomial sum
+    x_2y = _table(ring, {x: 1, y: 2})  # same monomials
+    again = _table(ring, {one: 1, xy: 1})  # equal to xy_1, other order
+    zero = _table(ring, {x: 0})
     polys = [x_y, zero, xy_1, x_2y, again, x_y, x_2y]
     assert _ideal(ring, polys).render() == ["1*x + 1*y", "1*x*y + 1", "1*x + 2*y"]
     assert _text(_ideal(ring, polys)) == _oracle_lines(ring, polys)
@@ -452,40 +522,43 @@ def test_mirror_adds_b_tensor_a(pa, pb, monkeypatch):
     # built apart.  Below the diagonal the sum is (-1)^{|s_a||s_b|} times
     # its mirror unless A and B are both odd, which is why a source term
     # may not be odd on both sides.
-    m11, _ = build_group_algebra(GroupAlgebraSpec("Mrs", 3, r=1, s=1))
-    ring = PolyRing(F3, VARS)
+    m11, _ = build_group_algebra(M11)
+    ring, packed = PolyRing(F3, VARS), homscheme_oracle.PackedRing(F3, VARS)
     rng = random.Random(10 * pa + pb)
-    par = m11.parity.tolist()
+    par, d = m11.parity.tolist(), m11.dim
 
     def vec(parity):
-        comps = [_random_pair(rng, ring, 3, (parity + par[j]) % 2)[0].terms for j in range(m11.dim)]
-        return homscheme._SVec(m11, ring, comps, parity)
+        """The same random element as a table and as the oracle's dicts."""
+        comps = [_random_pair(rng, ring, 3, (parity + par[j]) % 2)[0] for j in range(d)]
+        table = (
+            np.repeat(np.arange(d), [len(P.c) for P in comps]),
+            np.vstack([P.E for P in comps]),
+            np.concatenate([P.c for P in comps]),
+        )
+        dicts = [terms(P) for P in comps]
+        return homscheme._SVec(m11, ring, table, parity), homscheme_oracle._SVec(m11, packed, dicts, parity)
 
     products = []
-    real = PolyRing.addmul
-    monkeypatch.setattr(PolyRing, "addmul", lambda *a: products.append(1) or real(*a))
-    A, B = vec(pa), vec(pb)
+    real = homscheme_oracle.PackedRing.addmul
+    monkeypatch.setattr(homscheme_oracle.PackedRing, "addmul", lambda *a: products.append(1) or real(*a))
+    (A, A_dicts), (B, B_dicts) = vec(pa), vec(pb)
     full = {}
-    homscheme_oracle._tensor_components(A, B, 2, full, True)
-    full = {k: ring.poly(v).terms for k, v in full.items()}
-    formed, products[:] = len(products), []
-    listed = {}
-    homscheme._tensor_products(A, B, 2, True, listed)
-    assert all(a <= b for a, b in listed)
-    for a in range(m11.dim):
-        for b in range(a, m11.dim):
-            acc = {}
-            for P, Q, coefs in listed.get((a, b), ()):
-                ring.addmul([(acc, k) for k in coefs], P, Q)
-            assert ring.poly(acc).terms == full.get((a, b), {}), (a, b)
-    assert len(products) == formed
+    homscheme_oracle._tensor_components(A_dicts, B_dicts, 2, full, True)
+    full = {k: terms(packed.poly(v)) for k, v in full.items()}
+    op = homscheme._tensor_jobs(A, B, 2, True)
+    assert len(op[2]) == len(products)  # each product is formed once
+    got = {divmod(key, d): terms(P) for key, P in homscheme._polys(ring, [op])}
+    assert all(a <= b for a, b in got)
+    for a in range(d):
+        for b in range(a, d):
+            assert got.get((a, b), {}) == full.get((a, b), {}), (a, b)
     apart = {}
-    homscheme_oracle._tensor_components(A, B, 2, apart, False)
-    homscheme_oracle._tensor_components(B, A, 2, apart, False)
-    nonzero = {k: P.terms for k, P in ((k, ring.poly(v)) for k, v in apart.items()) if P.terms}
+    homscheme_oracle._tensor_components(A_dicts, B_dicts, 2, apart, False)
+    homscheme_oracle._tensor_components(B_dicts, A_dicts, 2, apart, False)
+    nonzero = {k: P for k, P in ((k, terms(packed.poly(v))) for k, v in apart.items()) if P}
     assert nonzero == {k: v for k, v in full.items() if v} != {}
     mirrored = [
-        full[(b, a)] == {m: ring.neg[c] if par[a] and par[b] else c for m, c in full[(a, b)].items()}
+        full[(b, a)] == {m: packed.neg[c] if par[a] and par[b] else c for m, c in full[(a, b)].items()}
         for a, b in full
         if a < b
     ]
@@ -521,7 +594,7 @@ def test_streamed_ideal_matches_full_build(r, target):
     got = homscheme_oracle.materialise(hom_scheme_ideal(source, alg))
     want = homscheme_oracle.hom_scheme_generators(source, alg)
     assert [label for label, _ in got] == [label for label, _ in want]
-    assert all(P.terms == Q.terms for (_, P), (_, Q) in zip(got, want))
+    assert all(terms(P) == terms(Q) for (_, P), (_, Q) in zip(got, want))
     by_label = dict(got)
     par = alg.parity.tolist()
     for label, P in got:
@@ -531,6 +604,24 @@ def test_streamed_ideal_matches_full_build(r, target):
             if a != b:
                 shared = P is by_label.get(f"cop:{g}[{b},{a}]")
                 assert shared == (not (par[a] and par[b])), label
+
+
+@pytest.mark.parametrize("r,target", [(2, "M21"), (2, "Ga2"), (2, "M11p5"), (2, "M11p7")])
+def test_components_split_across_batches(r, target, monkeypatch):
+    # with a budget of 5 rows nearly every sum runs over several batches and
+    # is merged across them: the same tables, and the same lines, as one
+    # batch each
+    spec = GroupAlgebraSpec.from_json(ORACLE_TARGETS[target])
+    alg, _ = build_group_algebra(spec)
+    source = PrPresentation(spec.p, r)
+    whole = homscheme_oracle.materialise(hom_scheme_ideal(source, alg))
+    text = _text(hom_scheme_ideal(source, alg))
+    monkeypatch.setattr(homscheme, "RENDER_CHUNK", 5)
+    split = homscheme_oracle.materialise(hom_scheme_ideal(source, alg))
+    assert [label for label, _ in split] == [label for label, _ in whole]
+    assert all(terms(P) == terms(Q) and (P.E == Q.E).all() for (_, P), (_, Q) in zip(split, whole))
+    assert max(len(P.c) for _, P in whole) > 5
+    assert _text(hom_scheme_ideal(source, alg)) == text
 
 
 class _Skewed(PrPresentation):
@@ -573,20 +664,24 @@ def test_target_coproduct_checked_where_it_enters():
         verify_algebra(replace(alg, hopf=replace(hopf, coproduct=C)))
 
 
-def test_streamed_render_memory_is_bounded():
-    # building P_3 -> G_a(3) and rendering its lines, as the CLI does, peaks
-    # at one render chunk plus the output; the whole ideal held 11 MB, and
-    # with its render table peaked at 20 MB
+@pytest.mark.parametrize("r,target", [(3, "Ga3"), (2, "M22")], ids=["P3-Ga3", "P2-M22"])
+def test_streamed_render_memory_is_bounded(r, target):
+    # building the two largest benchmark ideals and rendering their lines,
+    # as the CLI does, peaks at one batch or render chunk plus the output;
+    # the whole of P_3 -> G_a(3) held 11 MB, and with its render table
+    # peaked at 20 MB; forming all products of a generator in one batch
+    # peaks at 49 and 22 MB
     import tracemalloc
 
-    alg, _ = build_group_algebra(GroupAlgebraSpec("Gar", 3, r=3))
+    spec = ORACLE_TARGETS[target]
+    alg, _ = build_group_algebra(GroupAlgebraSpec.from_json(spec))
     tracemalloc.start()
     try:
-        lines = hom_scheme_ideal(PrPresentation(3, 3), alg).render()
+        lines = hom_scheme_ideal(PrPresentation(3, r), alg).render()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    digest = dict((spec["family"], d) for r, spec, d in RENDER_SHA1 if r == 3)["Gar"]
+    digest = next(d for rr, sp, d in RENDER_SHA1 if (rr, sp) == (r, spec))
     assert hashlib.sha1("\n".join(lines).encode()).hexdigest() == digest
     assert peak < 8 * 2**20, peak
 

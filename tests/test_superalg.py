@@ -27,6 +27,7 @@ from oracles.pr_oracle import gamma_product
 from oracles.algebra_oracle import (
     _tensor_square_product,
     coproduct_triples,
+    products,
     radical_layers,
     tensor_coproduct,
     verify_associative_d3,
@@ -248,12 +249,12 @@ def test_one_tensor_shared_by_every_field(spec):
 
 def _el_mul_oracle(alg, x, y):
     """x y by the sparse triple loop over the nonzero structure constants."""
-    F = alg.F
+    F, table = alg.F, products(alg)
     out = alg.el_zero()
     for i in np.nonzero(x)[0]:
         for j in np.nonzero(y)[0]:
             c = F.mul[x[i], y[j]]
-            for k, ck in alg.products.get((int(i), int(j)), ()):
+            for k, ck in table.get((int(i), int(j)), ()):
                 out[k] = F.add[out[k], F.mul[c, ck]]
     return out
 
@@ -721,7 +722,7 @@ def test_verify_hopf_matches_all_pairs_oracle(spec):
     assert g in {*base.generators.values(), 0}
     F, cop = bad.F, coproduct_triples(bad)
     want = {}
-    for m, c in bad.products.get((x, g), ()):
+    for m, c in products(bad).get((x, g), ()):
         for a, b, c2 in cop[m]:
             want[a, b] = int(F.add[want.get((a, b), 0), F.mul[c, F.scalar(c2)]])
     t1, t2 = ({(a, b): F.scalar(c) for a, b, c in cop[i]} for i in (x, g))
