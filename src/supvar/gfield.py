@@ -18,6 +18,7 @@ colon-joined coefficient list "c0:c1:...", low degree first.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -65,51 +66,13 @@ def _poly_mod(a, m, p):
     return _poly_trim(a)
 
 
-def _poly_eval(a, x, p):
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
-
-
-def _monic_irreducibles(p: int, deg: int):
-    """All monic irreducible polynomials of the given degree, lex order."""
-    from itertools import product
-
-    out = []
-    for tail in product(range(p), repeat=deg):
-        f = list(tail) + [1]
-        if _is_irreducible(f, p):
-            out.append(f)
-    return out
-
-
-def _is_irreducible(f, p: int) -> bool:
-    deg = len(f) - 1
-    if deg == 1:
-        return True
-    if any(_poly_eval(f, x, p) == 0 for x in range(p)):
-        return False
-    if deg <= 3:
-        return True
-    # Degree 4: also rule out products of two irreducible quadratics.
-    for g in _monic_irreducibles(p, 2):
-        if not _poly_mod(f, g, p):
-            return False
-    return True
-
-
 def canonical_modulus(p: int, n: int):
-    """Lexicographically least monic irreducible of degree n over F_p."""
-    if n == 1:
-        return (0, 1)
-    from itertools import product
-
-    for tail in product(range(p), repeat=n):
-        f = list(tail) + [1]
-        if _is_irreducible(f, p):
-            return tuple(f)
-    raise FieldError(f"no irreducible polynomial of degree {n} over F_{p}")
+    """Lexicographically least monic irreducible of degree n over F_p: the
+    first monic f, in the order of (a_0, ..., a_{n-1}), that no monic g of
+    degree 1 to n // 2 divides (_poly_mod), as a reducible f has such a g."""
+    monic = lambda d: (tail + (1,) for tail in product(range(p), repeat=d))
+    divisors = [g for d in range(1, n // 2 + 1) for g in monic(d)]
+    return next(f for f in monic(n) if all(_poly_mod(f, g, p) for g in divisors))
 
 
 class FieldDescriptor:

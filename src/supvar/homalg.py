@@ -6,15 +6,15 @@ resolution coming from the matrix factorization
     phi = [[u^{p-1}, v], [v, -u]],   psi = [[u, v], [v, -u^{p-1}]],
 
 with phi psi = psi phi = (u^p + v^2) I.  Applying Hom(-, W) to it turns Ext
-computations over P_1 into finite linear algebra in a torsion module W, and
-the degree-shift swap operator on the resolution realizes the right cup
-product by the odd degree-one cohomology class, whose square detects
-infinite projective dimension.
+computations over P_1 into finite linear algebra in a torsion module W.
+From degree 2 on the complex repeats, so projective dimension is infinite
+exactly when H^2 is nonzero (pd_infinite).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -128,8 +128,8 @@ def p1_hom_complex(W: P1ModuleView, check: bool = False) -> CochainComplex:
     even, V odd, UV = VU, V^2 = -U^p) the complex has d.d = 0 by
     construction, since phi psi = psi phi = (u^p + v^2) I and (u, v) phi = 0
     in P_1.  So the d.d = 0 check runs only with `check`, which ext_dims,
-    pd_class, cup_y_square and the tests pass; the parity check always
-    runs.  A stacked W gives the stack of complexes.
+    pd_class and the tests pass; the parity check always runs.  A stacked W
+    gives the stack of complexes.
     """
     F = W.F
     p = W.field.p
@@ -194,73 +194,24 @@ def pd_class(M: P1ModuleView) -> str:
     return PD_INFINITE if pd_infinite(M, check=True) else PD_FINITE
 
 
-def cup_y_square(M: P1ModuleView):
-    """The operator of right cup product by the odd degree-one class y.
-
-    Builds the component-swap chain operator on Hom(P_bullet, M^# (x) M),
-    verifies its square is a chain operator, pushes the identity class
-    through it twice, and reports whether 1_M cup y^2 is nonzero in Ext^2.
-    Returns (is_nonzero, data).
-    """
-    if M.dim == 0:
-        raise ValidationError("cup_y_square of the zero module")
-    F = M.F
-    W = p1_tensor(p1_dual(M), M)
-    cx = p1_hom_complex(W, check=True)
-    d = (*cx.diffs, cx.diffs[1])  # d_0 .. d_3: d_3 is d_phi again
-    n = W.dim
-
-    # coevaluation: the 0-cocycle corresponding to the identity map of M
-    coev = linalg.zeros(n, 1).ravel()
-    for a in range(M.dim):
-        idx = a * M.dim + a
-        coev[idx] = 1 if M.parity[a] == 0 else F.neg[1]
-    if np.any(linalg.matvec(F, d[0], coev)):
-        raise ValidationError("identity class is not a cocycle; sign conventions broken")
-
-    # swap operators realizing cup by y
-    Z, I = linalg.zeros(n, n), linalg.identity(n)
-    swap = np.block([[Z, I], [I, Z]]).astype(linalg.DT)
-    T = [np.concatenate([Z, I]), F.neg[swap], swap, F.neg[swap]]
-
-    # the square of the swap operator must be a chain operator
-    for i in (0, 1):
-        S_i = linalg.matmul(F, T[i + 1], T[i])
-        S_next = linalg.matmul(F, T[i + 2], T[i + 1])
-        lhs = linalg.matmul(F, d[i + 2], S_i)
-        rhs = linalg.matmul(F, S_next, d[i])
-        if not np.array_equal(lhs, rhs):
-            raise ValidationError("cup-by-y square is not a chain operator; sign bug")
-
-    c1 = linalg.matvec(F, T[0], coev)
-    c2 = linalg.matvec(F, T[1], c1)
-    if np.any(linalg.matvec(F, d[2], c2)):
-        raise ValidationError("1 cup y^2 is not a cocycle; sign conventions broken")
-    is_nonzero = linalg.solve(F, d[1], c2) is None
-    return is_nonzero, {"cocycle": c2, "complex": cx, "operators": T}
-
-
 # -- minimal resolutions over finite local superalgebras ------------------
 
 
-def _graded_right_kernel(F, A, col_parity, row_parity):
-    """Kernel basis of a parity-preserving map (the caller checks it), by parity block.
+def _graded_right_kernel(F, A, col_parity):
+    """Kernel basis of a parity-preserving map (the caller checks it), even
+    vectors first: (columns matrix, parity vector of the kernel basis).
 
-    Returns (columns matrix, parity vector of the kernel basis).
-    """
-    blocks = [linalg.zeros(A.shape[1], 0)]
-    pars = []
-    for par in (0, 1):
-        csel = np.nonzero(col_parity == par)[0]
-        rsel = np.nonzero(row_parity == par)[0]
-        if not csel.size:
-            continue
-        block = A[np.ix_(rsel, csel)] if rsel.size else linalg.zeros(0, len(csel))
-        K = linalg.right_kernel(F, block)
-        blocks.append(linalg.zeros(A.shape[1], K.shape[1]))
-        blocks[-1][csel] = K
-        pars += [par] * K.shape[1]
-    return np.concatenate(blocks, axis=1), np.array(pars, dtype=np.int8)
+    One right_kernel of the whole map, its columns taken even first.  A
+    graded map's rows are those of its even and its odd block, so its
+    rref's rows are the blocks' rref rows, each homogeneous: each kernel
+    vector is the one its block gives, and of the parity of its free
+    coordinate, its last nonzero row in that order (see
+    minimal_resolution).  The free coordinates come in column order, so
+    the even vectors come first."""
+    order = np.argsort(col_parity, kind="stable")
+    K = linalg.right_kernel(F, A[:, order])
+    free = K.shape[0] - 1 - np.argmax(K[::-1] != 0, axis=0) if K.size else []
+    return K[np.argsort(order)], col_parity[order][free].astype(np.int8)
 
 
 @dataclass
@@ -297,11 +248,11 @@ class ResolutionData:
 def _block_act(F, S, K):
     """Regular actions, given by tensor slices S = T[b] (..., dim A, dim A)
     as b acts by S.T, on the columns K of a free module over A, block by
-    block: shape (..., rank, dim A, columns), from one product K' S."""
+    block: shape (..., rows, columns), from one product K' S."""
     d, (n, cols) = S.shape[-1], K.shape
     K = K.reshape(n // d, d, cols).transpose(0, 2, 1).reshape(-1, d)
     out = linalg.bmatmul(F, K, S).reshape(S.shape[:-2] + (n // d, cols, d))
-    return out.swapaxes(-2, -1)
+    return out.swapaxes(-2, -1).reshape(S.shape[:-2] + (n, cols))
 
 
 def minimal_resolution(A, M: SuperModule, steps: int) -> ResolutionData:
@@ -309,11 +260,13 @@ def minimal_resolution(A, M: SuperModule, steps: int) -> ResolutionData:
 
     Each step covers a syzygy Omega by the free module on Omega/(rad Omega),
     and no P_n is built (see ResolutionData).  Omega is the column span of
-    the kernel basis K from `_graded_right_kernel`, and `right_kernel` puts
-    the identity on K's free rows f: row f_t is column t's last nonzero
-    row, since a pivot row of an rref is zero left of its pivot.  So a
-    vector w of Omega is K w[f], and a generator g with regular action L_g
-    acts on Omega by X_g = (L_g K)[f], a row gather with no solve.
+    a basis K: at step 0, Omega = M with K the identity, acted on by M's
+    basis actions; after it, the kernel basis from `_graded_right_kernel`
+    inside the free module, acted on by the regular actions (`_block_act`).
+    `right_kernel` puts the identity on K's free rows f: row f_t is column
+    t's last nonzero row, since a pivot row of an rref is zero left of its
+    pivot.  So a vector w of Omega is K w[f], and a generator g acting by
+    L_g acts on Omega by X_g = (L_g K)[f], a row gather with no solve.
 
     Omega must be a submodule for X_g to be its action: checked at each
     step for all generators at once as K X_g = L_g K on the rows outside f
@@ -321,15 +274,15 @@ def minimal_resolution(A, M: SuperModule, steps: int) -> ResolutionData:
     basis element is a scalar times a word g w in the generators
     (verify_algebra's premise), so rad Omega = sum_g g Omega, and
     complement_coords, which reads only the column space, picks the cover's
-    generators c from the X_g (the generators' actions on M at step 0).
-    The boundary sends (c, b) to L_b K_c.  Its columns lie in Omega, so it
-    is K times its rows f, with K injective: the same row space, hence the
-    same rref and kernel, which is taken on the rows f.  The parity check,
-    the minimality test (entries in the radical) and the stored boundary
-    read the whole matrix.  All agrees with restricting a dense P_n to
-    Omega and covering through the whole radical.  The dimension of each
-    P_n is capped by RESOLVE_DIM_CAP (BoundExceeded), checked once its
-    rank is known and before its boundary is built.
+    generators c from the X_g.  The boundary sends (c, b) to L_b K_c.  Its
+    columns lie in Omega, so it is K times its rows f, with K injective:
+    the same row space, hence the same rref and kernel, which is taken on
+    the rows f.  The parity check, the minimality test (entries in the
+    radical, from step 1) and the stored boundary read the whole matrix.
+    All agrees with restricting a dense P_n to Omega and covering through
+    the whole radical.  The dimension of each P_n is capped by
+    RESOLVE_DIM_CAP (BoundExceeded), checked once its rank is known and
+    before its boundary is built.
     """
     check_depth("steps", steps, 0, RESOLVE_STEPS_CAP)
     if getattr(A, "_local_layers", None) is None:  # kept on the algebra, as its resolution of k
@@ -337,34 +290,28 @@ def minimal_resolution(A, M: SuperModule, steps: int) -> ResolutionData:
     validate_module(M)
     F = linalg.tables(A.field)
     gidx = list(A.generators.values())
-    T = A.tensor
-    acts = M.basis_actions().reshape(A.dim, M.dim, M.dim)
     res = ResolutionData(algebra=A, target=M, gen_parities=[], boundaries=[], omega=[])
-    # S spans rad . Omega (Omega = M at step 0): column (g, j) is g on vector j
-    S = acts[gidx].transpose(1, 0, 2).reshape(M.dim, len(gidx) * M.dim)
-    Kpar = tgt_par = M.parity
-    f = np.arange(M.dim)  # Omega = M, with K the identity
+    # Omega^0 = M, acted on by M's basis actions ops[b]; each later Omega by
+    # the regular actions, through the tensor slices ops[b] = T[b]
+    ops = M.basis_actions().reshape(A.dim, M.dim, M.dim)
+    act = partial(linalg.bmatmul, F)
+    K, Kpar, tgt_par = linalg.identity(M.dim), M.parity, M.parity
     while len(res.gen_parities) <= steps:
-        if res.omega:
-            K, Kpar = res.omega[-1]
-            f = K.shape[0] - 1 - np.argmax(K[::-1] != 0, axis=0) if K.size else []
-            rest = np.delete(np.arange(K.shape[0]), f)  # K X_g = L_g K holds on f
-            LK = _block_act(F, T[gidx], K).reshape((len(gidx),) + K.shape)
-            X = LK[:, f]
-            if not np.array_equal(linalg.bmatmul(F, K[rest], X), LK[:, rest]):
-                raise ValidationError(f"syzygy {len(res.omega)} is not a submodule")
-            S = X.transpose(1, 0, 2).reshape(len(f), len(gidx) * len(f))
+        f = K.shape[0] - 1 - np.argmax(K[::-1] != 0, axis=0) if K.size else []
+        rest = np.delete(np.arange(K.shape[0]), f)  # K X_g = L_g K holds on f
+        LK = act(ops[gidx], K)
+        X = LK[:, f]
+        if not np.array_equal(linalg.bmatmul(F, K[rest], X), LK[:, rest]):
+            raise ValidationError(f"syzygy {len(res.omega)} is not a submodule")
+        # S spans rad . Omega: column (g, j) is g on vector j
+        S = X.transpose(1, 0, 2).reshape(len(f), len(gidx) * len(f))
         comp = linalg.complement_coords(F, S)
         gens = tuple(int(Kpar[c]) for c in comp)
         check_depth(f"dim P_{len(res.gen_parities)}", len(gens) * A.dim, 0, RESOLVE_DIM_CAP)
-        if res.omega:
-            bnd = _block_act(F, T, K[:, comp]).transpose(1, 2, 3, 0)
-            # minimality: columns live in rad . P_{n-1}, none at the unit (basis 0)
-            if bnd[:, 0].any():
-                res.minimal = False
-        else:
-            bnd = acts[:, :, comp].transpose(1, 2, 0)
-        bnd = bnd.reshape(len(tgt_par), len(comp) * A.dim)
+        bnd = act(ops, K[:, comp]).transpose(1, 2, 0).reshape(K.shape[0], len(comp) * A.dim)
+        # minimality: columns live in rad . P_{n-1}, none at the unit (basis 0)
+        if res.omega and bnd[:: A.dim].any():
+            res.minimal = False
         par = ((np.array(gens, dtype=np.int8)[:, None] + A.parity) % 2).astype(np.int8).ravel()
         rows, cols = np.nonzero(bnd)
         if np.any(tgt_par[rows] != par[cols]):
@@ -372,8 +319,9 @@ def minimal_resolution(A, M: SuperModule, steps: int) -> ResolutionData:
         res.gen_parities.append(gens)
         res.boundaries.append(bnd)
         # bnd = K bnd[f] with K injective: the same row space, so the same kernel
-        res.omega.append(_graded_right_kernel(F, bnd[f], par, Kpar))
-        tgt_par = par
+        K, Kpar = _graded_right_kernel(F, bnd[f], par)
+        res.omega.append((K, Kpar))
+        ops, act, tgt_par = A.tensor, partial(_block_act, F), par
     return res
 
 
@@ -483,7 +431,7 @@ def carlson_module(A, n: int, zeta: CocycleClass) -> SuperModule:
         Lpar.append(pars.pop())
     action = {}
     for g, i in A.generators.items():
-        action[g] = linalg.solve(F, Lcols, _block_act(F, A.tensor[i], Lcols).reshape(Lcols.shape))
+        action[g] = linalg.solve(F, Lcols, _block_act(F, A.tensor[i], Lcols))
         if action[g] is None:
             raise ValidationError("kernel of zeta is not a submodule")
     out = SuperModule(A, Lcols.shape[1], np.array(Lpar, dtype=np.int8), action)

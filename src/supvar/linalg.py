@@ -78,12 +78,6 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=DT)
 
 
-def from_int_matrix(F: GFTables, rows) -> np.ndarray:
-    """Integers (interpreted in the prime subfield) to an index matrix."""
-    a = np.array(rows, dtype=np.int64) % F.p
-    return a.astype(DT)
-
-
 def madd(F: GFTables, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return F.add[A, B]
 

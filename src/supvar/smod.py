@@ -22,6 +22,7 @@ from .superalg.algebra import (
     PresentedSuperalgebra,
     build_group_algebra,
     canonical_images,
+    walk_word,
 )
 
 
@@ -47,17 +48,17 @@ class SuperModule:
 
     def basis_actions(self) -> np.ndarray:
         """Every basis action matrix, flattened: shape (algebra dim, dim * dim).
-        That of b_i is the action of its stored monomial coeff g_1^e_1
-        g_2^e_2 ..., the generators' matrix powers multiplied left to right."""
+        That of b_i is its stored monomial coeff g_1^e_1 g_2^e_2 ..., a word in
+        the generators' matrices walked by walk_word with one memo for all b_i;
+        the unit's empty word is the identity."""
         cached = self._cache.get("basis_flat")
         if cached is None:
-            F, rows = self.F, []
-            for coeff, mon in self.algebra.monomials:
-                out = linalg.identity(self.dim)
-                for g, e in mon:
-                    out = linalg.matmul(F, out, linalg.matpow(F, self.action[g], e))
-                rows.append(linalg.scale(F, coeff, out).ravel())
-            cached = self._cache["basis_flat"] = np.stack(rows)
+            F, memo, I = self.F, {}, linalg.identity(self.dim)
+            mul, act = lambda x, y: linalg.matmul(F, x, y), self.action.__getitem__
+            cached = np.empty((len(self.algebra.monomials), self.dim**2), dtype=linalg.DT)
+            for row, (c, m) in zip(cached, self.algebra.monomials):
+                row[:] = F.mul[F.scalar(c), walk_word(m, act, mul, memo) if m else I].ravel()
+            self._cache["basis_flat"] = cached
         return cached
 
     def element_action(self, vec: np.ndarray) -> np.ndarray:
@@ -116,28 +117,6 @@ def trivial_module(A: PresentedSuperalgebra, odd: bool = False) -> SuperModule:
     par = np.array([1 if odd else 0], dtype=np.int8)
     action = {g: linalg.zeros(1, 1) for g in A.generators}
     return SuperModule(A, 1, par, action)
-
-
-def regular_module(A: PresentedSuperalgebra) -> SuperModule:
-    """A acting on itself by left multiplication (cached per algebra): the
-    action of b_i is tensor[i].T, since b_i b_j = sum_k tensor[i, j, k] b_k."""
-    cached = getattr(A, "_regular_module", None)
-    if cached is None:
-        action = {g: np.ascontiguousarray(A.tensor[i].T) for g, i in A.generators.items()}
-        cached = SuperModule(A, A.dim, A.parity.astype(np.int8).copy(), action)
-        A._regular_module = cached
-    return cached
-
-
-def pullback(M: SuperModule, source: PresentedSuperalgebra, images: dict) -> SuperModule:
-    """Pull a module back into `source` along g -> images[g], elements of
-    M's algebra.  The result is validated: a failure means the map is not an
-    algebra map, and on a faithful M, such as regular_module, a pass means
-    it is one."""
-    action = {g: M.element_action(images[g]) for g in source.generators}
-    out = SuperModule(source, M.dim, M.parity.copy(), action)
-    validate_module(out)
-    return out
 
 
 def tensor_module(M: SuperModule, N: SuperModule) -> SuperModule:
@@ -200,18 +179,6 @@ def parity_shift(M: SuperModule, which: str = "Pi") -> SuperModule:
     out = SuperModule(A, M.dim, (1 - M.parity).astype(np.int8), action)
     validate_module(out)
     return out
-
-
-def free_over_cyclic(M: SuperModule, X: np.ndarray, m: int) -> bool:
-    """Whether M is free over k[x]/(x^m) acting through X.
-
-    Requires X^m = 0; freeness is equivalent to dim M = m * rank(X^{m-1}),
-    i.e. every Jordan block of X has the full size m.
-    """
-    F = M.F
-    if np.any(linalg.matpow(F, X, m)):
-        raise ValidationError(f"operator does not satisfy X^{m} = 0")
-    return M.dim == m * linalg.rank(F, linalg.matpow(F, X, m - 1))
 
 
 def build_L(mu, a) -> SuperModule:
@@ -426,11 +393,6 @@ def p1_view_from_images(
             raise ValidationError("the radical of the algebra does not act nilpotently")
         M._cache["rad_nilpotent"] = True
     return out
-
-
-def p1_trivial(field: FieldDescriptor, odd: bool = False) -> P1ModuleView:
-    par = np.array([1 if odd else 0], dtype=np.int8)
-    return p1_view(field, par, linalg.zeros(1, 1), linalg.zeros(1, 1))
 
 
 def p1_dual(W: P1ModuleView) -> P1ModuleView:

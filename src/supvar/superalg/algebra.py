@@ -11,14 +11,16 @@ field (see supvar.linalg).  Basis 0 is the unit, and the augmentation is the
 counit.  No defining relations are kept: a module is checked against the
 product (smod.validate_module).
 
-Constructors cover the group algebras of the multiparameter supergroups
-(quotients of P_r), the purely even truncated polynomial Hopf algebra, and
-tensor products with the Koszul sign rule.  Every constructor takes the spec
-alone and builds over F_p: the structure constants lie in the prime field,
-whose elements keep their index in every extension.  build_group_algebra
-builds and verifies each spec once and serves every field from that build,
-with the two tensors shared by all of them.
-The gamma monomials come from pr.PrPresentation.
+Constructors cover the group algebras of the multiparameter supergroups,
+the purely even truncated polynomial Hopf algebra, and tensor products with
+the Koszul sign rule.  The supergroups' algebras G_a(r), G_a^- and
+M_{r;f,eta} are all Hopf quotients of P_r, and one builder makes them all
+(_build_pr_quotient), with the gamma monomials of pr.PrPresentation.  Every
+constructor takes the spec alone and builds over F_p: the structure
+constants lie in the prime field, whose elements keep their index in every
+extension.  build_group_algebra builds and verifies each spec once and
+serves every field from that build, with the two tensors shared by all of
+them.
 """
 
 from __future__ import annotations
@@ -409,19 +411,28 @@ def _base_algebra(spec, parity, tensor, generators, monomials, cop, signs):
 
 
 def _build_pr_quotient(spec: GroupAlgebraSpec):
-    """Group algebra of M_{r;f,eta}: P_r modulo f(u_{r-1}) + eta*u_0."""
-    p, r = spec.p, spec.r
-    fcoeffs = spec.fcoeffs()
-    n_gamma, normal_form = _quotient_reducer(p, r, fcoeffs, spec.eta)
-    dim = 2 * n_gamma
-    parity = np.array([0] * n_gamma + [1] * n_gamma, dtype=np.int8)
+    """Group algebra of a quotient of P_r, r = spec.height(): M_{r;f,eta} =
+    P_r/(f(u_{r-1}) + eta u_0), G_a(r) = P_r/(v) or G_a^- = P_1/(u_0).  Its
+    basis is the gamma_l below n_gamma and, unless v dies (G_a(r)), the
+    v gamma_l.  Outside M_{r;f,eta}, u_{r-1}^p = -v^2 = 0 kills each gamma_l
+    with l >= p^spec.r; spec.r = 0 in G_a^-, so only gamma_0 = 1 lives."""
+    p, r = spec.p, spec.height()
+    if spec.family in ("Mrs", "Mrf"):
+        n_gamma, normal_form = _quotient_reducer(p, r, spec.fcoeffs(), spec.eta)
+    else:
+        n_gamma = p**spec.r
+        normal_form = lambda n: {n: 1} if n < n_gamma else {}
+    odd = spec.family != "Gar"  # whether v survives
+    dim = (1 + odd) * n_gamma
+    parity = np.array([0] * n_gamma + [1] * (dim - n_gamma), dtype=np.int8)
 
     def bidx(x):  # the basis index of the P_r basis element x
         return (x >> 1) + n_gamma * (x & 1)
 
     # gamma_a gamma_b = c gamma_{a+b}, so v gamma_a times gamma_b or v gamma_b
     # is c v gamma_{a+b}, and v gamma_a v gamma_b is -c c' gamma_{a+b+p^r},
-    # where c' = gamma_coeff(a + b, p^r): one gamma_coeff per pair (a, b)
+    # where c' = gamma_coeff(a + b, p^r): one gamma_coeff per pair (a, b).
+    # Outside M_{r;f,eta}, a + b + p^r >= n_gamma, so that product is zero
     pr = p**r
     vv = [-gamma_coeff(ell, pr, p, r) for ell in range(2 * n_gamma - 1)]
     T = np.zeros((dim,) * 3, dtype=linalg.DT)
@@ -431,14 +442,15 @@ def _build_pr_quotient(spec: GroupAlgebraSpec):
             if not c:
                 continue
             for k, ck in normal_form(a + b).items():
-                T[a, b, k] = T[a + n_gamma, b, k + n_gamma] = T[a, b + n_gamma, k + n_gamma] = (
-                    c * ck % p
-                )
+                T[a, b, k] = c * ck % p
+                if odd:
+                    T[a + n_gamma, b, k + n_gamma] = T[a, b + n_gamma, k + n_gamma] = T[a, b, k]
             for k, ck in normal_form(a + b + pr).items():
                 T[a + n_gamma, b + n_gamma, k] = c * vv[a + b] * ck % p
 
-    generators = {f"u{i}": bidx(2 * p**i) for i in range(r)}
-    generators["v"] = bidx(1)
+    generators = {f"u{i}": bidx(2 * p**i) for i in range(spec.r)}
+    if odd:
+        generators["v"] = bidx(1)
 
     xs = [2 * (i % n_gamma) + (i >= n_gamma) for i in range(dim)]  # inverse of bidx
     monomials = tuple(map(PrPresentation(p, r).gamma_monomial, xs))
@@ -447,38 +459,11 @@ def _build_pr_quotient(spec: GroupAlgebraSpec):
     i, le, ri = np.array(
         [(i, le, ri) for i, x in enumerate(xs) for le, ri, _ in pr_coproduct(p, r, x)]
     ).T
-    assert max(le.max(), ri.max()) < dim
+    assert max(bidx(le).max(), bidx(ri).max()) < dim
     cop = np.zeros((dim,) * 3, dtype=np.int8)
     cop[i, bidx(le), bidx(ri)] = 1
     signs = [(-1) ** (i % n_gamma + (i >= n_gamma)) for i in range(dim)]
     return _base_algebra(spec, parity, T, generators, monomials, cop, signs)
-
-
-def _build_gar(spec: GroupAlgebraSpec):
-    """kG_{a(r)} = P_r/(v): truncated divided powers gamma_0..gamma_{p^r-1}."""
-    p, r = spec.p, spec.r
-    dim = p**r
-    T = _truncated_tensor(dim, lambda i, j: gamma_coeff(i, j, p, max(r, 1)))
-    generators = {f"u{i}": p**i for i in range(r)}
-    pres = PrPresentation(p, max(r, 1))
-    monomials = tuple(pres.gamma_monomial(2 * l) for l in range(dim))
-    # Delta gamma_l = sum_{i + j = l} gamma_i (x) gamma_j
-    cop = _truncated_tensor(dim).transpose(2, 0, 1)
-    signs = [(-1) ** i for i in range(dim)]
-    return _base_algebra(spec, [0] * dim, T, generators, monomials, cop, signs)
-
-
-def _build_gaminus(spec: GroupAlgebraSpec):
-    """kG_a^- = k[v]/(v^2) with v odd and primitive."""
-    return _base_algebra(
-        spec,
-        parity=(0, 1),
-        tensor=_truncated_tensor(2),
-        generators={"v": 1},
-        monomials=((1, ()), (1, (("v", 1),))),
-        cop=_truncated_tensor(2).transpose(2, 0, 1),
-        signs=(1, -1),
-    )
 
 
 def _build_trunc_even(spec: GroupAlgebraSpec):
@@ -561,12 +546,8 @@ def _build_cached(spec: GroupAlgebraSpec, field: FieldDescriptor):
     if spec.dim() > DIM_CAP:
         # named by its label: a huge dimension has too many digits to print
         raise BoundExceeded(f"the algebra of {spec.label()} exceeds dimension cap {DIM_CAP}")
-    if spec.family in ("Mrs", "Mrf"):
+    if spec.family in ("Mrs", "Mrf", "Gar", "GaMinus"):
         alg = _build_pr_quotient(spec)
-    elif spec.family == "Gar":
-        alg = _build_gar(spec)
-    elif spec.family == "GaMinus":
-        alg = _build_gaminus(spec)
     elif spec.family == "TruncEven":
         alg = _build_trunc_even(spec)
     else:

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..errors import ValidationError
 from .. import linalg
-from .algebra import GroupAlgebraSpec, PresentedSuperalgebra, canonical_images
+from .algebra import PresentedSuperalgebra
 from .pr import PrPresentation
 
 
@@ -89,12 +89,6 @@ class SuperalgebraMorphism:
         return self
 
 
-def canonical_quotient_morphism(alg: PresentedSuperalgebra) -> SuperalgebraMorphism:
-    """The canonical P_r -> kG map for a quotient-family group algebra."""
-    pres, images = canonical_images(alg)
-    return SuperalgebraMorphism(pres, alg, images)
-
-
 @dataclass
 class QuotientLabel:
     """Classification result: which multiparameter group algebra a quotient is."""
@@ -118,20 +112,6 @@ class QuotientLabel:
             return f"M_{{{self.r};{s}}}"
         fs = ",".join(enc(c) for c in f)
         return f"M_{{{self.r};f=[{fs}],{enc(self.eta)}}}"
-
-    def to_spec(self, p: int) -> GroupAlgebraSpec:
-        """Spec with prime-field parameters (raises when they are not)."""
-        if self.kind == "Gar":
-            return GroupAlgebraSpec("Gar", p, r=self.r)
-        if self.kind == "GaMinus":
-            return GroupAlgebraSpec("GaMinus", p)
-        if any(c >= p for c in self.f) or self.eta >= p:
-            raise ValidationError("label parameters lie outside the prime field")
-        f = tuple(int(c) for c in self.f)
-        if all(c == 0 for c in f[:-1]) and f[-1] == 1:
-            return GroupAlgebraSpec("Mrs", p, r=self.r, s=len(f), eta=int(self.eta))
-        return GroupAlgebraSpec("Mrf", p, r=self.r, eta=int(self.eta), f=f)
-
 
 def classify_quotient(phi: SuperalgebraMorphism) -> QuotientLabel:
     """Classify a finite-dimensional Hopf superalgebra quotient of P_r.

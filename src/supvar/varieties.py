@@ -422,21 +422,6 @@ def psi_map(spec: GroupAlgebraSpec, field: FieldDescriptor, pts: np.ndarray) -> 
     return np.stack(cols, axis=-1)
 
 
-def psi_target_points(spec: GroupAlgebraSpec, field: FieldDescriptor) -> np.ndarray:
-    """F_q points of the cohomological spectrum, in psi's coordinate order
-    and in canonical order.
-
-    psi is a bijection onto them from the parametrized points, so the same
-    checks and POINTS_CAP bound apply."""
-    _check_parametrized(spec, field)
-    pts = linalg.grid(field.q, _arity(spec))
-    if _on_cone(spec):
-        # (d, c_1, ..., c_m, e) with the top c equal to d^2
-        F = linalg.tables(field)
-        pts = pts[pts[:, -2] == F.mul[pts[:, 0], pts[:, 0]]]
-    return _canonical(field, pts)
-
-
 def monoid_scale(spec: GroupAlgebraSpec, field: FieldDescriptor, pts: np.ndarray, mu_t, a_t) -> np.ndarray:
     """The dilation action on a stack of points: compose each with the
     endomorphism v -> mu_t v, u_i -> a_t^{p^i} u_i of P_r, then re-extract
@@ -470,25 +455,3 @@ def monoid_scale(spec: GroupAlgebraSpec, field: FieldDescriptor, pts: np.ndarray
         raise ValidationError("scaled morphism left the family parametrization")
     return out
 
-
-def admissible_scalings(field: FieldDescriptor, r: int) -> np.ndarray:
-    """All (mu, a) in F_q^2 with a^{p^r} = mu^2 (the dilation monoid
-    points), as index rows, mu major."""
-    F = linalg.tables(field)
-    pairs = linalg.grid(field.q, 2)
-    return pairs[_frob_power(F, r)[pairs[:, 1]] == F.mul[pairs[:, 0], pairs[:, 0]]]
-
-
-def m11_subgroup_embeddings(p: int):
-    """The canonical multiparameter subgroups of M_{1;1} with their point
-    embeddings and generator matchings, for naturality checks.
-
-    Returns (name, subspec, embed, generator map); embed takes a stack of
-    the subgroup's points to the stack of their images in V_1(M_{1;1}).
-    """
-    gar1 = GroupAlgebraSpec("Gar", p, r=1)
-    gam = GroupAlgebraSpec("GaMinus", p)
-    return [
-        ("Ga(1)", gar1, lambda pts: np.insert(pts, 0, 0, axis=1), {"u0": "u0"}),
-        ("Ga^-", gam, lambda pts: np.insert(pts, 1, 0, axis=1), {"v": "v"}),
-    ]

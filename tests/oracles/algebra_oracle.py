@@ -11,13 +11,59 @@ tensor_algebra builds the coproduct of A (x) B as one Koszul-signed outer
 product of the factors' tensors; tensor_coproduct is the loop over pairs of
 coproduct terms that it replaced.  The oracles read the coproduct tensor
 C[i, j, k] as lists of terms (j, k, c) through coproduct_triples.
+
+The library builds every quotient of P_r with one builder;
+divided_power_algebra is G_a(r) and G_a^- in the closed forms of the two
+builders it replaced.
 """
 
 import numpy as np
 
 from supvar import linalg
 from supvar.errors import ValidationError
-from supvar.superalg.algebra import AlgebraError
+from supvar.gfield import make_field
+from supvar.superalg.algebra import AlgebraError, HopfStructure, PresentedSuperalgebra
+from supvar.superalg.pr import PrPresentation, gamma_coeff
+
+
+def divided_power_algebra(spec) -> PresentedSuperalgebra:
+    """G_a(r) or G_a^- over F_p, in closed form.
+
+    G_a(r) = P_r/(v) has the truncated divided powers gamma_0 ..
+    gamma_{p^r - 1}, all even: T[i, j, i + j] = gamma_coeff(i, j, p,
+    max(r, 1)) for i + j < p^r, Delta gamma_l = sum_i gamma_i (x)
+    gamma_{l-i}, S = diag((-1)^i), and u_i = gamma_{p^i}.  G_a^- =
+    k[v]/(v^2) with v odd and primitive, and S = diag(1, -1)."""
+    p = spec.p
+    if spec.family == "Gar":
+        dim, coeff = p**spec.r, lambda i, j: gamma_coeff(i, j, p, max(spec.r, 1))
+        parity, generators = [0] * dim, {f"u{i}": p**i for i in range(spec.r)}
+        pres = PrPresentation(p, max(spec.r, 1))
+        monomials = tuple(pres.gamma_monomial(2 * ell) for ell in range(dim))
+    else:
+        assert spec.family == "GaMinus", spec
+        dim, coeff, parity, generators = 2, lambda i, j: 1, [0, 1], {"v": 1}
+        monomials = ((1, ()), (1, (("v", 1),)))
+    T = np.zeros((dim,) * 3, dtype=linalg.DT)
+    C = np.zeros((dim,) * 3, dtype=np.int8)
+    for i in range(dim):
+        for j in range(dim - i):
+            T[i, j, i + j] = coeff(i, j)
+            C[i + j, i, j] = 1
+    augmentation = np.zeros(dim, dtype=linalg.DT)
+    augmentation[0] = 1
+    antipode = np.diag([(-1) ** i % p for i in range(dim)]).astype(linalg.DT)
+    return PresentedSuperalgebra(
+        field=make_field(p, 1),
+        dim=dim,
+        parity=np.array(parity, dtype=np.int8),
+        tensor=T,
+        generators=generators,
+        monomials=monomials,
+        augmentation=augmentation,
+        hopf=HopfStructure(C, antipode),
+        spec=spec,
+    )
 
 
 def products(alg) -> dict:

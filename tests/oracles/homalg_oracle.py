@@ -1,16 +1,19 @@
-"""Ext over P_1 by the untwisted pipeline: the oracle for homalg.ext_dims.
+"""Two oracles over P_1: the untwisted Ext pipeline for homalg.ext_dims,
+and the cup product by y^2 for homalg.pd_class.
 
 Ext via Hom_{P_1}(M (x) P_bullet, N), building every degree's differential
 on its own, independently of the contragredient route that the library
 takes (homalg.p1_hom_complex), so it cross-checks the sign conventions.
+cup_y_square decides infinite projective dimension from 1_M cup y^2
+instead of from the ranks of H^2.
 """
 
 import numpy as np
 
 from supvar import linalg
 from supvar.errors import ValidationError
-from supvar.homalg import ExtTable
-from supvar.smod import P1ModuleView
+from supvar.homalg import ExtTable, p1_hom_complex
+from supvar.smod import P1ModuleView, p1_dual, p1_tensor
 
 
 def ext_dims_untwisted(M: P1ModuleView, N: P1ModuleView, maxdeg: int) -> ExtTable:
@@ -151,3 +154,49 @@ def ext_dims_untwisted(M: P1ModuleView, N: P1ModuleView, maxdeg: int) -> ExtTabl
         dims.append(hh)
     table = [(dims[0][i], dims[1][i]) for i in range(maxdeg + 1)]
     return ExtTable(table)
+
+
+def cup_y_square(M: P1ModuleView):
+    """The operator of right cup product by the odd degree-one class y.
+
+    Builds the component-swap chain operator on Hom(P_bullet, M^# (x) M),
+    verifies its square is a chain operator, pushes the identity class
+    through it twice, and reports whether 1_M cup y^2 is nonzero in Ext^2.
+    Returns (is_nonzero, data).
+    """
+    if M.dim == 0:
+        raise ValidationError("cup_y_square of the zero module")
+    F = M.F
+    W = p1_tensor(p1_dual(M), M)
+    cx = p1_hom_complex(W, check=True)
+    d = (*cx.diffs, cx.diffs[1])  # d_0 .. d_3: d_3 is d_phi again
+    n = W.dim
+
+    # coevaluation: the 0-cocycle corresponding to the identity map of M
+    coev = linalg.zeros(n, 1).ravel()
+    for a in range(M.dim):
+        idx = a * M.dim + a
+        coev[idx] = 1 if M.parity[a] == 0 else F.neg[1]
+    if np.any(linalg.matvec(F, d[0], coev)):
+        raise ValidationError("identity class is not a cocycle; sign conventions broken")
+
+    # swap operators realizing cup by y
+    Z, I = linalg.zeros(n, n), linalg.identity(n)
+    swap = np.block([[Z, I], [I, Z]]).astype(linalg.DT)
+    T = [np.concatenate([Z, I]), F.neg[swap], swap, F.neg[swap]]
+
+    # the square of the swap operator must be a chain operator
+    for i in (0, 1):
+        S_i = linalg.matmul(F, T[i + 1], T[i])
+        S_next = linalg.matmul(F, T[i + 2], T[i + 1])
+        lhs = linalg.matmul(F, d[i + 2], S_i)
+        rhs = linalg.matmul(F, S_next, d[i])
+        if not np.array_equal(lhs, rhs):
+            raise ValidationError("cup-by-y square is not a chain operator; sign bug")
+
+    c1 = linalg.matvec(F, T[0], coev)
+    c2 = linalg.matvec(F, T[1], c1)
+    if np.any(linalg.matvec(F, d[2], c2)):
+        raise ValidationError("1 cup y^2 is not a cocycle; sign conventions broken")
+    is_nonzero = linalg.solve(F, d[1], c2) is None
+    return is_nonzero, {"cocycle": c2, "complex": cx, "operators": T}

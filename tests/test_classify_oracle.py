@@ -11,13 +11,13 @@ import random
 
 import pytest
 
+from helpers import canonical_quotient_morphism
 from oracles.classify_oracle import classify_quotient_scan
 from supvar.errors import ValidationError
 from supvar.gfield import make_field
 from supvar.superalg.algebra import GroupAlgebraSpec, build_group_algebra
 from supvar.superalg.morphisms import (
     SuperalgebraMorphism,
-    canonical_quotient_morphism,
     classify_quotient,
 )
 from supvar.superalg.pr import PrPresentation

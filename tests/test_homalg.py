@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from oracles.homalg_oracle import ext_dims_untwisted
+from helpers import p1_trivial, regular_module
+from oracles.homalg_oracle import cup_y_square, ext_dims_untwisted
 from supvar.errors import BoundExceeded, ValidationError
 from supvar.gfield import make_field
 import supvar.linalg as la
@@ -16,7 +17,6 @@ from supvar.homalg import (
     CocycleClass,
     carlson_module,
     cocycle_from_values,
-    cup_y_square,
     ext_dims,
     minimal_resolution,
     p1_hom_complex,
@@ -27,11 +27,9 @@ from supvar.smod import (
     build_L,
     dual_module,
     extend_scalars,
-    p1_trivial,
     p1_view,
     p1_view_from_module,
     random_module,
-    regular_module,
     trivial_module,
     validate_module,
 )

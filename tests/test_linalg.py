@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 
+from helpers import from_int_matrix
 from oracles.linalg_oracle import restrict_operator
 from supvar.gfield import make_field
 import supvar.linalg as la
@@ -13,7 +14,7 @@ def rand_mat(rng, F, m, n):
 
 def test_rref_and_rank():
     F = la.tables(make_field(3, 1))
-    A = la.from_int_matrix(F, [[1, 2, 0], [2, 4, 0], [0, 0, 1]])
+    A = from_int_matrix(F, [[1, 2, 0], [2, 4, 0], [0, 0, 1]])
     R, piv = la.rref(F, A)
     assert piv == [0, 2]
     assert la.rank(F, A) == 2
@@ -73,7 +74,7 @@ def test_right_kernel_matches_entrywise_fill():
 
 def test_solve_inconsistent():
     F = la.tables(make_field(3, 1))
-    A = la.from_int_matrix(F, [[1, 0], [0, 0]])
+    A = from_int_matrix(F, [[1, 0], [0, 0]])
     b = np.array([0, 1], dtype=la.DT)
     assert la.solve(F, A, b) is None
 
@@ -98,17 +99,17 @@ def test_matmul_kron_agree_with_naive():
 
 def test_complement_and_restrict():
     F = la.tables(make_field(3, 1))
-    S = la.from_int_matrix(F, [[1, 0], [0, 1], [0, 0]])
+    S = from_int_matrix(F, [[1, 0], [0, 1], [0, 0]])
     comp = la.complement_coords(F, S)
     assert comp == [2]
-    T = la.from_int_matrix(F, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])  # shift operator
-    K = la.from_int_matrix(F, [[0], [1], [0]])  # not invariant: T K = e3
+    T = from_int_matrix(F, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])  # shift operator
+    K = from_int_matrix(F, [[0], [1], [0]])  # not invariant: T K = e3
     try:
         restrict_operator(F, K, T)
         assert False, "expected failure on a non-invariant subspace"
     except ValueError:
         pass
-    K2 = la.from_int_matrix(F, [[0, 0], [1, 0], [0, 1]])
+    K2 = from_int_matrix(F, [[0, 0], [1, 0], [0, 1]])
     X = restrict_operator(F, K2, T)
     assert np.array_equal(la.matmul(F, T, K2), la.matmul(F, K2, X))
 

@@ -16,6 +16,7 @@ import itertools
 import numpy as np
 import pytest
 
+from helpers import regular_module
 from oracles.linalg_oracle import restrict_operator
 import supvar.homalg as homalg
 import supvar.linalg as la
@@ -30,7 +31,6 @@ from supvar.homalg import (
 from supvar.smod import (
     SuperModule,
     random_module,
-    regular_module,
     trivial_module,
 )
 from supvar.superalg.algebra import GroupAlgebraSpec, build_group_algebra
@@ -205,10 +205,10 @@ def test_noninvariant_syzygy_rejected(monkeypatch):
     A = build_group_algebra(M11)[0]
     real = homalg._graded_right_kernel
 
-    def first_column(F, bnd, col_parity, row_parity):
+    def first_column(F, bnd, col_parity):
         # one kernel vector: the span of a single radical basis element,
         # which the radical does not preserve
-        K, par = real(F, bnd, col_parity, row_parity)
+        K, par = real(F, bnd, col_parity)
         return K[:, :1], par[:1]
 
     monkeypatch.setattr(homalg, "_graded_right_kernel", first_column)
@@ -223,7 +223,7 @@ def test_every_generator_checks_the_syzygy(monkeypatch, b, kept_by):
     A = build_group_algebra(M11)[0]
     assert [g for g, i in A.generators.items() if not A.tensor[i, b].any()] == [kept_by]
 
-    def one_basis_vector(F, bnd, col_parity, row_parity):
+    def one_basis_vector(F, bnd, col_parity):
         K = la.zeros(bnd.shape[1], 1)
         K[b, 0] = 1
         return K, col_parity[[b]]
@@ -238,8 +238,8 @@ def test_mislabelled_syzygy_parity_rejected(monkeypatch):
     A = build_group_algebra(M11)[0]
     real = homalg._graded_right_kernel
 
-    def flipped(F, bnd, col_parity, row_parity):
-        K, par = real(F, bnd, col_parity, row_parity)
+    def flipped(F, bnd, col_parity):
+        K, par = real(F, bnd, col_parity)
         return K, (1 - par).astype(np.int8)
 
     monkeypatch.setattr(homalg, "_graded_right_kernel", flipped)

@@ -6,8 +6,9 @@ import re
 import numpy as np
 import pytest
 
+from helpers import free_over_cyclic, from_int_matrix, pullback, regular_module
 from supvar.errors import ValidationError
-from oracles.module_oracle import is_module_dense
+from oracles.module_oracle import is_module_dense, monomial_actions
 from oracles.points_oracle import elements
 from supvar.gfield import make_field
 import supvar.linalg as la
@@ -16,15 +17,12 @@ from supvar.smod import (
     build_L,
     dual_module,
     extend_scalars,
-    free_over_cyclic,
     module_from_json,
     module_to_json,
     parity_shift,
-    pullback,
     p1_view,
     p1_view_from_module,
     random_module,
-    regular_module,
     restrict_module,
     tensor_module,
     trivial_module,
@@ -313,8 +311,8 @@ def test_p1_view_invariants():
         p1_view(
             F3,
             [0, 1],
-            la.from_int_matrix(la.tables(F3), [[0, 0], [0, 1]]),
-            la.from_int_matrix(la.tables(F3), [[0, 1], [0, 0]]),
+            from_int_matrix(la.tables(F3), [[0, 0], [0, 1]]),
+            from_int_matrix(la.tables(F3), [[0, 1], [0, 0]]),
         )
 
 
@@ -424,3 +422,28 @@ def test_validate_module_matches_the_dense_oracle(spec, n):
             assert got == want, {g: X.tolist() for g, X in N.action.items()}
             seen.add(got)
     assert seen == {True, False}
+
+
+BASIS_ACTION_SPECS = [
+    M11_SPEC,
+    GS("Mrs", 3, r=2, s=1),
+    GS("Mrs", 3, r=1, s=4),
+    GS("Gar", 5, r=3),
+    GS("Tensor", 3, factors=(GS("Mrs", 3, r=2, s=1), GAM)),
+]
+
+
+@pytest.mark.parametrize("n", [1, 2], ids=["Fp", "Fp2"])
+@pytest.mark.parametrize("spec", BASIS_ACTION_SPECS, ids=lambda s: f"{s.label()}-p{s.p}")
+def test_basis_actions_match_the_matrix_power_chains(spec, n):
+    # the word walk with one memo for all basis elements, against each
+    # monomial's own chain of generator matrix powers (monomial_actions).
+    # The random modules are drawn over F_p, where a draw is cheap
+    field = make_field(spec.p, n)
+    prime = build_group_algebra(spec)[0]
+    randoms = [extend_scalars(random_module(seed, prime, prime.dim), field) for seed in range(3)]
+    for M in [regular_module(build_group_algebra(spec, field)[0]), *randoms]:
+        alg = M.algebra
+        M = SuperModule(alg, M.dim, M.parity, M.action)  # with an empty cache
+        got, want = M.basis_actions(), monomial_actions(M).reshape(alg.dim, -1)
+        assert got.dtype == want.dtype and np.array_equal(got, want)

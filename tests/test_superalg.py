@@ -1,5 +1,6 @@
 """Group algebra constructors, Hopf axioms, tensor products, classification."""
 
+import hashlib
 import random
 from collections import Counter
 from dataclasses import replace
@@ -7,10 +8,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import canonical_quotient_morphism, label_spec, pullback, regular_module
 from supvar import linalg
 from supvar.errors import BoundExceeded, ValidationError
 from supvar.gfield import make_field
-from supvar.smod import pullback, regular_module
 from supvar.superalg import algebra
 from supvar.superalg.algebra import (
     DIM_CAP,
@@ -27,6 +28,7 @@ from oracles.pr_oracle import gamma_product
 from oracles.algebra_oracle import (
     _tensor_square_product,
     coproduct_triples,
+    divided_power_algebra,
     products,
     radical_layers,
     tensor_coproduct,
@@ -37,7 +39,6 @@ from oracles.algebra_oracle import (
 from supvar.superalg.morphisms import (
     PrPresentation,
     SuperalgebraMorphism,
-    canonical_quotient_morphism,
     classify_quotient,
 )
 
@@ -464,6 +465,50 @@ def test_quotient_tensor_matches_gamma_product(spec):
     assert alg.tensor.dtype == T.dtype and np.array_equal(alg.tensor, T)
 
 
+# G_a(r) and G_a^-, M_{1;1} and M_{1;2,1} at each p, and G_a(1) (x) G_a^-
+P_R_QUOTIENTS = [
+    *(GroupAlgebraSpec("Gar", p, r=r) for p in (3, 5, 7) for r in range(4 if p == 3 else 3)),
+    *(GroupAlgebraSpec("GaMinus", p) for p in (3, 5, 7)),
+    *(GroupAlgebraSpec("Mrs", p, r=1, s=1) for p in (3, 5, 7)),
+    *(GroupAlgebraSpec("Mrs", p, r=1, s=2, eta=1) for p in (3, 5, 7)),
+    TENSOR_SPEC,
+]
+# sha1 of their _typed_tables, recorded when G_a(r), G_a^- and M_{r;f,eta}
+# each had a builder of their own
+P_R_TABLES_SHA1 = "2faaf2e984406edc370d46bb3f2370af1573b932"
+
+
+def _typed_tables(alg):
+    """Each table of alg as its dtype, shape and bytes, then its generators
+    in order and its monomials: equal exactly when every table is."""
+    H = alg.hopf
+    arrays = (alg.parity, alg.tensor, alg.augmentation, H.coproduct, H.antipode)
+    return [repr((a.dtype.str, a.shape)).encode() + a.tobytes() for a in arrays] + [
+        repr((list(alg.generators.items()), alg.monomials)).encode()
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec", [s for s in P_R_QUOTIENTS if s.family != "Mrs"], ids=lambda s: f"{s.label()}-p{s.p}"
+)
+def test_divided_power_algebras_match_the_closed_forms(spec):
+    # the one P_r-quotient builder against the closed forms of G_a(r) and G_a^-
+    if spec.family == "Tensor":
+        a, b = map(divided_power_algebra, spec.factors)  # G_a(1) and G_a^-
+        want = tensor_algebra(rename_generators(a, {"u0": "t0_u0"}), rename_generators(b, {"v": "t1_v"}))
+    else:
+        want = divided_power_algebra(spec)
+    assert _typed_tables(build_group_algebra(spec)[0]) == _typed_tables(want)
+
+
+def test_p_r_quotient_tables_digest():
+    h = hashlib.sha1()
+    for spec in P_R_QUOTIENTS:
+        for table in _typed_tables(build_group_algebra(spec)[0]):
+            h.update(table)
+    assert h.hexdigest() == P_R_TABLES_SHA1
+
+
 @pytest.mark.parametrize("p", [0, 1, 2, 4, 11, -3])
 def test_spec_p_checked_at_parse_time(p):
     with pytest.raises(ValidationError):
@@ -483,7 +528,7 @@ def test_classify_round_trip_all_small_specs():
     for spec in specs:
         alg, _ = build_group_algebra(spec)
         label = classify_quotient(canonical_quotient_morphism(alg))
-        assert label.to_spec(3) == spec, spec.label()
+        assert label_spec(label, 3) == spec, spec.label()
 
 
 def test_classify_gaminus_and_trivial():

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from helpers import p1_trivial
 import supvar
 import supvar.homalg as homalg
 import supvar.smod as smod
@@ -22,7 +23,6 @@ from supvar.smod import (
     build_L,
     extend_scalars,
     module_to_json,
-    p1_trivial,
     p1_view_from_images,
     random_module,
     tensor_module,

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from helpers import admissible_scalings, m11_subgroup_embeddings, psi_target_points, regular_module
 from oracles import points_oracle as oracle
 from oracles.homscheme_oracle import as_monomials, oracle_evaluate
 from oracles.points_oracle import elements
@@ -14,7 +15,6 @@ import supvar.linalg as la
 from supvar.smod import (
     build_L,
     random_module,
-    regular_module,
     restrict_module,
     tensor_module,
     trivial_module,
@@ -23,15 +23,12 @@ from supvar.superalg.algebra import GroupAlgebraSpec, build_group_algebra
 from supvar.varieties import (
     POINTS_CAP,
     _arity,
-    admissible_scalings,
     enumerate_points,
     family_points,
-    m11_subgroup_embeddings,
     monoid_scale,
     point_images,
     point_to_p1,
     psi_map,
-    psi_target_points,
     render_points,
     support_set,
 )
